@@ -327,18 +327,6 @@ def field_new(m: int, modulus: int | None = None) -> FieldCtx:
     return FieldCtx(m, modulus)
 
 
-def mul(a: Fel, b: Fel) -> Fel:
-    return a * b
-
-
-def inv(a: Fel) -> Fel:
-    return a.inv()
-
-
-def sqrt(a: Fel) -> Fel:
-    return a.sqrt()
-
-
 def mult_generator(ctx: FieldCtx) -> Fel:
     """Smallest element (by bit-vector value) of multiplicative order 2^m-1."""
     n = ctx.order - 1

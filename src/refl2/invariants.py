@@ -7,19 +7,23 @@ Three families, all products or sums of products of linear(ized) forms:
   These are q^d-linearized in x (resp. y): only exponents q^m occur,
   q = 2^n, 0 <= m <= d.
 
-* Dickson invariants of SL2(GF(q)) on the plane: c0 the product of all
-  q^2-1 nonzero forms a x + b y over the subfield, c1 the sum over the
-  q+1 lines of the product of the q^2-q forms not vanishing on the
-  line, and the degree-(q+1) root u (product of the canonical class
-  representatives) with u^(q-1) = c0.
+* Dickson invariants of SL2(GF(q)) on the plane, built from the q+1
+  canonical line forms L (first nonzero coefficient 1).  The nonzero
+  forms vanishing on one line are t L for t in GF(q)*, and the product
+  of GF(q)* is 1, so the products over all nonzero forms collapse to
+  line products (Wilkerson, "A primer on the Dickson invariants", 1983):
+      u  = prod_L L                        (degree q+1),
+      c0 = u^(q-1)                         (all q^2-1 nonzero forms),
+      c1 = sum_L (prod_{L' != L} L')^(q-1) (per line, the q^2-q forms
+                                            not vanishing on it).
 
 * lifted invariants: every plane form a x + b y is replaced by
-  a x + b y + g(a,b) z, with g the homogeneous cocycle companion; the
-  same three constructions then yield u~, c1~, c0~ with u~^(q-1) = c0~
-  and restrictions u, c1 at z = 0.  An optional scale multiplies g:
-  scale 1 gives outputs invariant under the cocycle subgroup H_1, while
-  the pipeline uses scale (1 + e^-1)^-1 to match the lifted generators
-  actually closed over.
+  a x + b y + g(a,b) z, with g the homogeneous cocycle companion, so
+  g(ta, tb) = t g(a,b) and the same line-product formulas yield u~, c1~,
+  c0~ = u~^(q-1), restricting to u, c1, c0 at z = 0.  An optional scale
+  multiplies g: scale 1 gives outputs invariant under the cocycle
+  subgroup H_1, while the pipeline uses scale (1 + e^-1)^-1 to match the
+  lifted generators actually closed over.
 
 For a nontrivial kernel the whole lifted family is composed with
 (f_x, f_y, alpha z^(q^d)) in place of (x, y, z), where alpha is the
@@ -60,18 +64,6 @@ def dickson_support_check(f: MultiPoly, n: int, d: int) -> bool:
     return all(e in allowed for e in f.var_degrees(idx))
 
 
-def kernel_jacobian_expected(ls: LambdaSpace) -> MultiPoly:
-    """(prod of nonzero Lambda_1 elements)^2 * z^(2 (2^(dn) - 1))."""
-    ctx = ls.ambient
-    c = 1
-    for a in ls.lambda1():
-        if a:
-            c = ctx.mul(c, a)
-    c = ctx.sqr(c)
-    size = (1 << ls.n) ** ls.d
-    return MultiPoly.from_terms(ctx, [((0, 0, 2 * (size - 1)), c)])
-
-
 # -- the Dickson family ----------------------------------------------------
 
 
@@ -82,11 +74,6 @@ def projective_reps(n: int, ambient: FieldCtx) -> list[tuple[int, int]]:
     return [(0, 1)] + [(1, s) for s in sub]
 
 
-def _nonzero_pairs(n: int, ambient: FieldCtx) -> list[tuple[int, int]]:
-    sub = [s.bits for s in subfield_elements(ambient, n)]
-    return [(a, b) for a in sub for b in sub if a or b]
-
-
 def _lifted_family(
     ctx: FieldCtx,
     n: int,
@@ -94,53 +81,46 @@ def _lifted_family(
     Y: MultiPoly,
     Z: MultiPoly,
     gscale: int = 1,
-) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """(u-like, c1-like, c0-like) built from forms a X + b Y + s g(a,b) Z.
+) -> tuple[MultiPoly, MultiPoly]:
+    """(u-like, c1-like) from the q+1 line forms a X + b Y + s g(a,b) Z.
 
     Z = 0 gives the plain Dickson family in X, Y.
     """
-    mul = ctx.mul
+    q = 1 << n
 
     def form(a: int, b: int) -> MultiPoly:
         p = X.scale(a) + Y.scale(b)
         if Z:
             g = cocycle_g(Fel(a, ctx), Fel(b, ctx), n).bits
-            p = p + Z.scale(mul(gscale, g))
+            p = p + Z.scale(ctx.mul(gscale, g))
         return p
 
-    u = MultiPoly.one(ctx)
-    for a, b in projective_reps(n, ambient=ctx):
-        u = u * form(a, b)
-
-    c0 = MultiPoly.one(ctx)
-    pairs = _nonzero_pairs(n, ctx)
-    for a, b in pairs:
-        c0 = c0 * form(a, b)
-
+    forms = [form(a, b) for a, b in projective_reps(n, ambient=ctx)]
+    # prefix[i] is the product of forms[:i]; suffix that of forms[i+1:]
+    prefix = [MultiPoly.one(ctx)]
+    for L in forms:
+        prefix.append(prefix[-1] * L)
     c1 = MultiPoly.zero(ctx)
-    for v0, v1 in projective_reps(n, ambient=ctx):
-        # forms not vanishing on the line spanned by (v0, v1)
-        prod = MultiPoly.one(ctx)
-        for a, b in pairs:
-            if mul(a, v0) ^ mul(b, v1):
-                prod = prod * form(a, b)
-        c1 = c1 + prod
-    return u, c1, c0
+    suffix = MultiPoly.one(ctx)
+    for i in reversed(range(len(forms))):
+        c1 = c1 + (prefix[i] * suffix) ** (q - 1)
+        suffix = suffix * forms[i]
+    return prefix[-1], c1
 
 
 def dickson_pair(n: int, ambient: FieldCtx) -> tuple[MultiPoly, MultiPoly]:
     """(c0, c1) for SL2(GF(2^n)) acting on the x,y-plane."""
     x = MultiPoly.variable(ambient, 0)
     y = MultiPoly.variable(ambient, 1)
-    _, c1, c0 = _lifted_family(ambient, n, x, y, MultiPoly.zero(ambient))
-    return c0, c1
+    u, c1 = _lifted_family(ambient, n, x, y, MultiPoly.zero(ambient))
+    return u ** ((1 << n) - 1), c1
 
 
 def dickson_u(n: int, ambient: FieldCtx) -> MultiPoly:
     """The degree-(q+1) root u with u^(q-1) = c0."""
     x = MultiPoly.variable(ambient, 0)
     y = MultiPoly.variable(ambient, 1)
-    u, _, _ = _lifted_family(ambient, n, x, y, MultiPoly.zero(ambient))
+    u, _ = _lifted_family(ambient, n, x, y, MultiPoly.zero(ambient))
     return u
 
 
@@ -152,20 +132,15 @@ def lifted_invariants(
     x = MultiPoly.variable(ambient, 0)
     y = MultiPoly.variable(ambient, 1)
     z = MultiPoly.variable(ambient, 2)
-    u, c1, _ = _lifted_family(ambient, n, x, y, z, scale)
-    return u, c1
+    return _lifted_family(ambient, n, x, y, z, scale)
 
 
 def lifted_dickson_c0(
     n: int, ambient: FieldCtx, scale: int | Fel = 1
 ) -> MultiPoly:
-    """c0~, the product of all lifted nonzero forms."""
-    scale = scale.bits if isinstance(scale, Fel) else scale
-    x = MultiPoly.variable(ambient, 0)
-    y = MultiPoly.variable(ambient, 1)
-    z = MultiPoly.variable(ambient, 2)
-    _, _, c0 = _lifted_family(ambient, n, x, y, z, scale)
-    return c0
+    """c0~ = u~^(q-1), the product of all lifted nonzero forms."""
+    u, _ = lifted_invariants(n, ambient, scale)
+    return u ** ((1 << n) - 1)
 
 
 # -- action of the lifts on the kernel invariants ---------------------------
@@ -281,7 +256,7 @@ def composed_invariants(
         raise ValueError("descriptor does not match the Lambda space")
     fx, fy, fz = kernel_invariants(ls)
     if descriptor.all_offsets_zero:
-        u, c1, _ = _lifted_family(ctx, n, fx, fy, MultiPoly.zero(ctx))
+        u, c1 = _lifted_family(ctx, n, fx, fy, MultiPoly.zero(ctx))
         return u, c1, fz
     alpha = descriptor.alpha
     if alpha == 0:
@@ -290,5 +265,5 @@ def composed_invariants(
     delta = 1 ^ ctx.inv(descriptor.e)
     if delta == 0:
         raise ValueError("lift normalization needs a subfield with e != 1")
-    u, c1, _ = _lifted_family(ctx, n, fx, fy, zq, ctx.inv(delta))
+    u, c1 = _lifted_family(ctx, n, fx, fy, zq, ctx.inv(delta))
     return u, c1, fz

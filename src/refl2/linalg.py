@@ -1,12 +1,10 @@
 """Exact linear algebra over GF(2^m).
 
-Two tiers.  Small systems (action decompositions, expression solving)
-use dense Gaussian elimination directly over the field with the first
-nonzero entry in canonical order as pivot.  Large rank/kernel problems
-(the graded fixed-space oracle) expand each field entry to its m x m
-GF(2) multiplication block and eliminate over GF(2) on bit-packed rows
-with numpy; ranks and kernel dimensions over the field are the GF(2)
-values divided by m.  Both paths are exact and deterministic.
+Rank and kernel problems (the graded fixed-space oracle and the
+generated dimension) expand each field entry to its m x m GF(2)
+multiplication block and eliminate over GF(2) on bit-packed rows with
+numpy; ranks and kernel dimensions over the field are the GF(2) values
+divided by m.  Exact and deterministic.
 """
 
 from __future__ import annotations
@@ -14,73 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from refl2.ffield import FieldCtx
-
-
-# -- small dense systems over the field -------------------------------------
-
-
-def solve_field(ctx: FieldCtx, rows: list[list[int]], rhs: list[int]):
-    """One solution of A x = b over the field, or None if inconsistent.
-
-    Free variables are set to zero.  Deterministic: pivots are the first
-    nonzero entries in row-major order.
-    """
-    m = [list(r) + [v] for r, v in zip(rows, rhs)]
-    nrows = len(m)
-    ncols = len(rows[0]) if rows else 0
-    mul, inv = ctx.mul, ctx.inv
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = inv(m[r][c])
-        m[r] = [mul(piv, v) for v in m[r]]
-        for i in range(nrows):
-            if i != r and m[i][c]:
-                f = m[i][c]
-                mi, mr = m[i], m[r]
-                for j in range(c, ncols + 1):
-                    mi[j] ^= mul(f, mr[j])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if m[i][ncols]:
-            return None
-    x = [0] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = m[i][ncols]
-    return x
-
-
-def rank_field_small(ctx: FieldCtx, rows: list[list[int]]) -> int:
-    """Rank by in-field elimination; for small matrices only."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    mul, inv = ctx.mul, ctx.inv
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, nrows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        piv = inv(m[r][c])
-        m[r] = [mul(piv, v) for v in m[r]]
-        for i in range(r + 1, nrows):
-            if m[i][c]:
-                f = m[i][c]
-                mi, mr = m[i], m[r]
-                for j in range(c, ncols):
-                    mi[j] ^= mul(f, mr[j])
-        r += 1
-        if r == nrows:
-            break
-    return r
 
 
 # -- bit-packed GF(2) elimination -------------------------------------------

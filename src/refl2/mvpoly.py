@@ -327,18 +327,6 @@ class Substitution:
 # -- module-level operations -----------------------------------------------
 
 
-def mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return p * q
-
-
-def act(p: MultiPoly, g) -> MultiPoly:
-    return p.act(g)
-
-
-def partial(p: MultiPoly, v: int) -> MultiPoly:
-    return p.partial(v)
-
-
 def jacobian_det(p1: MultiPoly, p2: MultiPoly, p3: MultiPoly) -> MultiPoly:
     """Determinant of the matrix of partials, by 6-term expansion."""
     if p1.ctx != p2.ctx or p1.ctx != p3.ctx:

@@ -69,8 +69,15 @@ class KemperVerdict:
     group_order: int
     degrees: tuple[int, ...]
     degree_product: int
-    invariance: tuple[bool, ...]
+    fixed_by: tuple[tuple[bool, ...], ...]  # per generator, per invariant
     jacobian_nonzero: bool
+
+    @property
+    def invariance(self) -> tuple[bool, ...]:
+        """Per invariant: fixed by every generator."""
+        return tuple(
+            all(row[i] for row in self.fixed_by) for i in range(len(self.degrees))
+        )
 
     def __str__(self):
         if self.polynomial:
@@ -82,15 +89,18 @@ def kemper_check(
     group_order: int, invs: list[MultiPoly], gens: list[Mat3]
 ) -> KemperVerdict:
     """POLYNOMIAL iff the invariants are fixed by all generators, their
-    degrees multiply to the group order, and their Jacobian is nonzero."""
+    degrees multiply to the group order, and their Jacobian is nonzero.
+
+    Every (generator, invariant) pair is evaluated once and recorded in
+    `fixed_by`, one row per generator in the order given."""
     if len(invs) != 3:
         raise ValueError("the criterion needs exactly 3 invariants")
     for p in invs:
         if p.is_zero() or not p.is_homogeneous():
             raise ValueError("invariants must be nonzero and homogeneous")
     failed = []
-    fixed = tuple(is_invariant(p, gens) for p in invs)
-    if not all(fixed):
+    fixed_by = tuple(tuple(_sub_for(g)(p) == p for p in invs) for g in gens)
+    if not all(all(row) for row in fixed_by):
         failed.append("invariance")
     degrees = tuple(p.deg() for p in invs)
     product = degrees[0] * degrees[1] * degrees[2]
@@ -105,7 +115,7 @@ def kemper_check(
         group_order=group_order,
         degrees=degrees,
         degree_product=product,
-        invariance=fixed,
+        fixed_by=fixed_by,
         jacobian_nonzero=jac_nonzero,
     )
 

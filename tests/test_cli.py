@@ -71,11 +71,30 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert list(data.keys()) == SCHEMA_KEYS
 
 
-def test_cli_bad_flags():
+def test_cli_bad_flags(capsys):
     assert main(["verify"]) == EXIT_BAD_CONFIG  # --n required
     assert main(["verify", "--n", "2", "--variant", "h2"]) == EXIT_BAD_CONFIG
     assert main(["verify", "--n", "2", "--modulus-q", "zz"]) == EXIT_BAD_CONFIG
-    assert main(["verify", "--n", "2", "--threads", "0"]) == EXIT_BAD_CONFIG
+    capsys.readouterr()
+    assert main(["verify", "--n", "2", "--threads", "1"]) == EXIT_BAD_CONFIG
+    assert "unrecognized arguments: --threads" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--lambda-basis", "0x0"],
+        ["--lambda-basis", "0x1,0x1"],
+        ["--d", "2", "--modulus-ambient", "0x7"],
+        ["--oracle-max-degree", "-3"],
+    ],
+    ids=["zero-basis", "dependent-basis", "basis-in-subfield", "negative-oracle"],
+)
+def test_cli_bad_configuration_exits_2(flags, capsys):
+    assert main(["verify", "--n", "2", "--quiet"] + flags) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+    assert captured.out == ""
 
 
 def test_cli_modulus_overrides():

@@ -2,10 +2,11 @@ import dataclasses
 
 import pytest
 
-from refl2.ffield import field_new, subfield_generator
+from refl2.ffield import Fel, field_new, subfield_elements, subfield_generator
 from refl2.grouplift import (
     LambdaSpace,
     Mat3,
+    cocycle_g,
     default_lambda_basis,
     h_gamma,
     kernel_group,
@@ -42,6 +43,57 @@ INSTANCES = [
 
 def space(n, d, ctx):
     return LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+
+
+def all_forms_family(n, ctx, scale=None):
+    """Reference (c0, c1) by the definition over all nonzero forms.
+
+    c0 is the product of the q^2-1 nonzero forms a x + b y, c1 the sum
+    over the q+1 lines of the product of the q^2-q forms not vanishing
+    on the line.  With a scale every form is lifted by
+    + scale*g(a,b)*z; scale None gives the plain forms.
+    """
+    sub = [s.bits for s in subfield_elements(ctx, n)]
+    pairs = [(a, b) for a in sub for b in sub if a or b]
+    lines = [(0, 1)] + [(1, s) for s in sub]
+
+    def form(a, b):
+        c = 0
+        if scale is not None:
+            c = ctx.mul(scale, cocycle_g(Fel(a, ctx), Fel(b, ctx), n).bits)
+        return MultiPoly.linear_form(ctx, a, b, c)
+
+    c0 = MultiPoly.one(ctx)
+    for a, b in pairs:
+        c0 = c0 * form(a, b)
+    c1 = MultiPoly.zero(ctx)
+    for v0, v1 in lines:
+        prod = MultiPoly.one(ctx)
+        for a, b in pairs:
+            if ctx.mul(a, v0) ^ ctx.mul(b, v1):
+                prod = prod * form(a, b)
+        c1 = c1 + prod
+    return c0, c1
+
+
+def displayed_scale(n, ctx):
+    """(1 + e^-1)^-1, the cocycle scale the pipeline uses."""
+    e = subfield_generator(ctx, n).bits
+    return ctx.inv(1 ^ ctx.inv(e))
+
+
+# (n, ambient field): GF(2^n) itself and, for n = 2, GF(2^2n)
+FAMILY_CASES = [(1, GF2), (2, GF4), (3, GF8), (2, GF16)]
+
+
+def test_line_products_match_all_forms_reference():
+    for n, ctx in FAMILY_CASES:
+        assert dickson_pair(n, ctx) == all_forms_family(n, ctx)
+        scales = [1] + ([displayed_scale(n, ctx)] if n > 1 else [])
+        for scale in scales:
+            c0t, c1t = all_forms_family(n, ctx, scale)
+            assert lifted_invariants(n, ctx, scale)[1] == c1t
+            assert lifted_dickson_c0(n, ctx, scale) == c0t
 
 
 def test_kernel_invariants_d0():
@@ -132,12 +184,12 @@ def test_dickson_invariance():
 
 def test_dickson_u_root_identity():
     u1 = dickson_u(1, GF2)
-    c0_1, _ = dickson_pair(1, GF2)
+    c0_1, _ = all_forms_family(1, GF2)
     assert u1 == c0_1  # q - 1 = 1
     for n, ctx in ((2, GF4), (3, GF8)):
         q = 1 << n
         u = dickson_u(n, ctx)
-        c0, _ = dickson_pair(n, ctx)
+        c0, _ = all_forms_family(n, ctx)
         assert u.deg() == q + 1
         assert u ** (q - 1) == c0
 
@@ -146,7 +198,7 @@ def test_lifted_restrictions_and_root():
     for n, ctx in ((1, GF2), (2, GF4), (3, GF8)):
         q = 1 << n
         ut, c1t = lifted_invariants(n, ctx)
-        c0t = lifted_dickson_c0(n, ctx)
+        c0t, _ = all_forms_family(n, ctx, scale=1)
         u = dickson_u(n, ctx)
         c0, c1 = dickson_pair(n, ctx)
         assert ut.restrict_z0() == u
@@ -184,10 +236,9 @@ def test_lifted_scale_matches_displayed_lifts():
 def test_lifted_scaled_root_identity():
     for n, ctx in ((2, GF4), (3, GF8)):
         q = 1 << n
-        e = subfield_generator(ctx, n).bits
-        scale = ctx.inv(1 ^ ctx.inv(e))
+        scale = displayed_scale(n, ctx)
         ut, _ = lifted_invariants(n, ctx, scale=scale)
-        c0t = lifted_dickson_c0(n, ctx, scale=scale)
+        c0t, _ = all_forms_family(n, ctx, scale=scale)
         assert ut ** (q - 1) == c0t
 
 

@@ -1,9 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refl2.ffield import field_new
-from refl2.grouplift import Mat3, closure, sl2_generators
+from refl2.grouplift import (
+    LambdaSpace,
+    Mat3,
+    closure,
+    default_lambda_basis,
+    kernel_group,
+    lift_generators,
+    sl2_generators,
+)
 from refl2.mvpoly import MultiPoly, Substitution, div_exact_z, jacobian_det
 
 GF4 = field_new(2)
@@ -220,3 +230,36 @@ def test_mismatched_ctx_rejected():
         X(GF4) * X(GF16)
     with pytest.raises(ValueError):
         X(GF4).act(Mat3.identity(GF16))
+
+
+# -- properties ----------------------------------------------------------------
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
+
+# lifted generators of both variants and the kernel generators, d = 2
+PIPELINE_GENS = (
+    list(lift_generators("h1", 2, GF16))
+    + list(lift_generators("h0", 2, GF16))
+    + kernel_group(
+        LambdaSpace(GF16, 2, default_lambda_basis(2, 2, GF16))
+    ).generators
+)
+
+
+def sparse_polys(ctx=GF16, maxdeg=4, maxterms=6):
+    exps = st.tuples(*[st.integers(0, maxdeg)] * 3)
+    terms = st.lists(st.tuples(exps, st.integers(0, ctx.order - 1)), max_size=maxterms)
+    return terms.map(lambda items: MultiPoly.from_terms(ctx, items))
+
+
+@PROPERTY
+@given(sparse_polys(), st.sampled_from(PIPELINE_GENS), st.sampled_from(PIPELINE_GENS))
+def test_act_composition_property(p, g, h):
+    assert p.act(g).act(h) == p.act(g * h)
+
+
+@PROPERTY
+@given(sparse_polys(), sparse_polys())
+def test_frobenius_additive_property(p, q):
+    assert (p + q).frobenius() == p.frobenius() + q.frobenius()
+    assert p.frobenius() == p * p

@@ -1,8 +1,11 @@
+import functools
 import random
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refl2.ffield import field_new, subfield_generator
 from refl2.grouplift import (
@@ -20,13 +23,7 @@ from refl2.invariants import (
     kernel_action,
     kernel_invariants,
 )
-from refl2.linalg import (
-    field_kernel_dimension,
-    field_matrix_rank,
-    gf2_rank,
-    rank_field_small,
-    solve_field,
-)
+from refl2.linalg import field_kernel_dimension, field_matrix_rank, gf2_rank
 from refl2.mvpoly import MultiPoly
 from refl2.verify import (
     GeneratorExpr,
@@ -58,28 +55,30 @@ def composed_setup(n=2, d=0, variant="h1", ctx=None):
 # -- linalg ------------------------------------------------------------------
 
 
-def test_solve_field_roundtrip():
-    rng = random.Random(2)
-    ctx = GF4
-    for _ in range(50):
-        nr, nc = rng.randrange(1, 6), rng.randrange(1, 6)
-        A = [[rng.randrange(4) for _ in range(nc)] for _ in range(nr)]
-        x = [rng.randrange(4) for _ in range(nc)]
-        b = [0] * nr
-        for i in range(nr):
-            for j in range(nc):
-                b[i] ^= ctx.mul(A[i][j], x[j])
-        sol = solve_field(ctx, A, b)
-        assert sol is not None
-        for i in range(nr):
-            acc = 0
-            for j in range(nc):
-                acc ^= ctx.mul(A[i][j], sol[j])
-            assert acc == b[i]
-
-
-def test_solve_field_inconsistent():
-    assert solve_field(GF4, [[1], [1]], [1, 2]) is None
+def rank_field_small(ctx, rows):
+    """Reference rank by dense elimination directly over the field."""
+    m = [list(r) for r in rows]
+    nrows = len(m)
+    ncols = len(m[0]) if m else 0
+    mul, inv = ctx.mul, ctx.inv
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, nrows) if m[i][c]), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        piv = inv(m[r][c])
+        m[r] = [mul(piv, v) for v in m[r]]
+        for i in range(r + 1, nrows):
+            if m[i][c]:
+                f = m[i][c]
+                mi, mr = m[i], m[r]
+                for j in range(c, ncols):
+                    mi[j] ^= mul(f, mr[j])
+        r += 1
+        if r == nrows:
+            break
+    return r
 
 
 def test_gf2_rank_small():
@@ -334,3 +333,36 @@ def test_express_random_round_trips():
 def test_generator_expr_str_constant():
     expr = GeneratorExpr(GF4, (((0, 0, 0), 0x3),), composed_setup()[0])
     assert str(expr) == "0x3"
+
+
+@functools.cache
+def n2_d0_setup():
+    return composed_setup()
+
+
+@st.composite
+def generator_combinations(draw):
+    """{(a, b, c): coeff} for U^a C^b Z^c of one total degree at n=2 d=0."""
+    (ub, c1b, _), _ = n2_d0_setup()
+    du, dc = ub.deg(), c1b.deg()
+    deg = draw(st.integers(0, 30))
+    combos = [
+        (a, b, deg - du * a - dc * b)
+        for a in range(deg // du + 1)
+        for b in range(deg // dc + 1)
+        if deg - du * a - dc * b >= 0
+    ]
+    return draw(st.dictionaries(st.sampled_from(combos), st.integers(1, 3)))
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(generator_combinations())
+def test_express_round_trip_property(picked):
+    invs, gens = n2_d0_setup()
+    ub, c1b, zp = invs
+    p = MultiPoly.zero(GF4)
+    for (a, b, c), coeff in picked.items():
+        p = p + (ub**a * c1b**b * zp**c).scale(coeff)
+    expr = express_in_generators(p, invs, gens)
+    assert dict(expr.terms) == picked
+    assert expr.substitute() == p
