@@ -13,7 +13,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from refl2.ffield import FieldCtx, field_new, subfield_elements
 from refl2.grouplift import (
@@ -86,23 +86,8 @@ class VerificationReport:
     elapsed_ms: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "d": self.d,
-            "variant": self.variant,
-            "moduli": self.moduli,
-            "group_order": self.group_order,
-            "split": self.split,
-            "alpha": self.alpha,
-            "action_note": self.action_note,
-            "degrees": self.degrees,
-            "degree_product": self.degree_product,
-            "jacobian_nonzero": self.jacobian_nonzero,
-            "invariance": self.invariance,
-            "oracle": self.oracle,
-            "verdict": self.verdict,
-            "elapsed_ms": self.elapsed_ms,
-        }
+        """The report's fields, in field order."""
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -119,6 +104,8 @@ def _resolve_fields(cfg: VerifyConfig) -> LambdaSpace:
         raise ConfigError(f"unknown variant {cfg.variant!r}")
     if cfg.oracle_max_degree < 0:
         raise ConfigError("--oracle-max-degree must be at least 0")
+    if cfg.max_group < 1:
+        raise ConfigError("--max-group must be at least 1")
     if cfg.lambda_basis is not None and cfg.d != len(cfg.lambda_basis):
         raise ConfigError(
             f"--d {cfg.d} conflicts with a Lambda basis of size {len(cfg.lambda_basis)}"

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from refl2.ffield import Fel, FieldCtx, subfield_elements, subfield_generator
+from refl2.mvpoly import Substitution
 
 
 class ClosureCapError(RuntimeError):
@@ -30,7 +31,7 @@ class ClosureCapError(RuntimeError):
 class Mat3:
     """3x3 matrix over a FieldCtx with last row fixed to (0, 0, 1)."""
 
-    __slots__ = ("ctx", "rows")
+    __slots__ = ("ctx", "rows", "_sub")
 
     def __init__(self, ctx: FieldCtx, rows):
         rows = tuple(
@@ -46,6 +47,17 @@ class Mat3:
                     raise ValueError(f"entry {v:#x} out of range for {ctx!r}")
         self.ctx = ctx
         self.rows = rows
+        self._sub = None
+
+    @classmethod
+    def _unchecked(cls, ctx: FieldCtx, rows: tuple) -> "Mat3":
+        """A matrix from rows already reduced and shaped, as products and
+        inverses of checked matrices are."""
+        m = cls.__new__(cls)
+        m.ctx = ctx
+        m.rows = rows
+        m._sub = None
+        return m
 
     @classmethod
     def identity(cls, ctx: FieldCtx) -> "Mat3":
@@ -76,7 +88,7 @@ class Mat3:
                 )
             )
         out.append((0, 0, 1))
-        return Mat3(self.ctx, out)
+        return Mat3._unchecked(self.ctx, tuple(out))
 
     def det_block(self) -> int:
         """Determinant of the upper 2x2 block (ad + bc in characteristic 2)."""
@@ -94,7 +106,13 @@ class Mat3:
         # translation part: block_inverse * (al, be)
         ta = mul(ia, al) ^ mul(ib, be)
         tb = mul(ic, al) ^ mul(id_, be)
-        return Mat3(ctx, ((ia, ib, ta), (ic, id_, tb), (0, 0, 1)))
+        return Mat3._unchecked(ctx, ((ia, ib, ta), (ic, id_, tb), (0, 0, 1)))
+
+    def substitution(self) -> Substitution:
+        """The substitution of x, y, z by the rows, built on first use."""
+        if self._sub is None:
+            self._sub = Substitution.for_matrix(self, self.ctx)
+        return self._sub
 
     def key(self) -> tuple:
         """Canonical encoding: row-major concatenation of entries."""
@@ -132,24 +150,28 @@ class Mat3:
 
 
 class GroupSet:
-    """A finite set of Mat3 with a canonical element order."""
+    """A finite set of Mat3 with a canonical element order, held as one
+    insertion-ordered key -> element dict."""
 
-    def __init__(self, elements: list[Mat3], generators: list[Mat3]):
-        self.elements = elements
+    def __init__(self, by_key: dict, generators: list[Mat3]):
+        self._by_key = by_key
         self.generators = generators
-        self._keys = {m.key() for m in elements}
+
+    @classmethod
+    def of(cls, elements: list[Mat3], generators: list[Mat3]) -> "GroupSet":
+        return cls({m.key(): m for m in elements}, generators)
 
     def __len__(self):
-        return len(self.elements)
+        return len(self._by_key)
 
     def __contains__(self, m: Mat3) -> bool:
-        return m.key() in self._keys
+        return m.key() in self._by_key
 
     def __iter__(self):
-        return iter(self.elements)
+        return iter(self._by_key.values())
 
     def sorted_elements(self) -> list[Mat3]:
-        return sorted(self.elements, key=Mat3.key)
+        return [self._by_key[k] for k in sorted(self._by_key)]
 
     def export(self) -> list[str]:
         """Sorted one-line matrix dumps for golden-file comparisons."""
@@ -172,8 +194,7 @@ def closure(gens: list[Mat3], cap: int = 10**7) -> GroupSet:
         if g.det_block() == 0:
             raise ValueError("generator is singular")
     ident = Mat3.identity(ctx)
-    seen = {ident.key()}
-    elements = [ident]
+    by_key = {ident.key(): ident}
     frontier = [ident]
     while frontier:
         next_frontier = []
@@ -181,14 +202,13 @@ def closure(gens: list[Mat3], cap: int = 10**7) -> GroupSet:
             for g in gens:
                 p = m * g
                 k = p.key()
-                if k not in seen:
-                    if len(seen) >= cap:
+                if k not in by_key:
+                    if len(by_key) >= cap:
                         raise ClosureCapError(cap)
-                    seen.add(k)
-                    elements.append(p)
+                    by_key[k] = p
                     next_frontier.append(p)
         frontier = next_frontier
-    return GroupSet(elements, list(gens))
+    return GroupSet(by_key, list(gens))
 
 
 # -- cocycles ----------------------------------------------------------------
@@ -272,38 +292,25 @@ def h_gamma(gamma: Fel, n: int, ambient: FieldCtx) -> GroupSet:
         raise ValueError("gamma from a mismatched context")
     mul = ambient.mul
     g = gamma.bits
-    els = []
-    for a, b, c, d in sl2_elements(n, ambient):
+
+    def lift(a, b, c, d):
         fa = cocycle_f(Fel(a, ambient), Fel(b, ambient), n).bits
         fc = cocycle_f(Fel(c, ambient), Fel(d, ambient), n).bits
-        els.append(Mat3.block(ambient, a, b, c, d, col=(mul(g, fa), mul(g, fc))))
-    keys = frozenset(m.key() for m in els)
-    # all-pairs closure verification on flat tuples (hot for n = 3)
-    flats = [m.key() for m in els]
-    for a, b, al, c, d, be, _, _, _ in flats:
-        for a2, b2, al2, c2, d2, be2, _, _, _ in flats:
-            k = (
-                mul(a, a2) ^ mul(b, c2),
-                mul(a, b2) ^ mul(b, d2),
-                mul(a, al2) ^ mul(b, be2) ^ al,
-                mul(c, a2) ^ mul(d, c2),
-                mul(c, b2) ^ mul(d, d2),
-                mul(c, al2) ^ mul(d, be2) ^ be,
-                0,
-                0,
-                1,
-            )
-            if k not in keys:
-                raise AssertionError("H_gamma is not closed under multiplication")
+        return Mat3.block(ambient, a, b, c, d, col=(mul(g, fa), mul(g, fc)))
+
+    els = sorted((lift(*blk) for blk in sl2_elements(n, ambient)), key=Mat3.key)
+    gens = [lift(*m.block2()) for m in sl2_generators(n, ambient)]
+    H = GroupSet.of(els, gens)
+    # a finite set equal to the closure of its generators is closed
+    try:
+        generated = closure(gens, cap=len(H))
+    except ClosureCapError:
+        generated = ()
+    if len(generated) != len(H) or any(m not in H for m in generated):
+        raise AssertionError("H_gamma is not closed under multiplication")
     q = 1 << n
-    assert len(els) == q * (q * q - 1)
-    gens = []
-    for blk in (sl2_generators(n, ambient)):
-        a, b, c, d = blk.block2()
-        fa = cocycle_f(Fel(a, ambient), Fel(b, ambient), n).bits
-        fc = cocycle_f(Fel(c, ambient), Fel(d, ambient), n).bits
-        gens.append(Mat3.block(ambient, a, b, c, d, col=(mul(g, fa), mul(g, fc))))
-    return GroupSet(sorted(els, key=Mat3.key), gens)
+    assert len(H) == q * (q * q - 1)
+    return H
 
 
 # -- the kernel and its Lambda space ------------------------------------------
@@ -388,7 +395,7 @@ def kernel_group(ls: LambdaSpace) -> GroupSet:
         gens.append(Mat3.translation(ctx, 0, b))
     if not gens:
         gens = [Mat3.identity(ctx)]
-    return GroupSet(sorted(els, key=Mat3.key), gens)
+    return GroupSet.of(sorted(els, key=Mat3.key), gens)
 
 
 # -- splitting -----------------------------------------------------------------

@@ -37,12 +37,13 @@ def _term_key(exps):
 class MultiPoly:
     """Immutable sparse polynomial in x, y, z over a FieldCtx."""
 
-    __slots__ = ("ctx", "_terms", "_key")
+    __slots__ = ("ctx", "_terms", "_key", "_pows")
 
     def __init__(self, ctx: FieldCtx, terms: dict | None = None):
         self.ctx = ctx
         self._terms = terms or {}
         self._key = None
+        self._pows = None
 
     # -- constructors ------------------------------------------------------
 
@@ -181,16 +182,23 @@ class MultiPoly:
         )
 
     def __pow__(self, k: int) -> "MultiPoly":
+        """The k-th power, memoized on this polynomial by k."""
         if k < 0:
             raise ValueError("negative polynomial power")
+        if self._pows is None:
+            self._pows = {}
+        result = self._pows.get(k)
+        if result is not None:
+            return result
         result = MultiPoly.one(self.ctx)
-        base = self
-        while k:
-            if k & 1:
+        base, e = self, k
+        while e:
+            if e & 1:
                 result = result * base
-            k >>= 1
-            if k:
+            e >>= 1
+            if e:
                 base = base.frobenius()
+        self._pows[k] = result
         return result
 
     # -- calculus and substitution -------------------------------------------
@@ -210,8 +218,11 @@ class MultiPoly:
         return MultiPoly(self.ctx, terms)
 
     def act(self, g) -> "MultiPoly":
-        """Substitute each variable by its composite with the matrix g."""
-        return Substitution.for_matrix(g, self.ctx)(self)
+        """Substitute each variable by its composite with the matrix g,
+        through the substitution g builds once and keeps."""
+        if g.ctx != self.ctx:
+            raise ValueError("matrix entries from a mismatched context")
+        return g.substitution()(self)
 
     def restrict_z0(self) -> "MultiPoly":
         """Set z = 0."""
@@ -276,19 +287,18 @@ class MultiPoly:
 
 
 class Substitution:
-    """A cached substitution x -> px, y -> py, z -> pz.
+    """A substitution x -> px, y -> py, z -> pz.
 
-    Power caching makes repeated application cheap: characteristic-2
-    powers of the variable images stay small because squaring is
-    termwise.
+    Repeated application is cheap because the variable images memoize
+    their own powers; characteristic-2 powers of linear forms stay small
+    because squaring is termwise.
     """
 
-    __slots__ = ("ctx", "images", "_pows")
+    __slots__ = ("ctx", "images")
 
     def __init__(self, ctx: FieldCtx, images: tuple[MultiPoly, MultiPoly, MultiPoly]):
         self.ctx = ctx
         self.images = images
-        self._pows = ({}, {}, {})
 
     @classmethod
     def for_matrix(cls, g, ctx: FieldCtx) -> "Substitution":
@@ -300,26 +310,19 @@ class Substitution:
             tuple(MultiPoly.linear_form(ctx, *rows[i]) for i in range(3)),
         )
 
-    def _power(self, idx: int, k: int) -> MultiPoly:
-        cache = self._pows[idx]
-        p = cache.get(k)
-        if p is None:
-            p = self.images[idx] ** k
-            cache[k] = p
-        return p
-
     def __call__(self, p: MultiPoly) -> MultiPoly:
         if p.ctx != self.ctx:
             raise ValueError("polynomial from a mismatched context")
+        px, py, pz = self.images
         out = MultiPoly.zero(self.ctx)
         for (a, b, c), v in p._terms.items():
             t = MultiPoly.constant(self.ctx, v)
             if a:
-                t = t * self._power(0, a)
+                t = t * px**a
             if b:
-                t = t * self._power(1, b)
+                t = t * py**b
             if c:
-                t = t * self._power(2, c)
+                t = t * pz**c
             out = out + t
         return out
 

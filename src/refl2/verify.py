@@ -29,7 +29,7 @@ import numpy as np
 from refl2.ffield import FieldCtx
 from refl2.grouplift import Mat3
 from refl2.linalg import field_kernel_dimension, field_matrix_rank
-from refl2.mvpoly import MultiPoly, Substitution, jacobian_det
+from refl2.mvpoly import MultiPoly, jacobian_det
 
 
 class NotInvariantError(ValueError):
@@ -41,22 +41,9 @@ class NotExpressibleError(ValueError):
     a failed generation claim, surfaced rather than absorbed."""
 
 
-# cached substitutions so oracle sweeps reuse variable-image powers
-_SUBS: dict = {}
-
-
-def _sub_for(g: Mat3) -> Substitution:
-    key = (g.ctx.m, g.ctx.modulus, g.rows)
-    s = _SUBS.get(key)
-    if s is None:
-        s = Substitution.for_matrix(g, g.ctx)
-        _SUBS[key] = s
-    return s
-
-
 def is_invariant(p: MultiPoly, gens: list[Mat3]) -> bool:
     """True iff p is fixed by every generator (hence by the group)."""
-    return all(_sub_for(g)(p) == p for g in gens)
+    return all(p.act(g) == p for g in gens)
 
 
 # -- Kemper's criterion ------------------------------------------------------
@@ -99,7 +86,7 @@ def kemper_check(
         if p.is_zero() or not p.is_homogeneous():
             raise ValueError("invariants must be nonzero and homogeneous")
     failed = []
-    fixed_by = tuple(tuple(_sub_for(g)(p) == p for p in invs) for g in gens)
+    fixed_by = tuple(tuple(p.act(g) == p for p in invs) for g in gens)
     if not all(all(row) for row in fixed_by):
         failed.append("invariance")
     degrees = tuple(p.deg() for p in invs)
@@ -157,7 +144,7 @@ def graded_fixed_dimension(
     D = len(monos)
     blocks = []
     for g in gens:
-        sub = _sub_for(g)
+        sub = g.substitution()
         A = np.zeros((D, D), dtype=np.int64)
         for j, e in enumerate(monos):
             img = sub(MultiPoly(ctx, {e: 1}))
@@ -167,22 +154,6 @@ def graded_fixed_dimension(
         blocks.append(A)
     stacked = np.concatenate(blocks, axis=0)
     return field_kernel_dimension(ctx, stacked)
-
-
-_POW_CACHE: dict = {}
-
-
-def _pow_cached(p: MultiPoly, k: int) -> MultiPoly:
-    entry = _POW_CACHE.get(id(p))
-    if entry is None or entry[0] is not p:
-        entry = (p, {})
-        _POW_CACHE[id(p)] = entry
-    cache = entry[1]
-    r = cache.get(k)
-    if r is None:
-        r = p**k
-        cache[k] = r
-    return r
 
 
 def _weighted_compositions(weights: list[int], total: int):
@@ -218,7 +189,7 @@ def generated_dimension(invs: list[MultiPoly], deg: int) -> int:
         prod = MultiPoly.one(ctx)
         for p, k in zip(invs, e):
             if k:
-                prod = prod * _pow_cached(p, k)
+                prod = prod * p**k
         products.append(prod)
     support = sorted({t for p in products for t in p._terms})
     col = {t: i for i, t in enumerate(support)}
@@ -247,11 +218,11 @@ class GeneratorExpr:
         for (i, j, k), coeff in self.terms:
             prod = MultiPoly.constant(self.ctx, coeff)
             if i:
-                prod = prod * _pow_cached(u, i)
+                prod = prod * u**i
             if j:
-                prod = prod * _pow_cached(c1, j)
+                prod = prod * c1**j
             if k:
-                prod = prod * _pow_cached(z, k)
+                prod = prod * z**k
             out = out + prod
         return out
 
@@ -296,7 +267,7 @@ def _express_restriction(ctx, p0, u0, c10, lu, lc1):
         a, b = na // det, nb // det
         if a < 0 or b < 0:
             raise NotExpressibleError("restriction escapes the generators")
-        prod = _pow_cached(u0, a) * _pow_cached(c10, b)
+        prod = u0**a * c10**b
         lead_exps, lead_c = _leading(prod)
         if lead_exps != (e1, e2, 0):
             raise NotExpressibleError("restriction escapes the generators")
@@ -336,7 +307,7 @@ def express_in_generators(
             lift = MultiPoly.zero(ctx)
             for (a, b), c in solved.items():
                 terms[(a, b, zexp)] = c
-                lift = lift + (_pow_cached(u, a) * _pow_cached(c1, b)).scale(c)
+                lift = lift + (u**a * c1**b).scale(c)
             work = work + lift
         if work.is_zero():
             break

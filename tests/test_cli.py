@@ -87,8 +87,17 @@ def test_cli_bad_flags(capsys):
         ["--lambda-basis", "0x1,0x1"],
         ["--d", "2", "--modulus-ambient", "0x7"],
         ["--oracle-max-degree", "-3"],
+        ["--max-group", "0"],
+        ["--max-group", "-5"],
     ],
-    ids=["zero-basis", "dependent-basis", "basis-in-subfield", "negative-oracle"],
+    ids=[
+        "zero-basis",
+        "dependent-basis",
+        "basis-in-subfield",
+        "negative-oracle",
+        "zero-group-cap",
+        "negative-group-cap",
+    ],
 )
 def test_cli_bad_configuration_exits_2(flags, capsys):
     assert main(["verify", "--n", "2", "--quiet"] + flags) == EXIT_BAD_CONFIG

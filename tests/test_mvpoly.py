@@ -263,3 +263,17 @@ def test_act_composition_property(p, g, h):
 def test_frobenius_additive_property(p, q):
     assert (p + q).frobenius() == p.frobenius() + q.frobenius()
     assert p.frobenius() == p * p
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    sparse_polys(GF4, maxdeg=3, maxterms=4),
+    st.permutations(range(41)),
+    st.lists(st.integers(0, 40), max_size=10),
+)
+def test_memoized_power_property(p, order, repeats):
+    plain = [MultiPoly.one(GF4)]
+    for _ in range(40):
+        plain.append(plain[-1] * p)
+    for k in order + repeats:
+        assert p**k == plain[k]

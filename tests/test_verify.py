@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 from itertools import product as iproduct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from refl2.cli import EXIT_OK, VerifyConfig, run_verify
 from refl2.ffield import field_new, subfield_generator
 from refl2.grouplift import (
     LambdaSpace,
@@ -366,3 +368,28 @@ def test_express_round_trip_property(picked):
     expr = express_in_generators(p, invs, gens)
     assert dict(expr.terms) == picked
     assert expr.substitute() == p
+
+
+def module_container_sizes() -> dict:
+    """Size of every module-level dict, list and set of the loaded refl2 modules."""
+    return {
+        (name, attr): len(val)
+        for name, mod in sorted(sys.modules.items())
+        if name.split(".")[0] == "refl2"
+        for attr, val in vars(mod).items()
+        if isinstance(val, (dict, list, set)) and not attr.startswith("__")
+    }
+
+
+def test_module_level_containers_stay_bounded():
+    # caches live on the polynomials and matrices they describe, so
+    # repeated expression and verification leave module state unchanged
+    invs, gens = n2_d0_setup()
+    ub, c1b, zp = invs
+    p = ub * c1b + zp ** (ub.deg() + c1b.deg())
+    before = module_container_sizes()
+    for _ in range(20):
+        assert express_in_generators(p, invs, gens).substitute() == p
+    code, _ = run_verify(VerifyConfig(n=2, oracle_max_degree=8))
+    assert code == EXIT_OK
+    assert module_container_sizes() == before
