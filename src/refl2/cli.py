@@ -19,7 +19,6 @@ from refl2.ffield import FieldCtx, field_new, subfield_elements
 from refl2.grouplift import (
     ClosureCapError,
     LambdaSpace,
-    closure,
     cocycle_f,
     cocycle_g,
     default_lambda_basis,
@@ -149,8 +148,7 @@ def _gen_labels(lifts, kernel_gens):
         labels.append((name, g))
     for g in kernel_gens:
         a, b = g.third_col()
-        if (a, b) != (0, 0):
-            labels.append((f"N({a:#x},{b:#x})", g))
+        labels.append((f"N({a:#x},{b:#x})", g))
     return labels
 
 
@@ -192,14 +190,12 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
     N = kernel_group(ls)
     lifts = list(lift_generators(cfg.variant, cfg.n, ctx))
     try:
-        G = closure(lifts + N.generators, cap=cfg.max_group)
+        split = verify_splitting(N, lifts, cap=cfg.max_group)
     except ClosureCapError:
         report.verdict = "FAIL(group-cap)"
         report.elapsed_ms = int((time.monotonic() - start) * 1000)
         return EXIT_CHECK_FAILED, report
-    report.group_order = len(G)
-
-    split = verify_splitting(G, N, lifts)
+    report.group_order = split.group_order
     report.split = {
         "complement_order": split.complement_order,
         "intersection_order": split.intersection_order,
@@ -224,7 +220,7 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
 
     labels = _gen_labels(lifts, N.generators)
     gens = [g for _, g in labels]
-    verdict = kemper_check(len(G), invs, gens)
+    verdict = kemper_check(split.group_order, invs, gens)
     report.invariance = [
         {"generator": name, "u": u, "c1": c1, "z": z}
         for (name, _), (u, c1, z) in zip(labels, verdict.fixed_by)
@@ -460,7 +456,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             cfg = VerifyConfig(
                 n=args.n,
-                d=args.d if args.lambda_basis is None else len(args.lambda_basis),
+                d=args.d or len(args.lambda_basis or ()),
                 variant=args.variant,
                 modulus_q=args.modulus_q,
                 modulus_ambient=args.modulus_ambient,
@@ -468,18 +464,13 @@ def main(argv=None) -> int:
                 oracle_max_degree=args.oracle_max_degree,
                 max_group=args.max_group,
             )
-            if args.lambda_basis is not None and args.d not in (
-                0,
-                len(args.lambda_basis),
-            ):
-                raise ConfigError(
-                    f"--d {args.d} conflicts with a Lambda basis of size "
-                    f"{len(args.lambda_basis)}"
-                )
             code, report = run_verify(cfg)
             if args.json:
-                with open(args.json, "w") as fh:
-                    fh.write(report.to_json())
+                try:
+                    with open(args.json, "w") as fh:
+                        fh.write(report.to_json())
+                except OSError as exc:
+                    raise ConfigError(f"cannot write --json {args.json}: {exc}") from exc
             if not args.quiet:
                 _print_report(report)
             return code

@@ -393,8 +393,6 @@ def kernel_group(ls: LambdaSpace) -> GroupSet:
     for b in ls.basis:
         gens.append(Mat3.translation(ctx, b, 0))
         gens.append(Mat3.translation(ctx, 0, b))
-    if not gens:
-        gens = [Mat3.identity(ctx)]
     return GroupSet.of(sorted(els, key=Mat3.key), gens)
 
 
@@ -405,43 +403,30 @@ def kernel_group(ls: LambdaSpace) -> GroupSet:
 class SplitReport:
     group_order: int
     kernel_order: int
-    complement_order: int | None
-    intersection_order: int | None
-    overflow: bool
-
-    @property
-    def product_matches(self) -> bool:
-        return (
-            self.complement_order is not None
-            and self.complement_order * self.kernel_order == self.group_order
-        )
+    complement_order: int
+    intersection_order: int
 
     @property
     def is_split(self) -> bool:
-        return (
-            not self.overflow
-            and self.product_matches
-            and self.intersection_order == 1
-        )
+        return self.intersection_order == 1
 
 
-def verify_splitting(G: GroupSet, N: GroupSet, lifts: list[Mat3]) -> SplitReport:
-    """Check that G is the semidirect product of N and <lifts>.
+def verify_splitting(N: GroupSet, lifts: list[Mat3], cap: int = 10**7) -> SplitReport:
+    """Check that G = <N, lifts> is the semidirect product of N and
+    H = <lifts>, and find |G| without enumerating G.
 
-    Requires N normal in G (checked by conjugating N with every
-    generator of G and its inverse, which suffices for the whole
-    group).  The split witness: |<lifts>| * |N| = |G| and the
-    intersection of <lifts> with N is trivial.  A closure of the lifts
-    that escapes past |G| elements is reported as overflow.
+    N is normal in G when each lift g conjugates N into N.  Inverse
+    lifts need no check: N is finite, so gNg^-1 inside N means
+    gNg^-1 = N, that is g^-1 N g = N.  Elements of N need none either,
+    as N is a group.  With N normal, G = NH, and the product formula
+    gives |G| = |N| |H| / |N meet H|.  Only H is enumerated, under cap
+    (ClosureCapError past it).  G splits when H meets N trivially.
     """
-    for g in G.generators:
-        for gi in (g, g.inverse()):
-            for m in N:
-                if gi * m * gi.inverse() not in N:
-                    raise ValueError("kernel is not normal in the group")
-    try:
-        comp = closure(lifts, cap=len(G))
-    except ClosureCapError:
-        return SplitReport(len(G), len(N), None, None, True)
-    inter = sum(1 for m in comp if m in N)
-    return SplitReport(len(G), len(N), len(comp), inter, False)
+    for g in lifts:
+        gi = g.inverse()
+        for m in N:
+            if g * m * gi not in N:
+                raise ValueError("kernel is not normal in the group")
+    H = closure(lifts, cap=cap)
+    inter = sum(1 for m in H if m in N)
+    return SplitReport(len(N) * len(H) // inter, len(N), len(H), inter)

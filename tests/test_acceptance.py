@@ -120,7 +120,8 @@ def test_criterion_4_splitting():
             lifts = list(lift_generators("h1", 2, ctx))
             G = closure(lifts + N.generators)
             assert len(G) == order
-            rep = verify_splitting(G, N, lifts)
+            rep = verify_splitting(N, lifts)
+            assert rep.group_order == len(G)
             assert rep.complement_order == 60
             assert rep.intersection_order == 1
             assert rep.complement_order * rep.kernel_order == len(G)
@@ -263,9 +264,10 @@ def test_criterion_10_negative_controls():
             (0, R_l.rows[1][1], R_l.rows[1][2]),
             (0, 0, 1),
         ))
-        rep = verify_splitting(G, N, [bad, S_l, T_l])
+        rep = verify_splitting(N, [bad, S_l, T_l])
         assert not rep.is_split
-        assert rep.overflow or rep.intersection_order > 1 or not rep.product_matches
+        assert rep.intersection_order > 1
+        assert rep.group_order == len(G)
 
         # at d=0 a perturbed column leaves the group: invariance flips
         ls0 = LambdaSpace(ctx, 2, ())
@@ -288,6 +290,8 @@ def test_criterion_10_negative_controls():
 
         # the CLI exit code separates check failures from config errors
         assert main(["verify", "--n", "1", "--quiet"]) == 2
-        code, report = run_verify(VerifyConfig(n=2, d=1, max_group=100))
+        code, report = run_verify(VerifyConfig(n=2, d=1, max_group=59))
         assert code == EXIT_CHECK_FAILED
         assert report.verdict.startswith("FAIL(")
+        code, report = run_verify(VerifyConfig(n=2, d=1, max_group=60))
+        assert code == EXIT_OK and report.verdict == "POLYNOMIAL"

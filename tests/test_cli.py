@@ -89,6 +89,7 @@ def test_cli_bad_flags(capsys):
         ["--oracle-max-degree", "-3"],
         ["--max-group", "0"],
         ["--max-group", "-5"],
+        ["--d", "3", "--lambda-basis", "0x2"],
     ],
     ids=[
         "zero-basis",
@@ -97,6 +98,7 @@ def test_cli_bad_flags(capsys):
         "negative-oracle",
         "zero-group-cap",
         "negative-group-cap",
+        "d-conflicts-with-basis",
     ],
 )
 def test_cli_bad_configuration_exits_2(flags, capsys):
@@ -104,6 +106,20 @@ def test_cli_bad_configuration_exits_2(flags, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("d_flag", [[], ["--d", "1"]], ids=["basis-sets-d", "d-agrees"])
+def test_cli_lambda_basis_with_or_without_d(d_flag):
+    flags = ["--modulus-ambient", "0x13", "--lambda-basis", "0x2"] + d_flag
+    assert main(["verify", "--n", "2", "--quiet"] + flags) == EXIT_OK
+
+
+@pytest.mark.parametrize("where", ["missing-dir", "is-a-dir"])
+def test_cli_unwritable_json_exits_2(where, tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json" if where == "missing-dir" else tmp_path
+    assert main(["verify", "--n", "2", "--quiet", "--json", str(path)]) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 def test_cli_modulus_overrides():
@@ -178,6 +194,19 @@ def test_selftest_cli_entry(capsys):
 
 
 def test_verify_max_group_cap():
-    code, report = run_verify(VerifyConfig(n=2, d=1, max_group=100))
+    # the cap bounds the enumerated complement, |H| = |SL2(GF(4))| = 60
+    code, report = run_verify(VerifyConfig(n=2, d=1, max_group=59))
     assert code == EXIT_CHECK_FAILED
     assert report.to_dict()["verdict"] == "FAIL(group-cap)"
+    code, report = run_verify(VerifyConfig(n=2, d=1, max_group=60))
+    assert code == EXIT_OK
+    assert report.to_dict()["verdict"] == "POLYNOMIAL"
+
+
+def test_verify_n3_d2_without_enumerating_group():
+    code, report = run_verify(VerifyConfig(n=3, d=2))
+    assert code == EXIT_OK
+    d = report.to_dict()
+    assert d["group_order"] == 2_064_384
+    assert d["split"] == {"complement_order": 504, "intersection_order": 1}
+    assert d["degrees"] == [576, 3584, 1]

@@ -210,6 +210,7 @@ def test_kernel_group():
             assert m1 * m2 == m2 * m1
     ls0 = LambdaSpace(GF4, 2, ())
     assert len(kernel_group(ls0)) == 1
+    assert kernel_group(ls0).generators == []
 
 
 def test_closure_cap():
@@ -237,10 +238,12 @@ def test_verify_splitting_d1():
     N = kernel_group(ls)
     lifts = list(lift_generators("h1", 2, GF4))
     G = closure(lifts + N.generators)
-    rep = verify_splitting(G, N, lifts)
+    rep = verify_splitting(N, lifts)
+    assert rep.group_order == len(G) == 960
     assert rep.complement_order == 60
     assert rep.intersection_order == 1
-    assert rep.product_matches and rep.is_split
+    assert rep.complement_order * rep.kernel_order == rep.group_order
+    assert rep.is_split
 
 
 def test_verify_splitting_d0():
@@ -248,8 +251,8 @@ def test_verify_splitting_d0():
     N = kernel_group(ls)
     lifts = list(lift_generators("h1", 2, GF4))
     G = closure(lifts)
-    rep = verify_splitting(G, N, lifts)
-    assert rep.complement_order == len(G) == 60
+    rep = verify_splitting(N, lifts)
+    assert rep.group_order == rep.complement_order == len(G) == 60
     assert rep.is_split
 
 
@@ -264,9 +267,37 @@ def test_verify_splitting_corrupted_lift():
         (0, 0, 1),
     ))
     G = closure([R_l, S_l, T_l] + N.generators)
-    rep = verify_splitting(G, N, [bad, S_l, T_l])
+    rep = verify_splitting(N, [bad, S_l, T_l])
     assert not rep.is_split
-    assert rep.overflow or rep.intersection_order > 1 or not rep.product_matches
+    assert rep.intersection_order > 1
+    assert rep.group_order == len(G)
+
+
+def test_verify_splitting_rejects_non_normal_kernel():
+    # a block outside SL2(GF(4)) moves the translation (1, 0) off Lambda_1 = GF(4)
+    GF16 = field_new(4)
+    N = kernel_group(LambdaSpace(GF16, 2, (1,)))
+    theta = 0x2
+    bad = Mat3.block(GF16, theta, 0, 0, GF16.inv(theta))
+    with pytest.raises(ValueError, match="not normal"):
+        verify_splitting(N, [bad] + list(lift_generators("h1", 2, GF16))[1:])
+
+
+@pytest.mark.parametrize("variant", ["h1", "h0"])
+@pytest.mark.parametrize("n, d", [(2, 0), (2, 1), (3, 0), (3, 1), (2, 2)])
+def test_verify_splitting_matches_bfs_closure(n, d, variant):
+    # the product formula |N| |H| / |N meet H| against the enumerated group
+    ctx = field_new(n * (2 if d == 2 else 1))
+    N = kernel_group(LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx)))
+    lifts = list(lift_generators(variant, n, ctx))
+    G = closure(lifts + N.generators)
+    rep = verify_splitting(N, lifts)
+    assert rep.group_order == len(G)
+    assert rep.kernel_order == len(N)
+    q = 1 << n
+    assert rep.complement_order == q * (q * q - 1)
+    assert rep.intersection_order == 1
+    assert rep.is_split
 
 
 def test_complement_conjugate_to_cocycle_subgroup():
