@@ -7,6 +7,7 @@ product / Jacobian criterion plus an independent graded fixed-space
 oracle.
 """
 
+from refl2 import linalg  # noqa: F401  (tracers look every refl2 module up)
 from refl2.ffield import (
     DEFAULT_MODULI,
     Fel,
@@ -52,6 +53,7 @@ from refl2.verify import (
     NotExpressibleError,
     NotInvariantError,
     express_in_generators,
+    fixed_dimensions,
     generated_dimension,
     graded_fixed_dimension,
     is_invariant,
@@ -100,6 +102,7 @@ __all__ = [
     "NotExpressibleError",
     "NotInvariantError",
     "express_in_generators",
+    "fixed_dimensions",
     "generated_dimension",
     "graded_fixed_dimension",
     "is_invariant",

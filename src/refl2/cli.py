@@ -39,11 +39,7 @@ from refl2.invariants import (
     lifted_invariants,
 )
 from refl2.mvpoly import MultiPoly, jacobian_det
-from refl2.verify import (
-    generated_dimension,
-    graded_fixed_dimension,
-    kemper_check,
-)
+from refl2.verify import fixed_dimensions, generated_dimension, kemper_check
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -230,9 +226,7 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
     failures.extend(verdict.failed_clauses)
 
     if cfg.oracle_max_degree > 0:
-        cap = max(60, cfg.oracle_max_degree)
-        for deg in range(cfg.oracle_max_degree + 1):
-            fd = graded_fixed_dimension(gens, deg, 3, cap=cap)
+        for deg, fd in enumerate(fixed_dimensions(gens, cfg.oracle_max_degree)):
             gd = generated_dimension(invs, deg)
             report.oracle.append(
                 {"degree": deg, "fixed_dim": fd, "generated_dim": gd}
@@ -364,10 +358,8 @@ def _selftest_oracle(log) -> tuple[int, int]:
     ctx = field_new(1)
     _, S, T = sl2_generators(1, ctx)
     c0, c1 = dickson_pair(1, ctx)
-    for deg in range(16):
-        ok = graded_fixed_dimension([S, T], deg, 2) == generated_dimension(
-            [c0, c1], deg
-        )
+    for deg, fd in enumerate(fixed_dimensions([S, T], 15, 2)):
+        ok = fd == generated_dimension([c0, c1], deg)
         passed += ok
         failed += not ok
     log("oracle q=2 on 2 vars: degrees 0..15 against (c0, c1)")

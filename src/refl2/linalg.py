@@ -1,15 +1,18 @@
-"""Exact linear algebra over GF(2^m).
+"""Exact dense linear algebra over GF(2^m), with numpy.
 
-Rank and kernel problems (the graded fixed-space oracle and the
-generated dimension) expand each field entry to its m x m GF(2)
-multiplication block and eliminate over GF(2) on bit-packed rows with
-numpy; ranks and kernel dimensions over the field are the GF(2) values
-divided by m.  Exact and deterministic.
+Each field entry expands to its m x m GF(2) multiplication block, and
+elimination runs over GF(2) on bit-packed rows; ranks and kernel
+dimensions over the field are the GF(2) values divided by m.  Exact and
+deterministic.
+
+The verifier itself does not call this module: `refl2.verify` keeps its
+own GF(2) echelon rows as Python ints.  The tests build the dense
+reference oracle from these functions, and `perfbench/spans.py` traces
+them by name, so the package loads this module; numpy is imported on
+first use only, which keeps it off the start-up of `refl2`.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 from refl2.ffield import FieldCtx
 
@@ -19,6 +22,8 @@ from refl2.ffield import FieldCtx
 
 def gf2_rank(packed: np.ndarray, ncols: int) -> int:
     """Rank of a GF(2) matrix given as uint64-packed rows (destructive)."""
+    import numpy as np
+
     nrows = packed.shape[0]
     r = 0
     for c in range(ncols):
@@ -41,6 +46,8 @@ def gf2_rank(packed: np.ndarray, ncols: int) -> int:
 
 def _pack_bool(rows: np.ndarray) -> tuple[np.ndarray, int]:
     """Pack a boolean matrix into uint64 words, row-wise."""
+    import numpy as np
+
     nrows, ncols = rows.shape
     pad = (-ncols) % 64
     if pad:
@@ -58,6 +65,8 @@ def regular_rep_bits(ctx: FieldCtx, entries: np.ndarray) -> np.ndarray:
     Block column k holds the bits of entry * t^k reduced mod the field
     modulus; reduction is vectorized over the whole matrix.
     """
+    import numpy as np
+
     m = ctx.m
     R, C = entries.shape
     big = np.zeros((R * m, C * m), dtype=bool)

@@ -6,11 +6,19 @@ invariant ring iff their degrees multiply to the group order and their
 Jacobian determinant is nonzero.  `kemper_check` verifies the three
 clauses exactly and names every failing one.
 
-The oracle is independent of the construction path: for a given degree
-it computes the dimension of the space of fixed homogeneous polynomials
-as the kernel of the stacked linear maps p -> act(p, g) - p over the
-monomial basis (no averaging exists in the modular case), and compares
-with the number of independent monomials in the candidate generators.
+The oracle is independent of the construction path: degree by degree it
+compares the dimension of the fixed homogeneous polynomials, the kernel
+of Phi_d(p) = (g p - p) stacked over the generators (no averaging exists
+in the modular case), with the number of independent monomials in the
+candidate generators.  `fixed_dimensions` sweeps all degrees at once.
+Every generator has last row (0, 0, 1), so g z = z, and
+  Phi_d(z p) = z Phi_{d-1}(p),
+  S_d = k[x, y]_d + z S_{d-1} (direct sum),
+  hence image Phi_d = Phi_d(k[x, y]_d) + z image Phi_{d-1}:
+one GF(2) echelon basis of the image carries over from degree to degree,
+and degree d adds only the images of the d+1 monomials free of z.
+Ranks over GF(2^m) are GF(2) ranks of the rows v, t v, ..., t^(m-1) v,
+divided by m.
 
 `express_in_generators` realizes the inductive division argument:
 restrict to z = 0, express the restriction in the restricted
@@ -24,11 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from refl2.ffield import FieldCtx
 from refl2.grouplift import Mat3
-from refl2.linalg import field_kernel_dimension, field_matrix_rank
 from refl2.mvpoly import MultiPoly, jacobian_det
 
 
@@ -110,50 +115,92 @@ def kemper_check(
 # -- graded fixed-space oracle ----------------------------------------------
 
 
-def monomials(deg: int, nvars: int) -> list[tuple[int, int, int]]:
-    """Exponent triples of total degree deg, canonical (descending) order;
-    nvars = 2 keeps the z-exponent zero."""
-    out = []
-    if nvars == 3:
-        for a in range(deg, -1, -1):
-            for b in range(deg - a, -1, -1):
-                out.append((a, b, deg - a - b))
-    elif nvars == 2:
-        for a in range(deg, -1, -1):
-            out.append((a, deg - a, 0))
-    else:
+def _insert(basis: dict, v: int) -> None:
+    """Reduce the GF(2) row v (bit i of the int is column i) by the rows
+    of `basis`, each keyed by the length of its highest set bit, and add
+    the remainder if it is nonzero."""
+    while v:
+        top = v.bit_length()
+        row = basis.get(top)
+        if row is None:
+            basis[top] = v
+            return
+        v ^= row
+
+
+def _field_rows(ctx: FieldCtx, v: int) -> list[int]:
+    """The GF(2) rows v, t v, ..., t^(m-1) v of a field vector packed m
+    bits a coordinate (coordinate i in bits i*m .. i*m+m-1).  Together they
+    span the field multiples of v, so GF(2) ranks are m times field ranks.
+
+    Multiplying by t shifts every m-bit lane left by one and adds the
+    reduction polynomial into the lanes whose top bit fell out."""
+    m = ctx.m
+    lanes = -(-v.bit_length() // m)
+    top = ((1 << m * lanes) - 1) // ((1 << m) - 1) << (m - 1)
+    low = ctx.modulus ^ (1 << m)
+    rows = [v]
+    for _ in range(m - 1):
+        hi = v & top
+        v = ((v ^ hi) << 1) ^ (hi >> (m - 1)) * low
+        rows.append(v)
+    return rows
+
+
+def fixed_dimensions(gens: list[Mat3], max_deg: int, nvars: int = 3) -> list[int]:
+    """Dimensions over the coefficient field of the fixed homogeneous
+    polynomials of degrees 0..max_deg, in one sweep: entry d is the
+    number of degree-d monomials minus the rank of Phi_d (module doc).
+
+    Degree-d monomials are indexed z-exponent descending, then x-exponent
+    descending, so x^a y^b z^c has index size-1 - a - c(d+1) + c(c-1)/2:
+    the d+1 monomials free of z come last, and z times a monomial of
+    degree d-1 keeps its index.  The value at (monomial, generator) is the
+    m-bit lane monomial*|gens| + generator of a row.  With three variables
+    the echelon rows of image Phi_{d-1} are thus rows of image Phi_d as
+    they stand, and degree d inserts only Phi_d(x^a y^(d-a)).  Pivots are
+    highest bits, so a new row whose z-free part is nonzero has its pivot
+    past every row kept from lower degrees."""
+    if not gens:
+        raise ValueError("need at least one generator")
+    if nvars not in (2, 3):
         raise ValueError("nvars must be 2 or 3")
-    return out
+    if nvars == 2 and not all(g.is_block_diagonal() for g in gens):
+        raise ValueError("2-variable oracle needs block-diagonal generators")
+    ctx = gens[0].ctx
+    m, k = ctx.m, len(gens)
+    images = [g.substitution().images[:2] for g in gens]
+    basis: dict = {}
+    dims = []
+    for d in range(max_deg + 1):
+        if nvars == 3:
+            size = (d + 1) * (d + 2) // 2
+        else:
+            basis = {}  # no z: each degree starts afresh
+            size = d + 1
+        for a in range(d, -1, -1):
+            v = 0
+            for i, (px, py) in enumerate(images):
+                v ^= 1 << ((size - 1 - a) * k + i) * m
+                for (ea, _, ec), coeff in (px**a * py ** (d - a))._terms.items():
+                    index = size - 1 - ea - ec * (d + 1) + ec * (ec - 1) // 2
+                    v ^= coeff << (index * k + i) * m
+            for row in _field_rows(ctx, v):
+                _insert(basis, row)
+        rank, rest = divmod(len(basis), m)
+        assert not rest
+        dims.append(size - rank)
+    return dims
 
 
 def graded_fixed_dimension(
     gens: list[Mat3], deg: int, nvars: int = 3, cap: int = 60
 ) -> int:
     """Dimension over the coefficient field of the fixed homogeneous
-    polynomials of the given degree: the kernel of the stacked maps
-    p -> act(p, g) - p on the monomial basis."""
+    polynomials of the given degree (see `fixed_dimensions`)."""
     if deg > cap:
         raise ValueError(f"degree {deg} exceeds the configured cap {cap}")
-    if not gens:
-        raise ValueError("need at least one generator")
-    ctx = gens[0].ctx
-    if nvars == 2 and not all(g.is_block_diagonal() for g in gens):
-        raise ValueError("2-variable oracle needs block-diagonal generators")
-    monos = monomials(deg, nvars)
-    index = {e: i for i, e in enumerate(monos)}
-    D = len(monos)
-    blocks = []
-    for g in gens:
-        sub = g.substitution()
-        A = np.zeros((D, D), dtype=np.int64)
-        for j, e in enumerate(monos):
-            img = sub(MultiPoly(ctx, {e: 1}))
-            for exps, c in img._terms.items():
-                A[index[exps], j] = c
-            A[j, j] ^= 1
-        blocks.append(A)
-    stacked = np.concatenate(blocks, axis=0)
-    return field_kernel_dimension(ctx, stacked)
+    return fixed_dimensions(gens, deg, nvars)[deg]
 
 
 def _weighted_compositions(weights: list[int], total: int):
@@ -180,24 +227,22 @@ def generated_dimension(invs: list[MultiPoly], deg: int) -> int:
         if p.is_zero() or not p.is_homogeneous():
             raise ValueError("generators must be nonzero and homogeneous")
     ctx = invs[0].ctx
-    weights = [p.deg() for p in invs]
-    exps = _weighted_compositions(weights, deg)
-    if not exps:
-        return 0
-    products = []
-    for e in exps:
+    m = ctx.m
+    column: dict = {}
+    basis: dict = {}
+    for e in _weighted_compositions([p.deg() for p in invs], deg):
         prod = MultiPoly.one(ctx)
         for p, k in zip(invs, e):
             if k:
                 prod = prod * p**k
-        products.append(prod)
-    support = sorted({t for p in products for t in p._terms})
-    col = {t: i for i, t in enumerate(support)}
-    A = np.zeros((len(products), max(len(support), 1)), dtype=np.int64)
-    for i, p in enumerate(products):
-        for t, c in p._terms.items():
-            A[i, col[t]] = c
-    return field_matrix_rank(ctx, A)
+        v = 0
+        for t, c in prod._terms.items():
+            v ^= c << column.setdefault(t, len(column)) * m
+        for row in _field_rows(ctx, v):
+            _insert(basis, row)
+    rank, rest = divmod(len(basis), m)
+    assert not rest
+    return rank
 
 
 # -- expression in the generators ---------------------------------------------

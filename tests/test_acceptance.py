@@ -36,10 +36,10 @@ from refl2.invariants import (
 )
 from refl2.mvpoly import MultiPoly, jacobian_det
 from refl2.verify import (
-    generated_dimension,
-    graded_fixed_dimension,
-    kemper_check,
     express_in_generators,
+    fixed_dimensions,
+    generated_dimension,
+    kemper_check,
 )
 from test_invariants import all_forms_family
 
@@ -204,18 +204,15 @@ def test_criterion_8_oracle_agreement():
         fx, fy, fz = kernel_invariants(ls)
         desc = kernel_action(lifts, fx, fy, fz, n=2)
         ub, c1b, zp = composed_invariants(2, ls, desc)
-        for deg in range(61):
-            fd = graded_fixed_dimension(lifts, deg, 3)
+        for deg, fd in enumerate(fixed_dimensions(lifts, 60)):
             gd = generated_dimension([ub, c1b, zp], deg)
             assert fd == gd, (deg, fd, gd)
         # two variables: q = 2 against the plain Dickson pair, degrees 0..15
         ctx2 = field_new(1)
         _, S, T = sl2_generators(1, ctx2)
         c0, c1 = dickson_pair(1, ctx2)
-        for deg in range(16):
-            assert graded_fixed_dimension([S, T], deg, 2) == generated_dimension(
-                [c0, c1], deg
-            )
+        for deg, fd in enumerate(fixed_dimensions([S, T], 15, 2)):
+            assert fd == generated_dimension([c0, c1], deg)
 
 
 def test_criterion_9_expression_round_trip():

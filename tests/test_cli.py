@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -170,6 +173,21 @@ def test_cli_oracle_sweep_flag():
     assert [e["degree"] for e in d["oracle"]] == list(range(9))
     assert all(e["fixed_dim"] == e["generated_dim"] for e in d["oracle"])
     assert list(d["oracle"][0].keys()) == ["degree", "fixed_dim", "generated_dim"]
+
+
+def test_cli_oracle_sweep_past_degree_60():
+    # one sweep keeps the echelon rows of every degree; the per-degree
+    # dense matrices this replaced needed over 1 GB at degree 70
+    code, report = run_verify(VerifyConfig(n=2, d=0, oracle_max_degree=70))
+    assert code == EXIT_OK and report.verdict == "POLYNOMIAL"
+    assert [e["degree"] for e in report.oracle] == list(range(71))
+    assert all(e["fixed_dim"] == e["generated_dim"] for e in report.oracle)
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, refl2.cli; sys.exit('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 def test_cli_human_output(capsys):

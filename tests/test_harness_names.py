@@ -3,6 +3,9 @@ refl2, or `perfbench/run.py --trace 1` breaks when a function is removed."""
 
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -24,3 +27,12 @@ def test_traced_names_resolve_on_refl2():
         owner = getattr(importlib.import_module(modname), cls)
         assert callable(getattr(owner, meth)), f"{cls}.{meth}"
     assert callable(importlib.import_module("refl2.grouplift").Mat3.__mul__)
+
+
+def test_traced_modules_load_with_refl2_cli():
+    # the tracer imports refl2.cli and then looks each module up in
+    # sys.modules, so a module only the tests import would break it
+    modnames = sorted({modname for _, modname, _ in load_spans().FUNCTIONS})
+    code = f"import sys, refl2.cli; sys.exit(not {set(modnames)!r} <= sys.modules.keys())"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -32,11 +32,11 @@ from refl2.verify import (
     NotExpressibleError,
     NotInvariantError,
     express_in_generators,
+    fixed_dimensions,
     generated_dimension,
     graded_fixed_dimension,
     is_invariant,
     kemper_check,
-    monomials,
 )
 
 GF2 = field_new(1)
@@ -172,6 +172,66 @@ def test_kemper_full_pipeline_n2_d1():
 # -- graded fixed dimension ----------------------------------------------------
 
 
+def monomials(deg: int, nvars: int) -> list[tuple[int, int, int]]:
+    """Exponent triples of total degree deg, canonical (descending) order;
+    nvars = 2 keeps the z-exponent zero."""
+    out = []
+    if nvars == 3:
+        for a in range(deg, -1, -1):
+            for b in range(deg - a, -1, -1):
+                out.append((a, b, deg - a - b))
+    elif nvars == 2:
+        for a in range(deg, -1, -1):
+            out.append((a, deg - a, 0))
+    else:
+        raise ValueError("nvars must be 2 or 3")
+    return out
+
+
+def dense_fixed_dimension(gens, deg, nvars=3):
+    """Reference: substitute every monomial of the degree, stack the
+    matrices of g - 1 over the generators and take the kernel dimension."""
+    ctx = gens[0].ctx
+    monos = monomials(deg, nvars)
+    index = {e: i for i, e in enumerate(monos)}
+    D = len(monos)
+    blocks = []
+    for g in gens:
+        sub = g.substitution()
+        A = np.zeros((D, D), dtype=np.int64)
+        for j, e in enumerate(monos):
+            img = sub(MultiPoly(ctx, {e: 1}))
+            for exps, c in img._terms.items():
+                A[index[exps], j] = c
+            A[j, j] ^= 1
+        blocks.append(A)
+    return field_kernel_dimension(ctx, np.concatenate(blocks, axis=0))
+
+
+def dense_generated_dimension(invs, deg):
+    """Reference: the field rank of the coefficient matrix of the products
+    of the generators of the given total degree."""
+    ctx = invs[0].ctx
+    weights = [p.deg() for p in invs]
+    products = []
+    for e in iproduct(*(range(deg // w + 1) for w in weights)):
+        if sum(k * w for k, w in zip(e, weights)) != deg:
+            continue
+        prod = MultiPoly.one(ctx)
+        for p, k in zip(invs, e):
+            prod = prod * p**k
+        products.append(prod)
+    if not products:
+        return 0
+    support = sorted({t for p in products for t in p._terms})
+    col = {t: i for i, t in enumerate(support)}
+    A = np.zeros((len(products), len(support)), dtype=np.int64)
+    for i, p in enumerate(products):
+        for t, c in p._terms.items():
+            A[i, col[t]] = c
+    return field_matrix_rank(ctx, A)
+
+
 def test_monomial_count():
     assert len(monomials(2, 3)) == 6
     assert len(monomials(5, 2)) == 6
@@ -215,6 +275,68 @@ def test_fixed_dim_2var_requires_block_diagonal():
         graded_fixed_dimension([R_l], 2, 2)
 
 
+def pipeline_gens(n, d, variant):
+    ctx = field_new(n * (2 if d == 2 else 1))
+    ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+    return list(lift_generators(variant, n, ctx)) + kernel_group(ls).generators
+
+
+@pytest.mark.parametrize("variant", ["h1", "h0"])
+@pytest.mark.parametrize(
+    "n,d,max_deg", [(2, 0, 30), (2, 1, 20), (3, 0, 20), (3, 1, 20), (2, 2, 20)]
+)
+def test_fixed_dimensions_match_dense_reference(n, d, max_deg, variant):
+    gens = pipeline_gens(n, d, variant)
+    assert fixed_dimensions(gens, max_deg) == [
+        dense_fixed_dimension(gens, deg) for deg in range(max_deg + 1)
+    ]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_fixed_dimensions_two_vars_match_dense_reference(n):
+    gens = list(sl2_generators(n, field_new(n)))
+    assert fixed_dimensions(gens, 30, 2) == [
+        dense_fixed_dimension(gens, deg, 2) for deg in range(31)
+    ]
+
+
+def test_fixed_dimensions_rejects_bad_input():
+    with pytest.raises(ValueError):
+        fixed_dimensions([], 3)
+    with pytest.raises(ValueError):
+        fixed_dimensions([Mat3.identity(GF4)], 3, 4)
+    R_l, _, _ = lift_generators("h1", 2, GF4)
+    with pytest.raises(ValueError):
+        fixed_dimensions([R_l], 3, 2)
+
+
+@st.composite
+def affine_generators(draw):
+    """1-3 invertible matrices with last row (0, 0, 1) over GF(2), GF(4)
+    or GF(8); block-diagonal (zero last column) when `plane` is drawn."""
+    ctx = field_new(draw(st.integers(1, 3)))
+    entry = st.integers(0, ctx.order - 1)
+    plane = draw(st.booleans())
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        a, b, c, d = (draw(entry) for _ in range(4))
+        if ctx.mul(a, d) == ctx.mul(b, c):
+            a, c, d = 1, 0, 1  # a singular block becomes the transvection (1, b; 0, 1)
+        col = (0, 0) if plane else (draw(entry), draw(entry))
+        gens.append(Mat3.block(ctx, a, b, c, d, col))
+    return gens, plane
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(affine_generators(), st.integers(0, 8))
+def test_fixed_dimensions_property(drawn, max_deg):
+    gens, plane = drawn
+    for nvars in (2, 3) if plane else (3,):
+        assert fixed_dimensions(gens, max_deg, nvars) == [
+            dense_fixed_dimension(gens, deg, nvars) for deg in range(max_deg + 1)
+        ]
+
+
 # -- generated dimension ---------------------------------------------------------
 
 
@@ -233,15 +355,47 @@ def test_generated_dimension_detects_dependence():
     assert generated_dimension([c0, c0], 3) == 1
 
 
+def test_generated_dimension_matches_dense_reference():
+    invs, _ = composed_setup()
+    c0, c1 = dickson_pair(2, GF4)
+    for deg in range(31):
+        assert generated_dimension(list(invs), deg) == dense_generated_dimension(
+            list(invs), deg
+        )
+        assert generated_dimension([c0, c1, c0], deg) == dense_generated_dimension(
+            [c0, c1, c0], deg
+        )
+
+
+@st.composite
+def homogeneous_polys(draw):
+    """1-3 nonzero homogeneous polynomials of degree 1 or 2 in x, y, z over
+    GF(2), GF(4) or GF(8), so that products of them are often dependent."""
+    ctx = field_new(draw(st.integers(1, 3)))
+    polys = []
+    for _ in range(draw(st.integers(1, 3))):
+        monos = monomials(draw(st.integers(1, 2)), 3)
+        coeffs = draw(
+            st.lists(st.integers(0, ctx.order - 1), min_size=len(monos), max_size=len(monos))
+        )
+        coeffs[0] = coeffs[0] or 1
+        polys.append(MultiPoly.from_terms(ctx, zip(monos, coeffs)))
+    return polys
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(homogeneous_polys(), st.integers(0, 6))
+def test_generated_dimension_property(invs, deg):
+    assert generated_dimension(invs, deg) == dense_generated_dimension(invs, deg)
+
+
 # -- oracle agreement (small slice; the full sweep is acceptance) -----------------
 
 
 def test_oracle_agreement_first_degrees():
     (ub, c1b, zp), gens = composed_setup()
-    for deg in range(0, 19):
-        assert graded_fixed_dimension(gens, deg, 3) == generated_dimension(
-            [ub, c1b, zp], deg
-        )
+    for deg, fd in enumerate(fixed_dimensions(gens, 18)):
+        assert fd == generated_dimension([ub, c1b, zp], deg)
 
 
 def test_oracle_agreement_d1_both_routes():
@@ -253,10 +407,8 @@ def test_oracle_agreement_d1_both_routes():
         fx, fy, fz = kernel_invariants(ls)
         desc = kernel_action(lifts, fx, fy, fz, n=2)
         ub, c1b, zp = composed_invariants(2, ls, desc)
-        for deg in range(0, 18):
-            assert graded_fixed_dimension(gens, deg, 3) == generated_dimension(
-                [ub, c1b, zp], deg
-            )
+        for deg, fd in enumerate(fixed_dimensions(gens, 17)):
+            assert fd == generated_dimension([ub, c1b, zp], deg)
 
 
 def test_kemper_verdict_monotone_in_evidence():
@@ -272,10 +424,8 @@ def test_kemper_verdict_monotone_in_evidence():
 def test_oracle_agreement_q2_two_vars():
     _, S, T = sl2_generators(1, GF2)
     c0, c1 = dickson_pair(1, GF2)
-    for deg in range(0, 10):
-        assert graded_fixed_dimension([S, T], deg, 2) == generated_dimension(
-            [c0, c1], deg
-        )
+    for deg, fd in enumerate(fixed_dimensions([S, T], 9, 2)):
+        assert fd == generated_dimension([c0, c1], deg)
 
 
 # -- expression in generators ------------------------------------------------------
