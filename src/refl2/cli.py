@@ -183,9 +183,9 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
     )
     failures: list[str] = []
 
-    N = kernel_group(ls)
     lifts = list(lift_generators(cfg.variant, cfg.n, ctx))
     try:
+        N = kernel_group(ls, cap=cfg.max_group)
         split = verify_splitting(N, lifts, cap=cfg.max_group)
     except ClosureCapError:
         report.verdict = "FAIL(group-cap)"
@@ -425,7 +425,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--lambda-basis", type=_hex_list, default=None, metavar="HEX[,HEX...]"
     )
     pv.add_argument("--oracle-max-degree", type=int, default=0, metavar="K")
-    pv.add_argument("--max-group", type=int, default=10**7, metavar="SIZE")
+    pv.add_argument(
+        "--max-group", type=int, default=10**7, metavar="SIZE", help="caps |N| and |H|"
+    )
     pv.add_argument("--json", default=None, metavar="PATH")
     pv.add_argument("--quiet", action="store_true")
 

@@ -17,8 +17,6 @@ by every polynomial of degree up to m/2.
 
 from __future__ import annotations
 
-from typing import Iterator
-
 # Default irreducible modulus per degree, lowest weight first, then
 # lowest bit-vector value.  Regenerated by tests/test_ffield.py.
 DEFAULT_MODULI = {
@@ -168,9 +166,6 @@ class FieldCtx:
 
     # -- public int-level arithmetic ------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
     def mul(self, a: int, b: int) -> int:
         if self._exp is not None:
             if a == 0 or b == 0:
@@ -209,9 +204,6 @@ class FieldCtx:
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
         return self._order_raw(a)
-
-    def elements(self) -> Iterator[int]:
-        return iter(range(self.order))
 
     def in_subfield(self, a: int, n: int) -> bool:
         """True iff a is fixed by the n-fold Frobenius, a^(2^n) = a."""

@@ -17,21 +17,20 @@ from dataclasses import dataclass
 from itertools import product as iproduct
 
 from refl2.ffield import Fel, FieldCtx, subfield_elements, subfield_generator
-from refl2.mvpoly import Substitution
 
 
 class ClosureCapError(RuntimeError):
-    """Raised when a closure exceeds its element cap."""
+    """Raised when a group to enumerate exceeds its element cap."""
 
     def __init__(self, cap: int):
-        super().__init__(f"group closure exceeded cap of {cap} elements")
+        super().__init__(f"group exceeds the cap of {cap} elements")
         self.cap = cap
 
 
 class Mat3:
     """3x3 matrix over a FieldCtx with last row fixed to (0, 0, 1)."""
 
-    __slots__ = ("ctx", "rows", "_sub")
+    __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx: FieldCtx, rows):
         rows = tuple(
@@ -47,7 +46,6 @@ class Mat3:
                     raise ValueError(f"entry {v:#x} out of range for {ctx!r}")
         self.ctx = ctx
         self.rows = rows
-        self._sub = None
 
     @classmethod
     def _unchecked(cls, ctx: FieldCtx, rows: tuple) -> "Mat3":
@@ -56,7 +54,6 @@ class Mat3:
         m = cls.__new__(cls)
         m.ctx = ctx
         m.rows = rows
-        m._sub = None
         return m
 
     @classmethod
@@ -108,18 +105,9 @@ class Mat3:
         tb = mul(ic, al) ^ mul(id_, be)
         return Mat3._unchecked(ctx, ((ia, ib, ta), (ic, id_, tb), (0, 0, 1)))
 
-    def substitution(self) -> Substitution:
-        """The substitution of x, y, z by the rows, built on first use."""
-        if self._sub is None:
-            self._sub = Substitution.for_matrix(self, self.ctx)
-        return self._sub
-
     def key(self) -> tuple:
         """Canonical encoding: row-major concatenation of entries."""
         return self.rows[0] + self.rows[1] + self.rows[2]
-
-    def entry(self, i: int, j: int) -> Fel:
-        return Fel(self.rows[i][j], self.ctx)
 
     def block2(self) -> tuple:
         (a, b, _), (c, d, _), _ = self.rows
@@ -385,8 +373,10 @@ def lambda_enumerate(ls: LambdaSpace) -> list[tuple[Fel, Fel]]:
     return [(Fel(a, ls.ambient), Fel(b, ls.ambient)) for a, b in ls.enumerate()]
 
 
-def kernel_group(ls: LambdaSpace) -> GroupSet:
-    """The abelian translation group N of order 2^(2dn)."""
+def kernel_group(ls: LambdaSpace, cap: int = 10**7) -> GroupSet:
+    """The translation group N, of order 2^(2dn) <= cap (else ClosureCapError)."""
+    if len(ls._lambda1) ** 2 > cap:
+        raise ClosureCapError(cap)
     ctx = ls.ambient
     els = [Mat3.translation(ctx, a, b) for a, b in ls.enumerate()]
     gens = []

@@ -7,10 +7,11 @@ iteration, printing, hashing -- is graded lexicographic descending:
 total degree first, then the x, y, z exponents.
 
 The group acts by substitution: for a matrix g with last row (0,0,1),
-act(p, g) replaces each coordinate function by its composite with g
-(x picks up row 0 of g, y row 1, z stays z).  Substitution, products
-and powers exploit characteristic 2 throughout: squaring a polynomial
-is termwise, so powers collapse via the Frobenius.
+p.act(g) = p o g (x picks up row 0 of g, y row 1, z stays z), applied
+as g's elementary one-variable substitutions, each one pass over the
+terms (`Substitution`); the action keeps no state.  Products and powers
+exploit characteristic 2: squaring is termwise, so powers collapse via
+the Frobenius, and each polynomial memoizes its own powers.
 
 Text format: terms in canonical order joined by " + ", each term
 "{coeff-hex}*x^a*y^b*z^c" with zero exponents omitted, "^1" omitted,
@@ -218,11 +219,11 @@ class MultiPoly:
         return MultiPoly(self.ctx, terms)
 
     def act(self, g) -> "MultiPoly":
-        """Substitute each variable by its composite with the matrix g,
-        through the substitution g builds once and keeps."""
+        """p o g, as the elementary steps of g (`Substitution`), built
+        from g.rows on every call."""
         if g.ctx != self.ctx:
             raise ValueError("matrix entries from a mismatched context")
-        return g.substitution()(self)
+        return Substitution(self.ctx, g.rows)(self)
 
     def restrict_z0(self) -> "MultiPoly":
         """Set z = 0."""
@@ -287,44 +288,59 @@ class MultiPoly:
 
 
 class Substitution:
-    """A substitution x -> px, y -> py, z -> pz.
+    """The action of an invertible matrix g with last row (0, 0, 1), as
+    the one-variable steps x_i -> s x_i + t x_w that g factors into.
 
-    Repeated application is cheap because the variable images memoize
-    their own powers; characteristic-2 powers of linear forms stay small
-    because squaring is termwise.
+    g = [[I, (alpha, beta)], [0, 1]] [[A, 0], [0, 1]], so p o g is the
+    translation x -> x + alpha z, y -> y + beta z followed by p o A.  For
+    A = [[a, b], [c, d]] with a != 0 (else swap x and y first, which swaps
+    the rows of A), p o A is y -> (det/a) y + (c/a) x, then x -> a x + b y.
+    Each step is one pass over the terms: binom(k, j) is odd iff j is a
+    submask of k (Lucas), so x_i^k -> sum over submasks j of k of
+    s^j t^(k-j) x_i^j x_w^(k-j).
     """
 
-    __slots__ = ("ctx", "images")
+    __slots__ = ("ctx", "steps")
 
-    def __init__(self, ctx: FieldCtx, images: tuple[MultiPoly, MultiPoly, MultiPoly]):
+    def __init__(self, ctx: FieldCtx, rows):
+        (a, b, alpha), (c, d, beta), _ = rows
+        det = ctx.mul(a, d) ^ ctx.mul(b, c)
+        if not det:
+            raise ValueError("the action needs an invertible matrix")
         self.ctx = ctx
-        self.images = images
-
-    @classmethod
-    def for_matrix(cls, g, ctx: FieldCtx) -> "Substitution":
-        if g.ctx != ctx:
-            raise ValueError("matrix entries from a mismatched context")
-        rows = g.rows
-        return cls(
-            ctx,
-            tuple(MultiPoly.linear_form(ctx, *rows[i]) for i in range(3)),
-        )
+        self.steps = [(0, 2, 1, alpha), (1, 2, 1, beta)]
+        if a == 0:
+            self.steps.append(None)  # x <-> y
+            a, b, c, d = c, d, a, b
+        ia = ctx.inv(a)
+        self.steps += [(1, 0, ctx.mul(det, ia), ctx.mul(c, ia)), (0, 1, a, b)]
 
     def __call__(self, p: MultiPoly) -> MultiPoly:
-        if p.ctx != self.ctx:
-            raise ValueError("polynomial from a mismatched context")
-        px, py, pz = self.images
-        out = MultiPoly.zero(self.ctx)
-        for (a, b, c), v in p._terms.items():
-            t = MultiPoly.constant(self.ctx, v)
-            if a:
-                t = t * px**a
-            if b:
-                t = t * py**b
-            if c:
-                t = t * pz**c
-            out = out + t
-        return out
+        mul, pow_ = self.ctx.mul, self.ctx.pow_
+        terms = p._terms
+        for step in self.steps:
+            if step is None:
+                terms = {(b, a, c): v for (a, b, c), v in terms.items()}
+                continue
+            i, w, s, t = step
+            if s == 1 and t == 0:
+                continue
+            out: dict = {}
+            for e, v in terms.items():
+                f = list(e)
+                k, top = e[i], e[i] + e[w]
+                j = k
+                while True:
+                    f[i], f[w] = j, top - j
+                    key = tuple(f)
+                    c = mul(v, mul(pow_(s, j), pow_(t, k - j))) ^ out.pop(key, 0)
+                    if c:
+                        out[key] = c
+                    if not (j and t):  # t = 0 keeps only j = k
+                        break
+                    j = (j - 1) & k
+            terms = out
+        return MultiPoly(self.ctx, terms)
 
 
 # -- module-level operations -----------------------------------------------

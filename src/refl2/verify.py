@@ -169,7 +169,7 @@ def fixed_dimensions(gens: list[Mat3], max_deg: int, nvars: int = 3) -> list[int
         raise ValueError("2-variable oracle needs block-diagonal generators")
     ctx = gens[0].ctx
     m, k = ctx.m, len(gens)
-    images = [g.substitution().images[:2] for g in gens]
+    images = [[MultiPoly.linear_form(ctx, *row) for row in g.rows[:2]] for g in gens]
     basis: dict = {}
     dims = []
     for d in range(max_deg + 1):

@@ -221,6 +221,18 @@ def test_verify_max_group_cap():
     assert report.to_dict()["verdict"] == "POLYNOMIAL"
 
 
+def test_verify_max_group_caps_kernel():
+    # n=2 d=2: |N| = 16^2 = 256 is checked before N is built, |H| = 60
+    code, report = run_verify(VerifyConfig(n=2, d=2, max_group=255))
+    assert code == EXIT_CHECK_FAILED
+    assert report.to_dict()["verdict"] == "FAIL(group-cap)"
+    argv = ["verify", "--n", "2", "--d", "2", "--max-group", "255", "--quiet"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    code, report = run_verify(VerifyConfig(n=2, d=2, max_group=256))
+    assert code == EXIT_OK
+    assert report.to_dict()["verdict"] == "POLYNOMIAL"
+
+
 def test_verify_n3_d2_without_enumerating_group():
     code, report = run_verify(VerifyConfig(n=3, d=2))
     assert code == EXIT_OK

@@ -213,6 +213,18 @@ def test_kernel_group():
     assert kernel_group(ls0).generators == []
 
 
+def test_kernel_group_cap_checked_before_enumeration(monkeypatch):
+    ls = LambdaSpace(GF4, 2, (1,))
+    assert len(kernel_group(ls, cap=16)) == 16
+
+    def unbuilt(*args):
+        raise AssertionError("an element of N was built")
+
+    monkeypatch.setattr(Mat3, "translation", unbuilt)
+    with pytest.raises(ClosureCapError):
+        kernel_group(ls, cap=15)
+
+
 def test_closure_cap():
     with pytest.raises(ClosureCapError):
         closure(list(sl2_generators(2, GF4)), cap=10)

@@ -14,10 +14,29 @@ from refl2.grouplift import (
     lift_generators,
     sl2_generators,
 )
-from refl2.mvpoly import MultiPoly, Substitution, div_exact_z, jacobian_det
+from refl2.mvpoly import MultiPoly, div_exact_z, jacobian_det
 
+GF2 = field_new(1)
 GF4 = field_new(2)
 GF16 = field_new(4)
+
+
+def substitute_reference(p, g):
+    """Reference for `MultiPoly.act`: expand every monomial as a product
+    of powers of the linear forms given by the rows of g."""
+    ctx = p.ctx
+    px, py, pz = (MultiPoly.linear_form(ctx, *row) for row in g.rows)
+    out = MultiPoly.zero(ctx)
+    for (a, b, c), v in p._terms.items():
+        t = MultiPoly.constant(ctx, v)
+        if a:
+            t = t * px**a
+        if b:
+            t = t * py**b
+        if c:
+            t = t * pz**c
+        out = out + t
+    return out
 
 
 def X(ctx=GF4):
@@ -216,13 +235,19 @@ def test_canonical_order_graded_lex_desc():
     assert [e for e, _ in p.terms()] == [(2, 1, 0), (1, 2, 0), (0, 0, 3), (1, 0, 0)]
 
 
-def test_substitution_cache_consistency():
+def test_act_matches_per_monomial_reference():
     rng = random.Random(41)
-    g = rand_mat(GF4, rng)
-    sub = Substitution.for_matrix(g, GF4)
-    for _ in range(10):
-        p = rand_poly(GF4, rng)
-        assert sub(p) == p.act(g)
+    for ctx in (GF4, GF16):
+        for _ in range(20):
+            g = rand_mat(ctx, rng)
+            for _ in range(5):
+                p = rand_poly(ctx, rng, maxdeg=40)
+                assert p.act(g) == substitute_reference(p, g)
+
+
+def test_act_rejects_singular_matrix():
+    with pytest.raises(ValueError):
+        X().act(Mat3.block(GF4, 1, 1, 1, 1))
 
 
 def test_mismatched_ctx_rejected():
@@ -277,3 +302,26 @@ def test_memoized_power_property(p, order, repeats):
         plain.append(plain[-1] * p)
     for k in order + repeats:
         assert p**k == plain[k]
+
+
+def invertible_mats(ctx):
+    """Invertible matrices with last row (0, 0, 1); entries are zero half
+    the time, so blocks with a = 0 and zero translation columns occur."""
+    entry = st.one_of(st.just(0), st.integers(1, ctx.order - 1))
+    rows = st.tuples(*[entry] * 6)
+    return rows.filter(
+        lambda r: ctx.mul(r[0], r[4]) ^ ctx.mul(r[1], r[3])
+    ).map(lambda r: Mat3(ctx, ((r[0], r[1], r[2]), (r[3], r[4], r[5]), (0, 0, 1))))
+
+
+def act_cases(ctx):
+    return st.tuples(sparse_polys(ctx, maxdeg=40), invertible_mats(ctx))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.sampled_from([GF2, GF4, GF16]).flatmap(act_cases))
+def test_act_matches_reference_property(case):
+    # exponents up to 40 have several set bits, so the Lucas expansion
+    # runs over multi-bit submasks
+    p, g = case
+    assert p.act(g) == substitute_reference(p, g)

@@ -38,6 +38,7 @@ from refl2.verify import (
     is_invariant,
     kemper_check,
 )
+from test_mvpoly import substitute_reference
 
 GF2 = field_new(1)
 GF4 = field_new(2)
@@ -197,10 +198,9 @@ def dense_fixed_dimension(gens, deg, nvars=3):
     D = len(monos)
     blocks = []
     for g in gens:
-        sub = g.substitution()
         A = np.zeros((D, D), dtype=np.int64)
         for j, e in enumerate(monos):
-            img = sub(MultiPoly(ctx, {e: 1}))
+            img = substitute_reference(MultiPoly(ctx, {e: 1}), g)
             for exps, c in img._terms.items():
                 A[index[exps], j] = c
             A[j, j] ^= 1
