@@ -29,7 +29,6 @@ from refl2.grouplift import (
     default_lambda_basis,
     h_gamma,
     kernel_group,
-    lambda_enumerate,
     lift_generators,
     sl2_generators,
     verify_splitting,
@@ -43,10 +42,9 @@ from refl2.invariants import (
     dickson_u,
     kernel_action,
     kernel_invariants,
-    lifted_dickson_c0,
     lifted_invariants,
 )
-from refl2.mvpoly import MultiPoly, Substitution, div_exact_z, jacobian_det
+from refl2.mvpoly import MultiPoly, Substitution, jacobian_det
 from refl2.verify import (
     GeneratorExpr,
     KemperVerdict,
@@ -79,7 +77,6 @@ __all__ = [
     "default_lambda_basis",
     "h_gamma",
     "kernel_group",
-    "lambda_enumerate",
     "lift_generators",
     "sl2_generators",
     "verify_splitting",
@@ -91,11 +88,9 @@ __all__ = [
     "dickson_u",
     "kernel_action",
     "kernel_invariants",
-    "lifted_dickson_c0",
     "lifted_invariants",
     "MultiPoly",
     "Substitution",
-    "div_exact_z",
     "jacobian_det",
     "GeneratorExpr",
     "KemperVerdict",

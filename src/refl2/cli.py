@@ -138,11 +138,9 @@ def _resolve_fields(cfg: VerifyConfig) -> LambdaSpace:
         raise ConfigError(str(exc)) from exc
 
 
-def _gen_labels(lifts, kernel_gens):
-    labels = []
-    for name, g in zip(("R", "S", "T"), lifts):
-        labels.append((name, g))
-    for g in kernel_gens:
+def _gen_labels(lifts, translations):
+    labels = list(zip(("R", "S", "T"), lifts))
+    for g in translations:
         a, b = g.third_col()
         labels.append((f"N({a:#x},{b:#x})", g))
     return labels
@@ -185,12 +183,10 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
 
     lifts = list(lift_generators(cfg.variant, cfg.n, ctx))
     try:
-        N = kernel_group(ls, cap=cfg.max_group)
-        split = verify_splitting(N, lifts, cap=cfg.max_group)
+        translations = kernel_group(ls, cap=cfg.max_group)
+        split = verify_splitting(ls, translations, lifts, cap=cfg.max_group)
     except ClosureCapError:
-        report.verdict = "FAIL(group-cap)"
-        report.elapsed_ms = int((time.monotonic() - start) * 1000)
-        return EXIT_CHECK_FAILED, report
+        return _finish(report, ["group-cap"], start)
     report.group_order = split.group_order
     report.split = {
         "complement_order": split.complement_order,
@@ -199,41 +195,45 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
     if not split.is_split:
         failures.append("splitting")
 
-    fx, fy, fz = kernel_invariants(ls)
     try:
+        fx, fy, fz = kernel_invariants(ls)
         desc = kernel_action(lifts, fx, fy, fz, n=cfg.n)
+        report.alpha = f"{desc.alpha:#x}"
+        report.action_note = _action_note(desc)
+
+        ub, c1b, zp = composed_invariants(cfg.n, ls, desc)
+        invs = [ub, c1b, zp]
+        report.degrees = [p.deg() for p in invs]
+
+        labels = _gen_labels(lifts, translations)
+        gens = [g for _, g in labels]
+        verdict = kemper_check(split.group_order, invs, gens)
+        report.invariance = [
+            {"generator": name, "u": u, "c1": c1, "z": z}
+            for (name, _), (u, c1, z) in zip(labels, verdict.fixed_by)
+        ]
+        report.degree_product = verdict.degree_product
+        report.jacobian_nonzero = verdict.jacobian_nonzero
+        failures.extend(verdict.failed_clauses)
+
+        if cfg.oracle_max_degree > 0:
+            for deg, fd in enumerate(fixed_dimensions(gens, cfg.oracle_max_degree)):
+                gd = generated_dimension(invs, deg)
+                report.oracle.append(
+                    {"degree": deg, "fixed_dim": fd, "generated_dim": gd}
+                )
+                if fd != gd and "oracle" not in failures:
+                    failures.append("oracle")
     except ActionShapeError:
         failures.append("action-shape")
-        report.verdict = "FAIL(" + ",".join(failures) + ")"
-        report.elapsed_ms = int((time.monotonic() - start) * 1000)
-        return EXIT_CHECK_FAILED, report
-    report.alpha = f"{desc.alpha:#x}"
-    report.action_note = _action_note(desc)
+    except OverflowError:
+        # a product past mvpoly.DEGREE_CAP
+        failures.append("degree-cap")
+    return _finish(report, failures, start)
 
-    ub, c1b, zp = composed_invariants(cfg.n, ls, desc)
-    invs = [ub, c1b, zp]
-    report.degrees = [p.deg() for p in invs]
 
-    labels = _gen_labels(lifts, N.generators)
-    gens = [g for _, g in labels]
-    verdict = kemper_check(split.group_order, invs, gens)
-    report.invariance = [
-        {"generator": name, "u": u, "c1": c1, "z": z}
-        for (name, _), (u, c1, z) in zip(labels, verdict.fixed_by)
-    ]
-    report.degree_product = verdict.degree_product
-    report.jacobian_nonzero = verdict.jacobian_nonzero
-    failures.extend(verdict.failed_clauses)
-
-    if cfg.oracle_max_degree > 0:
-        for deg, fd in enumerate(fixed_dimensions(gens, cfg.oracle_max_degree)):
-            gd = generated_dimension(invs, deg)
-            report.oracle.append(
-                {"degree": deg, "fixed_dim": fd, "generated_dim": gd}
-            )
-            if fd != gd and "oracle" not in failures:
-                failures.append("oracle")
-
+def _finish(report: VerificationReport, failures: list[str], start: float):
+    """Set the verdict and elapsed time; the exit code and the report."""
     report.verdict = "POLYNOMIAL" if not failures else "FAIL(" + ",".join(failures) + ")"
     report.elapsed_ms = int((time.monotonic() - start) * 1000)
     return (EXIT_OK if not failures else EXIT_CHECK_FAILED), report

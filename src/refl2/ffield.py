@@ -97,7 +97,7 @@ class FieldCtx:
     (bit length at most m).
     """
 
-    __slots__ = ("m", "modulus", "order", "_exp", "_log", "_gen_cache")
+    __slots__ = ("m", "modulus", "order", "_exp", "_log")
 
     def __init__(self, m: int, modulus: int):
         if m < 1:
@@ -111,7 +111,6 @@ class FieldCtx:
         self.m = m
         self.modulus = modulus
         self.order = 1 << m
-        self._gen_cache = None
         if m <= _TABLE_LIMIT:
             self._build_tables()
         else:
@@ -135,7 +134,6 @@ class FieldCtx:
         for i in range(n, 2 * n):
             exp[i] = exp[i - n]
         self._exp, self._log = exp, log
-        self._gen_cache = g
 
     def _mul_raw(self, a: int, b: int) -> int:
         return _pmod(_pmul(a, b), self.modulus)
@@ -321,11 +319,7 @@ def field_new(m: int, modulus: int | None = None) -> FieldCtx:
 
 def mult_generator(ctx: FieldCtx) -> Fel:
     """Smallest element (by bit-vector value) of multiplicative order 2^m-1."""
-    n = ctx.order - 1
-    for a in range(1, ctx.order):
-        if ctx._order_raw(a) == n:
-            return Fel(a, ctx)
-    raise AssertionError("unreachable")
+    return Fel(ctx._find_generator_raw(), ctx)
 
 
 def subfield_elements(ctx: FieldCtx, n: int) -> list[Fel]:

@@ -4,8 +4,10 @@ Builds the transvection groups acting on a 3-space with an invariant
 plane: the SL2(GF(2^n)) generators R, S, T and their lifts, the cocycle
 f(x,y) = 1 + x + y + x^(2^(n-1)) y^(2^(n-1)) and its homogeneous
 companion g = f + 1, the cocycle subgroups H_gamma, the translation
-kernel N determined by a GF(2^n)-subspace Lambda_1 of the ambient
+kernel N = Lambda_1^2 for a GF(2^n)-subspace Lambda_1 of the ambient
 field, breadth-first group closure, and the semidirect-split check.
+Lambda_1 is held as its subspace polynomial and N as its 2d generating
+translations; neither is listed element by element.
 
 Matrices are immutable; the canonical encoding used for dedup, sorting
 and golden files is the row-major 9-tuple of element bit-vectors.
@@ -144,10 +146,6 @@ class GroupSet:
     def __init__(self, by_key: dict, generators: list[Mat3]):
         self._by_key = by_key
         self.generators = generators
-
-    @classmethod
-    def of(cls, elements: list[Mat3], generators: list[Mat3]) -> "GroupSet":
-        return cls({m.key(): m for m in elements}, generators)
 
     def __len__(self):
         return len(self._by_key)
@@ -288,7 +286,7 @@ def h_gamma(gamma: Fel, n: int, ambient: FieldCtx) -> GroupSet:
 
     els = sorted((lift(*blk) for blk in sl2_elements(n, ambient)), key=Mat3.key)
     gens = [lift(*m.block2()) for m in sl2_generators(n, ambient)]
-    H = GroupSet.of(els, gens)
+    H = GroupSet({m.key(): m for m in els}, gens)
     # a finite set equal to the closure of its generators is closed
     try:
         generated = closure(gens, cap=len(H))
@@ -305,11 +303,17 @@ def h_gamma(gamma: Fel, n: int, ambient: FieldCtx) -> GroupSet:
 
 
 class LambdaSpace:
-    """A GF(2^n)-subspace Lambda_1 of the ambient field, given by a basis.
+    """A GF(q)-subspace Lambda_1 of the ambient field, q = 2^n, given by a
+    basis and held as its subspace polynomial, whose roots are exactly
+    Lambda_1 (Ore 1933; Lidl-Niederreiter, Finite Fields, 3.4):
+        P(x) = prod_{a in Lambda_1} (x + a) = sum_{m=0..d} c_m x^(q^m).
+    `coeffs` lists c_0, ..., c_d.  P is GF(q)-linear, so adding a basis
+    vector b to the span multiplies out to prod_{t in GF(q)} (P + t P(b))
+    = P^q + P(b)^(q-1) P, and P(b) = 0 means b is already in the span.
 
-    The translation kernel N consists of the matrices with third column
-    (alpha, beta, 1) where alpha and beta range over Lambda_1
-    independently.
+    The translation kernel N = Lambda_1^2 holds the matrices with
+    identity block and third column (alpha, beta, 1), alpha and beta in
+    Lambda_1 (`kernel_contains`).
     """
 
     def __init__(self, ambient: FieldCtx, n: int, basis):
@@ -322,32 +326,44 @@ class LambdaSpace:
         self.ambient = ambient
         self.n = n
         self.basis = basis
-        self._lambda1 = self._span()
-
-    def _span(self) -> list[int]:
-        sub = [s.bits for s in subfield_elements(self.ambient, self.n)]
-        mul = self.ambient.mul
-        span = set()
-        for coeffs in iproduct(sub, repeat=len(self.basis)):
-            v = 0
-            for s, b in zip(coeffs, self.basis):
-                v ^= mul(s, b)
-            span.add(v)
-        if len(span) != (1 << self.n) ** len(self.basis):
-            raise ValueError("basis is dependent over the subfield")
-        return sorted(span)
+        self.coeffs = [1]
+        q = 1 << n
+        mul, pow_ = ambient.mul, ambient.pow_
+        for b in basis:
+            pb = self.value(b)
+            if pb == 0:
+                raise ValueError("basis is dependent over the subfield")
+            s = pow_(pb, q - 1)
+            self.coeffs = [
+                mul(s, c) ^ pow_(p, q)
+                for c, p in zip(self.coeffs + [0], [0] + self.coeffs)
+            ]
 
     @property
     def d(self) -> int:
         return len(self.basis)
 
-    def lambda1(self) -> list[int]:
-        """The 2^(dn) elements of the span, sorted by value."""
-        return list(self._lambda1)
+    @property
+    def kernel_order(self) -> int:
+        """|N| = |Lambda_1|^2 = q^(2d)."""
+        return 1 << (2 * self.n * self.d)
 
-    def enumerate(self) -> list[tuple[int, int]]:
-        """All 2^(2dn) pairs (alpha, beta) with both in Lambda_1."""
-        return [(a, b) for a in self._lambda1 for b in self._lambda1]
+    def value(self, a: int) -> int:
+        """P(a), zero exactly when a lies in Lambda_1."""
+        mul, pow_, q = self.ambient.mul, self.ambient.pow_, 1 << self.n
+        total = 0
+        for c in self.coeffs:
+            total ^= mul(c, a)
+            a = pow_(a, q)
+        return total
+
+    def __contains__(self, a: int) -> bool:
+        return self.value(a) == 0
+
+    def kernel_contains(self, m: Mat3) -> bool:
+        """m in N: identity block, both third-column entries in Lambda_1."""
+        alpha, beta = m.third_col()
+        return m.block2() == (1, 0, 0, 1) and alpha in self and beta in self
 
     def __repr__(self):
         basis = ", ".join(f"{b:#x}" for b in self.basis)
@@ -369,21 +385,15 @@ def default_lambda_basis(d: int, n: int, ambient: FieldCtx) -> tuple[int, ...]:
     raise ValueError(f"no default basis for d={d}")
 
 
-def lambda_enumerate(ls: LambdaSpace) -> list[tuple[Fel, Fel]]:
-    return [(Fel(a, ls.ambient), Fel(b, ls.ambient)) for a, b in ls.enumerate()]
-
-
-def kernel_group(ls: LambdaSpace, cap: int = 10**7) -> GroupSet:
-    """The translation group N, of order 2^(2dn) <= cap (else ClosureCapError)."""
-    if len(ls._lambda1) ** 2 > cap:
+def kernel_group(ls: LambdaSpace, cap: int = 10**7) -> list[Mat3]:
+    """The translations T_(b,0), T_(0,b) for each basis vector b of
+    Lambda_1, in that order: together with the lifts they generate N.
+    Only these 2d matrices are built, but |N| = q^(2d) is held to cap
+    (ClosureCapError past it), so the cap bounds N as it bounds H."""
+    if ls.kernel_order > cap:
         raise ClosureCapError(cap)
-    ctx = ls.ambient
-    els = [Mat3.translation(ctx, a, b) for a, b in ls.enumerate()]
-    gens = []
-    for b in ls.basis:
-        gens.append(Mat3.translation(ctx, b, 0))
-        gens.append(Mat3.translation(ctx, 0, b))
-    return GroupSet.of(sorted(els, key=Mat3.key), gens)
+    pairs = [p for b in ls.basis for p in ((b, 0), (0, b))]
+    return [Mat3.translation(ls.ambient, a, b) for a, b in pairs]
 
 
 # -- splitting -----------------------------------------------------------------
@@ -401,22 +411,29 @@ class SplitReport:
         return self.intersection_order == 1
 
 
-def verify_splitting(N: GroupSet, lifts: list[Mat3], cap: int = 10**7) -> SplitReport:
-    """Check that G = <N, lifts> is the semidirect product of N and
-    H = <lifts>, and find |G| without enumerating G.
+def verify_splitting(
+    ls: LambdaSpace, translations: list[Mat3], lifts: list[Mat3], cap: int = 10**7
+) -> SplitReport:
+    """Check that G = <N, lifts> is the semidirect product of
+    N = Lambda_1^2 and H = <lifts>, and find |G| without enumerating G
+    or N.  `translations` are the generators `kernel_group(ls)` returns.
 
-    N is normal in G when each lift g conjugates N into N.  Inverse
-    lifts need no check: N is finite, so gNg^-1 inside N means
-    gNg^-1 = N, that is g^-1 N g = N.  Elements of N need none either,
-    as N is a group.  With N normal, G = NH, and the product formula
-    gives |G| = |N| |H| / |N meet H|.  Only H is enumerated, under cap
-    (ClosureCapError past it).  G splits when H meets N trivially.
+    N is normal in G when each lift g conjugates N into N.  For
+    g = [[A, w], [0, 1]], g T_v g^-1 = T_(Av), and A is linear over the
+    ambient field, so A Lambda_1^2 is the GF(q)-span of the images of
+    the 2d translations T_(b,0), T_(0,b); it lies in N when those images
+    do.  Inverse lifts need no check: N is finite, so gNg^-1 inside N
+    means gNg^-1 = N.  With N normal, G = NH, and the product formula
+    gives |G| = |N| |H| / |N meet H| with |N| = q^(2d).  Only H is
+    enumerated, under cap (ClosureCapError past it), and |N meet H|
+    counts its elements in N.  G splits when H meets N trivially.
     """
     for g in lifts:
         gi = g.inverse()
-        for m in N:
-            if g * m * gi not in N:
+        for t in translations:
+            if not ls.kernel_contains(g * t * gi):
                 raise ValueError("kernel is not normal in the group")
     H = closure(lifts, cap=cap)
-    inter = sum(1 for m in H if m in N)
-    return SplitReport(len(N) * len(H) // inter, len(N), len(H), inter)
+    inter = sum(1 for m in H if ls.kernel_contains(m))
+    N = ls.kernel_order
+    return SplitReport(N * len(H) // inter, N, len(H), inter)

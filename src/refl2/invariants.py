@@ -5,7 +5,9 @@ Three families, all products or sums of products of linear(ized) forms:
 * kernel invariants of the translation group N:
       f_x = prod_{a in Lambda_1} (x + a z),   f_y likewise,   f_z = z.
   These are q^d-linearized in x (resp. y): only exponents q^m occur,
-  q = 2^n, 0 <= m <= d.
+  q = 2^n, 0 <= m <= d.  f_x is z^(q^d) P(x/z) for the subspace
+  polynomial P = sum c_m x^(q^m) of Lambda_1, so its d+1 terms are read
+  off P's coefficients and Lambda_1 is never listed.
 
 * Dickson invariants of SL2(GF(q)) on the plane, built from the q+1
   canonical line forms L (first nonzero coefficient 1).  The nonzero
@@ -44,13 +46,14 @@ from refl2.mvpoly import MultiPoly
 
 
 def kernel_invariants(ls: LambdaSpace) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """f_x = prod (x + a z), f_y = prod (y + a z) over Lambda_1, f_z = z."""
+    """f_x = prod (x + a z) over Lambda_1, f_y likewise, f_z = z, written
+    from the subspace polynomial P = sum c_m x^(q^m) of Lambda_1 as
+    f_x = z^(q^d) P(x/z) = sum c_m x^(q^m) z^(q^d - q^m)."""
     ctx = ls.ambient
-    fx = MultiPoly.one(ctx)
-    fy = MultiPoly.one(ctx)
-    for a in ls.lambda1():
-        fx = fx * MultiPoly.linear_form(ctx, 1, 0, a)
-        fy = fy * MultiPoly.linear_form(ctx, 0, 1, a)
+    top = 1 << (ls.n * ls.d)
+    terms = [(1 << (ls.n * m), c) for m, c in enumerate(ls.coeffs)]
+    fx = MultiPoly.from_terms(ctx, [((e, 0, top - e), c) for e, c in terms])
+    fy = MultiPoly.from_terms(ctx, [((0, e, top - e), c) for e, c in terms])
     return fx, fy, MultiPoly.variable(ctx, 2)
 
 
@@ -133,14 +136,6 @@ def lifted_invariants(
     y = MultiPoly.variable(ambient, 1)
     z = MultiPoly.variable(ambient, 2)
     return _lifted_family(ambient, n, x, y, z, scale)
-
-
-def lifted_dickson_c0(
-    n: int, ambient: FieldCtx, scale: int | Fel = 1
-) -> MultiPoly:
-    """c0~ = u~^(q-1), the product of all lifted nonzero forms."""
-    u, _ = lifted_invariants(n, ambient, scale)
-    return u ** ((1 << n) - 1)
 
 
 # -- action of the lifts on the kernel invariants ---------------------------

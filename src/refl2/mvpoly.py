@@ -356,7 +356,3 @@ def jacobian_det(p1: MultiPoly, p2: MultiPoly, p3: MultiPoly) -> MultiPoly:
     for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
         out = out + rows[0][perm[0]] * rows[1][perm[1]] * rows[2][perm[2]]
     return out
-
-
-def div_exact_z(p: MultiPoly) -> MultiPoly:
-    return p.div_exact_z()

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import refl2.mvpoly
 from refl2.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -15,6 +16,7 @@ from refl2.cli import (
     run_selftest,
     run_verify,
 )
+from refl2.grouplift import Mat3
 
 SCHEMA_KEYS = [
     "n",
@@ -231,6 +233,36 @@ def test_verify_max_group_caps_kernel():
     code, report = run_verify(VerifyConfig(n=2, d=2, max_group=256))
     assert code == EXIT_OK
     assert report.to_dict()["verdict"] == "POLYNOMIAL"
+
+
+def test_verify_degree_cap_is_a_failed_check(monkeypatch, capsys):
+    # n=2 d=1: the Jacobian multiplies partials of degrees 19 and 47
+    monkeypatch.setattr(refl2.mvpoly, "DEGREE_CAP", 65)
+    code, report = run_verify(VerifyConfig(n=2, d=1))
+    assert code == EXIT_CHECK_FAILED
+    assert report.to_dict()["verdict"] == "FAIL(degree-cap)"
+    assert report.to_dict()["group_order"] == 960
+    assert main(["verify", "--n", "2", "--d", "1", "--quiet"]) == EXIT_CHECK_FAILED
+    assert "Traceback" not in capsys.readouterr().err
+    monkeypatch.setattr(refl2.mvpoly, "DEGREE_CAP", 66)
+    assert run_verify(VerifyConfig(n=2, d=1))[0] == EXIT_OK
+
+
+def test_verify_builds_only_the_kernel_generators(monkeypatch):
+    # n=2 d=2: N = Lambda_1^2 has 4^4 = 256 elements; only the 2d = 4
+    # translations that generate it with the lifts are built
+    built = []
+    translation = Mat3.translation
+
+    def counted(*args):
+        built.append(args[1:])
+        return translation(*args)
+
+    monkeypatch.setattr(Mat3, "translation", counted)
+    code, report = run_verify(VerifyConfig(n=2, d=2))
+    assert code == EXIT_OK
+    assert report.to_dict()["group_order"] == 256 * 60
+    assert len(built) <= 4
 
 
 def test_verify_n3_d2_without_enumerating_group():

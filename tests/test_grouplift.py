@@ -1,6 +1,9 @@
 import random
+from itertools import product as iproduct
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from refl2.ffield import Fel, field_new, subfield_elements, subfield_generator
 from refl2.grouplift import (
@@ -13,16 +16,47 @@ from refl2.grouplift import (
     default_lambda_basis,
     h_gamma,
     kernel_group,
-    lambda_enumerate,
     lift_generators,
     sl2_elements,
     sl2_generators,
     verify_splitting,
 )
+from refl2.invariants import kernel_invariants
+from refl2.mvpoly import MultiPoly
 
 GF2 = field_new(1)
 GF4 = field_new(2)
 GF8 = field_new(3)
+
+
+def lambda_span_reference(ctx, n, basis):
+    """Lambda_1 by enumeration, the reference for `LambdaSpace`: every
+    GF(2^n)-combination of the basis, sorted by value.  It has 2^(nd)
+    elements iff the d basis vectors are independent over GF(2^n)."""
+    sub = [s.bits for s in subfield_elements(ctx, n)]
+    span = set()
+    for coeffs in iproduct(sub, repeat=len(basis)):
+        v = 0
+        for s, b in zip(coeffs, basis):
+            v ^= ctx.mul(s, b)
+        span.add(v)
+    return sorted(span)
+
+
+def kernel_reference(ls):
+    """All translations of N = Lambda_1^2, sorted by key."""
+    lam = lambda_span_reference(ls.ambient, ls.n, ls.basis)
+    return [Mat3.translation(ls.ambient, a, b) for a in lam for b in lam]
+
+
+def kernel_invariants_reference(ls):
+    """f_x = prod (x + a z), f_y = prod (y + a z) over the enumerated span."""
+    ctx = ls.ambient
+    fx = fy = MultiPoly.one(ctx)
+    for a in lambda_span_reference(ctx, ls.n, ls.basis):
+        fx = fx * MultiPoly.linear_form(ctx, 1, 0, a)
+        fy = fy * MultiPoly.linear_form(ctx, 0, 1, a)
+    return fx, fy
 
 
 def test_mat3_last_row_enforced():
@@ -168,10 +202,12 @@ def test_h_gamma_random_gamma_product_columns():
 
 def test_lambda_space():
     ls0 = LambdaSpace(GF4, 2, ())
-    assert lambda_enumerate(ls0) == [(GF4.zero, GF4.zero)]
+    assert [m.third_col() for m in kernel_reference(ls0)] == [(0, 0)]
+    assert ls0.coeffs == [1] and ls0.kernel_order == 1
     ls1 = LambdaSpace(GF4, 2, (1,))
-    assert len(lambda_enumerate(ls1)) == 16
-    with pytest.raises(ValueError):
+    assert len(kernel_reference(ls1)) == ls1.kernel_order == 16
+    assert [a for a in range(4) if a in ls1] == [0, 1, 2, 3]
+    with pytest.raises(ValueError, match="dependent"):
         LambdaSpace(GF4, 2, (1, 1))
 
 
@@ -179,13 +215,66 @@ def test_lambda_span_closed():
     ctx = field_new(4)
     theta = 0x2
     ls = LambdaSpace(ctx, 2, (theta,))
-    lam = set(ls.lambda1())
+    lam = set(lambda_span_reference(ctx, 2, ls.basis))
+    assert {a for a in range(ctx.order) if a in ls} == lam
     sub = [s.bits for s in subfield_elements(ctx, 2)]
     for a in lam:
         for b in lam:
             assert a ^ b in lam
         for s in sub:
             assert ctx.mul(s, a) in lam
+
+
+# fields GF(2^m) for the differential property, and their subfields GF(2^n)
+LAMBDA_FIELDS = {m: field_new(m) for m in (6, 8, 12)}
+LAMBDA_REFERENCE_LIMIT = 256  # q^(basis size) combinations enumerated at most
+
+
+@st.composite
+def lambda_bases(draw):
+    """(ctx, n, basis): random basis vectors mixed with 0, repeats and
+    GF(2^n)-combinations of earlier vectors, so dependent bases occur."""
+    m = draw(st.sampled_from(sorted(LAMBDA_FIELDS)))
+    ctx = LAMBDA_FIELDS[m]
+    n = draw(st.sampled_from([n for n in range(1, 9) if m % n == 0]))
+    q = 1 << n
+    size = 0
+    while q ** (size + 1) <= LAMBDA_REFERENCE_LIMIT:
+        size += 1
+    basis = []
+    for _ in range(draw(st.integers(0, size))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat", "combination"]))
+        if kind == "zero":
+            v = 0
+        elif kind == "repeat" and basis:
+            v = draw(st.sampled_from(basis))
+        elif kind == "combination" and basis:
+            s = draw(st.sampled_from([e.bits for e in subfield_elements(ctx, n)]))
+            v = ctx.mul(s, draw(st.sampled_from(basis))) ^ draw(st.sampled_from(basis))
+        else:
+            v = draw(st.integers(0, ctx.order - 1))
+        basis.append(v)
+    return ctx, n, tuple(basis)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(lambda_bases())
+def test_lambda_space_matches_enumerated_span(case):
+    ctx, n, basis = case
+    span = lambda_span_reference(ctx, n, basis)
+    independent = len(span) == (1 << n) ** len(basis)
+    try:
+        ls = LambdaSpace(ctx, n, basis)
+    except ValueError as exc:
+        assert "dependent" in str(exc)
+        assert not independent
+        return
+    assert independent
+    assert len(ls.coeffs) == len(basis) + 1 and ls.coeffs[-1] == 1
+    fx, fy, _ = kernel_invariants(ls)
+    assert (fx, fy) == kernel_invariants_reference(ls)
+    if ctx.m <= 8:
+        assert [a for a in range(ctx.order) if a in ls] == span
 
 
 def test_default_lambda_bases():
@@ -199,23 +288,30 @@ def test_default_lambda_bases():
 
 def test_kernel_group():
     ls = LambdaSpace(GF4, 2, (1,))
-    N = kernel_group(ls)
-    assert len(N) == 16
+    els = kernel_reference(ls)
+    assert len(els) == ls.kernel_order == 16
     ident = Mat3.identity(GF4)
-    els = N.sorted_elements()
     for m in els:
         assert m * m == ident
+        assert ls.kernel_contains(m)
     for m1 in els:
         for m2 in els:
             assert m1 * m2 == m2 * m1
+    assert [m.third_col() for m in kernel_group(ls)] == [(1, 0), (0, 1)]
+    # the membership test rejects every other block and column
+    for a, b, c, d in sl2_elements(2, GF4):
+        for col in iproduct(range(4), repeat=2):
+            m = Mat3.block(GF4, a, b, c, d, col=col)
+            assert ls.kernel_contains(m) == ((a, b, c, d) == (1, 0, 0, 1))
     ls0 = LambdaSpace(GF4, 2, ())
-    assert len(kernel_group(ls0)) == 1
-    assert kernel_group(ls0).generators == []
+    assert kernel_reference(ls0) == [ident]
+    assert kernel_group(ls0) == []
+    assert not ls0.kernel_contains(Mat3.translation(GF4, 1, 0))
 
 
 def test_kernel_group_cap_checked_before_enumeration(monkeypatch):
     ls = LambdaSpace(GF4, 2, (1,))
-    assert len(kernel_group(ls, cap=16)) == 16
+    assert len(kernel_group(ls, cap=16)) == 2  # the generators, |N| = 16
 
     def unbuilt(*args):
         raise AssertionError("an element of N was built")
@@ -240,8 +336,7 @@ def test_closure_deterministic_and_sorted_export():
 
 def test_full_group_order_960():
     lifts = list(lift_generators("h1", 2, GF4))
-    N = kernel_group(LambdaSpace(GF4, 2, (1,)))
-    G = closure(lifts + N.generators)
+    G = closure(lifts + kernel_group(LambdaSpace(GF4, 2, (1,))))
     assert len(G) == 960
 
 
@@ -249,8 +344,8 @@ def test_verify_splitting_d1():
     ls = LambdaSpace(GF4, 2, (1,))
     N = kernel_group(ls)
     lifts = list(lift_generators("h1", 2, GF4))
-    G = closure(lifts + N.generators)
-    rep = verify_splitting(N, lifts)
+    G = closure(lifts + N)
+    rep = verify_splitting(ls, N, lifts)
     assert rep.group_order == len(G) == 960
     assert rep.complement_order == 60
     assert rep.intersection_order == 1
@@ -263,7 +358,7 @@ def test_verify_splitting_d0():
     N = kernel_group(ls)
     lifts = list(lift_generators("h1", 2, GF4))
     G = closure(lifts)
-    rep = verify_splitting(N, lifts)
+    rep = verify_splitting(ls, N, lifts)
     assert rep.group_order == rep.complement_order == len(G) == 60
     assert rep.is_split
 
@@ -278,8 +373,8 @@ def test_verify_splitting_corrupted_lift():
         (0, R_l.rows[1][1], R_l.rows[1][2]),
         (0, 0, 1),
     ))
-    G = closure([R_l, S_l, T_l] + N.generators)
-    rep = verify_splitting(N, [bad, S_l, T_l])
+    G = closure([R_l, S_l, T_l] + N)
+    rep = verify_splitting(ls, N, [bad, S_l, T_l])
     assert not rep.is_split
     assert rep.intersection_order > 1
     assert rep.group_order == len(G)
@@ -288,11 +383,31 @@ def test_verify_splitting_corrupted_lift():
 def test_verify_splitting_rejects_non_normal_kernel():
     # a block outside SL2(GF(4)) moves the translation (1, 0) off Lambda_1 = GF(4)
     GF16 = field_new(4)
-    N = kernel_group(LambdaSpace(GF16, 2, (1,)))
+    ls = LambdaSpace(GF16, 2, (1,))
     theta = 0x2
     bad = Mat3.block(GF16, theta, 0, 0, GF16.inv(theta))
+    lifts = [bad] + list(lift_generators("h1", 2, GF16))[1:]
     with pytest.raises(ValueError, match="not normal"):
-        verify_splitting(N, [bad] + list(lift_generators("h1", 2, GF16))[1:])
+        verify_splitting(ls, kernel_group(ls), lifts)
+
+
+def test_verify_splitting_normality_matches_enumerated_kernel():
+    # diag(1, s) normalizes N iff s Lambda_1 lies in Lambda_1: the check
+    # conjugates the 2d translations, the reference multiplies all of Lambda_1
+    ctx = field_new(6)
+    ls = LambdaSpace(ctx, 2, (1, 0x2))
+    span = lambda_span_reference(ctx, 2, ls.basis)
+    normalizing = []
+    for s in range(1, ctx.order):
+        try:
+            verify_splitting(ls, kernel_group(ls), [Mat3.block(ctx, 1, 0, 0, s)])
+        except ValueError:
+            continue
+        normalizing.append(s)
+    assert normalizing == [
+        s for s in range(1, ctx.order) if all(ctx.mul(s, a) in span for a in span)
+    ]
+    assert len(normalizing) == 3  # GF(4)*, since 0x2 generates GF(64) over GF(4)
 
 
 @pytest.mark.parametrize("variant", ["h1", "h0"])
@@ -300,12 +415,13 @@ def test_verify_splitting_rejects_non_normal_kernel():
 def test_verify_splitting_matches_bfs_closure(n, d, variant):
     # the product formula |N| |H| / |N meet H| against the enumerated group
     ctx = field_new(n * (2 if d == 2 else 1))
-    N = kernel_group(LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx)))
+    ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
     lifts = list(lift_generators(variant, n, ctx))
-    G = closure(lifts + N.generators)
-    rep = verify_splitting(N, lifts)
+    G = closure(lifts + kernel_group(ls))
+    rep = verify_splitting(ls, kernel_group(ls), lifts)
     assert rep.group_order == len(G)
-    assert rep.kernel_order == len(N)
+    assert rep.kernel_order == len(kernel_reference(ls))
+    assert sum(1 for m in G if ls.kernel_contains(m)) == rep.kernel_order
     q = 1 << n
     assert rep.complement_order == q * (q * q - 1)
     assert rep.intersection_order == 1

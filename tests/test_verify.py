@@ -51,7 +51,7 @@ def composed_setup(n=2, d=0, variant="h1", ctx=None):
     fx, fy, fz = kernel_invariants(ls)
     desc = kernel_action(lifts, fx, fy, fz, n=n)
     ub, c1b, zp = composed_invariants(n, ls, desc)
-    gens = lifts + ([] if d == 0 else kernel_group(ls).generators)
+    gens = lifts + ([] if d == 0 else kernel_group(ls))
     return (ub, c1b, zp), gens
 
 
@@ -278,7 +278,7 @@ def test_fixed_dim_2var_requires_block_diagonal():
 def pipeline_gens(n, d, variant):
     ctx = field_new(n * (2 if d == 2 else 1))
     ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
-    return list(lift_generators(variant, n, ctx)) + kernel_group(ls).generators
+    return list(lift_generators(variant, n, ctx)) + kernel_group(ls)
 
 
 @pytest.mark.parametrize("variant", ["h1", "h0"])
@@ -403,7 +403,7 @@ def test_oracle_agreement_d1_both_routes():
     for ctx, basis in ((GF4, (1,)), (field_new(4), (0x2,))):
         ls = LambdaSpace(ctx, 2, basis)
         lifts = list(lift_generators("h1", 2, ctx))
-        gens = lifts + kernel_group(ls).generators
+        gens = lifts + kernel_group(ls)
         fx, fy, fz = kernel_invariants(ls)
         desc = kernel_action(lifts, fx, fy, fz, n=2)
         ub, c1b, zp = composed_invariants(2, ls, desc)
