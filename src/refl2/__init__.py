@@ -53,6 +53,7 @@ from refl2.verify import (
     express_in_generators,
     fixed_dimensions,
     generated_dimension,
+    generated_dimensions,
     graded_fixed_dimension,
     is_invariant,
     kemper_check,
@@ -99,6 +100,7 @@ __all__ = [
     "express_in_generators",
     "fixed_dimensions",
     "generated_dimension",
+    "generated_dimensions",
     "graded_fixed_dimension",
     "is_invariant",
     "kemper_check",

@@ -39,7 +39,7 @@ from refl2.invariants import (
     lifted_invariants,
 )
 from refl2.mvpoly import MultiPoly, jacobian_det
-from refl2.verify import fixed_dimensions, generated_dimension, kemper_check
+from refl2.verify import fixed_dimensions, generated_dimensions, kemper_check
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -217,8 +217,9 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
         failures.extend(verdict.failed_clauses)
 
         if cfg.oracle_max_degree > 0:
-            for deg, fd in enumerate(fixed_dimensions(gens, cfg.oracle_max_degree)):
-                gd = generated_dimension(invs, deg)
+            fixed = fixed_dimensions(gens, cfg.oracle_max_degree)
+            generated = generated_dimensions(invs, cfg.oracle_max_degree)
+            for deg, (fd, gd) in enumerate(zip(fixed, generated)):
                 report.oracle.append(
                     {"degree": deg, "fixed_dim": fd, "generated_dim": gd}
                 )
@@ -257,12 +258,14 @@ def _print_report(report: VerificationReport, out=None):
         )
     print(f"action      alpha={d['alpha']}; {d['action_note']}", file=out)
     if d["degrees"]:
-        degs = "*".join(str(v) for v in d["degrees"])
-        print(
-            f"invariants  degrees {tuple(d['degrees'])} (product {degs} = "
-            f"{d['degree_product']}), jacobian_nonzero={d['jacobian_nonzero']}",
-            file=out,
-        )
+        line = f"invariants  degrees {tuple(d['degrees'])}"
+        if d["degree_product"] is not None:  # None when a product passed the cap
+            degs = "*".join(str(v) for v in d["degrees"])
+            line += (
+                f" (product {degs} = {d['degree_product']}), "
+                f"jacobian_nonzero={d['jacobian_nonzero']}"
+            )
+        print(line, file=out)
     for entry in d["invariance"]:
         flags = ", ".join(f"{k}={entry[k]}" for k in ("u", "c1", "z"))
         print(f"fixed_by    {entry['generator']}: {flags}", file=out)
@@ -358,8 +361,9 @@ def _selftest_oracle(log) -> tuple[int, int]:
     ctx = field_new(1)
     _, S, T = sl2_generators(1, ctx)
     c0, c1 = dickson_pair(1, ctx)
-    for deg, fd in enumerate(fixed_dimensions([S, T], 15, 2)):
-        ok = fd == generated_dimension([c0, c1], deg)
+    fixed = fixed_dimensions([S, T], 15, 2)
+    for fd, gd in zip(fixed, generated_dimensions([c0, c1], 15)):
+        ok = fd == gd
         passed += ok
         failed += not ok
     log("oracle q=2 on 2 vars: degrees 0..15 against (c0, c1)")

@@ -17,6 +17,12 @@ Every generator has last row (0, 0, 1), so g z = z, and
   hence image Phi_d = Phi_d(k[x, y]_d) + z image Phi_{d-1}:
 one GF(2) echelon basis of the image carries over from degree to degree,
 and degree d adds only the images of the d+1 monomials free of z.
+`generated_dimensions` sweeps the generated side the same way: the span
+Gen_d of the degree-d products of candidate generators (u, c1, z) is
+  Gen_d = z Gen_{d-1} + span{u^i c1^j : i deg u + j deg c1 = d},
+so the echelon basis of Gen_{d-1} carries over as it stands, and degree d
+adds only its products free of z, each built once.  Both sweeps index
+monomials as `_pack` does, where z times a monomial keeps its index.
 Ranks over GF(2^m) are GF(2) ranks of the rows v, t v, ..., t^(m-1) v,
 divided by m.
 
@@ -147,20 +153,32 @@ def _field_rows(ctx: FieldCtx, v: int) -> list[int]:
     return rows
 
 
+def _pack(terms: dict, d: int, size: int, m: int, k: int = 1, i: int = 0) -> int:
+    """The degree-d polynomial with term dict `terms` as a GF(2) row of
+    m-bit lanes.  Among `size` monomials of degree d, x^a y^b z^c has
+    index size-1 - a - c(d+1) + c(c-1)/2 (z-exponent descending, then
+    x-exponent descending): with size = (d+1)(d+2)/2 the monomials free of
+    z come last and z times a monomial of degree d-1 keeps its index, and
+    with size = d+1 the plane monomial x^a y^(d-a) has index d-a.  The
+    coefficient goes to lane index*k + i, which interleaves k rows."""
+    v = 0
+    for (a, _, c), coeff in terms.items():
+        v ^= coeff << ((size - 1 - a - c * (d + 1) + c * (c - 1) // 2) * k + i) * m
+    return v
+
+
 def fixed_dimensions(gens: list[Mat3], max_deg: int, nvars: int = 3) -> list[int]:
     """Dimensions over the coefficient field of the fixed homogeneous
     polynomials of degrees 0..max_deg, in one sweep: entry d is the
     number of degree-d monomials minus the rank of Phi_d (module doc).
 
-    Degree-d monomials are indexed z-exponent descending, then x-exponent
-    descending, so x^a y^b z^c has index size-1 - a - c(d+1) + c(c-1)/2:
-    the d+1 monomials free of z come last, and z times a monomial of
-    degree d-1 keeps its index.  The value at (monomial, generator) is the
-    m-bit lane monomial*|gens| + generator of a row.  With three variables
-    the echelon rows of image Phi_{d-1} are thus rows of image Phi_d as
-    they stand, and degree d inserts only Phi_d(x^a y^(d-a)).  Pivots are
-    highest bits, so a new row whose z-free part is nonzero has its pivot
-    past every row kept from lower degrees."""
+    The value at (monomial, generator) is the m-bit lane
+    index*|gens| + generator of `_pack`.  Since z times a monomial keeps
+    its index, with three variables the echelon rows of image Phi_{d-1}
+    are rows of image Phi_d as they stand, and degree d inserts only
+    Phi_d(x^a y^(d-a)).  Pivots are highest bits, so a new
+    row whose z-free part is nonzero has its pivot past every row kept
+    from lower degrees."""
     if not gens:
         raise ValueError("need at least one generator")
     if nvars not in (2, 3):
@@ -179,12 +197,11 @@ def fixed_dimensions(gens: list[Mat3], max_deg: int, nvars: int = 3) -> list[int
             basis = {}  # no z: each degree starts afresh
             size = d + 1
         for a in range(d, -1, -1):
+            mono = {(a, d - a, 0): 1}
             v = 0
             for i, (px, py) in enumerate(images):
-                v ^= 1 << ((size - 1 - a) * k + i) * m
-                for (ea, _, ec), coeff in (px**a * py ** (d - a))._terms.items():
-                    index = size - 1 - ea - ec * (d + 1) + ec * (ec - 1) // 2
-                    v ^= coeff << (index * k + i) * m
+                image = (px**a * py ** (d - a))._terms
+                v ^= _pack(mono, d, size, m, k, i) ^ _pack(image, d, size, m, k, i)
             for row in _field_rows(ctx, v):
                 _insert(basis, row)
         rank, rest = divmod(len(basis), m)
@@ -243,6 +260,47 @@ def generated_dimension(invs: list[MultiPoly], deg: int) -> int:
     rank, rest = divmod(len(basis), m)
     assert not rest
     return rank
+
+
+def generated_dimensions(invs: list[MultiPoly], max_deg: int) -> list[int]:
+    """`generated_dimension` for degrees 0..max_deg, in one sweep.
+
+    For (u, c1, z), with z the coordinate itself, the echelon rows of
+    Gen_{d-1} are rows of Gen_d as they stand (module doc, `_pack`), and
+    degree d inserts only its products u^i c1^j.  For a pair (p, q) each
+    degree starts afresh.  The powers of the first two generators are
+    memoized on them, up to max_deg."""
+    if len(invs) not in (2, 3):
+        raise ValueError("need generators (p, q) or (p, q, z)")
+    for p in invs:
+        if p.is_zero() or not p.is_homogeneous():
+            raise ValueError("generators must be nonzero and homogeneous")
+        if p.deg() == 0:
+            raise ValueError("generators must have positive degree")
+    ctx = invs[0].ctx
+    if any(p.ctx != ctx for p in invs):
+        raise ValueError("generators from mixed contexts")
+    if len(invs) == 3 and invs[2] != MultiPoly.variable(ctx, 2):
+        raise ValueError("the third generator must be the coordinate z")
+    p, q = invs[:2]
+    dp, dq = p.deg(), q.deg()
+    m = ctx.m
+    basis: dict = {}
+    dims = []
+    for d in range(max_deg + 1):
+        if len(invs) == 2:
+            basis = {}  # no z: each degree starts afresh
+        size = (d + 1) * (d + 2) // 2
+        for i in range(d // dp + 1):
+            j, rest = divmod(d - i * dp, dq)
+            if rest:
+                continue
+            for row in _field_rows(ctx, _pack((p**i * q**j)._terms, d, size, m)):
+                _insert(basis, row)
+        rank, rest = divmod(len(basis), m)
+        assert not rest
+        dims.append(rank)
+    return dims
 
 
 # -- expression in the generators ---------------------------------------------

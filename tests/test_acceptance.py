@@ -39,6 +39,7 @@ from refl2.verify import (
     express_in_generators,
     fixed_dimensions,
     generated_dimension,
+    generated_dimensions,
     kemper_check,
 )
 from test_grouplift import kernel_reference, lambda_span_reference
@@ -208,6 +209,8 @@ def test_criterion_8_oracle_agreement():
         for deg, fd in enumerate(fixed_dimensions(lifts, 60)):
             gd = generated_dimension([ub, c1b, zp], deg)
             assert fd == gd, (deg, fd, gd)
+        # the one-sweep generated side that `refl2 verify` calls
+        assert fixed_dimensions(lifts, 60) == generated_dimensions([ub, c1b, zp], 60)
         # two variables: q = 2 against the plain Dickson pair, degrees 0..15
         ctx2 = field_new(1)
         _, S, T = sl2_generators(1, ctx2)

@@ -213,6 +213,15 @@ def test_selftest_cli_entry(capsys):
     assert main(["selftest", "nope"]) == EXIT_BAD_CONFIG
 
 
+def test_selftest_oracle_scope(capsys):
+    assert run_selftest("oracle") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "oracle q=2 on 2 vars: degrees 0..15 against (c0, c1)" in out
+    assert "oracle: 17 passed, 0 failed" in out
+    assert main(["selftest", "oracle", "--quiet"]) == EXIT_OK
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_max_group_cap():
     # the cap bounds the enumerated complement, |H| = |SL2(GF(4))| = 60
     code, report = run_verify(VerifyConfig(n=2, d=1, max_group=59))
@@ -244,6 +253,11 @@ def test_verify_degree_cap_is_a_failed_check(monkeypatch, capsys):
     assert report.to_dict()["group_order"] == 960
     assert main(["verify", "--n", "2", "--d", "1", "--quiet"]) == EXIT_CHECK_FAILED
     assert "Traceback" not in capsys.readouterr().err
+    # no product was computed, so the text names none
+    assert main(["verify", "--n", "2", "--d", "1"]) == EXIT_CHECK_FAILED
+    out = capsys.readouterr().out
+    assert "invariants  degrees (20, 48, 1)\n" in out
+    assert "= None" not in out and "None" not in out
     monkeypatch.setattr(refl2.mvpoly, "DEGREE_CAP", 66)
     assert run_verify(VerifyConfig(n=2, d=1))[0] == EXIT_OK
 

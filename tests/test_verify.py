@@ -34,6 +34,7 @@ from refl2.verify import (
     express_in_generators,
     fixed_dimensions,
     generated_dimension,
+    generated_dimensions,
     graded_fixed_dimension,
     is_invariant,
     kemper_check,
@@ -44,9 +45,10 @@ GF2 = field_new(1)
 GF4 = field_new(2)
 
 
-def composed_setup(n=2, d=0, variant="h1", ctx=None):
+def composed_setup(n=2, d=0, variant="h1", ctx=None, basis=None):
     ctx = ctx or field_new(2)
-    ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+    basis = default_lambda_basis(d, n, ctx) if basis is None else basis
+    ls = LambdaSpace(ctx, n, basis)
     lifts = list(lift_generators(variant, n, ctx))
     fx, fy, fz = kernel_invariants(ls)
     desc = kernel_action(lifts, fx, fy, fz, n=n)
@@ -387,6 +389,97 @@ def homogeneous_polys(draw):
 @given(homogeneous_polys(), st.integers(0, 6))
 def test_generated_dimension_property(invs, deg):
     assert generated_dimension(invs, deg) == dense_generated_dimension(invs, deg)
+
+
+def sweep_setup(n, d, basis=None):
+    """(u-bar, c1-bar, z) of the pipeline; `basis` overrides the default
+    Lambda basis in GF(2^(2n)) (GF(16) at n = 2)."""
+    ctx = field_new(n * (2 if d == 2 or basis else 1))
+    basis = basis or default_lambda_basis(d, n, ctx)
+    return composed_setup(n, d, ctx=ctx, basis=basis)[0]
+
+
+@pytest.mark.parametrize(
+    "n,d,basis,max_deg",
+    [(2, 0, None, 60), (3, 0, None, 30), (2, 1, None, 30), (3, 1, None, 30),
+     (2, 2, None, 30), (2, 1, (0x2,), 30)],
+)
+def test_generated_dimensions_match_per_degree(n, d, basis, max_deg):
+    invs = list(sweep_setup(n, d, basis))
+    assert generated_dimensions(invs, max_deg) == [
+        generated_dimension(invs, deg) for deg in range(max_deg + 1)
+    ]
+
+
+@pytest.mark.parametrize("ctx", [GF2, GF4], ids=["GF2", "GF4"])
+def test_generated_dimensions_two_vars_match_per_degree(ctx):
+    c0, c1 = dickson_pair(ctx.m, ctx)
+    assert generated_dimensions([c0, c1], 30) == [
+        generated_dimension([c0, c1], deg) for deg in range(31)
+    ]
+
+
+def test_generated_dimensions_count_over_the_field():
+    # x and t x span one line over GF(4) but two over GF(2)
+    x, z = MultiPoly.variable(GF4, 0), MultiPoly.variable(GF4, 2)
+    assert generated_dimensions([x, x.scale(2)], 3) == [1, 1, 1, 1]
+    assert generated_dimensions([x, x.scale(2), z], 3) == [1, 2, 3, 4]
+
+
+def test_generated_dimensions_rejects_bad_input():
+    x, y, z = (MultiPoly.variable(GF4, i) for i in range(3))
+    bad = [
+        [x],  # neither (p, q) nor (p, q, z)
+        [x, y, z, z],
+        [MultiPoly.zero(GF4), y, z],
+        [x + y**2, y, z],  # not homogeneous
+        [MultiPoly.one(GF4), y, z],  # degree 0
+        [x, y, y],  # third is not z
+        [x, y, z.scale(2)],
+        [MultiPoly.variable(GF2, 0), y, z],  # mixed contexts
+        [x, MultiPoly.variable(GF2, 1)],
+    ]
+    for invs in bad:
+        with pytest.raises(ValueError):
+            generated_dimensions(invs, 3)
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Homogeneous p, q over GF(2), GF(4) or GF(8), with q often a power or
+    multiple of p, and the degree to sweep to."""
+    ctx = field_new(draw(st.integers(1, 3)))
+
+    def poly(deg):
+        monos = monomials(deg, 3)
+        coeffs = draw(
+            st.lists(st.integers(0, ctx.order - 1), min_size=len(monos), max_size=len(monos))
+        )
+        coeffs[0] = coeffs[0] or 1
+        return MultiPoly.from_terms(ctx, zip(monos, coeffs))
+
+    p = poly(draw(st.integers(1, 3)))
+    kind = draw(st.sampled_from(["free", "square", "scaled", "times z"]))
+    if kind == "free":
+        q = poly(draw(st.integers(1, 3)))
+    elif kind == "square":
+        q = p**2
+    elif kind == "scaled":
+        q = p.scale(draw(st.integers(1, ctx.order - 1)))
+    else:
+        q = p * MultiPoly.variable(ctx, 2)
+    return p, q, draw(st.integers(0, 8))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(sweep_inputs())
+def test_generated_dimensions_property(drawn):
+    p, q, max_deg = drawn
+    z = MultiPoly.variable(p.ctx, 2)
+    for invs in ([p, q, z], [p, q]):
+        assert generated_dimensions(invs, max_deg) == [
+            dense_generated_dimension(invs, deg) for deg in range(max_deg + 1)
+        ]
 
 
 # -- oracle agreement (small slice; the full sweep is acceptance) -----------------
