@@ -10,7 +10,6 @@ oracle.
 from refl2 import linalg  # noqa: F401  (tracers look every refl2 module up)
 from refl2.ffield import (
     DEFAULT_MODULI,
-    Fel,
     FieldCtx,
     field_new,
     mult_generator,
@@ -61,7 +60,6 @@ from refl2.verify import (
 
 __all__ = [
     "DEFAULT_MODULI",
-    "Fel",
     "FieldCtx",
     "field_new",
     "mult_generator",

@@ -15,7 +15,7 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from refl2.ffield import FieldCtx, field_new, subfield_elements
+from refl2.ffield import field_new, subfield_elements
 from refl2.grouplift import (
     ClosureCapError,
     LambdaSpace,
@@ -55,7 +55,6 @@ class VerifyConfig:
     n: int
     d: int = 0
     variant: str = "h1"
-    modulus_q: int | None = None
     modulus_ambient: int | None = None
     lambda_basis: tuple[int, ...] | None = None
     oracle_max_degree: int = 0
@@ -115,23 +114,8 @@ def _resolve_fields(cfg: VerifyConfig) -> LambdaSpace:
             raise ConfigError(
                 f"ambient degree {ambient_degree} is not a multiple of n={cfg.n}"
             )
-    if cfg.modulus_q is not None:
-        if cfg.modulus_q.bit_length() - 1 != cfg.n:
-            raise ConfigError("--modulus-q must have degree n")
-        if modulus is not None:
-            raise ConfigError("pass only one of --modulus-q / --modulus-ambient")
-        if ambient_degree != cfg.n:
-            raise ConfigError(
-                "with d = 2 the subfield sits inside the ambient field; "
-                "pass --modulus-ambient instead of --modulus-q"
-            )
-        modulus = cfg.modulus_q
     try:
-        ctx = (
-            FieldCtx(ambient_degree, modulus)
-            if modulus is not None
-            else field_new(ambient_degree)
-        )
+        ctx = field_new(ambient_degree, modulus)
         basis = cfg.lambda_basis or default_lambda_basis(cfg.d, cfg.n, ctx)
         return LambdaSpace(ctx, cfg.n, basis)
     except ValueError as exc:
@@ -285,19 +269,19 @@ def _selftest_cocycle(log) -> tuple[int, int]:
     passed = failed = 0
     for n in (1, 2, 3):
         ctx = field_new(n)
-        sub = [s.bits for s in subfield_elements(ctx, n)]
+        sub = subfield_elements(ctx, n)
         mul = ctx.mul
         count = 0
         for a, b, c, d in sl2_elements(n, ctx):
-            fab = cocycle_f(ctx.fel(a), ctx.fel(b), n).bits
-            fcd = cocycle_f(ctx.fel(c), ctx.fel(d), n).bits
+            fab = cocycle_f(ctx, a, b, n)
+            fcd = cocycle_f(ctx, c, d, n)
             for p in sub:
                 for q in sub:
                     lhs = mul(p, fab) ^ mul(q, fcd)
                     u, v = mul(p, a) ^ mul(q, c), mul(p, b) ^ mul(q, d)
-                    fuv = cocycle_f(ctx.fel(u), ctx.fel(v), n).bits
-                    ok = lhs ^ cocycle_f(ctx.fel(p), ctx.fel(q), n).bits == fuv
-                    ok &= lhs ^ cocycle_g(ctx.fel(p), ctx.fel(q), n).bits == fuv ^ 1
+                    fuv = cocycle_f(ctx, u, v, n)
+                    ok = lhs ^ cocycle_f(ctx, p, q, n) == fuv
+                    ok &= lhs ^ cocycle_g(ctx, p, q, n) == fuv ^ 1
                     passed += ok
                     failed += not ok
                     count += 1
@@ -305,8 +289,8 @@ def _selftest_cocycle(log) -> tuple[int, int]:
         for t in sub:
             for a in sub:
                 for b in sub:
-                    lhs = cocycle_g(ctx.fel(mul(t, a)), ctx.fel(mul(t, b)), n).bits
-                    ok = lhs == mul(t, cocycle_g(ctx.fel(a), ctx.fel(b), n).bits)
+                    lhs = cocycle_g(ctx, mul(t, a), mul(t, b), n)
+                    ok = lhs == mul(t, cocycle_g(ctx, a, b, n))
                     passed += ok
                     failed += not ok
                     homog += 1
@@ -423,7 +407,6 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--n", type=int, required=True, help="subfield degree (n >= 2)")
     pv.add_argument("--d", type=int, default=0, help="dim of Lambda_1 over GF(2^n)")
     pv.add_argument("--variant", choices=("h1", "h0"), default="h1")
-    pv.add_argument("--modulus-q", type=_hex_int, default=None, metavar="HEX")
     pv.add_argument("--modulus-ambient", type=_hex_int, default=None, metavar="HEX")
     pv.add_argument(
         "--lambda-basis", type=_hex_list, default=None, metavar="HEX[,HEX...]"
@@ -456,7 +439,6 @@ def main(argv=None) -> int:
                 n=args.n,
                 d=args.d or len(args.lambda_basis or ()),
                 variant=args.variant,
-                modulus_q=args.modulus_q,
                 modulus_ambient=args.modulus_ambient,
                 lambda_basis=args.lambda_basis,
                 oracle_max_degree=args.oracle_max_degree,

@@ -6,8 +6,6 @@ zero and one elements are always the ints 0 and 1, and addition is xor.
 A `FieldCtx` carries the extension degree and the irreducible modulus
 and exposes int-level arithmetic (`mul`, `inv`, `sqrt`, `pow_`); these
 are the hot-path primitives used by the polynomial and matrix layers.
-`Fel` is a thin immutable wrapper pairing bits with their context, with
-operator overloads for element-level work.
 
 Moduli are bit-vectors too, with bit m (the leading bit) set; they print
 as hex with the low bit the constant term, e.g. the GF(4) modulus
@@ -203,6 +201,12 @@ class FieldCtx:
             raise ZeroDivisionError("zero has no multiplicative order")
         return self._order_raw(a)
 
+    def check(self, a: int) -> int:
+        """a itself, if it is an element of this field (0 <= a < 2^m)."""
+        if not 0 <= a < self.order:
+            raise ValueError(f"element {a:#x} out of range for {self!r}")
+        return a
+
     def in_subfield(self, a: int, n: int) -> bool:
         """True iff a is fixed by the n-fold Frobenius, a^(2^n) = a."""
         return self.pow_(a, 1 << n) == a
@@ -222,87 +226,6 @@ class FieldCtx:
     def __repr__(self):
         return f"FieldCtx(GF(2^{self.m}), modulus={self.modulus:#x})"
 
-    def fel(self, bits: int) -> "Fel":
-        return Fel(bits, self)
-
-    @property
-    def zero(self) -> "Fel":
-        return Fel(0, self)
-
-    @property
-    def one(self) -> "Fel":
-        return Fel(1, self)
-
-
-class Fel:
-    """A field element: bits plus a reference to its FieldCtx."""
-
-    __slots__ = ("bits", "ctx")
-
-    def __init__(self, bits: int, ctx: FieldCtx):
-        if not 0 <= bits < ctx.order:
-            raise ValueError(f"element {bits:#x} out of range for {ctx!r}")
-        self.bits = bits
-        self.ctx = ctx
-
-    def _coerce(self, other) -> int:
-        if isinstance(other, Fel):
-            if other.ctx != self.ctx:
-                raise ValueError("field elements from mismatched contexts")
-            return other.bits
-        if isinstance(other, int):
-            return Fel(other, self.ctx).bits
-        return NotImplemented
-
-    def __add__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Fel(self.bits ^ b, self.ctx)
-
-    __radd__ = __add__
-    __sub__ = __add__
-    __rsub__ = __add__
-
-    def __mul__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Fel(self.ctx.mul(self.bits, b), self.ctx)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        b = self._coerce(other)
-        if b is NotImplemented:
-            return NotImplemented
-        return Fel(self.ctx.mul(self.bits, self.ctx.inv(b)), self.ctx)
-
-    def __pow__(self, k: int):
-        return Fel(self.ctx.pow_(self.bits, k), self.ctx)
-
-    def inv(self) -> "Fel":
-        return Fel(self.ctx.inv(self.bits), self.ctx)
-
-    def sqrt(self) -> "Fel":
-        return Fel(self.ctx.sqrt(self.bits), self.ctx)
-
-    def __bool__(self):
-        return self.bits != 0
-
-    def __eq__(self, other):
-        if isinstance(other, Fel):
-            return self.bits == other.bits and self.ctx == other.ctx
-        if isinstance(other, int):
-            return self.bits == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.bits, self.ctx.modulus))
-
-    def __repr__(self):
-        return f"{self.bits:#x}"
-
 
 # -- module-level operations -----------------------------------------------
 
@@ -317,25 +240,25 @@ def field_new(m: int, modulus: int | None = None) -> FieldCtx:
     return FieldCtx(m, modulus)
 
 
-def mult_generator(ctx: FieldCtx) -> Fel:
+def mult_generator(ctx: FieldCtx) -> int:
     """Smallest element (by bit-vector value) of multiplicative order 2^m-1."""
-    return Fel(ctx._find_generator_raw(), ctx)
+    return ctx._find_generator_raw()
 
 
-def subfield_elements(ctx: FieldCtx, n: int) -> list[Fel]:
+def subfield_elements(ctx: FieldCtx, n: int) -> list[int]:
     """The 2^n fixed points of the n-fold Frobenius, sorted by value."""
     if n < 1 or ctx.m % n != 0:
         raise ValueError(f"subfield degree {n} does not divide {ctx.m}")
     q = 1 << n
     out = [a for a in range(ctx.order) if ctx.pow_(a, q) == a]
     assert len(out) == q
-    return [Fel(a, ctx) for a in out]
+    return out
 
 
-def subfield_generator(ctx: FieldCtx, n: int) -> Fel:
+def subfield_generator(ctx: FieldCtx, n: int) -> int:
     """Smallest element of the GF(2^n) subfield with multiplicative order 2^n-1."""
     target = (1 << n) - 1
     for a in subfield_elements(ctx, n):
-        if a.bits and ctx._order_raw(a.bits) == target:
+        if a and ctx._order_raw(a) == target:
             return a
     raise AssertionError("subfield generator always exists")

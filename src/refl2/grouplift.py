@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from refl2.ffield import Fel, FieldCtx, subfield_elements, subfield_generator
+from refl2.ffield import FieldCtx, mult_generator, subfield_elements, subfield_generator
 
 
 class ClosureCapError(RuntimeError):
@@ -35,17 +35,14 @@ class Mat3:
     __slots__ = ("ctx", "rows")
 
     def __init__(self, ctx: FieldCtx, rows):
-        rows = tuple(
-            tuple(v.bits if isinstance(v, Fel) else v for v in row) for row in rows
-        )
+        rows = tuple(tuple(row) for row in rows)
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("need a 3x3 matrix")
         if rows[2] != (0, 0, 1):
             raise ValueError("last row must be (0, 0, 1)")
         for row in rows:
             for v in row:
-                if not 0 <= v < ctx.order:
-                    raise ValueError(f"entry {v:#x} out of range for {ctx!r}")
+                ctx.check(v)
         self.ctx = ctx
         self.rows = rows
 
@@ -120,9 +117,6 @@ class Mat3:
 
     def is_block_diagonal(self) -> bool:
         return self.rows[0][2] == 0 and self.rows[1][2] == 0
-
-    def block_in_subfield(self, n: int) -> bool:
-        return all(self.ctx.in_subfield(v, n) for v in self.block2())
 
     def __eq__(self, other):
         if not isinstance(other, Mat3):
@@ -204,24 +198,20 @@ def _subfield_check(ctx: FieldCtx, n: int, *vals: int):
     if ctx.m % n != 0:
         raise ValueError(f"subfield degree {n} does not divide {ctx.m}")
     for v in vals:
-        if not ctx.in_subfield(v, n):
+        if not ctx.in_subfield(ctx.check(v), n):
             raise ValueError(f"element {v:#x} lies outside GF(2^{n})")
 
 
-def cocycle_f(a: Fel, b: Fel, n: int) -> Fel:
+def cocycle_f(ctx: FieldCtx, a: int, b: int, n: int) -> int:
     """f(a,b) = 1 + a + b + a^(2^(n-1)) b^(2^(n-1)) on GF(2^n) inputs."""
-    if a.ctx != b.ctx:
-        raise ValueError("cocycle inputs from mismatched contexts")
-    ctx = a.ctx
-    _subfield_check(ctx, n, a.bits, b.bits)
+    _subfield_check(ctx, n, a, b)
     h = 1 << (n - 1)
-    v = 1 ^ a.bits ^ b.bits ^ ctx.mul(ctx.pow_(a.bits, h), ctx.pow_(b.bits, h))
-    return Fel(v, ctx)
+    return 1 ^ a ^ b ^ ctx.mul(ctx.pow_(a, h), ctx.pow_(b, h))
 
 
-def cocycle_g(a: Fel, b: Fel, n: int) -> Fel:
+def cocycle_g(ctx: FieldCtx, a: int, b: int, n: int) -> int:
     """g(a,b) = f(a,b) + 1; homogeneous of degree 1 on GF(2^n)^2."""
-    return Fel(cocycle_f(a, b, n).bits ^ 1, a.ctx)
+    return cocycle_f(ctx, a, b, n) ^ 1
 
 
 # -- generators and lifts -------------------------------------------------------
@@ -231,7 +221,7 @@ def sl2_generators(n: int, ambient: FieldCtx) -> tuple[Mat3, Mat3, Mat3]:
     """R = diag(e^-1, e), S and T the two transvections, embedded with
     trivial third row and column.  e is the canonical generator of the
     GF(2^n) subfield's multiplicative group."""
-    e = subfield_generator(ambient, n).bits
+    e = subfield_generator(ambient, n)
     ei = ambient.inv(e)
     R = Mat3.block(ambient, ei, 0, 0, e)
     S = Mat3.block(ambient, 1, 1, 0, 1)
@@ -247,7 +237,7 @@ def lift_generators(variant: str, n: int, ambient: FieldCtx) -> tuple[Mat3, Mat3
     """
     if variant not in ("h1", "h0"):
         raise ValueError(f"unknown variant {variant!r}; expected 'h1' or 'h0'")
-    e = subfield_generator(ambient, n).bits
+    e = subfield_generator(ambient, n)
     ei = ambient.inv(e)
     S_l = Mat3.block(ambient, 1, 1, 0, 1)
     T_l = Mat3.block(ambient, 1, 0, 1, 1)
@@ -261,7 +251,7 @@ def lift_generators(variant: str, n: int, ambient: FieldCtx) -> tuple[Mat3, Mat3
 def sl2_elements(n: int, ambient: FieldCtx) -> list[tuple[int, int, int, int]]:
     """All (a, b, c, d) over the GF(2^n) subfield with ad + bc = 1,
     sorted by (a, b, c, d) bit-vector value."""
-    sub = [s.bits for s in subfield_elements(ambient, n)]
+    sub = subfield_elements(ambient, n)
     mul = ambient.mul
     out = []
     for a, b, c, d in iproduct(sub, repeat=4):
@@ -270,19 +260,17 @@ def sl2_elements(n: int, ambient: FieldCtx) -> list[tuple[int, int, int, int]]:
     return out
 
 
-def h_gamma(gamma: Fel, n: int, ambient: FieldCtx) -> GroupSet:
+def h_gamma(gamma: int, n: int, ambient: FieldCtx) -> GroupSet:
     """The cocycle subgroup H_gamma: SL2 blocks with third column
     (gamma*f(a,b), gamma*f(c,d), 1).  Verified closed under
     multiplication; its cardinality is |SL2(GF(2^n))|."""
-    if gamma.ctx != ambient:
-        raise ValueError("gamma from a mismatched context")
+    ambient.check(gamma)
     mul = ambient.mul
-    g = gamma.bits
 
     def lift(a, b, c, d):
-        fa = cocycle_f(Fel(a, ambient), Fel(b, ambient), n).bits
-        fc = cocycle_f(Fel(c, ambient), Fel(d, ambient), n).bits
-        return Mat3.block(ambient, a, b, c, d, col=(mul(g, fa), mul(g, fc)))
+        fa = cocycle_f(ambient, a, b, n)
+        fc = cocycle_f(ambient, c, d, n)
+        return Mat3.block(ambient, a, b, c, d, col=(mul(gamma, fa), mul(gamma, fc)))
 
     els = sorted((lift(*blk) for blk in sl2_elements(n, ambient)), key=Mat3.key)
     gens = [lift(*m.block2()) for m in sl2_generators(n, ambient)]
@@ -319,10 +307,7 @@ class LambdaSpace:
     def __init__(self, ambient: FieldCtx, n: int, basis):
         if n < 1 or ambient.m % n != 0:
             raise ValueError(f"subfield degree {n} does not divide {ambient.m}")
-        basis = tuple(v.bits if isinstance(v, Fel) else v for v in basis)
-        for v in basis:
-            if not 0 <= v < ambient.order:
-                raise ValueError(f"basis element {v:#x} out of range")
+        basis = tuple(ambient.check(v) for v in basis)
         self.ambient = ambient
         self.n = n
         self.basis = basis
@@ -378,10 +363,7 @@ def default_lambda_basis(d: int, n: int, ambient: FieldCtx) -> tuple[int, ...]:
     if d == 1:
         return (1,)
     if d == 2:
-        from refl2.ffield import mult_generator
-
-        theta = mult_generator(ambient).bits
-        return (1, theta)
+        return (1, mult_generator(ambient))
     raise ValueError(f"no default basis for d={d}")
 
 

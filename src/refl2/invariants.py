@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from refl2.ffield import Fel, FieldCtx, subfield_elements, subfield_generator
+from refl2.ffield import FieldCtx, subfield_elements, subfield_generator
 from refl2.grouplift import LambdaSpace, Mat3, cocycle_g
 from refl2.mvpoly import MultiPoly
 
@@ -73,8 +73,7 @@ def dickson_support_check(f: MultiPoly, n: int, d: int) -> bool:
 def projective_reps(n: int, ambient: FieldCtx) -> list[tuple[int, int]]:
     """Canonical representatives of the q+1 form (or direction) classes:
     first nonzero coordinate equal to 1, sorted by value."""
-    sub = [s.bits for s in subfield_elements(ambient, n)]
-    return [(0, 1)] + [(1, s) for s in sub]
+    return [(0, 1)] + [(1, s) for s in subfield_elements(ambient, n)]
 
 
 def _lifted_family(
@@ -94,8 +93,7 @@ def _lifted_family(
     def form(a: int, b: int) -> MultiPoly:
         p = X.scale(a) + Y.scale(b)
         if Z:
-            g = cocycle_g(Fel(a, ctx), Fel(b, ctx), n).bits
-            p = p + Z.scale(ctx.mul(gscale, g))
+            p = p + Z.scale(ctx.mul(gscale, cocycle_g(ctx, a, b, n)))
         return p
 
     forms = [form(a, b) for a, b in projective_reps(n, ambient=ctx)]
@@ -128,10 +126,9 @@ def dickson_u(n: int, ambient: FieldCtx) -> MultiPoly:
 
 
 def lifted_invariants(
-    n: int, ambient: FieldCtx, scale: int | Fel = 1
+    n: int, ambient: FieldCtx, scale: int = 1
 ) -> tuple[MultiPoly, MultiPoly]:
     """(u~, c1~) with every plane form lifted by + scale*g(a,b)*z."""
-    scale = scale.bits if isinstance(scale, Fel) else scale
     x = MultiPoly.variable(ambient, 0)
     y = MultiPoly.variable(ambient, 1)
     z = MultiPoly.variable(ambient, 2)
@@ -173,10 +170,10 @@ class ActionDescriptor:
 
 def _affine_decompose(img, fx, fy, zpow, what):
     """img = a fx + b fy + t z^zpow, by exact coefficient comparison."""
-    a = img.coeff((zpow, 0, 0)).bits
-    b = img.coeff((0, zpow, 0)).bits
+    a = img.coeff((zpow, 0, 0))
+    b = img.coeff((0, zpow, 0))
     resid = img + fx.scale(a) + fy.scale(b)
-    t = resid.coeff((0, 0, zpow)).bits
+    t = resid.coeff((0, 0, zpow))
     resid = resid + MultiPoly.from_terms(img.ctx, [((0, 0, zpow), t)])
     if not resid.is_zero():
         raise ActionShapeError(
@@ -190,20 +187,18 @@ def kernel_action(
     fx: MultiPoly,
     fy: MultiPoly,
     fz: MultiPoly,
-    n: int | None = None,
+    n: int,
 ) -> ActionDescriptor:
-    """Decompose each lift's action on (f_x, f_y) exactly.
+    """Decompose each lift's action on (f_x, f_y) exactly, the linear
+    parts over the GF(2^n) subfield.
 
     Reports alpha, the z^(q^d)-offset of f_x under the diagonal lift
-    (zero when every offset vanishes).  The subfield degree n is
-    recovered from the lift entries when not given.
+    (zero when every offset vanishes).
     """
     ctx = fx.ctx
     zpow = fx.deg()
     if fz != MultiPoly.variable(ctx, 2):
         raise ValueError("f_z must be the coordinate z")
-    if n is None:
-        n = _subfield_degree_of(lifts, ctx)
     d = 0
     while (1 << (n * d)) < zpow:
         d += 1
@@ -221,18 +216,8 @@ def kernel_action(
         actions.append(act)
         if (tx or ty) and bx == 0 and ay == 0 and (ax, by) != (1, 1):
             alpha = tx
-    e = subfield_generator(ctx, n).bits
+    e = subfield_generator(ctx, n)
     return ActionDescriptor(ctx, n, d, zpow, tuple(actions), alpha, e)
-
-
-def _subfield_degree_of(lifts, ctx) -> int:
-    # smallest n dividing m with all block entries Frobenius-fixed
-    for n in range(1, ctx.m + 1):
-        if ctx.m % n:
-            continue
-        if all(g.block_in_subfield(n) for g in lifts):
-            return n
-    raise ValueError("lift blocks lie in no proper subfield")
 
 
 def composed_invariants(

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from refl2.ffield import Fel, FieldCtx
+from refl2.ffield import FieldCtx
 
 DEGREE_CAP = 1 << 16
 
@@ -57,8 +57,7 @@ class MultiPoly:
         return cls(ctx, {(0, 0, 0): 1})
 
     @classmethod
-    def constant(cls, ctx: FieldCtx, c) -> "MultiPoly":
-        c = c.bits if isinstance(c, Fel) else c
+    def constant(cls, ctx: FieldCtx, c: int) -> "MultiPoly":
         return cls(ctx, {(0, 0, 0): c} if c else {})
 
     @classmethod
@@ -68,11 +67,10 @@ class MultiPoly:
         return cls(ctx, {tuple(e): 1})
 
     @classmethod
-    def linear_form(cls, ctx: FieldCtx, a, b, c) -> "MultiPoly":
-        """a*x + b*y + c*z with int or Fel coefficients."""
-        coeffs = [v.bits if isinstance(v, Fel) else v for v in (a, b, c)]
+    def linear_form(cls, ctx: FieldCtx, a: int, b: int, c: int) -> "MultiPoly":
+        """a*x + b*y + c*z."""
         terms = {}
-        for i, v in enumerate(coeffs):
+        for i, v in enumerate((a, b, c)):
             if v:
                 e = [0, 0, 0]
                 e[i] = 1
@@ -83,8 +81,7 @@ class MultiPoly:
     def from_terms(cls, ctx: FieldCtx, items: Iterable) -> "MultiPoly":
         """Build from (exps, coeff) pairs; repeated exponents xor together."""
         terms = {}
-        for exps, coeff in items:
-            c = coeff.bits if isinstance(coeff, Fel) else coeff
+        for exps, c in items:
             exps = tuple(exps)
             c ^= terms.get(exps, 0)
             if c:
@@ -114,8 +111,8 @@ class MultiPoly:
         degs = {a + b + c for a, b, c in self._terms}
         return len(degs) <= 1
 
-    def coeff(self, exps) -> Fel:
-        return Fel(self._terms.get(tuple(exps), 0), self.ctx)
+    def coeff(self, exps) -> int:
+        return self._terms.get(tuple(exps), 0)
 
     def terms(self) -> Iterator[tuple[tuple[int, int, int], int]]:
         """Terms in canonical graded-lex descending order (coeffs as ints)."""
@@ -162,9 +159,8 @@ class MultiPoly:
                     terms[exps] = c
         return MultiPoly(self.ctx, terms)
 
-    def scale(self, c) -> "MultiPoly":
+    def scale(self, c: int) -> "MultiPoly":
         """Multiply by a scalar."""
-        c = c.bits if isinstance(c, Fel) else c
         if c == 0:
             return MultiPoly(self.ctx)
         if c == 1:

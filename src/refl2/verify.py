@@ -237,12 +237,18 @@ def _weighted_compositions(weights: list[int], total: int):
     return out
 
 
-def generated_dimension(invs: list[MultiPoly], deg: int) -> int:
-    """Rank of the set of monomials in the candidate generators of the
-    given total degree, by exact elimination."""
+def _check_generators(invs: list[MultiPoly]) -> None:
     for p in invs:
         if p.is_zero() or not p.is_homogeneous():
             raise ValueError("generators must be nonzero and homogeneous")
+        if p.deg() == 0:
+            raise ValueError("generators must have positive degree")
+
+
+def generated_dimension(invs: list[MultiPoly], deg: int) -> int:
+    """Rank of the set of monomials in the candidate generators of the
+    given total degree, by exact elimination."""
+    _check_generators(invs)
     ctx = invs[0].ctx
     m = ctx.m
     column: dict = {}
@@ -272,11 +278,7 @@ def generated_dimensions(invs: list[MultiPoly], max_deg: int) -> list[int]:
     memoized on them, up to max_deg."""
     if len(invs) not in (2, 3):
         raise ValueError("need generators (p, q) or (p, q, z)")
-    for p in invs:
-        if p.is_zero() or not p.is_homogeneous():
-            raise ValueError("generators must be nonzero and homogeneous")
-        if p.deg() == 0:
-            raise ValueError("generators must have positive degree")
+    _check_generators(invs)
     ctx = invs[0].ctx
     if any(p.ctx != ctx for p in invs):
         raise ValueError("generators from mixed contexts")

@@ -79,10 +79,12 @@ def test_cli_exit_codes(tmp_path, capsys):
 def test_cli_bad_flags(capsys):
     assert main(["verify"]) == EXIT_BAD_CONFIG  # --n required
     assert main(["verify", "--n", "2", "--variant", "h2"]) == EXIT_BAD_CONFIG
-    assert main(["verify", "--n", "2", "--modulus-q", "zz"]) == EXIT_BAD_CONFIG
+    assert main(["verify", "--n", "2", "--modulus-ambient", "zz"]) == EXIT_BAD_CONFIG
     capsys.readouterr()
     assert main(["verify", "--n", "2", "--threads", "1"]) == EXIT_BAD_CONFIG
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
+    assert main(["verify", "--n", "2", "--modulus-q", "0x7"]) == EXIT_BAD_CONFIG
+    assert "unrecognized arguments: --modulus-q" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -129,15 +131,11 @@ def test_cli_unwritable_json_exits_2(where, tmp_path, capsys):
 
 def test_cli_modulus_overrides():
     # GF(8) given by the other irreducible cubic t^3+t^2+1 = 0xd
-    code, report = run_verify(VerifyConfig(n=3, d=0, modulus_q=0xD))
+    code, report = run_verify(VerifyConfig(n=3, d=0, modulus_ambient=0xD))
     assert code == EXIT_OK
     assert report.to_dict()["moduli"]["ambient"] == "0xd"
     with pytest.raises(ConfigError):
-        run_verify(VerifyConfig(n=2, d=0, modulus_q=0x5))  # reducible
-    with pytest.raises(ConfigError):
-        run_verify(VerifyConfig(n=2, d=2, modulus_q=0x7))  # needs ambient modulus
-    with pytest.raises(ConfigError):
-        run_verify(VerifyConfig(n=2, d=0, modulus_q=0x7, modulus_ambient=0x13))
+        run_verify(VerifyConfig(n=2, d=0, modulus_ambient=0x5))  # reducible
 
 
 def test_cli_lambda_basis_override():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refl2.ffield import Fel, field_new, subfield_elements, subfield_generator
+from refl2.ffield import field_new, subfield_elements, subfield_generator
 from refl2.grouplift import (
     ClosureCapError,
     LambdaSpace,
@@ -33,7 +33,7 @@ def lambda_span_reference(ctx, n, basis):
     """Lambda_1 by enumeration, the reference for `LambdaSpace`: every
     GF(2^n)-combination of the basis, sorted by value.  It has 2^(nd)
     elements iff the d basis vectors are independent over GF(2^n)."""
-    sub = [s.bits for s in subfield_elements(ctx, n)]
+    sub = subfield_elements(ctx, n)
     span = set()
     for coeffs in iproduct(sub, repeat=len(basis)):
         v = 0
@@ -77,44 +77,51 @@ def test_mat3_inverse():
 
 
 def test_cocycle_f_values():
-    z, o = GF4.zero, GF4.one
-    assert cocycle_f(z, z, 2) == o
-    assert cocycle_f(o, o, 2) == z
+    assert cocycle_f(GF4, 0, 0, 2) == 1
+    assert cocycle_f(GF4, 1, 1, 2) == 0
     e = subfield_generator(GF4, 2)
-    ei = e.inv()
-    assert cocycle_f(ei, z, 2) == o + ei
+    ei = GF4.inv(e)
+    assert type(cocycle_f(GF4, ei, 0, 2)) is int
+    assert cocycle_f(GF4, ei, 0, 2) == 1 ^ ei
 
 
 def test_cocycle_g_values():
-    z, o = GF4.zero, GF4.one
-    assert cocycle_g(z, z, 2) == z
-    assert cocycle_g(o, o, 2) == o
-    t = GF4.fel(0x2)
-    assert cocycle_g(t * o, t * o, 2) == t * cocycle_g(o, o, 2)
+    assert cocycle_g(GF4, 0, 0, 2) == 0
+    assert cocycle_g(GF4, 1, 1, 2) == 1
+    t = 0x2
+    assert cocycle_g(GF4, t, t, 2) == GF4.mul(t, cocycle_g(GF4, 1, 1, 2))
 
 
 def test_cocycle_rejects_outside_subfield():
     ctx = field_new(4)
-    theta = ctx.fel(0x2)  # generator of GF(16), not in GF(4)
+    theta = 0x2  # generator of GF(16), not in GF(4)
     with pytest.raises(ValueError):
-        cocycle_f(theta, ctx.one, 2)
+        cocycle_f(ctx, theta, 1, 2)
+    # 0x10 is no element of GF(16) at all
+    for bad in (0x10, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            cocycle_f(ctx, bad, 1, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            cocycle_g(ctx, 1, bad, 2)
+        with pytest.raises(ValueError, match="out of range"):
+            h_gamma(bad, 2, GF4)
 
 
 def cocycle_identity_counts(n, ctx):
     """Exhaustive check of the twisted-additivity law; returns instances."""
-    sub = [s.bits for s in subfield_elements(ctx, n)]
+    sub = subfield_elements(ctx, n)
     mul = ctx.mul
     count = 0
     for a, b, c, d in sl2_elements(n, ctx):
-        fab = cocycle_f(Fel(a, ctx), Fel(b, ctx), n).bits
-        fcd = cocycle_f(Fel(c, ctx), Fel(d, ctx), n).bits
+        fab = cocycle_f(ctx, a, b, n)
+        fcd = cocycle_f(ctx, c, d, n)
         for p in sub:
             for q in sub:
                 lhs = mul(p, fab) ^ mul(q, fcd)
                 u, v = mul(p, a) ^ mul(q, c), mul(p, b) ^ mul(q, d)
-                fuv = cocycle_f(Fel(u, ctx), Fel(v, ctx), n).bits
+                fuv = cocycle_f(ctx, u, v, n)
                 guv = fuv ^ 1
-                fpq = cocycle_f(Fel(p, ctx), Fel(q, ctx), n).bits
+                fpq = cocycle_f(ctx, p, q, n)
                 assert lhs ^ fpq == fuv
                 assert lhs ^ (fpq ^ 1) == guv
                 count += 1
@@ -128,13 +135,13 @@ def test_cocycle_identity_exhaustive():
 
 def test_g_homogeneity_exhaustive():
     for n, ctx in ((1, GF2), (2, GF4), (3, GF8)):
-        sub = [s.bits for s in subfield_elements(ctx, n)]
+        sub = subfield_elements(ctx, n)
         for t in sub:
             for a in sub:
                 for b in sub:
-                    lhs = cocycle_g(Fel(ctx.mul(t, a), ctx), Fel(ctx.mul(t, b), ctx), n)
-                    rhs = ctx.mul(t, cocycle_g(Fel(a, ctx), Fel(b, ctx), n).bits)
-                    assert lhs.bits == rhs
+                    lhs = cocycle_g(ctx, ctx.mul(t, a), ctx.mul(t, b), n)
+                    rhs = ctx.mul(t, cocycle_g(ctx, a, b, n))
+                    assert lhs == rhs
 
 
 def test_sl2_generator_closure_orders():
@@ -159,7 +166,7 @@ def test_sl2_closure_matches_determinant_scan():
 
 
 def test_lift_generators_displays():
-    e = subfield_generator(GF4, 2).bits
+    e = subfield_generator(GF4, 2)
     ei = GF4.inv(e)
     R0, S_l, T_l = lift_generators("h0", 2, GF4)
     assert R0.rows == ((ei, 0, 0), (0, e, 0), (0, 0, 1))
@@ -174,13 +181,13 @@ def test_lift_generators_displays():
 
 
 def test_h_gamma_block_diagonal_when_zero():
-    H0 = h_gamma(GF4.zero, 2, GF4)
+    H0 = h_gamma(0, 2, GF4)
     assert len(H0) == 60
     assert all(m.is_block_diagonal() for m in H0)
 
 
 def test_h_gamma_one_contains_transvection_lifts():
-    H1 = h_gamma(GF4.one, 2, GF4)
+    H1 = h_gamma(1, 2, GF4)
     assert len(H1) == 60
     _, S_l, T_l = lift_generators("h1", 2, GF4)
     assert S_l in H1 and T_l in H1
@@ -188,16 +195,16 @@ def test_h_gamma_one_contains_transvection_lifts():
 
 def test_h_gamma_random_gamma_product_columns():
     rng = random.Random(5)
-    gamma = GF4.fel(0x3)
+    gamma = 0x3
     H = h_gamma(gamma, 2, GF4)
     els = H.sorted_elements()
     for _ in range(50):
         m1, m2 = rng.choice(els), rng.choice(els)
         p = m1 * m2
         a, b, c, d = p.block2()
-        fa = cocycle_f(Fel(a, GF4), Fel(b, GF4), 2).bits
-        fc = cocycle_f(Fel(c, GF4), Fel(d, GF4), 2).bits
-        assert p.third_col() == (GF4.mul(gamma.bits, fa), GF4.mul(gamma.bits, fc))
+        fa = cocycle_f(GF4, a, b, 2)
+        fc = cocycle_f(GF4, c, d, 2)
+        assert p.third_col() == (GF4.mul(gamma, fa), GF4.mul(gamma, fc))
 
 
 def test_lambda_space():
@@ -217,7 +224,7 @@ def test_lambda_span_closed():
     ls = LambdaSpace(ctx, 2, (theta,))
     lam = set(lambda_span_reference(ctx, 2, ls.basis))
     assert {a for a in range(ctx.order) if a in ls} == lam
-    sub = [s.bits for s in subfield_elements(ctx, 2)]
+    sub = subfield_elements(ctx, 2)
     for a in lam:
         for b in lam:
             assert a ^ b in lam
@@ -249,7 +256,7 @@ def lambda_bases(draw):
         elif kind == "repeat" and basis:
             v = draw(st.sampled_from(basis))
         elif kind == "combination" and basis:
-            s = draw(st.sampled_from([e.bits for e in subfield_elements(ctx, n)]))
+            s = draw(st.sampled_from(subfield_elements(ctx, n)))
             v = ctx.mul(s, draw(st.sampled_from(basis))) ^ draw(st.sampled_from(basis))
         else:
             v = draw(st.integers(0, ctx.order - 1))
@@ -431,11 +438,11 @@ def test_verify_splitting_matches_bfs_closure(n, d, variant):
 def test_complement_conjugate_to_cocycle_subgroup():
     # diag(1, 1, 1 + e^-1) carries <R-lift, S-lift, T-lift> onto H_1
     for n, ctx in ((2, GF4), (3, GF8)):
-        e = subfield_generator(ctx, n).bits
+        e = subfield_generator(ctx, n)
         delta = 1 ^ ctx.inv(e)
         lifts = list(lift_generators("h1", n, ctx))
         comp = closure(lifts)
-        H1 = h_gamma(ctx.one, n, ctx)
+        H1 = h_gamma(1, n, ctx)
         di = ctx.inv(delta)
         conj = set()
         for m in comp:
@@ -452,6 +459,6 @@ def test_complement_conjugate_to_cocycle_subgroup():
 
 
 def test_h_gamma_n3_closure_cardinality():
-    for gamma in (GF8.zero, GF8.one):
+    for gamma in (0, 1):
         H = h_gamma(gamma, 3, GF8)
         assert len(H) == 504

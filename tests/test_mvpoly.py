@@ -71,7 +71,8 @@ def test_constructors_and_zero_pruning():
     p = MultiPoly.from_terms(GF4, [((1, 0, 0), 1), ((1, 0, 0), 1)])
     assert p.is_zero() and len(p) == 0
     q = MultiPoly.from_terms(GF4, [((2, 0, 0), 0x2), ((0, 1, 0), 0)])
-    assert len(q) == 1 and q.coeff((2, 0, 0)).bits == 0x2
+    assert len(q) == 1 and q.coeff((2, 0, 0)) == 0x2
+    assert type(q.coeff((2, 0, 0))) is int and q.coeff((1, 0, 0)) == 0
 
 
 def test_mul_frobenius_square():

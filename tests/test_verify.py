@@ -442,6 +442,8 @@ def test_generated_dimensions_rejects_bad_input():
     for invs in bad:
         with pytest.raises(ValueError):
             generated_dimensions(invs, 3)
+    with pytest.raises(ValueError, match="positive degree"):
+        generated_dimension([MultiPoly.one(GF4), x], 2)
 
 
 @st.composite
