@@ -165,6 +165,10 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
     )
     failures: list[str] = []
 
+    # the lifts' blocks generate SL2(GF(q)), so |H| >= q(q^2 - 1)
+    q = 1 << cfg.n
+    if q * (q * q - 1) > cfg.max_group:
+        return _finish(report, ["group-cap"], start)
     lifts = list(lift_generators(cfg.variant, cfg.n, ctx))
     try:
         translations = kernel_group(ls, cap=cfg.max_group)
@@ -345,12 +349,13 @@ def _selftest_oracle(log) -> tuple[int, int]:
     ctx = field_new(1)
     _, S, T = sl2_generators(1, ctx)
     c0, c1 = dickson_pair(1, ctx)
-    fixed = fixed_dimensions([S, T], 15, 2)
-    for fd, gd in zip(fixed, generated_dimensions([c0, c1], 15)):
+    fixed = fixed_dimensions([S, T], 15)
+    z = MultiPoly.variable(ctx, 2)
+    for fd, gd in zip(fixed, generated_dimensions([c0, c1, z], 15)):
         ok = fd == gd
         passed += ok
         failed += not ok
-    log("oracle q=2 on 2 vars: degrees 0..15 against (c0, c1)")
+    log("oracle q=2: degrees 0..15 against (c0, c1, z)")
     code, report = run_verify(VerifyConfig(n=2, d=0, oracle_max_degree=12))
     ok = code == EXIT_OK and all(
         e["fixed_dim"] == e["generated_dim"] for e in report.oracle
@@ -405,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("verify", help="run the full construction + verification")
     pv.add_argument("--n", type=int, required=True, help="subfield degree (n >= 2)")
-    pv.add_argument("--d", type=int, default=0, help="dim of Lambda_1 over GF(2^n)")
+    pv.add_argument("--d", type=int, default=None, help="dim of Lambda_1 over GF(2^n)")
     pv.add_argument("--variant", choices=("h1", "h0"), default="h1")
     pv.add_argument("--modulus-ambient", type=_hex_int, default=None, metavar="HEX")
     pv.add_argument(
@@ -437,7 +442,7 @@ def main(argv=None) -> int:
         if args.command == "verify":
             cfg = VerifyConfig(
                 n=args.n,
-                d=args.d or len(args.lambda_basis or ()),
+                d=len(args.lambda_basis or ()) if args.d is None else args.d,
                 variant=args.variant,
                 modulus_ambient=args.modulus_ambient,
                 lambda_basis=args.lambda_basis,

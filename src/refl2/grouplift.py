@@ -115,9 +115,6 @@ class Mat3:
     def third_col(self) -> tuple:
         return (self.rows[0][2], self.rows[1][2])
 
-    def is_block_diagonal(self) -> bool:
-        return self.rows[0][2] == 0 and self.rows[1][2] == 0
-
     def __eq__(self, other):
         if not isinstance(other, Mat3):
             return NotImplemented

@@ -2,7 +2,8 @@
 
 A `MultiPoly` maps exponent triples (a, b, c) for x^a y^b z^c to nonzero
 coefficients (field elements as ints, see refl2.ffield).  Zero
-coefficients are never stored.  The canonical term order everywhere --
+coefficients are never stored.  The constructors that take coefficients
+and `scale` raise ValueError on an int outside the field.  The canonical term order everywhere --
 iteration, printing, hashing -- is graded lexicographic descending:
 total degree first, then the x, y, z exponents.
 
@@ -58,7 +59,7 @@ class MultiPoly:
 
     @classmethod
     def constant(cls, ctx: FieldCtx, c: int) -> "MultiPoly":
-        return cls(ctx, {(0, 0, 0): c} if c else {})
+        return cls(ctx, {(0, 0, 0): c} if ctx.check(c) else {})
 
     @classmethod
     def variable(cls, ctx: FieldCtx, idx: int) -> "MultiPoly":
@@ -71,7 +72,7 @@ class MultiPoly:
         """a*x + b*y + c*z."""
         terms = {}
         for i, v in enumerate((a, b, c)):
-            if v:
+            if ctx.check(v):
                 e = [0, 0, 0]
                 e[i] = 1
                 terms[tuple(e)] = v
@@ -83,7 +84,7 @@ class MultiPoly:
         terms = {}
         for exps, c in items:
             exps = tuple(exps)
-            c ^= terms.get(exps, 0)
+            c = ctx.check(c) ^ terms.get(exps, 0)
             if c:
                 terms[exps] = c
             else:
@@ -161,7 +162,7 @@ class MultiPoly:
 
     def scale(self, c: int) -> "MultiPoly":
         """Multiply by a scalar."""
-        if c == 0:
+        if self.ctx.check(c) == 0:
             return MultiPoly(self.ctx)
         if c == 1:
             return self

@@ -7,11 +7,15 @@ Jacobian determinant is nonzero.  `kemper_check` verifies the three
 clauses exactly and names every failing one.
 
 The oracle is independent of the construction path: degree by degree it
-compares the dimension of the fixed homogeneous polynomials, the kernel
-of Phi_d(p) = (g p - p) stacked over the generators (no averaging exists
-in the modular case), with the number of independent monomials in the
-candidate generators.  `fixed_dimensions` sweeps all degrees at once.
-Every generator has last row (0, 0, 1), so g z = z, and
+compares the dimension of the fixed homogeneous polynomials in x, y, z,
+the kernel of Phi_d(p) = (g p - p) stacked over the generators (no
+averaging exists in the modular case), with the number of independent
+monomials in the candidate generators.  Three variables suffice: for
+block-diagonal generators S^G = k[x, y]^G [z], so dim S^G_d is the sum
+over k <= d of dim k[x, y]^G_k, and likewise for Gen(c0, c1, z) and
+Gen(c0, c1); by first differences, agreement up to degree D in one form
+is agreement up to D in the other.  `fixed_dimensions` sweeps all
+degrees at once.  Every generator has last row (0, 0, 1), so g z = z, and
   Phi_d(z p) = z Phi_{d-1}(p),
   S_d = k[x, y]_d + z S_{d-1} (direct sum),
   hence image Phi_d = Phi_d(k[x, y]_d) + z image Phi_{d-1}:
@@ -21,10 +25,10 @@ and degree d adds only the images of the d+1 monomials free of z.
 Gen_d of the degree-d products of candidate generators (u, c1, z) is
   Gen_d = z Gen_{d-1} + span{u^i c1^j : i deg u + j deg c1 = d},
 so the echelon basis of Gen_{d-1} carries over as it stands, and degree d
-adds only its products free of z, each built once.  Both sweeps index
-monomials as `_pack` does, where z times a monomial keeps its index.
-Ranks over GF(2^m) are GF(2) ranks of the rows v, t v, ..., t^(m-1) v,
-divided by m.
+adds only its products free of z, each built once.  Both sweeps run
+the one echelon loop `_ranks` and index monomials as `_pack` does, where
+z times a monomial keeps its index.  Ranks over GF(2^m) are GF(2) ranks
+of the rows v, t v, ..., t^(m-1) v, divided by m.
 
 `express_in_generators` realizes the inductive division argument:
 restrict to z = 0, express the restriction in the restricted
@@ -153,71 +157,72 @@ def _field_rows(ctx: FieldCtx, v: int) -> list[int]:
     return rows
 
 
-def _pack(terms: dict, d: int, size: int, m: int, k: int = 1, i: int = 0) -> int:
+def _ranks(ctx: FieldCtx, max_deg: int, vectors) -> list[int]:
+    """Entry d is the field rank of every packed vector that `vectors(e)`
+    yields for e = 0..d.  One GF(2) echelon basis is kept for the whole
+    sweep: its rows of degree d-1 stand for z times them in degree d."""
+    basis: dict = {}
+    ranks = []
+    for d in range(max_deg + 1):
+        for v in vectors(d):
+            for row in _field_rows(ctx, v):
+                _insert(basis, row)
+        rank, rest = divmod(len(basis), ctx.m)
+        assert not rest
+        ranks.append(rank)
+    return ranks
+
+
+def _pack(terms: dict, d: int, m: int, k: int = 1, i: int = 0) -> int:
     """The degree-d polynomial with term dict `terms` as a GF(2) row of
-    m-bit lanes.  Among `size` monomials of degree d, x^a y^b z^c has
-    index size-1 - a - c(d+1) + c(c-1)/2 (z-exponent descending, then
-    x-exponent descending): with size = (d+1)(d+2)/2 the monomials free of
-    z come last and z times a monomial of degree d-1 keeps its index, and
-    with size = d+1 the plane monomial x^a y^(d-a) has index d-a.  The
+    m-bit lanes.  Among the (d+1)(d+2)/2 monomials of degree d, x^a y^b z^c
+    has index (d+1)(d+2)/2 - 1 - a - c(d+1) + c(c-1)/2 (z-exponent
+    descending, then x-exponent descending): the monomials free of z come
+    last, and z times a monomial of degree d-1 keeps its index.  The
     coefficient goes to lane index*k + i, which interleaves k rows."""
+    size = (d + 1) * (d + 2) // 2
     v = 0
     for (a, _, c), coeff in terms.items():
         v ^= coeff << ((size - 1 - a - c * (d + 1) + c * (c - 1) // 2) * k + i) * m
     return v
 
 
-def fixed_dimensions(gens: list[Mat3], max_deg: int, nvars: int = 3) -> list[int]:
+def fixed_dimensions(gens: list[Mat3], max_deg: int) -> list[int]:
     """Dimensions over the coefficient field of the fixed homogeneous
-    polynomials of degrees 0..max_deg, in one sweep: entry d is the
-    number of degree-d monomials minus the rank of Phi_d (module doc).
+    polynomials in x, y, z of degrees 0..max_deg, in one sweep: entry d
+    is the number of degree-d monomials minus the rank of Phi_d (module
+    doc).  For block-diagonal generators the counts in x, y alone are the
+    first differences of this list, since S^G = k[x, y]^G [z].
 
     The value at (monomial, generator) is the m-bit lane
-    index*|gens| + generator of `_pack`.  Since z times a monomial keeps
-    its index, with three variables the echelon rows of image Phi_{d-1}
-    are rows of image Phi_d as they stand, and degree d inserts only
-    Phi_d(x^a y^(d-a)).  Pivots are highest bits, so a new
+    index*|gens| + generator of `_pack`, so the echelon rows of
+    image Phi_{d-1} are rows of image Phi_d as they stand, and degree d
+    inserts only Phi_d(x^a y^(d-a)).  Pivots are highest bits, so a new
     row whose z-free part is nonzero has its pivot past every row kept
     from lower degrees."""
     if not gens:
         raise ValueError("need at least one generator")
-    if nvars not in (2, 3):
-        raise ValueError("nvars must be 2 or 3")
-    if nvars == 2 and not all(g.is_block_diagonal() for g in gens):
-        raise ValueError("2-variable oracle needs block-diagonal generators")
     ctx = gens[0].ctx
     m, k = ctx.m, len(gens)
     images = [[MultiPoly.linear_form(ctx, *row) for row in g.rows[:2]] for g in gens]
-    basis: dict = {}
-    dims = []
-    for d in range(max_deg + 1):
-        if nvars == 3:
-            size = (d + 1) * (d + 2) // 2
-        else:
-            basis = {}  # no z: each degree starts afresh
-            size = d + 1
+
+    def phi(d):
         for a in range(d, -1, -1):
             mono = {(a, d - a, 0): 1}
             v = 0
             for i, (px, py) in enumerate(images):
                 image = (px**a * py ** (d - a))._terms
-                v ^= _pack(mono, d, size, m, k, i) ^ _pack(image, d, size, m, k, i)
-            for row in _field_rows(ctx, v):
-                _insert(basis, row)
-        rank, rest = divmod(len(basis), m)
-        assert not rest
-        dims.append(size - rank)
-    return dims
+                v ^= _pack(mono, d, m, k, i) ^ _pack(image, d, m, k, i)
+            yield v
+
+    ranks = _ranks(ctx, max_deg, phi)
+    return [(d + 1) * (d + 2) // 2 - rank for d, rank in enumerate(ranks)]
 
 
-def graded_fixed_dimension(
-    gens: list[Mat3], deg: int, nvars: int = 3, cap: int = 60
-) -> int:
+def graded_fixed_dimension(gens: list[Mat3], deg: int) -> int:
     """Dimension over the coefficient field of the fixed homogeneous
     polynomials of the given degree (see `fixed_dimensions`)."""
-    if deg > cap:
-        raise ValueError(f"degree {deg} exceeds the configured cap {cap}")
-    return fixed_dimensions(gens, deg, nvars)[deg]
+    return fixed_dimensions(gens, deg)[deg]
 
 
 def _weighted_compositions(weights: list[int], total: int):
@@ -250,59 +255,42 @@ def generated_dimension(invs: list[MultiPoly], deg: int) -> int:
     given total degree, by exact elimination."""
     _check_generators(invs)
     ctx = invs[0].ctx
-    m = ctx.m
-    column: dict = {}
-    basis: dict = {}
-    for e in _weighted_compositions([p.deg() for p in invs], deg):
-        prod = MultiPoly.one(ctx)
-        for p, k in zip(invs, e):
-            if k:
-                prod = prod * p**k
-        v = 0
-        for t, c in prod._terms.items():
-            v ^= c << column.setdefault(t, len(column)) * m
-        for row in _field_rows(ctx, v):
-            _insert(basis, row)
-    rank, rest = divmod(len(basis), m)
-    assert not rest
-    return rank
+
+    def products(_):
+        for e in _weighted_compositions([p.deg() for p in invs], deg):
+            prod = MultiPoly.one(ctx)
+            for p, k in zip(invs, e):
+                if k:
+                    prod = prod * p**k
+            yield _pack(prod._terms, deg, ctx.m)
+
+    return _ranks(ctx, 0, products)[0]
 
 
 def generated_dimensions(invs: list[MultiPoly], max_deg: int) -> list[int]:
-    """`generated_dimension` for degrees 0..max_deg, in one sweep.
-
-    For (u, c1, z), with z the coordinate itself, the echelon rows of
-    Gen_{d-1} are rows of Gen_d as they stand (module doc, `_pack`), and
-    degree d inserts only its products u^i c1^j.  For a pair (p, q) each
-    degree starts afresh.  The powers of the first two generators are
-    memoized on them, up to max_deg."""
-    if len(invs) not in (2, 3):
-        raise ValueError("need generators (p, q) or (p, q, z)")
+    """`generated_dimension` of (p, q, z) for degrees 0..max_deg, in one
+    sweep, with z the coordinate itself: the echelon rows of Gen_{d-1} are
+    rows of Gen_d as they stand (module doc, `_pack`), and degree d
+    inserts only its products p^i q^j.  The powers of p and q are memoized
+    on them, up to max_deg."""
+    if len(invs) != 3:
+        raise ValueError("need generators (p, q, z)")
     _check_generators(invs)
-    ctx = invs[0].ctx
-    if any(p.ctx != ctx for p in invs):
+    p, q, z = invs
+    ctx = p.ctx
+    if q.ctx != ctx:
         raise ValueError("generators from mixed contexts")
-    if len(invs) == 3 and invs[2] != MultiPoly.variable(ctx, 2):
+    if z != MultiPoly.variable(ctx, 2):
         raise ValueError("the third generator must be the coordinate z")
-    p, q = invs[:2]
     dp, dq = p.deg(), q.deg()
-    m = ctx.m
-    basis: dict = {}
-    dims = []
-    for d in range(max_deg + 1):
-        if len(invs) == 2:
-            basis = {}  # no z: each degree starts afresh
-        size = (d + 1) * (d + 2) // 2
+
+    def products(d):
         for i in range(d // dp + 1):
             j, rest = divmod(d - i * dp, dq)
-            if rest:
-                continue
-            for row in _field_rows(ctx, _pack((p**i * q**j)._terms, d, size, m)):
-                _insert(basis, row)
-        rank, rest = divmod(len(basis), m)
-        assert not rest
-        dims.append(rank)
-    return dims
+            if not rest:
+                yield _pack((p**i * q**j)._terms, d, ctx.m)
+
+    return _ranks(ctx, max_deg, products)
 
 
 # -- expression in the generators ---------------------------------------------

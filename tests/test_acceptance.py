@@ -209,12 +209,12 @@ def test_criterion_8_oracle_agreement():
             assert fd == gd, (deg, fd, gd)
         # the one-sweep generated side that `refl2 verify` calls
         assert fixed_dimensions(lifts, 60) == generated_dimensions([ub, c1b, zp], 60)
-        # two variables: q = 2 against the plain Dickson pair, degrees 0..15
+        # q = 2 against the plain Dickson pair and z, degrees 0..15
         ctx2 = field_new(1)
         _, S, T = sl2_generators(1, ctx2)
         c0, c1 = dickson_pair(1, ctx2)
-        for deg, fd in enumerate(fixed_dimensions([S, T], 15, 2)):
-            assert fd == generated_dimension([c0, c1], deg)
+        z = MultiPoly.variable(ctx2, 2)
+        assert fixed_dimensions([S, T], 15) == generated_dimensions([c0, c1, z], 15)
 
 
 def test_criterion_9_expression_round_trip():

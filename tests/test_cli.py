@@ -97,6 +97,7 @@ def test_cli_bad_flags(capsys):
         ["--max-group", "0"],
         ["--max-group", "-5"],
         ["--d", "3", "--lambda-basis", "0x2"],
+        ["--d", "0", "--lambda-basis", "0x1"],
     ],
     ids=[
         "zero-basis",
@@ -106,6 +107,7 @@ def test_cli_bad_flags(capsys):
         "zero-group-cap",
         "negative-group-cap",
         "d-conflicts-with-basis",
+        "d0-conflicts-with-basis",
     ],
 )
 def test_cli_bad_configuration_exits_2(flags, capsys):
@@ -214,7 +216,7 @@ def test_selftest_cli_entry(capsys):
 def test_selftest_oracle_scope(capsys):
     assert run_selftest("oracle") == EXIT_OK
     out = capsys.readouterr().out
-    assert "oracle q=2 on 2 vars: degrees 0..15 against (c0, c1)" in out
+    assert "oracle q=2: degrees 0..15 against (c0, c1, z)" in out
     assert "oracle: 17 passed, 0 failed" in out
     assert main(["selftest", "oracle", "--quiet"]) == EXIT_OK
     assert capsys.readouterr().out == ""
@@ -228,6 +230,22 @@ def test_verify_max_group_cap():
     code, report = run_verify(VerifyConfig(n=2, d=1, max_group=60))
     assert code == EXIT_OK
     assert report.to_dict()["verdict"] == "POLYNOMIAL"
+
+
+def test_verify_h_cap_fails_before_any_product(monkeypatch):
+    # n=4: the lifts' blocks generate SL2(GF(16)), so |H| >= 16 * 255 = 4080
+    products = []
+    mul = Mat3.__mul__
+
+    def counted(*args):
+        products.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(Mat3, "__mul__", counted)
+    code, report = run_verify(VerifyConfig(n=4, d=0, max_group=4079))
+    assert code == EXIT_CHECK_FAILED
+    assert report.to_dict()["verdict"] == "FAIL(group-cap)"
+    assert products == []
 
 
 def test_verify_max_group_caps_kernel():

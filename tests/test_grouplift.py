@@ -183,7 +183,7 @@ def test_lift_generators_displays():
 def test_h_gamma_block_diagonal_when_zero():
     H0 = h_gamma(0, 2, GF4)
     assert len(H0) == 60
-    assert all(m.is_block_diagonal() for m in H0)
+    assert all(m.third_col() == (0, 0) for m in H0)
 
 
 def test_h_gamma_one_contains_transvection_lifts():

@@ -75,6 +75,22 @@ def test_constructors_and_zero_pruning():
     assert type(q.coeff((2, 0, 0))) is int and q.coeff((1, 0, 0)) == 0
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: MultiPoly.constant(GF4, 5),
+        lambda: MultiPoly.linear_form(GF4, 0x9, 0, 0),
+        lambda: MultiPoly.from_terms(GF4, [((1, 0, 0), -1)]),
+        lambda: X(GF4).scale(7),
+    ],
+    ids=["constant", "linear_form", "from_terms", "scale"],
+)
+def test_coefficients_outside_the_field_rejected(build):
+    # GF(4) holds 0..3; 5, 0x9, -1 and 7 are not elements of it
+    with pytest.raises(ValueError, match="out of range"):
+        build()
+
+
 def test_mul_frobenius_square():
     p = X() + Y()
     assert p * p == MultiPoly.from_terms(GF4, [((2, 0, 0), 1), ((0, 2, 0), 1)])

@@ -1,6 +1,7 @@
 import functools
 import random
 import sys
+from itertools import accumulate
 from itertools import product as iproduct
 
 import numpy as np
@@ -241,20 +242,27 @@ def test_monomial_count():
 
 
 def test_fixed_dim_trivial_group():
-    assert graded_fixed_dimension([Mat3.identity(GF4)], 2, 3) == 6
+    assert graded_fixed_dimension([Mat3.identity(GF4)], 2) == 6
+
+
+def running_sums(values) -> list[int]:
+    """For block-diagonal generators S^G = k[x, y]^G [z], so the
+    three-variable counts are the running sums of the plane counts."""
+    return list(accumulate(values))
 
 
 def test_fixed_dim_sl2_gf2_two_vars():
     _, S, T = sl2_generators(1, GF2)
-    assert graded_fixed_dimension([S, T], 1, 2) == 0
-    assert graded_fixed_dimension([S, T], 2, 2) == 1  # the span of c1
+    # plane counts 1, 0, 1: degree 2 is the span of c1
+    assert fixed_dimensions([S, T], 2) == running_sums([1, 0, 1])
 
 
 def test_fixed_dim_matches_brute_force_gf2():
-    # independent oracle: enumerate every polynomial of the degree and
-    # count the fixed ones; the count must be 2^dim
+    # independent oracle: enumerate every plane polynomial of the degree
+    # and count the fixed ones; the count must be 2^dim
     _, S, T = sl2_generators(1, GF2)
     gens = [S, T]
+    plane = []
     for deg in range(0, 7):
         monos = monomials(deg, 2)
         fixed = 0
@@ -262,19 +270,9 @@ def test_fixed_dim_matches_brute_force_gf2():
             p = MultiPoly.from_terms(GF2, list(zip(monos, coeffs)))
             if all(p.act(g) == p for g in gens):
                 fixed += 1
-        dim = graded_fixed_dimension(gens, deg, 2)
-        assert fixed == 1 << dim
-
-
-def test_fixed_dim_cap():
-    with pytest.raises(ValueError):
-        graded_fixed_dimension([Mat3.identity(GF4)], 61, 3, cap=60)
-
-
-def test_fixed_dim_2var_requires_block_diagonal():
-    R_l, _, _ = lift_generators("h1", 2, GF4)
-    with pytest.raises(ValueError):
-        graded_fixed_dimension([R_l], 2, 2)
+        assert fixed & (fixed - 1) == 0
+        plane.append(fixed.bit_length() - 1)
+    assert fixed_dimensions(gens, 6) == running_sums(plane)
 
 
 def pipeline_gens(n, d, variant):
@@ -297,19 +295,14 @@ def test_fixed_dimensions_match_dense_reference(n, d, max_deg, variant):
 @pytest.mark.parametrize("n", [1, 2])
 def test_fixed_dimensions_two_vars_match_dense_reference(n):
     gens = list(sl2_generators(n, field_new(n)))
-    assert fixed_dimensions(gens, 30, 2) == [
+    assert fixed_dimensions(gens, 30) == running_sums(
         dense_fixed_dimension(gens, deg, 2) for deg in range(31)
-    ]
+    )
 
 
 def test_fixed_dimensions_rejects_bad_input():
     with pytest.raises(ValueError):
         fixed_dimensions([], 3)
-    with pytest.raises(ValueError):
-        fixed_dimensions([Mat3.identity(GF4)], 3, 4)
-    R_l, _, _ = lift_generators("h1", 2, GF4)
-    with pytest.raises(ValueError):
-        fixed_dimensions([R_l], 3, 2)
 
 
 @st.composite
@@ -333,10 +326,12 @@ def affine_generators(draw):
 @given(affine_generators(), st.integers(0, 8))
 def test_fixed_dimensions_property(drawn, max_deg):
     gens, plane = drawn
-    for nvars in (2, 3) if plane else (3,):
-        assert fixed_dimensions(gens, max_deg, nvars) == [
-            dense_fixed_dimension(gens, deg, nvars) for deg in range(max_deg + 1)
-        ]
+    dims = fixed_dimensions(gens, max_deg)
+    assert dims == [dense_fixed_dimension(gens, deg) for deg in range(max_deg + 1)]
+    if plane:  # S^G = k[x, y]^G [z]
+        assert dims == running_sums(
+            dense_fixed_dimension(gens, deg, 2) for deg in range(max_deg + 1)
+        )
 
 
 # -- generated dimension ---------------------------------------------------------
@@ -413,23 +408,27 @@ def test_generated_dimensions_match_per_degree(n, d, basis, max_deg):
 
 @pytest.mark.parametrize("ctx", [GF2, GF4], ids=["GF2", "GF4"])
 def test_generated_dimensions_two_vars_match_per_degree(ctx):
+    # Gen(c0, c1, z)_d is the sum over k <= d of Gen(c0, c1)_k
     c0, c1 = dickson_pair(ctx.m, ctx)
-    assert generated_dimensions([c0, c1], 30) == [
+    z = MultiPoly.variable(ctx, 2)
+    assert generated_dimensions([c0, c1, z], 30) == running_sums(
         generated_dimension([c0, c1], deg) for deg in range(31)
-    ]
+    )
 
 
 def test_generated_dimensions_count_over_the_field():
     # x and t x span one line over GF(4) but two over GF(2)
     x, z = MultiPoly.variable(GF4, 0), MultiPoly.variable(GF4, 2)
-    assert generated_dimensions([x, x.scale(2)], 3) == [1, 1, 1, 1]
-    assert generated_dimensions([x, x.scale(2), z], 3) == [1, 2, 3, 4]
+    plane = [generated_dimension([x, x.scale(2)], deg) for deg in range(4)]
+    assert plane == [1, 1, 1, 1]
+    assert generated_dimensions([x, x.scale(2), z], 3) == running_sums(plane)
 
 
 def test_generated_dimensions_rejects_bad_input():
     x, y, z = (MultiPoly.variable(GF4, i) for i in range(3))
     bad = [
-        [x],  # neither (p, q) nor (p, q, z)
+        [x],  # not (p, q, z)
+        [x, y],
         [x, y, z, z],
         [MultiPoly.zero(GF4), y, z],
         [x + y**2, y, z],  # not homogeneous
@@ -437,7 +436,7 @@ def test_generated_dimensions_rejects_bad_input():
         [x, y, y],  # third is not z
         [x, y, z.scale(2)],
         [MultiPoly.variable(GF2, 0), y, z],  # mixed contexts
-        [x, MultiPoly.variable(GF2, 1)],
+        [x, MultiPoly.variable(GF2, 1), z],
     ]
     for invs in bad:
         with pytest.raises(ValueError):
@@ -478,10 +477,16 @@ def sweep_inputs(draw):
 def test_generated_dimensions_property(drawn):
     p, q, max_deg = drawn
     z = MultiPoly.variable(p.ctx, 2)
-    for invs in ([p, q, z], [p, q]):
-        assert generated_dimensions(invs, max_deg) == [
-            dense_generated_dimension(invs, deg) for deg in range(max_deg + 1)
-        ]
+    degrees = range(max_deg + 1)
+    assert generated_dimensions([p, q, z], max_deg) == [
+        dense_generated_dimension([p, q, z], deg) for deg in degrees
+    ]
+    # the plane parts: Gen(p0, q0, z) = Gen(p0, q0)[z]
+    p0, q0 = p.restrict_z0(), q.restrict_z0()
+    if q0:  # p0 != 0: p has a term in x^deg p
+        assert generated_dimensions([p0, q0, z], max_deg) == running_sums(
+            dense_generated_dimension([p0, q0], deg) for deg in degrees
+        )
 
 
 # -- oracle agreement (small slice; the full sweep is acceptance) -----------------
@@ -519,8 +524,9 @@ def test_kemper_verdict_monotone_in_evidence():
 def test_oracle_agreement_q2_two_vars():
     _, S, T = sl2_generators(1, GF2)
     c0, c1 = dickson_pair(1, GF2)
-    for deg, fd in enumerate(fixed_dimensions([S, T], 9, 2)):
-        assert fd == generated_dimension([c0, c1], deg)
+    assert fixed_dimensions([S, T], 9) == running_sums(
+        generated_dimension([c0, c1], deg) for deg in range(10)
+    )
 
 
 # -- expression in generators ------------------------------------------------------
