@@ -37,6 +37,7 @@ from refl2.invariants import (
     kernel_action,
     kernel_invariants,
     lifted_invariants,
+    small_family,
 )
 from refl2.mvpoly import MultiPoly, jacobian_det
 from refl2.verify import fixed_dimensions, generated_dimensions, kemper_check
@@ -137,12 +138,13 @@ def _action_note(desc) -> str:
             "the kernel drops out of the composition"
         )
     parts = []
-    for act in desc.actions:
-        if act.offsets != (0, 0):
-            (a, b), (c, d) = act.lin
+    for m in desc.maps:
+        tx, ty = m.third_col()
+        if tx or ty:
+            a, b, c, d = m.block2()
             parts.append(
                 f"lift with block ({a:#x},{b:#x};{c:#x},{d:#x}) acts affinely: "
-                f"offsets ({act.offsets[0]:#x},{act.offsets[1]:#x})*z^{desc.zpow}"
+                f"offsets ({tx:#x},{ty:#x})*z^{desc.zpow}"
             )
     parts.append("computed offset ratio between the rows equals e")
     return "; ".join(parts)
@@ -183,19 +185,19 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
     if not split.is_split:
         failures.append("splitting")
 
+    labels = _gen_labels(lifts, translations)
+    gens = [g for _, g in labels]
     try:
         fx, fy, fz = kernel_invariants(ls)
-        desc = kernel_action(lifts, fx, fy, fz, n=cfg.n)
+        desc = kernel_action(gens, fx, fy, fz, n=cfg.n)
         report.alpha = f"{desc.alpha:#x}"
         report.action_note = _action_note(desc)
 
-        ub, c1b, zp = composed_invariants(cfg.n, ls, desc)
-        invs = [ub, c1b, zp]
-        report.degrees = [p.deg() for p in invs]
-
-        labels = _gen_labels(lifts, translations)
-        gens = [g for _, g in labels]
-        verdict = kemper_check(split.group_order, invs, gens)
+        # (u-bar, c1-bar, z) checked as the small family under the maps M_g
+        small = small_family(desc)
+        weights = (desc.zpow, desc.zpow, 1)
+        verdict = kemper_check(split.group_order, small, desc.maps, weights)
+        report.degrees = list(verdict.degrees)
         report.invariance = [
             {"generator": name, "u": u, "c1": c1, "z": z}
             for (name, _), (u, c1, z) in zip(labels, verdict.fixed_by)
@@ -205,6 +207,8 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
         failures.extend(verdict.failed_clauses)
 
         if cfg.oracle_max_degree > 0:
+            # at d = 0, F = (x, y, z) and the small family is (u-bar, c1-bar, z)
+            invs = list(composed_invariants(cfg.n, ls, desc) if desc.d else small)
             fixed = fixed_dimensions(gens, cfg.oracle_max_degree)
             generated = generated_dimensions(invs, cfg.oracle_max_degree)
             for deg, (fd, gd) in enumerate(zip(fixed, generated)):
@@ -216,7 +220,7 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
     except ActionShapeError:
         failures.append("action-shape")
     except OverflowError:
-        # a product past mvpoly.DEGREE_CAP
+        # a product past mvpoly.DEGREE_CAP, while expanding u-bar and c1-bar
         failures.append("degree-cap")
     return _finish(report, failures, start)
 
@@ -246,14 +250,13 @@ def _print_report(report: VerificationReport, out=None):
         )
     print(f"action      alpha={d['alpha']}; {d['action_note']}", file=out)
     if d["degrees"]:
-        line = f"invariants  degrees {tuple(d['degrees'])}"
-        if d["degree_product"] is not None:  # None when a product passed the cap
-            degs = "*".join(str(v) for v in d["degrees"])
-            line += (
-                f" (product {degs} = {d['degree_product']}), "
-                f"jacobian_nonzero={d['jacobian_nonzero']}"
-            )
-        print(line, file=out)
+        degs = "*".join(str(v) for v in d["degrees"])
+        print(
+            f"invariants  degrees {tuple(d['degrees'])} "
+            f"(product {degs} = {d['degree_product']}), "
+            f"jacobian_nonzero={d['jacobian_nonzero']}",
+            file=out,
+        )
     for entry in d["invariance"]:
         flags = ", ".join(f"{k}={entry[k]}" for k in ("u", "c1", "z"))
         print(f"fixed_by    {entry['generator']}: {flags}", file=out)
@@ -313,7 +316,6 @@ def _selftest_dickson(log) -> tuple[int, int]:
         u = dickson_u(n, ctx)
         ut, c1t = lifted_invariants(n, ctx)
         checks = [
-            u == x * y**q + x**q * y,
             u * c1 == x * y ** (q * q) + x ** (q * q) * y,
             ut.restrict_z0() == u,
             c1t.restrict_z0() == c1,

@@ -1,7 +1,5 @@
 """The named invariants: kernel invariants, Dickson invariants, lifts.
 
-Three families, all products or sums of products of linear(ized) forms:
-
 * kernel invariants of the translation group N:
       f_x = prod_{a in Lambda_1} (x + a z),   f_y likewise,   f_z = z.
   These are q^d-linearized in x (resp. y): only exponents q^m occur,
@@ -9,28 +7,25 @@ Three families, all products or sums of products of linear(ized) forms:
   polynomial P = sum c_m x^(q^m) of Lambda_1, so its d+1 terms are read
   off P's coefficients and Lambda_1 is never listed.
 
-* Dickson invariants of SL2(GF(q)) on the plane, built from the q+1
-  canonical line forms L (first nonzero coefficient 1).  The nonzero
-  forms vanishing on one line are t L for t in GF(q)*, and the product
-  of GF(q)* is 1, so the products over all nonzero forms collapse to
-  line products (Wilkerson, "A primer on the Dickson invariants", 1983):
-      u  = prod_L L                        (degree q+1),
-      c0 = u^(q-1)                         (all q^2-1 nonzero forms),
-      c1 = sum_L (prod_{L' != L} L')^(q-1) (per line, the q^2-q forms
-                                            not vanishing on it).
+* Dickson invariants of SL2(GF(q)) on the plane in closed form (L. E.
+  Dickson, Trans. AMS 12, 1911; Wilkerson, "A primer on the Dickson
+  invariants", 1983): u = x^q y + x y^q, the product of the q+1 canonical
+  line forms L, c0 = u^(q-1), and c1 = (x^(q^2) y + x y^(q^2)) / u
+  = sum_{i=0..q} x^((q-1)i) y^((q-1)(q-i)).
 
 * lifted invariants: every plane form a x + b y is replaced by
   a x + b y + g(a,b) z, with g the homogeneous cocycle companion, so
-  g(ta, tb) = t g(a,b) and the same line-product formulas yield u~, c1~,
-  c0~ = u~^(q-1), restricting to u, c1, c0 at z = 0.  An optional scale
-  multiplies g: scale 1 gives outputs invariant under the cocycle
-  subgroup H_1, while the pipeline uses scale (1 + e^-1)^-1 to match the
-  lifted generators actually closed over.
+  g(ta, tb) = t g(a,b) and the line products u~ = prod_L L~,
+  c1~ = sum_L (prod_{L' != L} L'~)^(q-1) restrict to u, c1 at z = 0.
+  An optional scale multiplies g: scale 1 gives outputs invariant under
+  the cocycle subgroup H_1, while the pipeline uses scale (1 + e^-1)^-1
+  to match the lifted generators actually closed over.
 
-For a nontrivial kernel the whole lifted family is composed with
-(f_x, f_y, alpha z^(q^d)) in place of (x, y, z), where alpha is the
-affine offset of the diagonal lift read off by exact coefficient
-comparison.
+S^N = k[F] with F = (f_x, f_y, z^(q^d)), and each generator g maps F
+affinely by a matrix M_g (`kernel_action`), so g (p o F) = (M_g p) o F.
+The candidates u-bar, c1-bar are the small family (u~, c1~) -- the
+closed-form pair when every offset of M_g vanishes, else the lifted
+family with z scaled by alpha -- composed with F.
 """
 
 from __future__ import annotations
@@ -70,10 +65,13 @@ def dickson_support_check(f: MultiPoly, n: int, d: int) -> bool:
 # -- the Dickson family ----------------------------------------------------
 
 
-def projective_reps(n: int, ambient: FieldCtx) -> list[tuple[int, int]]:
-    """Canonical representatives of the q+1 form (or direction) classes:
-    first nonzero coordinate equal to 1, sorted by value."""
-    return [(0, 1)] + [(1, s) for s in subfield_elements(ambient, n)]
+def _dickson(q: int, X: MultiPoly, Y: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
+    """(u, c1) in closed form at (X, Y)."""
+    A, B = X ** (q - 1), Y ** (q - 1)
+    c1 = MultiPoly.zero(X.ctx)
+    for i in range(q + 1):
+        c1 = c1 + A**i * B ** (q - i)
+    return X**q * Y + X * Y**q, c1
 
 
 def _lifted_family(
@@ -84,19 +82,14 @@ def _lifted_family(
     Z: MultiPoly,
     gscale: int = 1,
 ) -> tuple[MultiPoly, MultiPoly]:
-    """(u-like, c1-like) from the q+1 line forms a X + b Y + s g(a,b) Z.
-
-    Z = 0 gives the plain Dickson family in X, Y.
-    """
+    """(u-like, c1-like) from the q+1 line forms a X + b Y + s g(a,b) Z."""
     q = 1 << n
 
     def form(a: int, b: int) -> MultiPoly:
-        p = X.scale(a) + Y.scale(b)
-        if Z:
-            p = p + Z.scale(ctx.mul(gscale, cocycle_g(ctx, a, b, n)))
-        return p
+        return X.scale(a) + Y.scale(b) + Z.scale(ctx.mul(gscale, cocycle_g(ctx, a, b, n)))
 
-    forms = [form(a, b) for a, b in projective_reps(n, ambient=ctx)]
+    # the q+1 canonical line forms: first nonzero coefficient 1
+    forms = [form(0, 1)] + [form(1, s) for s in subfield_elements(ctx, n)]
     # prefix[i] is the product of forms[:i]; suffix that of forms[i+1:]
     prefix = [MultiPoly.one(ctx)]
     for L in forms:
@@ -111,31 +104,26 @@ def _lifted_family(
 
 def dickson_pair(n: int, ambient: FieldCtx) -> tuple[MultiPoly, MultiPoly]:
     """(c0, c1) for SL2(GF(2^n)) acting on the x,y-plane."""
-    x = MultiPoly.variable(ambient, 0)
-    y = MultiPoly.variable(ambient, 1)
-    u, c1 = _lifted_family(ambient, n, x, y, MultiPoly.zero(ambient))
+    x, y = (MultiPoly.variable(ambient, i) for i in (0, 1))
+    u, c1 = _dickson(1 << n, x, y)
     return u ** ((1 << n) - 1), c1
 
 
 def dickson_u(n: int, ambient: FieldCtx) -> MultiPoly:
-    """The degree-(q+1) root u with u^(q-1) = c0."""
-    x = MultiPoly.variable(ambient, 0)
-    y = MultiPoly.variable(ambient, 1)
-    u, _ = _lifted_family(ambient, n, x, y, MultiPoly.zero(ambient))
-    return u
+    """The degree-(q+1) root u = x^q y + x y^q with u^(q-1) = c0."""
+    x, y = (MultiPoly.variable(ambient, i) for i in (0, 1))
+    return _dickson(1 << n, x, y)[0]
 
 
 def lifted_invariants(
     n: int, ambient: FieldCtx, scale: int = 1
 ) -> tuple[MultiPoly, MultiPoly]:
     """(u~, c1~) with every plane form lifted by + scale*g(a,b)*z."""
-    x = MultiPoly.variable(ambient, 0)
-    y = MultiPoly.variable(ambient, 1)
-    z = MultiPoly.variable(ambient, 2)
+    x, y, z = (MultiPoly.variable(ambient, i) for i in range(3))
     return _lifted_family(ambient, n, x, y, z, scale)
 
 
-# -- action of the lifts on the kernel invariants ---------------------------
+# -- action of the generators on the kernel invariants ----------------------
 
 
 class ActionShapeError(ValueError):
@@ -144,28 +132,23 @@ class ActionShapeError(ValueError):
 
 
 @dataclass(frozen=True)
-class LiftAction:
-    lift: Mat3
-    lin: tuple[tuple[int, int], tuple[int, int]]
-    offsets: tuple[int, int]
-
-
-@dataclass(frozen=True)
 class ActionDescriptor:
-    """Exact affine action of each lift on (f_x, f_y): linear part over the
-    subfield plus an offset multiple of z^(q^d)."""
+    """Exact affine action of each generator g on F = (f_x, f_y, z^(q^d)),
+    in generator order: maps[i] is M_g = [[a_x, b_x, t_x], [a_y, b_y, t_y],
+    [0, 0, 1]] with g f_x = a_x f_x + b_x f_y + t_x z^(q^d) and likewise for
+    f_y, the linear part over the subfield, so g (p o F) = (M_g p) o F."""
 
     ctx: FieldCtx
     n: int
     d: int
     zpow: int
-    actions: tuple[LiftAction, ...]
+    maps: tuple[Mat3, ...]
     alpha: int
     e: int
 
     @property
     def all_offsets_zero(self) -> bool:
-        return all(a.offsets == (0, 0) for a in self.actions)
+        return all(m.third_col() == (0, 0) for m in self.maps)
 
 
 def _affine_decompose(img, fx, fy, zpow, what):
@@ -183,18 +166,13 @@ def _affine_decompose(img, fx, fy, zpow, what):
 
 
 def kernel_action(
-    lifts: list[Mat3],
-    fx: MultiPoly,
-    fy: MultiPoly,
-    fz: MultiPoly,
-    n: int,
+    gens: list[Mat3], fx: MultiPoly, fy: MultiPoly, fz: MultiPoly, n: int
 ) -> ActionDescriptor:
-    """Decompose each lift's action on (f_x, f_y) exactly, the linear
-    parts over the GF(2^n) subfield.
-
-    Reports alpha, the z^(q^d)-offset of f_x under the diagonal lift
-    (zero when every offset vanishes).
-    """
+    """Decompose each generator's action on (f_x, f_y) exactly into its map
+    M_g, the linear part over the GF(2^n) subfield; the maps of N's
+    translations are the identity, as P vanishes on Lambda_1.  Reports
+    alpha, the z^(q^d)-offset of f_x under the diagonal lift (zero when
+    every offset vanishes)."""
     ctx = fx.ctx
     zpow = fx.deg()
     if fz != MultiPoly.variable(ctx, 2):
@@ -204,46 +182,51 @@ def kernel_action(
         d += 1
     if (1 << (n * d)) != zpow:
         raise ValueError("degree of f_x is not a power of the subfield size")
-    actions = []
+    maps = []
     alpha = 0
-    for g in lifts:
+    for g in gens:
         ax, bx, tx = _affine_decompose(fx.act(g), fx, fy, zpow, "f_x")
         ay, by, ty = _affine_decompose(fy.act(g), fx, fy, zpow, "f_y")
         for v in (ax, bx, ay, by):
             if not ctx.in_subfield(v, n):
                 raise ActionShapeError("linear part has entries outside GF(2^n)")
-        act = LiftAction(g, ((ax, bx), (ay, by)), (tx, ty))
-        actions.append(act)
+        maps.append(Mat3.block(ctx, ax, bx, ay, by, col=(tx, ty)))
         if (tx or ty) and bx == 0 and ay == 0 and (ax, by) != (1, 1):
             alpha = tx
     e = subfield_generator(ctx, n)
-    return ActionDescriptor(ctx, n, d, zpow, tuple(actions), alpha, e)
+    return ActionDescriptor(ctx, n, d, zpow, tuple(maps), alpha, e)
+
+
+def _family(desc: ActionDescriptor, X: MultiPoly, Y: MultiPoly, W: MultiPoly):
+    """(u~, c1~) at (X, Y, W): the closed-form pair when every offset is
+    zero, else the lifted family with W scaled by alpha and the cocycle
+    by (1 + e^-1)^-1, to be fixed by the lifted generators as displayed."""
+    if desc.all_offsets_zero:
+        return _dickson(1 << desc.n, X, Y)
+    ctx = desc.ctx
+    if desc.alpha == 0:
+        raise ActionShapeError("nonzero offsets but no diagonal-lift offset found")
+    delta = 1 ^ ctx.inv(desc.e)
+    if delta == 0:
+        raise ValueError("lift normalization needs a subfield with e != 1")
+    return _lifted_family(ctx, desc.n, X, Y, W.scale(desc.alpha), ctx.inv(delta))
+
+
+def small_family(descriptor: ActionDescriptor) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
+    """(u~, c1~, z): the small family at (x, y, z), on which the maps
+    M_g act as the generators act on its composition with F."""
+    x, y, z = (MultiPoly.variable(descriptor.ctx, i) for i in range(3))
+    return (*_family(descriptor, x, y, z), z)
 
 
 def composed_invariants(
     n: int, ls: LambdaSpace, descriptor: ActionDescriptor
 ) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """(u-bar, c1-bar, z): the lifted family composed with the kernel
-    invariants.
-
-    With every offset zero the plain Dickson pair is composed with
-    (f_x, f_y); otherwise the lifted family is composed with
-    (f_x, f_y, alpha z^(q^d)), the cocycle scaled by (1 + e^-1)^-1 so
-    the outputs are fixed by the lifted generators as displayed.
-    """
+    """(u-bar, c1-bar, z): the small family composed with
+    F = (f_x, f_y, z^(q^d))."""
     ctx = ls.ambient
     if descriptor.ctx != ctx or descriptor.n != n or descriptor.d != ls.d:
         raise ValueError("descriptor does not match the Lambda space")
     fx, fy, fz = kernel_invariants(ls)
-    if descriptor.all_offsets_zero:
-        u, c1 = _lifted_family(ctx, n, fx, fy, MultiPoly.zero(ctx))
-        return u, c1, fz
-    alpha = descriptor.alpha
-    if alpha == 0:
-        raise ActionShapeError("nonzero offsets but no diagonal-lift offset found")
-    zq = MultiPoly.from_terms(ctx, [((0, 0, descriptor.zpow), alpha)])
-    delta = 1 ^ ctx.inv(descriptor.e)
-    if delta == 0:
-        raise ValueError("lift normalization needs a subfield with e != 1")
-    u, c1 = _lifted_family(ctx, n, fx, fy, zq, ctx.inv(delta))
-    return u, c1, fz
+    zq = MultiPoly.from_terms(ctx, [((0, 0, descriptor.zpow), 1)])
+    return (*_family(descriptor, fx, fy, zq), fz)

@@ -4,7 +4,9 @@ fixed-space oracle, and expression of invariants in candidate generators.
 The criterion: three homogeneous invariants freely generate the
 invariant ring iff their degrees multiply to the group order and their
 Jacobian determinant is nonzero.  `kemper_check` verifies the three
-clauses exactly and names every failing one.
+clauses exactly and names every failing one.  The pipeline runs it on
+the small family (u~, c1~, z) under the maps M_g (`kemper_check`), and
+expands u-bar and c1-bar only for the oracle.
 
 The oracle is independent of the construction path: degree by degree it
 compares the dimension of the fixed homogeneous polynomials in x, y, z,
@@ -88,13 +90,24 @@ class KemperVerdict:
 
 
 def kemper_check(
-    group_order: int, invs: list[MultiPoly], gens: list[Mat3]
+    group_order: int,
+    invs: list[MultiPoly],
+    gens: list[Mat3],
+    weights: tuple[int, int, int] = (1, 1, 1),
 ) -> KemperVerdict:
     """POLYNOMIAL iff the invariants are fixed by all generators, their
     degrees multiply to the group order, and their Jacobian is nonzero.
 
     Every (generator, invariant) pair is evaluated once and recorded in
-    `fixed_by`, one row per generator in the order given."""
+    `fixed_by`, one row per generator in the order given.  Degree i
+    counts as weights[i] * deg(invs[i]): the pipeline passes the small
+    family (u~, c1~, z), the maps M_g and weights (q^d, q^d, 1) for
+    (u-bar, c1-bar, z) = (u~ o F, c1~ o F, z), F = (f_x, f_y, z^(q^d)).
+    This is exact.  F is algebraically independent (f_x is monic in x
+    over k[z]), so composing with F is injective and g (p o F) =
+    (M_g p) o F equals p o F iff M_g p = p.  By the chain rule,
+    J(u-bar, c1-bar, z) = c_0^2 z^(2(q^d-1)) (J(u~, c1~, z) o F), with
+    c_0 != 0 the x-coefficient of the separable P."""
     if len(invs) != 3:
         raise ValueError("the criterion needs exactly 3 invariants")
     for p in invs:
@@ -104,7 +117,7 @@ def kemper_check(
     fixed_by = tuple(tuple(p.act(g) == p for p in invs) for g in gens)
     if not all(all(row) for row in fixed_by):
         failed.append("invariance")
-    degrees = tuple(p.deg() for p in invs)
+    degrees = tuple(w * p.deg() for w, p in zip(weights, invs))
     product = degrees[0] * degrees[1] * degrees[2]
     if product != group_order:
         failed.append("degree-product")

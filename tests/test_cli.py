@@ -261,21 +261,54 @@ def test_verify_max_group_caps_kernel():
 
 
 def test_verify_degree_cap_is_a_failed_check(monkeypatch, capsys):
-    # n=2 d=1: the Jacobian multiplies partials of degrees 19 and 47
-    monkeypatch.setattr(refl2.mvpoly, "DEGREE_CAP", 65)
-    code, report = run_verify(VerifyConfig(n=2, d=1))
+    # n=2 d=1: the criterion runs on the small family, of degrees 5 and 12,
+    # and only the oracle expands c1-bar, of degree 48
+    monkeypatch.setattr(refl2.mvpoly, "DEGREE_CAP", 47)
+    assert run_verify(VerifyConfig(n=2, d=1))[0] == EXIT_OK
+    code, report = run_verify(VerifyConfig(n=2, d=1, oracle_max_degree=20))
     assert code == EXIT_CHECK_FAILED
     assert report.to_dict()["verdict"] == "FAIL(degree-cap)"
     assert report.to_dict()["group_order"] == 960
-    assert main(["verify", "--n", "2", "--d", "1", "--quiet"]) == EXIT_CHECK_FAILED
+    argv = ["verify", "--n", "2", "--d", "1", "--oracle-max-degree", "20"]
+    assert main(argv + ["--quiet"]) == EXIT_CHECK_FAILED
     assert "Traceback" not in capsys.readouterr().err
-    # no product was computed, so the text names none
-    assert main(["verify", "--n", "2", "--d", "1"]) == EXIT_CHECK_FAILED
+    # the criterion's record is complete, so the text names no None
+    assert main(argv) == EXIT_CHECK_FAILED
     out = capsys.readouterr().out
-    assert "invariants  degrees (20, 48, 1)\n" in out
-    assert "= None" not in out and "None" not in out
-    monkeypatch.setattr(refl2.mvpoly, "DEGREE_CAP", 66)
-    assert run_verify(VerifyConfig(n=2, d=1))[0] == EXIT_OK
+    assert (
+        "invariants  degrees (20, 48, 1) (product 20*48*1 = 960), "
+        "jacobian_nonzero=True\n" in out
+    )
+    assert "None" not in out
+    monkeypatch.setattr(refl2.mvpoly, "DEGREE_CAP", 48)
+    assert run_verify(VerifyConfig(n=2, d=1, oracle_max_degree=20))[0] == EXIT_OK
+
+
+def test_verify_degree_cap_at_n5_d2_oracle():
+    # the oracle still expands c1-bar, of degree 992 * 1024 past the cap
+    code, report = run_verify(VerifyConfig(n=5, d=2, oracle_max_degree=2))
+    assert code == EXIT_CHECK_FAILED
+    assert report.to_dict()["verdict"] == "FAIL(degree-cap)"
+
+
+@pytest.mark.parametrize(
+    "n, d, degrees, order",
+    [
+        (4, 1, (272, 3840, 1), 1044480),
+        (4, 2, (4352, 61440, 1), 267386880),
+        (5, 1, (1056, 31744, 1), 33521664),
+        (5, 2, (33792, 1015808, 1), 34326183936),
+    ],
+)
+def test_verify_scale_ladder_under_a_low_degree_cap(monkeypatch, n, d, degrees, order):
+    # with every product and power capped at degree q^2 - 1, these pass:
+    # the criterion expands only the small family, never u-bar or c1-bar
+    monkeypatch.setattr(refl2.mvpoly, "DEGREE_CAP", (1 << 2 * n) - 1)
+    code, report = run_verify(VerifyConfig(n=n, d=d))
+    r = report.to_dict()
+    assert (code, r["verdict"]) == (EXIT_OK, "POLYNOMIAL")
+    assert tuple(r["degrees"]) == degrees
+    assert r["degree_product"] == r["group_order"] == order
 
 
 def test_verify_builds_only_the_kernel_generators(monkeypatch):

@@ -36,3 +36,12 @@ def test_traced_modules_load_with_refl2_cli():
     code = f"import sys, refl2.cli; sys.exit(not {set(modnames)!r} <= sys.modules.keys())"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_express_worker_setup_runs():
+    # the express workload's set-up probe calls kernel_action and
+    # composed_invariants, so a change to their signatures fails here
+    worker = SPANS.parent / "express_worker.py"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, str(worker), "--setup-only"], env=env)
+    assert run.returncode == 0

@@ -97,6 +97,19 @@ def test_line_products_match_all_forms_reference():
             assert ut ** ((1 << n) - 1) == c0t
 
 
+def test_closed_form_pair_matches_line_products():
+    # the line products at Z = 0: lifting every form by 0 * g(a,b) * z is
+    # the lifted family restricted to z = 0, which is costly past n = 3
+    for n in (2, 3, 4, 5):
+        ctx = field_new(n)
+        u, c1 = lifted_invariants(n, ctx, scale=0)
+        assert dickson_u(n, ctx) == u
+        assert dickson_pair(n, ctx) == (u ** ((1 << n) - 1), c1)
+        if n <= 3:
+            ut, c1t = lifted_invariants(n, ctx)
+            assert (ut.restrict_z0(), c1t.restrict_z0()) == (u, c1)
+
+
 def test_kernel_invariants_d0():
     ls = space(2, 0, GF4)
     fx, fy, fz = kernel_invariants(ls)
@@ -248,10 +261,10 @@ def test_kernel_action_transvections_linear():
     fx, fy, fz = kernel_invariants(ls)
     R_l, S_l, T_l = lift_generators("h1", 2, GF4)
     desc = kernel_action([S_l, T_l], fx, fy, fz, n=2)
-    assert desc.actions[0].lin == ((1, 1), (0, 1))
-    assert desc.actions[0].offsets == (0, 0)
-    assert desc.actions[1].lin == ((1, 0), (1, 1))
-    assert desc.actions[1].offsets == (0, 0)
+    assert desc.maps[0].block2() == (1, 1, 0, 1)
+    assert desc.maps[0].third_col() == (0, 0)
+    assert desc.maps[1].block2() == (1, 0, 1, 1)
+    assert desc.maps[1].third_col() == (0, 0)
 
 
 def test_kernel_action_h0_matches_block():
@@ -261,9 +274,8 @@ def test_kernel_action_h0_matches_block():
         lifts = list(lift_generators("h0", 2, GF4))
         desc = kernel_action(lifts, fx, fy, fz, n=2)
         assert desc.all_offsets_zero
-        for act in desc.actions:
-            a, b, c, dd = act.lift.block2()
-            assert act.lin == ((a, b), (c, dd))
+        for g, m in zip(lifts, desc.maps):
+            assert m.block2() == g.block2()
 
 
 def test_kernel_action_default_basis_offsets_vanish():
@@ -281,8 +293,8 @@ def test_kernel_action_d0_h1_offsets():
     lifts = list(lift_generators("h1", 2, GF4))
     desc = kernel_action(lifts, fx, fy, fz, n=2)
     e = subfield_generator(GF4, 2)
-    assert desc.actions[0].lin == ((GF4.inv(e), 0), (0, e))
-    assert desc.actions[0].offsets == (1, e)
+    assert desc.maps[0].block2() == (GF4.inv(e), 0, 0, e)
+    assert desc.maps[0].third_col() == (1, e)
     assert desc.alpha == 1
 
 
@@ -298,9 +310,9 @@ def test_kernel_action_nonzero_alpha_relations():
     lifts = list(lift_generators("h1", 2, GF16))
     desc = kernel_action(lifts, fx, fy, fz, n=2)
     e = desc.e
-    r = desc.actions[0]
-    assert r.lin == ((GF16.inv(e), 0), (0, e))
-    ax, ay = r.offsets
+    r = desc.maps[0]
+    assert r.block2() == (GF16.inv(e), 0, 0, e)
+    ax, ay = r.third_col()
     assert ax != 0
     # offset ratio: f_y picks up e * alpha
     assert ay == GF16.mul(e, ax)
@@ -400,9 +412,7 @@ def test_composed_offset_zeroed_recovers_plain_pair():
     desc = kernel_action(lifts, fx, fy, fz, n=2)
     zeroed = dataclasses.replace(
         desc,
-        actions=tuple(
-            dataclasses.replace(a, offsets=(0, 0)) for a in desc.actions
-        ),
+        maps=tuple(Mat3.block(GF16, *m.block2()) for m in desc.maps),
         alpha=0,
     )
     ub0, c1b0, _ = composed_invariants(2, ls, zeroed)

@@ -19,12 +19,14 @@ from refl2.grouplift import (
     kernel_group,
     lift_generators,
     sl2_generators,
+    verify_splitting,
 )
 from refl2.invariants import (
     composed_invariants,
     dickson_pair,
     kernel_action,
     kernel_invariants,
+    small_family,
 )
 from refl2.linalg import field_kernel_dimension, field_matrix_rank, gf2_rank
 from refl2.mvpoly import MultiPoly
@@ -171,6 +173,65 @@ def test_kemper_full_pipeline_n2_d1():
     v = kemper_check(960, [ub, c1b, zp], gens)
     assert v.polynomial
     assert v.degrees == (20, 48, 1)
+
+
+# -- the criterion on the small family against the expanded reference ---------
+
+# the tier-1 instances (n, d, variant), then the two Lambda bases with
+# nonzero offsets as (n, variant, ambient modulus, basis) at d = 1
+DEFAULT_CASES = list(iproduct((2, 3), (0, 1, 2), ("h1", "h0")))
+OFFSET_CASES = [(2, "h1", 0x13, (0x2,)), (2, "h0", 0x13, (0x2,)), (3, "h1", 0x43, (0x2,))]
+
+
+def both_criteria(ls, variant, column=None):
+    """The pipeline's verdict, kemper_check on the small family under the
+    maps M_g with degrees scaled by q^d, and the reference, kemper_check on
+    the expanded (u-bar, c1-bar, z) under the generators themselves.
+    `column` replaces the third column of the lift (index, column)."""
+    n, ctx = ls.n, ls.ambient
+    lifts = list(lift_generators(variant, n, ctx))
+    if column is not None:
+        i, col = column
+        lifts[i] = Mat3.block(ctx, *lifts[i].block2(), col=col)
+    translations = kernel_group(ls)
+    gens = lifts + translations
+    order = verify_splitting(ls, translations, lifts).group_order
+    desc = kernel_action(gens, *kernel_invariants(ls), n=n)
+    weights = (desc.zpow, desc.zpow, 1)
+    small = kemper_check(order, small_family(desc), desc.maps, weights)
+    reference = kemper_check(order, composed_invariants(n, ls, desc), gens)
+    return small, reference, desc
+
+
+@pytest.mark.parametrize("n, d, variant", DEFAULT_CASES)
+def test_small_family_criterion_matches_expanded_default_bases(n, d, variant):
+    ctx = field_new(n * (2 if d == 2 else 1))
+    ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+    small, reference, _ = both_criteria(ls, variant)
+    assert small == reference
+    assert small.polynomial
+
+
+@pytest.mark.parametrize("n, variant, modulus, basis", OFFSET_CASES)
+def test_small_family_criterion_matches_expanded_offset_bases(n, variant, modulus, basis):
+    ls = LambdaSpace(field_new(modulus.bit_length() - 1, modulus), n, basis)
+    small, reference, desc = both_criteria(ls, variant)
+    assert small == reference
+    assert small.polynomial
+    assert desc.all_offsets_zero == (variant == "h0")
+
+
+def test_small_family_criterion_matches_expanded_perturbed_lift():
+    # 1 lies outside Lambda_1 = GF(4) 0x2, so third column (1, 0) gives the
+    # lift the offset P(1) != 0: it still acts affinely, but u-bar and c1-bar
+    # are no longer fixed by it
+    ls = LambdaSpace(field_new(4, 0x13), 2, (0x2,))
+    for variant, i in (("h1", 1), ("h0", 0)):
+        small, reference, desc = both_criteria(ls, variant, column=(i, (1, 0)))
+        assert desc.maps[i].third_col() == (ls.value(1), 0)
+        assert small == reference
+        assert "invariance" in small.failed_clauses
+        assert not small.fixed_by[i][0] and not small.fixed_by[i][1]
 
 
 # -- graded fixed dimension ----------------------------------------------------
