@@ -40,7 +40,13 @@ from refl2.invariants import (
     small_family,
 )
 from refl2.mvpoly import MultiPoly, jacobian_det
-from refl2.verify import fixed_dimensions, generated_dimensions, kemper_check
+from refl2.verify import (
+    ROW_BITS_CAP,
+    fixed_dimensions,
+    generated_dimensions,
+    kemper_check,
+    oracle_row_bits,
+)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -118,9 +124,17 @@ def _resolve_fields(cfg: VerifyConfig) -> LambdaSpace:
     try:
         ctx = field_new(ambient_degree, modulus)
         basis = cfg.lambda_basis or default_lambda_basis(cfg.d, cfg.n, ctx)
-        return LambdaSpace(ctx, cfg.n, basis)
+        ls = LambdaSpace(ctx, cfg.n, basis)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    # the oracle interleaves the three lifts and the 2d translations
+    bits = oracle_row_bits(cfg.oracle_max_degree, 3 + 2 * len(basis), ctx.m)
+    if bits > ROW_BITS_CAP:
+        raise ConfigError(
+            f"--oracle-max-degree {cfg.oracle_max_degree} needs oracle rows of "
+            f"{bits} bits here, past the cap of {ROW_BITS_CAP}"
+        )
+    return ls
 
 
 def _gen_labels(lifts, translations):

@@ -28,9 +28,16 @@ Gen_d of the degree-d products of candidate generators (u, c1, z) is
   Gen_d = z Gen_{d-1} + span{u^i c1^j : i deg u + j deg c1 = d},
 so the echelon basis of Gen_{d-1} carries over as it stands, and degree d
 adds only its products free of z, each built once.  Both sweeps run
-the one echelon loop `_ranks` and index monomials as `_pack` does, where
-z times a monomial keeps its index.  Ranks over GF(2^m) are GF(2) ranks
-of the rows v, t v, ..., t^(m-1) v, divided by m.
+the one echelon loop `_ranks` on rows of m-bit lanes packed as `_pack`
+does: for a sweep to degree D, x^a y^b z^c sits at lane
+(a + (D+1) b) k + i, where k rows are interleaved and i picks one.  So
+z times a row is the row itself, x shifts it by k lanes and y by
+(D+1) k lanes, and both sides build every row from a row of a lower
+degree by shifts and scalar multiples alone: the fixed side's images
+g(x^a y^(d-a)) = g(x^(a-1) y^(d-a)) g x (g y when a = 0), the generated
+side's p^i q^j = p^(i-1) q^j p.  Ranks over GF(2^m) are GF(2) ranks of
+the rows v, t v, ..., t^(m-1) v, divided by m, and c v is the XOR of the
+t^j v over the set bits j of c.
 
 `express_in_generators` realizes the inductive division argument:
 restrict to z = 0, express the restriction in the restricted
@@ -137,6 +144,19 @@ def kemper_check(
 
 # -- graded fixed-space oracle ----------------------------------------------
 
+# Cap on the bits of one oracle row, (D+1)^2 * k * m for top degree D, k
+# interleaved generators and m-bit lanes (`oracle_row_bits`).  The echelon
+# basis holds up to m (D+1)(D+2)/2 rows of up to that width, so the cap
+# bounds the sweep's memory and time: the largest sweep it admits at n=2
+# d=0, D = 146, peaks at about 210 MB.
+ROW_BITS_CAP = 1 << 17
+
+
+def oracle_row_bits(max_deg: int, k: int, m: int) -> int:
+    """Bits in one packed row of a sweep to degree max_deg that interleaves
+    k rows of m-bit lanes (`_pack`)."""
+    return (max_deg + 1) ** 2 * k * m
+
 
 def _insert(basis: dict, v: int) -> None:
     """Reduce the GF(2) row v (bit i of the int is column i) by the rows
@@ -151,26 +171,42 @@ def _insert(basis: dict, v: int) -> None:
         v ^= row
 
 
-def _field_rows(ctx: FieldCtx, v: int) -> list[int]:
+def _repeat(width: int, count: int) -> int:
+    """Bit 0 of each of `count` consecutive blocks of `width` bits."""
+    return ((1 << width * count) - 1) // ((1 << width) - 1)
+
+
+def _field_rows(ctx: FieldCtx, v: int, tops: int) -> list[int]:
     """The GF(2) rows v, t v, ..., t^(m-1) v of a field vector packed m
     bits a coordinate (coordinate i in bits i*m .. i*m+m-1).  Together they
     span the field multiples of v, so GF(2) ranks are m times field ranks.
 
     Multiplying by t shifts every m-bit lane left by one and adds the
-    reduction polynomial into the lanes whose top bit fell out."""
+    reduction polynomial into the lanes whose top bit fell out; `tops`
+    holds the top bit of every lane of v, `_repeat(m, lanes) << (m - 1)`,
+    built once per sweep."""
     m = ctx.m
-    lanes = -(-v.bit_length() // m)
-    top = ((1 << m * lanes) - 1) // ((1 << m) - 1) << (m - 1)
     low = ctx.modulus ^ (1 << m)
     rows = [v]
     for _ in range(m - 1):
-        hi = v & top
+        hi = v & tops
         v = ((v ^ hi) << 1) ^ (hi >> (m - 1)) * low
         rows.append(v)
     return rows
 
 
-def _ranks(ctx: FieldCtx, max_deg: int, vectors) -> list[int]:
+def _scale(rows: list[int], c: int) -> int:
+    """c times the field vector whose `_field_rows` are `rows`: the XOR of
+    t^j v over the set bits j of c."""
+    out = 0
+    for row in rows:
+        if c & 1:
+            out ^= row
+        c >>= 1
+    return out
+
+
+def _ranks(ctx: FieldCtx, max_deg: int, vectors, tops: int) -> list[int]:
     """Entry d is the field rank of every packed vector that `vectors(e)`
     yields for e = 0..d.  One GF(2) echelon basis is kept for the whole
     sweep: its rows of degree d-1 stand for z times them in degree d."""
@@ -178,7 +214,7 @@ def _ranks(ctx: FieldCtx, max_deg: int, vectors) -> list[int]:
     ranks = []
     for d in range(max_deg + 1):
         for v in vectors(d):
-            for row in _field_rows(ctx, v):
+            for row in _field_rows(ctx, v, tops):
                 _insert(basis, row)
         rank, rest = divmod(len(basis), ctx.m)
         assert not rest
@@ -186,18 +222,21 @@ def _ranks(ctx: FieldCtx, max_deg: int, vectors) -> list[int]:
     return ranks
 
 
-def _pack(terms: dict, d: int, m: int, k: int = 1, i: int = 0) -> int:
-    """The degree-d polynomial with term dict `terms` as a GF(2) row of
-    m-bit lanes.  Among the (d+1)(d+2)/2 monomials of degree d, x^a y^b z^c
-    has index (d+1)(d+2)/2 - 1 - a - c(d+1) + c(c-1)/2 (z-exponent
-    descending, then x-exponent descending): the monomials free of z come
-    last, and z times a monomial of degree d-1 keeps its index.  The
-    coefficient goes to lane index*k + i, which interleaves k rows."""
-    size = (d + 1) * (d + 2) // 2
+def _pack(terms: dict, top: int, m: int) -> int:
+    """The polynomial with term dict `terms`, of degree at most `top`, as a
+    GF(2) row of m-bit lanes: the coefficient of x^a y^b z^c goes to lane
+    a + (top+1) b, whatever c.  Within one degree the lane tells the
+    monomial; z times a monomial keeps its lane, x adds 1 and y adds
+    top+1, so multiplying a row by x or y is a shift."""
     v = 0
-    for (a, _, c), coeff in terms.items():
-        v ^= coeff << ((size - 1 - a - c * (d + 1) + c * (c - 1) // 2) * k + i) * m
+    for (a, b, _), coeff in terms.items():
+        v ^= coeff << (a + (top + 1) * b) * m
     return v
+
+
+def _check_degree(max_deg: int) -> None:
+    if max_deg < 0:
+        raise ValueError("the top degree must be at least 0")
 
 
 def fixed_dimensions(gens: list[Mat3], max_deg: int) -> list[int]:
@@ -207,28 +246,64 @@ def fixed_dimensions(gens: list[Mat3], max_deg: int) -> list[int]:
     doc).  For block-diagonal generators the counts in x, y alone are the
     first differences of this list, since S^G = k[x, y]^G [z].
 
-    The value at (monomial, generator) is the m-bit lane
-    index*|gens| + generator of `_pack`, so the echelon rows of
-    image Phi_{d-1} are rows of image Phi_d as they stand, and degree d
-    inserts only Phi_d(x^a y^(d-a)).  Pivots are highest bits, so a new
-    row whose z-free part is nonzero has its pivot past every row kept
-    from lower degrees."""
+    The value at (monomial, generator) sits at lane index*|gens| +
+    generator, where index is the monomial's lane in `_pack` with top
+    degree max_deg.  So the echelon rows of image Phi_{d-1} are rows of
+    image Phi_d as they stand, and degree d inserts only
+    Phi_d(x^a y^(d-a)).  Every generator's image of x^a y^(d-a) is built
+    at once from the packed images of degree d-1: times g x (or g y when
+    a = 0), which is a shift per variable and, per lane, the scalar of
+    that lane's generator, picked out by lane masks."""
     if not gens:
         raise ValueError("need at least one generator")
+    _check_degree(max_deg)
     ctx = gens[0].ctx
-    m, k = ctx.m, len(gens)
-    images = [[MultiPoly.linear_form(ctx, *row) for row in g.rows[:2]] for g in gens]
+    if any(g.ctx != ctx for g in gens):
+        raise ValueError("generators from mixed contexts")
+    m, k, side = ctx.m, len(gens), max_deg + 1
+    tops = _repeat(m, side * side * k) << (m - 1)
+    blocks = _repeat(k * m, side * side)
+    ones = _repeat(m, k)  # the constant 1 under every generator
+
+    def linear(r):
+        """Row r of every generator, g x or g y, as (shift, lane masks)
+        pairs, one per variable: masks[j] covers the lanes of the
+        generators whose coefficient has bit j set."""
+        factor = []
+        for col, shift in enumerate((k * m, side * k * m, 0)):
+            masks = [
+                blocks * sum(
+                    ((1 << m) - 1) << i * m
+                    for i, g in enumerate(gens)
+                    if g.rows[r][col] >> j & 1
+                )
+                for j in range(m)
+            ]
+            if any(masks):
+                factor.append((shift, masks))
+        return factor
+
+    gx, gy = linear(0), linear(1)
+
+    def times(v, factor):
+        rows = _field_rows(ctx, v, tops)
+        out = 0
+        for shift, masks in factor:
+            for row, mask in zip(rows, masks):
+                if mask:
+                    out ^= (row & mask) << shift
+        return out
+
+    images = [ones]  # g x^a y^(d-a) for a = d..0, here d = 0
 
     def phi(d):
-        for a in range(d, -1, -1):
-            mono = {(a, d - a, 0): 1}
-            v = 0
-            for i, (px, py) in enumerate(images):
-                image = (px**a * py ** (d - a))._terms
-                v ^= _pack(mono, d, m, k, i) ^ _pack(image, d, m, k, i)
-            yield v
+        nonlocal images
+        if d:
+            images = [times(v, gx) for v in images] + [times(images[-1], gy)]
+        for b, image in enumerate(images):
+            yield image ^ ones << (d - b + side * b) * k * m
 
-    ranks = _ranks(ctx, max_deg, phi)
+    ranks = _ranks(ctx, max_deg, phi, tops)
     return [(d + 1) * (d + 2) // 2 - rank for d, rank in enumerate(ranks)]
 
 
@@ -265,7 +340,10 @@ def _check_generators(invs: list[MultiPoly]) -> None:
 
 def generated_dimension(invs: list[MultiPoly], deg: int) -> int:
     """Rank of the set of monomials in the candidate generators of the
-    given total degree, by exact elimination."""
+    given total degree, by exact elimination.  The products are built as
+    `MultiPoly`s and packed as `_pack` does with top degree deg."""
+    if not invs:
+        raise ValueError("need at least one generator")
     _check_generators(invs)
     ctx = invs[0].ctx
 
@@ -277,18 +355,22 @@ def generated_dimension(invs: list[MultiPoly], deg: int) -> int:
                     prod = prod * p**k
             yield _pack(prod._terms, deg, ctx.m)
 
-    return _ranks(ctx, 0, products)[0]
+    tops = _repeat(ctx.m, (deg + 1) ** 2) << (ctx.m - 1)
+    return _ranks(ctx, 0, products, tops)[0]
 
 
 def generated_dimensions(invs: list[MultiPoly], max_deg: int) -> list[int]:
     """`generated_dimension` of (p, q, z) for degrees 0..max_deg, in one
     sweep, with z the coordinate itself: the echelon rows of Gen_{d-1} are
-    rows of Gen_d as they stand (module doc, `_pack`), and degree d
-    inserts only its products p^i q^j.  The powers of p and q are memoized
-    on them, up to max_deg."""
+    rows of Gen_d as they stand (module doc, `_pack` with top degree
+    max_deg), and degree d inserts only its products p^i q^j.  Each is
+    built once, as packed rows: p^i q^j is p^(i-1) q^j times p, and q^j
+    is q^(j-1) times q, where a term of p or q is one scalar multiple of
+    the row and one shift.  Neither p nor q is raised to a power."""
     if len(invs) != 3:
         raise ValueError("need generators (p, q, z)")
     _check_generators(invs)
+    _check_degree(max_deg)
     p, q, z = invs
     ctx = p.ctx
     if q.ctx != ctx:
@@ -296,14 +378,36 @@ def generated_dimensions(invs: list[MultiPoly], max_deg: int) -> list[int]:
     if z != MultiPoly.variable(ctx, 2):
         raise ValueError("the third generator must be the coordinate z")
     dp, dq = p.deg(), q.deg()
+    m, side = ctx.m, max_deg + 1
+    tops = _repeat(m, side * side) << (m - 1)
+    # (shift, coefficient) per term
+    fp, fq = (
+        [((a + side * b) * m, c) for (a, b, _), c in f._terms.items()]
+        for f in (p, q)
+    )
+
+    def times(v, factor):
+        rows = _field_rows(ctx, v, tops)
+        out = 0
+        for shift, c in factor:
+            out ^= _scale(rows, c) << shift
+        return out
+
+    powers = {(0, 0): 1}  # (i, j) -> packed p^i q^j, until it is extended
 
     def products(d):
         for i in range(d // dp + 1):
             j, rest = divmod(d - i * dp, dq)
-            if not rest:
-                yield _pack((p**i * q**j)._terms, d, ctx.m)
+            if rest:
+                continue
+            if i:
+                base = powers.pop((i - 1, j)) if i > 1 else powers[0, j]
+                powers[i, j] = times(base, fp)
+            elif j:
+                powers[0, j] = times(powers[0, j - 1], fq)
+            yield powers[i, j]
 
-    return _ranks(ctx, max_deg, products)
+    return _ranks(ctx, max_deg, products, tops)
 
 
 # -- expression in the generators ---------------------------------------------

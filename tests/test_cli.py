@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +14,15 @@ from refl2.cli import (
     EXIT_OK,
     ConfigError,
     VerifyConfig,
+    _resolve_fields,
     main,
     run_selftest,
     run_verify,
 )
 from refl2.grouplift import Mat3
+from refl2.verify import ROW_BITS_CAP
+
+EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
 SCHEMA_KEYS = [
     "n",
@@ -98,6 +104,7 @@ def test_cli_bad_flags(capsys):
         ["--max-group", "-5"],
         ["--d", "3", "--lambda-basis", "0x2"],
         ["--d", "0", "--lambda-basis", "0x1"],
+        ["--oracle-max-degree", "1000000000000"],
     ],
     ids=[
         "zero-basis",
@@ -108,6 +115,7 @@ def test_cli_bad_flags(capsys):
         "negative-group-cap",
         "d-conflicts-with-basis",
         "d0-conflicts-with-basis",
+        "oracle-past-row-cap",
     ],
 )
 def test_cli_bad_configuration_exits_2(flags, capsys):
@@ -184,6 +192,38 @@ def test_cli_oracle_sweep_past_degree_60():
     assert code == EXIT_OK and report.verdict == "POLYNOMIAL"
     assert [e["degree"] for e in report.oracle] == list(range(71))
     assert all(e["fixed_dim"] == e["generated_dim"] for e in report.oracle)
+
+
+def test_cli_oracle_row_cap_boundary():
+    # n=2 d=0: three generators and 2-bit lanes, so a row of the sweep to
+    # degree D has (D+1)^2 * 6 bits; the top degree under the cap passes
+    top = math.isqrt(ROW_BITS_CAP // 6) - 1
+    _resolve_fields(VerifyConfig(n=2, oracle_max_degree=top))
+    with pytest.raises(ConfigError, match="past the cap"):
+        _resolve_fields(VerifyConfig(n=2, oracle_max_degree=top + 1))
+    # n=2 d=1 interleaves five generators, so its top degree is lower
+    with pytest.raises(ConfigError, match="past the cap"):
+        _resolve_fields(VerifyConfig(n=2, d=1, oracle_max_degree=top))
+
+
+# the instances perfbench/run.py times, by workload name
+BENCH_INSTANCES = {
+    "verify-closure": VerifyConfig(n=3, d=1),
+    "verify-invariants": VerifyConfig(n=3, d=0),
+    "verify-oracle": VerifyConfig(n=2, d=0, oracle_max_degree=60),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(BENCH_INSTANCES))
+def test_verify_matches_benchmark_reports(workload):
+    # the checked-in reports every benchmark sample is compared with
+    with open(EXPECTED / f"{workload}.json") as fh:
+        expected = json.load(fh)
+    code, report = run_verify(BENCH_INSTANCES[workload])
+    d = report.to_dict()
+    del d["elapsed_ms"]
+    assert code == EXIT_OK
+    assert d == expected
 
 
 def test_cli_import_leaves_numpy_unloaded():

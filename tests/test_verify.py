@@ -336,18 +336,43 @@ def test_fixed_dim_matches_brute_force_gf2():
     assert fixed_dimensions(gens, 6) == running_sums(plane)
 
 
+def lambda_gens(ls, variant):
+    """The pipeline's generators: the lifts, then the translations."""
+    return list(lift_generators(variant, ls.n, ls.ambient)) + kernel_group(ls)
+
+
 def pipeline_gens(n, d, variant):
     ctx = field_new(n * (2 if d == 2 else 1))
-    ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
-    return list(lift_generators(variant, n, ctx)) + kernel_group(ls)
+    return lambda_gens(LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx)), variant)
 
 
-@pytest.mark.parametrize("variant", ["h1", "h0"])
-@pytest.mark.parametrize(
-    "n,d,max_deg", [(2, 0, 30), (2, 1, 20), (3, 0, 20), (3, 1, 20), (2, 2, 20)]
-)
-def test_fixed_dimensions_match_dense_reference(n, d, max_deg, variant):
-    gens = pipeline_gens(n, d, variant)
+def offset_gens(n, variant, modulus, basis):
+    ls = LambdaSpace(field_new(modulus.bit_length() - 1, modulus), n, basis)
+    return lambda_gens(ls, variant)
+
+
+# the default bases (id n-d-max_deg-variant), then the offset bases
+FIXED_REFERENCE_CASES = [
+    pytest.param(
+        functools.partial(pipeline_gens, n, d, variant),
+        max_deg,
+        id=f"{n}-{d}-{max_deg}-{variant}",
+    )
+    for n, d, max_deg in [(2, 0, 30), (2, 1, 20), (3, 0, 20), (3, 1, 20), (2, 2, 20)]
+    for variant in ("h1", "h0")
+] + [
+    pytest.param(
+        functools.partial(offset_gens, *case),
+        16,
+        id=f"{case[0]}-{case[1]}-{case[2]:#x}-{case[3][0]:#x}-16",
+    )
+    for case in OFFSET_CASES
+]
+
+
+@pytest.mark.parametrize("make_gens, max_deg", FIXED_REFERENCE_CASES)
+def test_fixed_dimensions_match_dense_reference(make_gens, max_deg):
+    gens = make_gens()
     assert fixed_dimensions(gens, max_deg) == [
         dense_fixed_dimension(gens, deg) for deg in range(max_deg + 1)
     ]
@@ -364,6 +389,28 @@ def test_fixed_dimensions_two_vars_match_dense_reference(n):
 def test_fixed_dimensions_rejects_bad_input():
     with pytest.raises(ValueError):
         fixed_dimensions([], 3)
+    mixed = [Mat3.block(GF4, 1, 1, 0, 1), Mat3.block(field_new(4), 1, 0, 1, 1)]
+    with pytest.raises(ValueError, match="mixed contexts"):
+        fixed_dimensions(mixed, 4)
+    with pytest.raises(ValueError, match="at least 0"):
+        fixed_dimensions([Mat3.identity(GF4)], -1)
+
+
+def test_fixed_dimensions_build_no_polynomials(monkeypatch):
+    # the images of the monomials are built as packed rows, by shifts and
+    # lane masks, never as MultiPoly products or powers
+    gens = pipeline_gens(2, 0, "h1")
+    calls = []
+    for name in ("__mul__", "__pow__"):
+        original = getattr(MultiPoly, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(MultiPoly, name, counted)
+    fixed_dimensions(gens, 20)
+    assert calls == []
 
 
 @st.composite
@@ -502,8 +549,12 @@ def test_generated_dimensions_rejects_bad_input():
     for invs in bad:
         with pytest.raises(ValueError):
             generated_dimensions(invs, 3)
+    with pytest.raises(ValueError, match="at least 0"):
+        generated_dimensions([x, y, z], -1)
     with pytest.raises(ValueError, match="positive degree"):
         generated_dimension([MultiPoly.one(GF4), x], 2)
+    with pytest.raises(ValueError, match="at least one generator"):
+        generated_dimension([], 2)
 
 
 @st.composite
