@@ -16,7 +16,11 @@
 * lifted invariants: every plane form a x + b y is replaced by
   a x + b y + g(a,b) z, with g the homogeneous cocycle companion, so
   g(ta, tb) = t g(a,b) and the line products u~ = prod_L L~,
-  c1~ = sum_L (prod_{L' != L} L'~)^(q-1) restrict to u, c1 at z = 0.
+  c1~ = sum_L (u~/L~)^(q-1) restrict to u, c1 at z = 0.  Since
+  u~ (u~/L~)^(q-1) = L~ (u~/L~)^q, c1~ is built as
+      u~ c1~ = sum_L L~ (u~/L~)^q,
+  where the q-th power is n termwise Frobenius steps and the division
+  by u~ is exact: the right side is u~ times the polynomial c1~.
   An optional scale multiplies g: scale 1 gives outputs invariant under
   the cocycle subgroup H_1, while the pipeline uses scale (1 + e^-1)^-1
   to match the lifted generators actually closed over.
@@ -82,8 +86,13 @@ def _lifted_family(
     Z: MultiPoly,
     gscale: int = 1,
 ) -> tuple[MultiPoly, MultiPoly]:
-    """(u-like, c1-like) from the q+1 line forms a X + b Y + s g(a,b) Z."""
-    q = 1 << n
+    """(u-like, c1-like) from the q+1 line forms L = a X + b Y + s g(a,b) Z.
+
+    u = prod_L L, and c1 = sum_L (u/L)^(q-1) is the exact quotient of
+    sum_L L (u/L)^q by u: each summand is u (u/L)^(q-1), so u divides
+    the sum and no (q-1)-th power is taken.  u/L is the product of the
+    other q forms, kept as prefix and suffix products.
+    """
 
     def form(a: int, b: int) -> MultiPoly:
         return X.scale(a) + Y.scale(b) + Z.scale(ctx.mul(gscale, cocycle_g(ctx, a, b, n)))
@@ -94,12 +103,16 @@ def _lifted_family(
     prefix = [MultiPoly.one(ctx)]
     for L in forms:
         prefix.append(prefix[-1] * L)
-    c1 = MultiPoly.zero(ctx)
+    num = MultiPoly.zero(ctx)
     suffix = MultiPoly.one(ctx)
     for i in reversed(range(len(forms))):
-        c1 = c1 + (prefix[i] * suffix) ** (q - 1)
+        r = prefix[i] * suffix
+        for _ in range(n):
+            r = r.frobenius()
+        num = num + forms[i] * r
         suffix = suffix * forms[i]
-    return prefix[-1], c1
+    u = prefix[-1]
+    return u, num.div_exact(u)
 
 
 def dickson_pair(n: int, ambient: FieldCtx) -> tuple[MultiPoly, MultiPoly]:

@@ -12,7 +12,8 @@ p.act(g) = p o g (x picks up row 0 of g, y row 1, z stays z), applied
 as g's elementary one-variable substitutions, each one pass over the
 terms (`Substitution`); the action keeps no state.  Products and powers
 exploit characteristic 2: squaring is termwise, so powers collapse via
-the Frobenius, and each polynomial memoizes its own powers.
+the Frobenius, and each polynomial memoizes its own powers.  Exact
+division (`div_exact`) eliminates leading terms with a heap.
 
 Text format: terms in canonical order joined by " + ", each term
 "{coeff-hex}*x^a*y^b*z^c" with zero exponents omitted, "^1" omitted,
@@ -22,6 +23,7 @@ The zero polynomial prints "0x0".
 
 from __future__ import annotations
 
+from heapq import heappop, heappush
 from typing import Iterable, Iterator
 
 from refl2.ffield import FieldCtx
@@ -237,6 +239,87 @@ class MultiPoly:
             terms[(a, b, c - 1)] = v
         return MultiPoly(self.ctx, terms)
 
+    def div_exact(self, den: "MultiPoly") -> "MultiPoly":
+        """The exact quotient self / den; ValueError if den does not divide.
+
+        Leading-term elimination in the canonical order, with the pending
+        products of quotient terms and den's lower terms on a heap of at
+        most len(den) - 1 entries, one chain per lower term of den (Monagan
+        and Pearce, "Sparse polynomial division using a heap", J. Symbolic
+        Comput. 2011).  A term that den's lead does not divide goes to the
+        remainder, and a nonzero remainder raises.  Monomials are packed
+        into ints that compare as the canonical order: total degree, then
+        the x, y, z exponents, in fields of B bits each, so a product of
+        monomials is a sum.
+        """
+        self._check_ctx(den)
+        if not den._terms:
+            raise ZeroDivisionError("polynomial division by zero")
+        if not self._terms:
+            return MultiPoly(self.ctx)
+        # every monomial met has total degree <= deg self, and den's lead
+        # <= deg den, so each field fits in B bits
+        B = max(self.deg(), den.deg()).bit_length()
+        mask = (1 << B) - 1
+
+        def pack(terms):
+            return sorted(
+                (((a + b + c) << 3 * B | a << 2 * B | b << B | c), v)
+                for (a, b, c), v in terms.items()
+            )[::-1]
+
+        f = pack(self._terms)
+        gk, gc = zip(*pack(den._terms))
+        lead = gk[0]
+        la, lb, lc = lead >> 2 * B & mask, lead >> B & mask, lead & mask
+        inv_lead = self.ctx.inv(gc[0])
+        mul = self.ctx.mul
+        # heap entries are -(monomial << J | j): the chain of den's term j,
+        # j >= 1, at its next quotient term nxt[j]; `waiting` chains have
+        # run past the last quotient term so far
+        J = len(gk).bit_length()
+        jmask = (1 << J) - 1
+        nxt = [0] * len(gk)
+        waiting = list(range(1, len(gk)))
+        heap: list[int] = []
+        qk: list[int] = []
+        qc: list[int] = []
+        i, nf = 0, len(f)
+        remainder = False
+        while heap or i < nf:
+            m = -heap[0] >> J if heap else -1
+            c = 0
+            if i < nf and f[i][0] >= m:
+                m, c = f[i]
+                i += 1
+            while heap and -heap[0] >> J == m:
+                j = -heappop(heap) & jmask
+                k = nxt[j]
+                c ^= mul(qc[k], gc[j])
+                k += 1
+                nxt[j] = k
+                if k < len(qk):
+                    heappush(heap, -((qk[k] + gk[j]) << J | j))
+                else:
+                    waiting.append(j)
+            if not c:
+                continue
+            if m >> 2 * B & mask < la or m >> B & mask < lb or m & mask < lc:
+                remainder = True  # a term the lead cannot eliminate
+                continue
+            t = m - lead
+            qk.append(t)
+            qc.append(mul(c, inv_lead))
+            for j in waiting:
+                heappush(heap, -((t + gk[j]) << J | j))
+            waiting = []
+        if remainder:
+            raise ValueError("not an exact multiple: nonzero remainder")
+        return MultiPoly(
+            self.ctx,
+            {(e >> 2 * B & mask, e >> B & mask, e & mask): v for e, v in zip(qk, qc)},
+        )
+
     def eval(self, vx: int, vy: int, vz: int) -> int:
         """Evaluate at a point of the field (ints as bit-vectors)."""
         ctx = self.ctx
@@ -350,6 +433,8 @@ def jacobian_det(p1: MultiPoly, p2: MultiPoly, p3: MultiPoly) -> MultiPoly:
     rows = [[p.partial(j) for j in range(3)] for p in (p1, p2, p3)]
     # characteristic 2: all permutation signs collapse to +
     out = MultiPoly.zero(p1.ctx)
-    for perm in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
-        out = out + rows[0][perm[0]] * rows[1][perm[1]] * rows[2][perm[2]]
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        a, b, c = rows[0][i], rows[1][j], rows[2][k]
+        if a and b and c:  # a zero partial zeroes the term: skip its products
+            out = out + a * b * c
     return out

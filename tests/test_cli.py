@@ -351,6 +351,17 @@ def test_verify_scale_ladder_under_a_low_degree_cap(monkeypatch, n, d, degrees, 
     assert r["degree_product"] == r["group_order"] == order
 
 
+@pytest.mark.parametrize("variant", ["h1", "h0"])
+def test_verify_n4_d0_under_the_numerator_degree_cap(monkeypatch, variant):
+    # the lifted c1~ (h1) is sum_L L (u~/L)^q divided by u~: that numerator,
+    # of degree q^2 + 1, is the largest polynomial built
+    monkeypatch.setattr(refl2.mvpoly, "DEGREE_CAP", (1 << 8) + 1)
+    code, report = run_verify(VerifyConfig(n=4, d=0, variant=variant))
+    r = report.to_dict()
+    assert (code, r["verdict"]) == (EXIT_OK, "POLYNOMIAL")
+    assert r["degree_product"] == r["group_order"] == 4080
+
+
 def test_verify_builds_only_the_kernel_generators(monkeypatch):
     # n=2 d=2: N = Lambda_1^2 has 4^4 = 256 elements; only the 2d = 4
     # translations that generate it with the lifts are built

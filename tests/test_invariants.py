@@ -22,6 +22,7 @@ from refl2.invariants import (
     kernel_action,
     kernel_invariants,
     lifted_invariants,
+    small_family,
 )
 from refl2.mvpoly import MultiPoly, jacobian_det
 from test_grouplift import kernel_reference, lambda_span_reference
@@ -76,6 +77,30 @@ def all_forms_family(n, ctx, scale=None):
     return c0, c1
 
 
+def lifted_family_reference(ctx, n, X, Y, Z, gscale=1):
+    """Reference (u~, c1~) for `_lifted_family`: c1~ as the sum over the
+    q+1 lines of (u~/L)^(q-1), u~/L the product of the other q forms."""
+    q = 1 << n
+
+    def form(a, b):
+        return X.scale(a) + Y.scale(b) + Z.scale(ctx.mul(gscale, cocycle_g(ctx, a, b, n)))
+
+    forms = [form(0, 1)] + [form(1, s) for s in subfield_elements(ctx, n)]
+    prefix = [MultiPoly.one(ctx)]
+    for L in forms:
+        prefix.append(prefix[-1] * L)
+    c1 = MultiPoly.zero(ctx)
+    suffix = MultiPoly.one(ctx)
+    for i in reversed(range(len(forms))):
+        c1 = c1 + (prefix[i] * suffix) ** (q - 1)
+        suffix = suffix * forms[i]
+    return prefix[-1], c1
+
+
+def xyz(ctx):
+    return tuple(MultiPoly.variable(ctx, i) for i in range(3))
+
+
 def displayed_scale(n, ctx):
     """(1 + e^-1)^-1, the cocycle scale the pipeline uses."""
     e = subfield_generator(ctx, n)
@@ -95,6 +120,39 @@ def test_line_products_match_all_forms_reference():
             ut, c1 = lifted_invariants(n, ctx, scale)
             assert c1 == c1t
             assert ut ** ((1 << n) - 1) == c0t
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lifted_family_matches_power_reference_at_every_scale(n):
+    ctx = field_new(n)
+    for scale in subfield_elements(ctx, n):
+        assert lifted_invariants(n, ctx, scale) == lifted_family_reference(
+            ctx, n, *xyz(ctx), scale
+        )
+
+
+def test_lifted_family_matches_power_reference_n4_pipeline_scale():
+    ctx = field_new(4)
+    scale = displayed_scale(4, ctx)
+    assert lifted_invariants(4, ctx, scale) == lifted_family_reference(
+        ctx, 4, *xyz(ctx), scale
+    )
+
+
+@pytest.mark.parametrize("n, modulus", [(2, 0x13), (3, 0x43)])
+def test_small_family_matches_power_reference_offset_bases(n, modulus):
+    # Lambda_1 = GF(q) 0x2 misses 1, so the h1 maps have nonzero offsets and
+    # the small family is the lifted one, with z scaled by alpha
+    ctx = field_new(modulus.bit_length() - 1, modulus)
+    ls = LambdaSpace(ctx, n, (0x2,))
+    gens = list(lift_generators("h1", n, ctx)) + kernel_group(ls)
+    desc = kernel_action(gens, *kernel_invariants(ls), n=n)
+    assert not desc.all_offsets_zero
+    x, y, z = xyz(ctx)
+    reference = lifted_family_reference(
+        ctx, n, x, y, z.scale(desc.alpha), displayed_scale(n, ctx)
+    )
+    assert small_family(desc) == (*reference, z)
 
 
 def test_closed_form_pair_matches_line_products():

@@ -225,6 +225,59 @@ def test_div_exact_z():
         assert (p * Z()).div_exact_z() == p
 
 
+def test_div_exact_examples():
+    x, y, z = X(), Y(), Z()
+    one = MultiPoly.one(GF4)
+    u = x**4 * y + x * y**4
+    assert (u * (x + z)).div_exact(u) == x + z
+    assert (u * u).div_exact(u) == u
+    assert u.div_exact(u) == one
+    assert u.div_exact(one) == u
+    assert u.scale(2).div_exact(MultiPoly.constant(GF4, 3)) == u.scale(GF4.mul(2, GF4.inv(3)))
+    assert MultiPoly.zero(GF4).div_exact(u).is_zero()
+    # the quotient's terms arrive in descending order over many chains
+    p = (x + y + z) ** 5 + x * z**3 + y**2 * z
+    assert (p * u).div_exact(p) == u
+
+
+def test_div_exact_rejects_a_non_multiple():
+    x, y, z = X(), Y(), Z()
+    # two quotient terms x and y eliminate x^2 and xy before z^2 stays over
+    p = (x + y) * (x + z) + z**2
+    one = MultiPoly.one(GF4)
+    for num, den in ((p, x + z), (x, y), (x, x * y), (x * y + one, x), (p * (x + y) + z**3, p)):
+        with pytest.raises(ValueError, match="remainder"):
+            num.div_exact(den)
+
+
+def test_div_exact_by_zero():
+    with pytest.raises(ZeroDivisionError):
+        X().div_exact(MultiPoly.zero(GF4))
+    with pytest.raises(ZeroDivisionError):
+        MultiPoly.zero(GF4).div_exact(MultiPoly.zero(GF4))
+
+
+def test_div_exact_rejects_mixed_contexts():
+    with pytest.raises(ValueError, match="mismatched"):
+        X(GF4).div_exact(X(GF16))
+
+
+def test_jacobian_skips_terms_with_a_zero_partial(monkeypatch):
+    # z's partials are (0, 0, 1): 4 of the 6 terms vanish, and the other
+    # two cost two products each
+    u = X() ** 4 * Y() + X() * Y() ** 4 + Z() ** 5
+    c1 = X() ** 3 * Z() + Y() ** 12 + X() * Y() * Z() ** 2
+    rows = [[p.partial(j) for j in range(3)] for p in (u, c1, Z())]
+    full = MultiPoly.zero(GF4)
+    for i, j, k in ((0, 1, 2), (0, 2, 1), (1, 0, 2), (1, 2, 0), (2, 0, 1), (2, 1, 0)):
+        full = full + rows[0][i] * rows[1][j] * rows[2][k]
+    calls = []
+    mul = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    assert jacobian_det(u, c1, Z()) == full
+    assert len(calls) == 4
+
+
 def test_restrict_z0():
     p = X() * Z() + Y() ** 2 + Z() ** 3
     assert p.restrict_z0() == Y() ** 2
@@ -342,3 +395,14 @@ def test_act_matches_reference_property(case):
     # runs over multi-bit submasks
     p, g = case
     assert p.act(g) == substitute_reference(p, g)
+
+
+def divisible_pairs(ctx):
+    return st.tuples(sparse_polys(ctx, maxdeg=6, maxterms=8), sparse_polys(ctx).filter(bool))
+
+
+@PROPERTY
+@given(st.sampled_from([GF4, GF16]).flatmap(divisible_pairs))
+def test_div_exact_inverts_mul_property(case):
+    a, b = case
+    assert (a * b).div_exact(b) == a
