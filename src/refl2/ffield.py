@@ -5,7 +5,8 @@ coefficient of t^k in the polynomial basis of GF(2)[t]/(modulus).  The
 zero and one elements are always the ints 0 and 1, and addition is xor.
 A `FieldCtx` carries the extension degree and the irreducible modulus
 and exposes int-level arithmetic (`mul`, `inv`, `sqrt`, `pow_`); these
-are the hot-path primitives used by the polynomial and matrix layers.
+are the hot-path primitives of the matrix layer, while the polynomial
+layer's per-term kernels read the log/exp tables (see `FieldCtx`).
 
 Moduli are bit-vectors too, with bit m (the leading bit) set; they print
 as hex with the low bit the constant term, e.g. the GF(4) modulus
@@ -93,6 +94,14 @@ class FieldCtx:
     Immutable; two contexts compare equal iff they have the same degree
     and modulus.  All int-level methods expect operands already reduced
     (bit length at most m).
+
+    For m <= _TABLE_LIMIT (16) the context holds discrete-log tables for
+    a multiplicative generator: `_log[a]` in [0, 2^m - 1) for nonzero a,
+    and `_exp[i]` for 0 <= i < 2 (2^m - 1), so a sum of two logs indexes
+    `_exp` unreduced.  Past the limit both are None and every method
+    computes directly.  Besides the methods here, refl2.mvpoly's per-term
+    kernels read `_log` and `_exp` (its `_coeff_tables`), and fall back
+    to `mul` when they are None.
     """
 
     __slots__ = ("m", "modulus", "order", "_exp", "_log")
@@ -168,9 +177,6 @@ class FieldCtx:
                 return 0
             return self._exp[self._log[a] + self._log[b]]
         return self._mul_raw(a, b)
-
-    def sqr(self, a: int) -> int:
-        return self.mul(a, a)
 
     def inv(self, a: int) -> int:
         if a == 0:

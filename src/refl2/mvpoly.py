@@ -12,8 +12,16 @@ p.act(g) = p o g (x picks up row 0 of g, y row 1, z stays z), applied
 as g's elementary one-variable substitutions, each one pass over the
 terms (`Substitution`); the action keeps no state.  Products and powers
 exploit characteristic 2: squaring is termwise, so powers collapse via
-the Frobenius, and each polynomial memoizes its own powers.  Exact
-division (`div_exact`) eliminates leading terms with a heap.
+the Frobenius, and each polynomial memoizes its own powers and degree.
+Exact division (`div_exact`) eliminates leading terms with a heap.
+
+The per-term kernels (`*`, `act`, `frobenius`, `scale`, `div_exact`)
+make no field-method call per term.  A monomial x^a y^b z^c is packed
+into one int a << 2B | b << B | c, with B bits enough for every
+exponent the kernel meets, so a product of monomials is a sum of keys.
+A coefficient product is one lookup in FieldCtx's log/exp tables,
+prod[left[a] + right[b]] (`_coeff_tables`); fields past the table limit
+keep one ctx.mul per product behind the same lookup.
 
 Text format: terms in canonical order joined by " + ", each term
 "{coeff-hex}*x^a*y^b*z^c" with zero exponents omitted, "^1" omitted,
@@ -38,16 +46,75 @@ def _term_key(exps):
     return (a + b + c, a, b, c)
 
 
+class _PairProduct:
+    """prod for a field without tables: i = a << m | b -> ctx.mul(a, b)."""
+
+    __slots__ = ("mul", "m", "mask")
+
+    def __init__(self, ctx: FieldCtx):
+        self.mul, self.m, self.mask = ctx.mul, ctx.m, ctx.order - 1
+
+    def __getitem__(self, i: int) -> int:
+        return self.mul(i >> self.m, i & self.mask)
+
+
+def _coeff_tables(ctx: FieldCtx):
+    """(left, right, prod) with prod[left[a] + right[b]] = a*b for nonzero
+    elements a, b of ctx.  The entries at zero mean nothing, so the kernels
+    look up nonzero coefficients only.
+
+    This is the one read of FieldCtx's private tables.  For m <= 16
+    (ffield._TABLE_LIMIT) left = right = ctx._log, discrete logs in
+    [0, 2^m - 1), and prod = ctx._exp, which holds 2 (2^m - 1) entries, so
+    a sum of two logs needs no reduction.  Larger fields have no tables:
+    there left[a] = a << m and right[b] = b pair the operands into one
+    int, and prod multiplies the pair with ctx.mul, one call per product.
+    """
+    if ctx._exp is not None:
+        return ctx._log, ctx._log, ctx._exp
+    m = ctx.m
+    return range(0, 1 << 2 * m, 1 << m), range(ctx.order), _PairProduct(ctx)
+
+
+def _pack(terms: dict, B: int, rep) -> list:
+    """[(a << 2B | b << B | c, rep[v])] over the terms; every exponent must
+    fit in B bits.  rep is left or right of `_coeff_tables`, or None to
+    keep the coefficients."""
+    s2 = 2 * B
+    if rep is None:
+        return [(a << s2 | b << B | c, v) for (a, b, c), v in terms.items()]
+    return [(a << s2 | b << B | c, rep[v]) for (a, b, c), v in terms.items()]
+
+
+def _unpack(packed: dict, B: int) -> dict:
+    """{packed key: v} back to exponent triples, dropping zero coefficients."""
+    mask = (1 << B) - 1
+    return {
+        (k >> 2 * B, k >> B & mask, k & mask): v for k, v in packed.items() if v
+    }
+
+
+def _powers(x: int, K: int, left, right, prod) -> list:
+    """right[x^j] for j = 0..K, for a nonzero x."""
+    rx = right[x]
+    out, v = [], 1
+    for _ in range(K + 1):
+        out.append(right[v])
+        v = prod[left[v] + rx]
+    return out
+
+
 class MultiPoly:
     """Immutable sparse polynomial in x, y, z over a FieldCtx."""
 
-    __slots__ = ("ctx", "_terms", "_key", "_pows")
+    __slots__ = ("ctx", "_terms", "_key", "_pows", "_deg")
 
     def __init__(self, ctx: FieldCtx, terms: dict | None = None):
         self.ctx = ctx
         self._terms = terms or {}
         self._key = None
         self._pows = None
+        self._deg = None
 
     # -- constructors ------------------------------------------------------
 
@@ -105,10 +172,10 @@ class MultiPoly:
         return len(self._terms)
 
     def deg(self) -> int:
-        """Total degree; -1 for the zero polynomial."""
-        if not self._terms:
-            return -1
-        return max(a + b + c for a, b, c in self._terms)
+        """Total degree; -1 for the zero polynomial.  Memoized."""
+        if self._deg is None:
+            self._deg = max((a + b + c for a, b, c in self._terms), default=-1)
+        return self._deg
 
     def is_homogeneous(self) -> bool:
         degs = {a + b + c for a, b, c in self._terms}
@@ -148,19 +215,32 @@ class MultiPoly:
         self._check_ctx(other)
         if not self._terms or not other._terms:
             return MultiPoly(self.ctx)
-        if self.deg() + other.deg() > DEGREE_CAP:
+        deg = self.deg() + other.deg()
+        if deg > DEGREE_CAP:
             raise OverflowError(f"product degree exceeds cap {DEGREE_CAP}")
-        mul = self.ctx.mul
-        terms: dict = {}
-        a_items = list(self._terms.items())
-        for (eb, cb) in other._terms.items():
-            b0, b1, b2 = eb
-            for (ea, ca) in a_items:
-                exps = (ea[0] + b0, ea[1] + b1, ea[2] + b2)
-                c = mul(ca, cb) ^ terms.pop(exps, 0)
-                if c:
-                    terms[exps] = c
-        return MultiPoly(self.ctx, terms)
+        if len(self._terms) < len(other._terms):
+            self, other = other, self  # the longer operand in the inner loop
+        left, right, prod = _coeff_tables(self.ctx)
+        if len(other._terms) == 1:  # a shift and scale: no two terms meet
+            [((d, e, f), v)] = other._terms.items()
+            rv = right[v]
+            return MultiPoly(
+                self.ctx,
+                {
+                    (a + d, b + e, c + f): prod[left[u] + rv]
+                    for (a, b, c), u in self._terms.items()
+                },
+            )
+        # no exponent of the product exceeds deg, so B bits hold each one
+        B = deg.bit_length()
+        inner = _pack(self._terms, B, left)
+        out: dict = {}
+        get = out.get
+        for kb, rb in _pack(other._terms, B, right):
+            for ka, la in inner:
+                k = ka + kb
+                out[k] = get(k, 0) ^ prod[la + rb]
+        return MultiPoly(self.ctx, _unpack(out, B))
 
     def scale(self, c: int) -> "MultiPoly":
         """Multiply by a scalar."""
@@ -168,17 +248,23 @@ class MultiPoly:
             return MultiPoly(self.ctx)
         if c == 1:
             return self
-        mul = self.ctx.mul
-        return MultiPoly(self.ctx, {e: mul(v, c) for e, v in self._terms.items()})
+        left, right, prod = _coeff_tables(self.ctx)
+        rc = right[c]
+        return MultiPoly(
+            self.ctx, {e: prod[left[v] + rc] for e, v in self._terms.items()}
+        )
 
     def frobenius(self) -> "MultiPoly":
         """The square, computed termwise (valid in characteristic 2)."""
-        sqr = self.ctx.sqr
         if self.deg() * 2 > DEGREE_CAP:
             raise OverflowError(f"square degree exceeds cap {DEGREE_CAP}")
+        left, right, prod = _coeff_tables(self.ctx)
         return MultiPoly(
             self.ctx,
-            {(2 * a, 2 * b, 2 * c): sqr(v) for (a, b, c), v in self._terms.items()},
+            {
+                (2 * a, 2 * b, 2 * c): prod[left[v] + right[v]]
+                for (a, b, c), v in self._terms.items()
+            },
         )
 
     def __pow__(self, k: int) -> "MultiPoly":
@@ -250,7 +336,9 @@ class MultiPoly:
         remainder, and a nonzero remainder raises.  Monomials are packed
         into ints that compare as the canonical order: total degree, then
         the x, y, z exponents, in fields of B bits each, so a product of
-        monomials is a sum.
+        monomials is a sum.  Quotient terms are kept as left[c] and den's
+        lower terms as right[c] (`_coeff_tables`), so a heap step costs one
+        table lookup.
         """
         self._check_ctx(den)
         if not den._terms:
@@ -272,8 +360,9 @@ class MultiPoly:
         gk, gc = zip(*pack(den._terms))
         lead = gk[0]
         la, lb, lc = lead >> 2 * B & mask, lead >> B & mask, lead & mask
-        inv_lead = self.ctx.inv(gc[0])
-        mul = self.ctx.mul
+        left, right, prod = _coeff_tables(self.ctx)
+        gr = [right[v] for v in gc]
+        inv_lead = right[self.ctx.inv(gc[0])]
         # heap entries are -(monomial << J | j): the chain of den's term j,
         # j >= 1, at its next quotient term nxt[j]; `waiting` chains have
         # run past the last quotient term so far
@@ -284,6 +373,7 @@ class MultiPoly:
         heap: list[int] = []
         qk: list[int] = []
         qc: list[int] = []
+        ql: list[int] = []  # left[c] of each quotient coefficient c
         i, nf = 0, len(f)
         remainder = False
         while heap or i < nf:
@@ -295,7 +385,7 @@ class MultiPoly:
             while heap and -heap[0] >> J == m:
                 j = -heappop(heap) & jmask
                 k = nxt[j]
-                c ^= mul(qc[k], gc[j])
+                c ^= prod[ql[k] + gr[j]]
                 k += 1
                 nxt[j] = k
                 if k < len(qk):
@@ -308,8 +398,10 @@ class MultiPoly:
                 remainder = True  # a term the lead cannot eliminate
                 continue
             t = m - lead
+            c = prod[left[c] + inv_lead]
             qk.append(t)
-            qc.append(mul(c, inv_lead))
+            qc.append(c)
+            ql.append(left[c])
             for j in waiting:
                 heappush(heap, -((t + gk[j]) << J | j))
             waiting = []
@@ -378,6 +470,15 @@ class Substitution:
     Each step is one pass over the terms: binom(k, j) is odd iff j is a
     submask of k (Lucas), so x_i^k -> sum over submasks j of k of
     s^j t^(k-j) x_i^j x_w^(k-j).
+
+    Terms are packed as in `_pack` with B = deg(p).bit_length(), since
+    the steps keep the total degree.  With x_i and x_w at bit offsets si
+    and sw of the key, x_i^j x_w^(top-j) is the key of x_i^k x_w^(top-k)
+    minus (k - j) (2^si - 2^sw).
+    The coefficient v s^j t^(k-j) = (v t^k) (s/t)^j is one lookup per
+    output term, prod[left[v t^k] + right[(s/t)^j]] (`_coeff_tables`): in
+    a field with tables that is exp[(log v + k log t + j (log s - log t))
+    mod (2^m - 1)], with both powers read from lists built once per step.
     """
 
     __slots__ = ("ctx", "steps")
@@ -396,31 +497,54 @@ class Substitution:
         self.steps += [(1, 0, ctx.mul(det, ia), ctx.mul(c, ia)), (0, 1, a, b)]
 
     def __call__(self, p: MultiPoly) -> MultiPoly:
-        mul, pow_ = self.ctx.mul, self.ctx.pow_
-        terms = p._terms
+        ctx = self.ctx
+        K = p.deg()
+        if K < 0:
+            return MultiPoly(ctx)
+        left, right, prod = _coeff_tables(ctx)
+        B = K.bit_length()
+        mask = (1 << B) - 1
+        shift = (2 * B, B, 0)
+        # steps may cancel terms to zero: they are skipped, then dropped
+        terms = dict(_pack(p._terms, B, None))
         for step in self.steps:
-            if step is None:
-                terms = {(b, a, c): v for (a, b, c), v in terms.items()}
+            if step is None:  # x <-> y
+                terms = {
+                    (e >> B & mask) << 2 * B | (e >> 2 * B) << B | e & mask: v
+                    for e, v in terms.items()
+                }
                 continue
             i, w, s, t = step
-            if s == 1 and t == 0:
+            si = shift[i]
+            if t == 0:  # x_i -> s x_i: each term times s^k
+                if s != 1:
+                    sk = _powers(s, K, left, right, prod)
+                    terms = {
+                        e: prod[left[v] + sk[e >> si & mask]]
+                        for e, v in terms.items()
+                        if v
+                    }
                 continue
+            tk = _powers(t, K, left, right, prod)
+            rj = _powers(ctx.mul(s, ctx.inv(t)), K, left, right, prod)
+            D = (1 << si) - (1 << shift[w])
             out: dict = {}
+            get = out.get
             for e, v in terms.items():
-                f = list(e)
-                k, top = e[i], e[i] + e[w]
+                if not v:
+                    continue
+                k = e >> si & mask
+                lv = left[prod[left[v] + tk[k]]]  # v t^k
+                base = e - k * D
                 j = k
                 while True:
-                    f[i], f[w] = j, top - j
-                    key = tuple(f)
-                    c = mul(v, mul(pow_(s, j), pow_(t, k - j))) ^ out.pop(key, 0)
-                    if c:
-                        out[key] = c
-                    if not (j and t):  # t = 0 keeps only j = k
+                    key = base + j * D
+                    out[key] = get(key, 0) ^ prod[lv + rj[j]]
+                    if not j:
                         break
                     j = (j - 1) & k
             terms = out
-        return MultiPoly(self.ctx, terms)
+        return MultiPoly(ctx, _unpack(terms, B))
 
 
 # -- module-level operations -----------------------------------------------

@@ -19,22 +19,44 @@ from refl2.mvpoly import MultiPoly, jacobian_det
 GF2 = field_new(1)
 GF4 = field_new(2)
 GF16 = field_new(4)
+# past ffield._TABLE_LIMIT: no log/exp tables, so the kernels call ctx.mul
+GF2_18 = field_new(18, 0x40009)
+
+
+def mul_reference(p, q):
+    """Reference for `MultiPoly.__mul__`: every pair of terms, with
+    exponent triples as tuples and coefficients through ctx.mul."""
+    ctx = p.ctx
+    items = []
+    for (a, b, c), u in p._terms.items():
+        for (d, e, f), v in q._terms.items():
+            items.append(((a + d, b + e, c + f), ctx.mul(u, v)))
+    return MultiPoly.from_terms(ctx, items)
+
+
+def power_reference(p, k):
+    """p^k by square and multiply over `mul_reference`."""
+    out, base = MultiPoly.one(p.ctx), p
+    while k:
+        if k & 1:
+            out = mul_reference(out, base)
+        k >>= 1
+        if k:
+            base = mul_reference(base, base)
+    return out
 
 
 def substitute_reference(p, g):
     """Reference for `MultiPoly.act`: expand every monomial as a product
     of powers of the linear forms given by the rows of g."""
     ctx = p.ctx
-    px, py, pz = (MultiPoly.linear_form(ctx, *row) for row in g.rows)
+    forms = [MultiPoly.linear_form(ctx, *row) for row in g.rows]
     out = MultiPoly.zero(ctx)
-    for (a, b, c), v in p._terms.items():
+    for exps, v in p._terms.items():
         t = MultiPoly.constant(ctx, v)
-        if a:
-            t = t * px**a
-        if b:
-            t = t * py**b
-        if c:
-            t = t * pz**c
+        for form, e in zip(forms, exps):
+            if e:
+                t = mul_reference(t, power_reference(form, e))
         out = out + t
     return out
 
@@ -278,6 +300,33 @@ def test_jacobian_skips_terms_with_a_zero_partial(monkeypatch):
     assert len(calls) == 4
 
 
+def test_kernels_without_field_tables():
+    ctx = GF2_18
+    assert ctx._log is None and ctx._exp is None
+    rng = random.Random(43)
+    for _ in range(10):
+        p, q = rand_poly(ctx, rng), rand_poly(ctx, rng)
+        c = rng.randrange(2, ctx.order)
+        # the second matrix swaps x and y and scales: steps with t = 0
+        swap = Mat3(ctx, ((0, c, 0), (1, 0, 0), (0, 0, 1)))
+        assert p * q == mul_reference(p, q)
+        for g in (rand_mat(ctx, rng), swap):
+            assert p.act(g) == substitute_reference(p, g)
+        assert p.frobenius() == mul_reference(p, p)
+        assert p.scale(c) == mul_reference(p, MultiPoly.constant(ctx, c))
+        if q:
+            assert mul_reference(p, q).div_exact(q) == p
+    x, y = X(ctx), Y(ctx)
+    with pytest.raises(ValueError, match="remainder"):
+        (x * x + y).div_exact(x)
+
+
+def test_deg_is_memoized():
+    p = X() ** 3 * Y() + Z()
+    assert p.deg() == 4 and p._deg == 4
+    assert MultiPoly.zero(GF4).deg() == -1
+
+
 def test_restrict_z0():
     p = X() * Z() + Y() ** 2 + Z() ** 3
     assert p.restrict_z0() == Y() ** 2
@@ -351,6 +400,19 @@ def sparse_polys(ctx=GF16, maxdeg=4, maxterms=6):
 @given(sparse_polys(), st.sampled_from(PIPELINE_GENS), st.sampled_from(PIPELINE_GENS))
 def test_act_composition_property(p, g, h):
     assert p.act(g).act(h) == p.act(g * h)
+
+
+def mul_operands(ctx):
+    # maxdeg 0 gives constants: one-term operands, of degree 0
+    polys = st.one_of(sparse_polys(ctx, maxdeg=0, maxterms=2), sparse_polys(ctx))
+    return st.tuples(polys, polys)
+
+
+@PROPERTY
+@given(st.sampled_from([GF2, GF4, GF16, GF2_18]).flatmap(mul_operands))
+def test_mul_matches_reference_property(case):
+    p, q = case
+    assert p * q == mul_reference(p, q)
 
 
 @PROPERTY
