@@ -252,13 +252,15 @@ def mult_generator(ctx: FieldCtx) -> int:
 
 
 def subfield_elements(ctx: FieldCtx, n: int) -> list[int]:
-    """The 2^n fixed points of the n-fold Frobenius, sorted by value."""
+    """The GF(2^n) subfield sorted by value: 0 and the powers of
+    h = g^((2^m-1)/(2^n-1)), of order 2^n - 1, for a generator g."""
     if n < 1 or ctx.m % n != 0:
         raise ValueError(f"subfield degree {n} does not divide {ctx.m}")
     q = 1 << n
-    out = [a for a in range(ctx.order) if ctx.pow_(a, q) == a]
-    assert len(out) == q
-    return out
+    h = ctx.pow_(mult_generator(ctx), (ctx.order - 1) // (q - 1))
+    out = [0] + [ctx.pow_(h, i) for i in range(q - 1)]
+    assert len(set(out)) == q
+    return sorted(out)
 
 
 def subfield_generator(ctx: FieldCtx, n: int) -> int:

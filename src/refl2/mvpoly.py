@@ -3,7 +3,9 @@
 A `MultiPoly` maps exponent triples (a, b, c) for x^a y^b z^c to nonzero
 coefficients (field elements as ints, see refl2.ffield).  Zero
 coefficients are never stored.  The constructors that take coefficients
-and `scale` raise ValueError on an int outside the field.  The canonical term order everywhere --
+and `scale` raise ValueError on an int outside the field, `from_terms`
+also on exponents that are not three non-negative ints.  Degrees are
+unbounded.  The canonical term order everywhere --
 iteration, printing, hashing -- is graded lexicographic descending:
 total degree first, then the x, y, z exponents.
 
@@ -35,8 +37,6 @@ from heapq import heappop, heappush
 from typing import Iterable, Iterator
 
 from refl2.ffield import FieldCtx
-
-DEGREE_CAP = 1 << 16
 
 _VARS = ("x", "y", "z")
 
@@ -153,6 +153,8 @@ class MultiPoly:
         terms = {}
         for exps, c in items:
             exps = tuple(exps)
+            if len(exps) != 3 or not all(type(e) is int and e >= 0 for e in exps):
+                raise ValueError(f"exponents {exps!r} are not 3 non-negative ints")
             c = ctx.check(c) ^ terms.get(exps, 0)
             if c:
                 terms[exps] = c
@@ -216,8 +218,6 @@ class MultiPoly:
         if not self._terms or not other._terms:
             return MultiPoly(self.ctx)
         deg = self.deg() + other.deg()
-        if deg > DEGREE_CAP:
-            raise OverflowError(f"product degree exceeds cap {DEGREE_CAP}")
         if len(self._terms) < len(other._terms):
             self, other = other, self  # the longer operand in the inner loop
         left, right, prod = _coeff_tables(self.ctx)
@@ -256,8 +256,6 @@ class MultiPoly:
 
     def frobenius(self) -> "MultiPoly":
         """The square, computed termwise (valid in characteristic 2)."""
-        if self.deg() * 2 > DEGREE_CAP:
-            raise OverflowError(f"square degree exceeds cap {DEGREE_CAP}")
         left, right, prod = _coeff_tables(self.ctx)
         return MultiPoly(
             self.ctx,

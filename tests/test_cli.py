@@ -7,7 +7,6 @@ from pathlib import Path
 
 import pytest
 
-import refl2.mvpoly
 from refl2.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -146,6 +145,14 @@ def test_cli_modulus_overrides():
     assert report.to_dict()["moduli"]["ambient"] == "0xd"
     with pytest.raises(ConfigError):
         run_verify(VerifyConfig(n=2, d=0, modulus_ambient=0x5))  # reducible
+
+
+def test_cli_ambient_past_the_table_limit(capsys):
+    # GF(2^18) has no log tables: the GF(4) subfield comes from one element
+    # of order 3, not from a scan of the 2^18 elements
+    argv = ["verify", "--n", "2", "--modulus-ambient", "0x40009"]
+    assert main(argv) == EXIT_OK
+    assert "verdict     POLYNOMIAL" in capsys.readouterr().out
 
 
 def test_cli_lambda_basis_override():
@@ -300,35 +307,34 @@ def test_verify_max_group_caps_kernel():
     assert report.to_dict()["verdict"] == "POLYNOMIAL"
 
 
-def test_verify_degree_cap_is_a_failed_check(monkeypatch, capsys):
+def test_verify_n2_d1_criterion_small_and_oracle_expanded(degree_spy, capsys):
     # n=2 d=1: the criterion runs on the small family, of degrees 5 and 12,
     # and only the oracle expands c1-bar, of degree 48
-    monkeypatch.setattr(refl2.mvpoly, "DEGREE_CAP", 47)
     assert run_verify(VerifyConfig(n=2, d=1))[0] == EXIT_OK
+    assert degree_spy.top <= 15  # q^2 - 1
     code, report = run_verify(VerifyConfig(n=2, d=1, oracle_max_degree=20))
-    assert code == EXIT_CHECK_FAILED
-    assert report.to_dict()["verdict"] == "FAIL(degree-cap)"
+    assert code == EXIT_OK
+    assert report.to_dict()["verdict"] == "POLYNOMIAL"
     assert report.to_dict()["group_order"] == 960
     argv = ["verify", "--n", "2", "--d", "1", "--oracle-max-degree", "20"]
-    assert main(argv + ["--quiet"]) == EXIT_CHECK_FAILED
-    assert "Traceback" not in capsys.readouterr().err
-    # the criterion's record is complete, so the text names no None
-    assert main(argv) == EXIT_CHECK_FAILED
+    assert main(argv) == EXIT_OK
     out = capsys.readouterr().out
     assert (
         "invariants  degrees (20, 48, 1) (product 20*48*1 = 960), "
         "jacobian_nonzero=True\n" in out
     )
     assert "None" not in out
-    monkeypatch.setattr(refl2.mvpoly, "DEGREE_CAP", 48)
-    assert run_verify(VerifyConfig(n=2, d=1, oracle_max_degree=20))[0] == EXIT_OK
 
 
-def test_verify_degree_cap_at_n5_d2_oracle():
-    # the oracle still expands c1-bar, of degree 992 * 1024 past the cap
+def test_verify_n5_d2_oracle_expands_c1bar():
+    # the oracle expands c1-bar, of degree 992 * 1024; no degree bound
+    # stops it, and its sweep to degree 2 sees z alone
     code, report = run_verify(VerifyConfig(n=5, d=2, oracle_max_degree=2))
-    assert code == EXIT_CHECK_FAILED
-    assert report.to_dict()["verdict"] == "FAIL(degree-cap)"
+    r = report.to_dict()
+    assert (code, r["verdict"]) == (EXIT_OK, "POLYNOMIAL")
+    assert r["oracle"] == [
+        {"degree": k, "fixed_dim": 1, "generated_dim": 1} for k in range(3)
+    ]
 
 
 @pytest.mark.parametrize(
@@ -340,26 +346,29 @@ def test_verify_degree_cap_at_n5_d2_oracle():
         (5, 2, (33792, 1015808, 1), 34326183936),
     ],
 )
-def test_verify_scale_ladder_under_a_low_degree_cap(monkeypatch, n, d, degrees, order):
-    # with every product and power capped at degree q^2 - 1, these pass:
-    # the criterion expands only the small family, never u-bar or c1-bar
-    monkeypatch.setattr(refl2.mvpoly, "DEGREE_CAP", (1 << 2 * n) - 1)
+def test_verify_scale_ladder_under_a_low_degree_cap(degree_spy, n, d, degrees, order):
+    # no product or power passes degree q^2 - 1: the criterion expands only
+    # the small family, never u-bar or c1-bar
     code, report = run_verify(VerifyConfig(n=n, d=d))
     r = report.to_dict()
     assert (code, r["verdict"]) == (EXIT_OK, "POLYNOMIAL")
     assert tuple(r["degrees"]) == degrees
     assert r["degree_product"] == r["group_order"] == order
+    assert degree_spy.top <= (1 << 2 * n) - 1
 
 
 @pytest.mark.parametrize("variant", ["h1", "h0"])
-def test_verify_n4_d0_under_the_numerator_degree_cap(monkeypatch, variant):
+def test_verify_n4_d0_under_the_numerator_degree_cap(degree_spy, variant):
     # the lifted c1~ (h1) is sum_L L (u~/L)^q divided by u~: that numerator,
     # of degree q^2 + 1, is the largest polynomial built
-    monkeypatch.setattr(refl2.mvpoly, "DEGREE_CAP", (1 << 8) + 1)
-    code, report = run_verify(VerifyConfig(n=4, d=0, variant=variant))
-    r = report.to_dict()
-    assert (code, r["verdict"]) == (EXIT_OK, "POLYNOMIAL")
-    assert r["degree_product"] == r["group_order"] == 4080
+    for n, degrees, order in ((4, (17, 240, 1), 4080), (5, (33, 992, 1), 32736)):
+        degree_spy.top = -1
+        code, report = run_verify(VerifyConfig(n=n, d=0, variant=variant))
+        r = report.to_dict()
+        assert (code, r["verdict"]) == (EXIT_OK, "POLYNOMIAL")
+        assert tuple(r["degrees"]) == degrees
+        assert r["degree_product"] == r["group_order"] == order
+        assert degree_spy.top <= (1 << 2 * n) + 1
 
 
 def test_verify_builds_only_the_kernel_generators(monkeypatch):

@@ -139,13 +139,22 @@ def test_subfield_elements():
     assert subfield_elements(ctx4, 1) == [0, 1]
     assert subfield_elements(ctx4, 2) == [0, 1, 2, 3]
     ctx16 = field_new(4)
-    sub = subfield_elements(ctx16, 2)
-    assert len(sub) == 4 and all(type(s) is int for s in sub)
-    # independent scan: exactly the solutions of a^4 = a
-    expected = [a for a in range(16) if ctx16.pow_(a, 4) == a]
-    assert sub == expected
+    assert all(type(s) is int for s in subfield_elements(ctx16, 2))
     with pytest.raises(ValueError):
         subfield_elements(ctx16, 3)
+    # reference: a scan for the fixed points of the n-fold Frobenius
+    for m in range(1, 13):
+        ctx = field_new(m)
+        for n in range(1, m + 1):
+            if m % n == 0:
+                expected = [a for a in range(ctx.order) if ctx.pow_(a, 1 << n) == a]
+                assert subfield_elements(ctx, n) == expected
+    # past the table limit the scan would take seconds; check the points
+    ctx = field_new(18, 0x40009)
+    for n in (2, 3, 6):
+        sub = subfield_elements(ctx, n)
+        assert len(sub) == 1 << n and sub == sorted(set(sub))
+        assert all(ctx.in_subfield(a, n) for a in sub)
 
 
 def test_subfield_closed_under_ops():
