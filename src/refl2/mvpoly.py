@@ -17,10 +17,11 @@ exploit characteristic 2: squaring is termwise, so powers collapse via
 the Frobenius, and each polynomial memoizes its own powers and degree.
 Exact division (`div_exact`) eliminates leading terms with a heap.
 
-The per-term kernels (`*`, `act`, `frobenius`, `scale`, `div_exact`)
-make no field-method call per term.  A monomial x^a y^b z^c is packed
-into one int a << 2B | b << B | c, with B bits enough for every
-exponent the kernel meets, so a product of monomials is a sum of keys.
+The per-term kernels (`*`, `act`, `frobenius`, `scale`, `div_exact`,
+`add_z_multiple`) make no field-method call per term.  A monomial
+x^a y^b z^c is packed into one int a << 2B | b << B | c, with B bits
+enough for every exponent the kernel meets, so a product of monomials
+is a sum of keys.
 A coefficient product is one lookup in FieldCtx's log/exp tables,
 prod[left[a] + right[b]] (`_coeff_tables`); fields past the table limit
 keep one ctx.mul per product behind the same lookup.
@@ -92,6 +93,34 @@ def _unpack(packed: dict, B: int) -> dict:
     return {
         (k >> 2 * B, k >> B & mask, k & mask): v for k, v in packed.items() if v
     }
+
+
+def z_levels(p: "MultiPoly") -> dict:
+    """p split by the power of z: {k: {(a, b): coeff}} over the terms
+    x^a y^b z^k of p."""
+    levels: dict = {}
+    for (a, b, k), v in p._terms.items():
+        level = levels.get(k)
+        if level is None:
+            level = levels[k] = {}
+        level[a, b] = v
+    return levels
+
+
+def add_z_multiple(levels: dict, p: "MultiPoly", c: int, k: int) -> None:
+    """levels += c z^k p in place, for levels as `z_levels` splits them and
+    a nonzero c: one table lookup per term of p (`_coeff_tables`).  Terms
+    that cancel are dropped; a level they empty stays, as an empty dict."""
+    left, right, prod = _coeff_tables(p.ctx)
+    lc = left[c]
+    get = levels.get
+    for (a, b, e), v in p._terms.items():
+        level = get(k + e)
+        if level is None:
+            level = levels[k + e] = {}
+        v = prod[lc + right[v]] ^ level.pop((a, b), 0)
+        if v:
+            level[a, b] = v
 
 
 def _powers(x: int, K: int, left, right, prod) -> list:
@@ -313,15 +342,6 @@ class MultiPoly:
         return MultiPoly(
             self.ctx, {e: c for e, c in self._terms.items() if e[2] == 0}
         )
-
-    def div_exact_z(self) -> "MultiPoly":
-        """Exact quotient by z; every term must have z-exponent >= 1."""
-        terms = {}
-        for (a, b, c), v in self._terms.items():
-            if c == 0:
-                raise ValueError("not divisible by z: term with z-exponent 0")
-            terms[(a, b, c - 1)] = v
-        return MultiPoly(self.ctx, terms)
 
     def div_exact(self, den: "MultiPoly") -> "MultiPoly":
         """The exact quotient self / den; ValueError if den does not divide.

@@ -39,12 +39,18 @@ side's p^i q^j = p^(i-1) q^j p.  Ranks over GF(2^m) are GF(2) ranks of
 the rows v, t v, ..., t^(m-1) v, divided by m, and c v is the XOR of the
 t^j v over the set bits j of c.
 
-`express_in_generators` realizes the inductive division argument:
-restrict to z = 0, express the restriction in the restricted
-generators, subtract, divide by z, recurse.  The restricted generator
-products have pairwise distinct leading monomials, so the matching-
-degree linear system is triangular and is solved exactly by leading-
-term elimination.
+`express_in_generators` realizes the inductive division argument in
+one pass over the z-levels of p, split once: p = sum_k z^k p_k with
+p_k in k[x, y].  At the lowest level k left, it expresses p_k in the
+restricted generators u(x, y, 0) and c1(x, y, 0), and adds c z^k u^a c1^b
+into the levels for every term c U^a C^b it solves.  That cancels level
+k, so dividing by z is moving on to the next level.  The restricted
+generator products have pairwise distinct leading monomials, so the
+matching-degree linear system is triangular and is solved exactly by
+leading-term elimination.  Each product u^a c1^b is built once per call,
+in a memo that dies with the call: its restriction to z = 0 serves the
+solve, and the product itself the lift and the reconstruction check,
+which rebuilds p from the expression's terms and compares exactly.
 """
 
 from __future__ import annotations
@@ -53,7 +59,7 @@ from dataclasses import dataclass
 
 from refl2.ffield import FieldCtx
 from refl2.grouplift import Mat3
-from refl2.mvpoly import MultiPoly, jacobian_det
+from refl2.mvpoly import MultiPoly, add_z_multiple, jacobian_det, z_levels
 
 
 class NotInvariantError(ValueError):
@@ -413,28 +419,54 @@ def generated_dimensions(invs: list[MultiPoly], max_deg: int) -> list[int]:
 # -- expression in the generators ---------------------------------------------
 
 
+class _Products(dict):
+    """u^a c1^b by (a, b), each built on first use as one product of the
+    powers u^a and c1^b, which u and c1 memoize themselves."""
+
+    def __init__(self, u: MultiPoly, c1: MultiPoly):
+        super().__init__()
+        self.u, self.c1 = u, c1
+
+    def __missing__(self, key):
+        a, b = key
+        if not a:
+            prod = self.c1**b
+        elif not b:
+            prod = self.u**a
+        else:
+            prod = self.u**a * self.c1**b
+        self[key] = prod
+        return prod
+
+
 @dataclass(frozen=True)
 class GeneratorExpr:
     """A polynomial in the abstract symbols U, C, Z, tied to the concrete
-    generators it refers to; substitution reproduces the source exactly."""
+    generators (u, c1, z) it refers to, z the coordinate itself;
+    substitution reproduces the source exactly."""
 
     ctx: FieldCtx
     terms: tuple  # ((i, j, k), coeff) pairs, canonical order
     generators: tuple[MultiPoly, MultiPoly, MultiPoly]
 
-    def substitute(self) -> MultiPoly:
-        u, c1, z = self.generators
-        out = MultiPoly.zero(self.ctx)
+    def __post_init__(self):
+        if self.generators[2] != MultiPoly.variable(self.ctx, 2):
+            raise ValueError("the third generator must be the coordinate z")
+
+    def substitute(self, products: dict | None = None) -> MultiPoly:
+        """The polynomial this stands for.  Each term c U^i C^j Z^k adds
+        c z^k u^i c1^j, a shift of the product u^i c1^j, which `products`
+        holds by (i, j) or builds (`_Products`)."""
+        if products is None:
+            products = _Products(*self.generators[:2])
+        levels: dict = {}
         for (i, j, k), coeff in self.terms:
-            prod = MultiPoly.constant(self.ctx, coeff)
-            if i:
-                prod = prod * u**i
-            if j:
-                prod = prod * c1**j
-            if k:
-                prod = prod * z**k
-            out = out + prod
-        return out
+            if coeff:
+                add_z_multiple(levels, products[i, j], coeff, k)
+        return MultiPoly(
+            self.ctx,
+            {(a, b, k): v for k, level in levels.items() for (a, b), v in level.items()},
+        )
 
     def __str__(self):
         if not self.terms:
@@ -458,8 +490,9 @@ def _leading(p: MultiPoly) -> tuple[tuple[int, int, int], int]:
     return exps, p._terms[exps]
 
 
-def _express_restriction(ctx, p0, u0, c10, lu, lc1):
-    """Write the plane polynomial p0 as sum h_ab u0^a c10^b.
+def _express_restriction(ctx, p0, products, lu, lc1):
+    """Write the plane polynomial p0 as sum h_ab u0^a c10^b, where
+    u0^a c10^b is products[a, b] (`_Products`) restricted to z = 0.
 
     The products' leading monomials a*lu + b*lc1 are pairwise distinct,
     so greedy leading-term elimination is an exact triangular solve.
@@ -477,7 +510,7 @@ def _express_restriction(ctx, p0, u0, c10, lu, lc1):
         a, b = na // det, nb // det
         if a < 0 or b < 0:
             raise NotExpressibleError("restriction escapes the generators")
-        prod = u0**a * c10**b
+        prod = products[a, b].restrict_z0()
         lead_exps, lead_c = _leading(prod)
         if lead_exps != (e1, e2, 0):
             raise NotExpressibleError("restriction escapes the generators")
@@ -490,9 +523,8 @@ def _express_restriction(ctx, p0, u0, c10, lu, lc1):
 def express_in_generators(
     p: MultiPoly, invs: tuple[MultiPoly, MultiPoly, MultiPoly], gens: list[Mat3]
 ) -> GeneratorExpr:
-    """The inductive division argument: restrict to z = 0, solve in the
-    restricted generators, subtract, divide by z, recurse.  Exact round
-    trip or an explicit error."""
+    """The inductive division argument over the z-levels of p (module
+    doc).  Exact round trip or an explicit error."""
     u, c1, z = invs
     ctx = p.ctx
     if z != MultiPoly.variable(ctx, 2):
@@ -502,35 +534,30 @@ def express_in_generators(
     if not is_invariant(p, gens):
         raise NotInvariantError("input is not invariant under the generators")
     u0, c10 = u.restrict_z0(), c1.restrict_z0()
+    if u0.is_zero() or c10.is_zero():
+        raise ValueError("a generator vanishes at z = 0: no leading term to solve with")
     lu, lc1 = _leading(u0)[0][:2], _leading(c10)[0][:2]
     if lu[0] * lc1[1] - lu[1] * lc1[0] == 0:
         raise ValueError("restricted generators have dependent leading terms")
+    products = _Products(u, c1)
+    levels = z_levels(p)
     terms: dict = {}
-    work = p
-    zexp = 0
-    while not work.is_zero():
-        p0 = work.restrict_z0()
-        if not p0.is_zero():
-            solved = _express_restriction(ctx, p0, u0, c10, lu, lc1)
-            # subtract the full lift of the solved restriction; the
-            # difference vanishes at z = 0, hence divides by z
-            lift = MultiPoly.zero(ctx)
-            for (a, b), c in solved.items():
-                terms[(a, b, zexp)] = c
-                lift = lift + (u**a * c1**b).scale(c)
-            work = work + lift
-        if work.is_zero():
-            break
-        try:
-            work = work.div_exact_z()
-        except ValueError as exc:
-            raise NotExpressibleError(str(exc)) from exc
-        zexp += 1
+    while levels:
+        k = min(levels)
+        level = levels[k]
+        if level:
+            p0 = MultiPoly(ctx, {(a, b, 0): v for (a, b), v in level.items()})
+            for (a, b), c in _express_restriction(ctx, p0, products, lu, lc1).items():
+                terms[(a, b, k)] = c
+                add_z_multiple(levels, products[a, b], c, k)
+        # the lifts cancel level k, so what is left is z^(k+1) times the rest
+        if levels.pop(k):
+            raise NotExpressibleError(f"a term of z-degree {k} is left after the lift")
     canon = tuple(
         (e, terms[e])
         for e in sorted(terms, key=lambda t: (sum(t), t[0], t[1], t[2]), reverse=True)
     )
     expr = GeneratorExpr(ctx, canon, (u, c1, z))
-    if expr.substitute() != p:
+    if expr.substitute(products) != p:
         raise NotExpressibleError("reconstruction mismatch")
     return expr

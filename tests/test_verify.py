@@ -695,6 +695,159 @@ def test_express_random_round_trips():
         assert dict(expr.terms) == {e: c for e, c in picked.items() if c}
 
 
+def _leading_reference(p):
+    exps = max(p._terms, key=lambda e: (sum(e), *e))
+    return exps, p._terms[exps]
+
+
+def _restriction_reference(ctx, p0, u0, c10, lu, lc1):
+    det = lu[0] * lc1[1] - lu[1] * lc1[0]
+    coeffs = {}
+    rem = p0
+    while not rem.is_zero():
+        (e1, e2, _), lcoef = _leading_reference(rem)
+        na = e1 * lc1[1] - e2 * lc1[0]
+        nb = lu[0] * e2 - lu[1] * e1
+        if na % det or nb % det:
+            raise NotExpressibleError("restriction escapes the generators")
+        a, b = na // det, nb // det
+        if a < 0 or b < 0:
+            raise NotExpressibleError("restriction escapes the generators")
+        prod = u0**a * c10**b
+        lead_exps, lead_c = _leading_reference(prod)
+        if lead_exps != (e1, e2, 0):
+            raise NotExpressibleError("restriction escapes the generators")
+        c = ctx.mul(lcoef, ctx.inv(lead_c))
+        coeffs[(a, b)] = coeffs.get((a, b), 0) ^ c
+        rem = rem + prod.scale(c)
+    return coeffs
+
+
+def express_reference(p, invs, gens):
+    """Reference for `express_in_generators`, the terms of the expression:
+    restrict to z = 0, solve, subtract the lift, divide by z one power at
+    a time, and check by multiplying out u^i c1^j z^k term by term."""
+    u, c1, z = invs
+    ctx = p.ctx
+    if z != MultiPoly.variable(ctx, 2):
+        raise ValueError("the third generator must be the coordinate z")
+    if not p.is_homogeneous():
+        raise ValueError("input must be homogeneous")
+    if not is_invariant(p, gens):
+        raise NotInvariantError("input is not invariant under the generators")
+    u0, c10 = u.restrict_z0(), c1.restrict_z0()
+    lu, lc1 = _leading_reference(u0)[0][:2], _leading_reference(c10)[0][:2]
+    if lu[0] * lc1[1] - lu[1] * lc1[0] == 0:
+        raise ValueError("restricted generators have dependent leading terms")
+    terms = {}
+    work, zexp = p, 0
+    while not work.is_zero():
+        p0 = work.restrict_z0()
+        if not p0.is_zero():
+            solved = _restriction_reference(ctx, p0, u0, c10, lu, lc1)
+            for (a, b), c in solved.items():
+                terms[(a, b, zexp)] = c
+                work = work + (u**a * c1**b).scale(c)
+        if work.is_zero():
+            break
+        if 0 in work.var_degrees(2):
+            raise NotExpressibleError("not divisible by z")
+        work = MultiPoly(ctx, {(a, b, c - 1): v for (a, b, c), v in work._terms.items()})
+        zexp += 1
+    canon = tuple(
+        (e, terms[e]) for e in sorted(terms, key=lambda t: (sum(t), *t), reverse=True)
+    )
+    back = MultiPoly.zero(ctx)
+    for (i, j, k), coeff in canon:
+        back = back + MultiPoly.constant(ctx, coeff) * u**i * c1**j * z**k
+    if back != p:
+        raise NotExpressibleError("reconstruction mismatch")
+    return canon
+
+
+def express_outcome(express, p, invs, gens):
+    """The terms of the expression, or the type of the error raised."""
+    try:
+        out = express(p, invs, gens)
+    except ValueError as exc:
+        return type(exc)
+    return out if isinstance(out, tuple) else out.terms
+
+
+def criterion_9_inputs(invs, seed, count, max_deg):
+    """Acceptance criterion 9's recipe: random U^a C^b Z^c of one degree,
+    each picked with probability 1/2, coefficients 1..3."""
+    ub, c1b, zp = invs
+    ctx = ub.ctx
+    rng = random.Random(seed)
+    du, dc = ub.deg(), c1b.deg()
+    for _ in range(count):
+        deg = rng.randrange(0, max_deg + 1)
+        p = MultiPoly.zero(ctx)
+        for a in range(deg // du + 1):
+            for b in range((deg - du * a) // dc + 1):
+                if rng.random() < 0.5:
+                    c = deg - du * a - dc * b
+                    p = p + (ub**a * c1b**b * zp**c).scale(rng.randrange(1, ctx.order))
+        yield p
+
+
+@pytest.mark.parametrize("n, d, max_deg", [(2, 0, 60), (2, 1, 120), (3, 0, 130)])
+def test_express_matches_reference(n, d, max_deg):
+    invs, gens = composed_setup(n, d, ctx=field_new(n))
+    ub, c1b, zp = invs
+    ctx = ub.ctx
+    x, y = MultiPoly.variable(ctx, 0), MultiPoly.variable(ctx, 1)
+    inputs = [
+        *criterion_9_inputs(invs, 9 + n + d, 12, max_deg),
+        MultiPoly.zero(ctx),
+        MultiPoly.one(ctx),
+        MultiPoly.constant(ctx, ctx.order - 1),
+        x,
+        x + y,
+        x * x + y,
+    ]
+    for p in inputs:
+        expected = express_outcome(express_reference, p, invs, gens)
+        assert express_outcome(express_in_generators, p, invs, gens) == expected
+    # u-bar is invariant but not a polynomial in (u-bar^2, c1-bar, z)
+    squared = (ub * ub, c1b, zp)
+    assert express_outcome(express_in_generators, ub, squared, gens) is NotExpressibleError
+    assert express_outcome(express_reference, ub, squared, gens) is NotExpressibleError
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_express_rejects_generator_vanishing_at_z0(which):
+    (ub, c1b, zp), gens = composed_setup()
+    invs = [ub, c1b, zp]
+    invs[which] = zp * invs[which]
+    with pytest.raises(ValueError, match="vanishes at z = 0"):
+        express_in_generators(ub * c1b, tuple(invs), gens)
+
+
+def test_express_builds_each_product_once(monkeypatch):
+    # u^2 c1^2 is the one product of two powers: it serves the restriction,
+    # the lift and the reconstruction check, and is built once
+    (ub, c1b, zp), gens = composed_setup()
+    deg = 2 * ub.deg() + 2 * c1b.deg() + 3
+    picked = {(2, 2, 3): 1, (3, 0, deg - 3 * ub.deg()): 2, (0, 1, deg - c1b.deg()): 3}
+    p = MultiPoly.zero(GF4)
+    for (a, b, c), coeff in picked.items():
+        p = p + (ub**a * c1b**b * zp**c).scale(coeff)
+    calls = []
+    mul = MultiPoly.__mul__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    expr = express_in_generators(p, (ub, c1b, zp), gens)
+    assert dict(expr.terms) == picked
+    assert len(calls) == 1
+
+
+def test_generator_expr_needs_the_coordinate_z():
+    ub, c1b, zp = composed_setup()[0]
+    with pytest.raises(ValueError, match="coordinate z"):
+        GeneratorExpr(GF4, (), (ub, c1b, ub))
+
+
 def test_generator_expr_str_constant():
     expr = GeneratorExpr(GF4, (((0, 0, 0), 0x3),), composed_setup()[0])
     assert str(expr) == "0x3"
