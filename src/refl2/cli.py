@@ -116,6 +116,8 @@ def _resolve_fields(cfg: VerifyConfig) -> LambdaSpace:
     ambient_degree = cfg.n * (2 if cfg.d == 2 else 1)
     modulus = cfg.modulus_ambient
     if modulus is not None:
+        if modulus < 2:
+            raise ConfigError(f"--modulus-ambient {modulus:#x} must have degree at least 1")
         ambient_degree = modulus.bit_length() - 1
         if ambient_degree % cfg.n:
             raise ConfigError(

@@ -51,6 +51,13 @@ leading-term elimination.  Each product u^a c1^b is built once per call,
 in a memo that dies with the call: its restriction to z = 0 serves the
 solve, and the product itself the lift and the reconstruction check,
 which rebuilds p from the expression's terms and compares exactly.
+Invariance comes last, from the generators: g acts on k[x, y, z] as a
+ring automorphism, so once p = F(u, c1, z) holds exactly, every g fixing
+u, c1 and z fixes p.  At n=2 d=0 that is 9 `act`s of 8, 42 and 1 terms,
+not one `act` per g of a p of up to hundreds of terms.  p is acted on
+only when some g moves u, c1 or z, or when expression fails, to tell a
+non-invariant p from a failed claim: a rejected input pays for one
+expression attempt, then one `act` of p per generator.
 """
 
 from __future__ import annotations
@@ -524,15 +531,28 @@ def express_in_generators(
     p: MultiPoly, invs: tuple[MultiPoly, MultiPoly, MultiPoly], gens: list[Mat3]
 ) -> GeneratorExpr:
     """The inductive division argument over the z-levels of p (module
-    doc).  Exact round trip or an explicit error."""
+    doc).  Exact round trip or an explicit error.  Invariance is proved
+    on (u, c1, z), and on p only when that proof is not available."""
     u, c1, z = invs
-    ctx = p.ctx
-    if z != MultiPoly.variable(ctx, 2):
+    if z != MultiPoly.variable(p.ctx, 2):
         raise ValueError("the third generator must be the coordinate z")
     if not p.is_homogeneous():
         raise ValueError("input must be homogeneous")
-    if not is_invariant(p, gens):
+    try:
+        expr = _express(p, u, c1, z)
+    except ValueError as exc:
+        if not is_invariant(p, gens):
+            raise NotInvariantError("input is not invariant under the generators") from exc
+        raise
+    if not all(is_invariant(f, gens) for f in invs) and not is_invariant(p, gens):
         raise NotInvariantError("input is not invariant under the generators")
+    return expr
+
+
+def _express(p, u, c1, z) -> GeneratorExpr:
+    """p as a polynomial in (u, c1, z), checked by exact reconstruction,
+    or a `ValueError`; invariance is the caller's."""
+    ctx = p.ctx
     u0, c10 = u.restrict_z0(), c1.restrict_z0()
     if u0.is_zero() or c10.is_zero():
         raise ValueError("a generator vanishes at z = 0: no leading term to solve with")

@@ -104,6 +104,8 @@ def test_cli_bad_flags(capsys):
         ["--d", "3", "--lambda-basis", "0x2"],
         ["--d", "0", "--lambda-basis", "0x1"],
         ["--oracle-max-degree", "1000000000000"],
+        ["--modulus-ambient", "0x0"],
+        ["--modulus-ambient", "0x1"],
     ],
     ids=[
         "zero-basis",
@@ -115,6 +117,8 @@ def test_cli_bad_flags(capsys):
         "d-conflicts-with-basis",
         "d0-conflicts-with-basis",
         "oracle-past-row-cap",
+        "zero-modulus",
+        "constant-modulus",
     ],
 )
 def test_cli_bad_configuration_exits_2(flags, capsys):
@@ -122,6 +126,11 @@ def test_cli_bad_configuration_exits_2(flags, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_cli_modulus_of_degree_0_named(capsys):
+    assert main(["verify", "--n", "2", "--modulus-ambient", "0x0"]) == EXIT_BAD_CONFIG
+    assert "degree at least 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("d_flag", [[], ["--d", "1"]], ids=["basis-sets-d", "d-agrees"])

@@ -808,12 +808,52 @@ def test_express_matches_reference(n, d, max_deg):
         x * x + y,
     ]
     for p in inputs:
-        expected = express_outcome(express_reference, p, invs, gens)
-        assert express_outcome(express_in_generators, p, invs, gens) == expected
+        for group in (gens, []):
+            expected = express_outcome(express_reference, p, invs, group)
+            assert express_outcome(express_in_generators, p, invs, group) == expected
     # u-bar is invariant but not a polynomial in (u-bar^2, c1-bar, z)
     squared = (ub * ub, c1b, zp)
     assert express_outcome(express_in_generators, ub, squared, gens) is NotExpressibleError
     assert express_outcome(express_reference, ub, squared, gens) is NotExpressibleError
+    # u' = u-bar + y^deg is not invariant, so the generators prove nothing
+    # and p itself decides: u' c1-bar is expressible but not invariant,
+    # c1-bar z and u-bar c1-bar are invariant
+    moved = (ub + y ** ub.deg(), c1b, zp)
+    assert express_outcome(express_in_generators, moved[0] * c1b, moved, []) == (
+        ((1, 1, 0), 1),
+    )
+    cases = [
+        (moved[0] * c1b, moved, NotInvariantError),
+        (c1b * zp, moved, None),
+        (ub * c1b, moved, None),
+        # expression fails on a generator vanishing at z = 0, then p is acted on
+        (x ** ub.deg(), (zp * ub, c1b, zp), NotInvariantError),
+    ]
+    for p, cand, error in cases:
+        expected = express_outcome(express_reference, p, cand, gens)
+        assert express_outcome(express_in_generators, p, cand, gens) == expected
+        assert error is None or expected is error
+
+
+def test_express_acts_on_the_generators_not_the_input(monkeypatch):
+    # a degree-60 input is proved invariant by acting on u-bar, c1-bar
+    # and z only, each once per generator
+    invs, gens = n2_d0_setup()
+    ub, c1b, zp = invs
+    rng = random.Random(60)
+    p = MultiPoly.zero(GF4)
+    for a in range(60 // ub.deg() + 1):
+        for b in range((60 - ub.deg() * a) // c1b.deg() + 1):
+            if rng.random() < 0.5:
+                c = 60 - ub.deg() * a - c1b.deg() * b
+                p = p + (ub**a * c1b**b * zp**c).scale(rng.randrange(1, 4))
+    bound = max(len(ub._terms), len(c1b._terms))
+    assert len(p._terms) > bound
+    sizes = []
+    act = MultiPoly.act
+    monkeypatch.setattr(MultiPoly, "act", lambda f, g: sizes.append(len(f._terms)) or act(f, g))
+    assert express_in_generators(p, invs, gens).substitute() == p
+    assert len(sizes) == 3 * len(gens) and max(sizes) <= bound
 
 
 @pytest.mark.parametrize("which", [0, 1])
