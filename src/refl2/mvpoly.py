@@ -14,7 +14,10 @@ p.act(g) = p o g (x picks up row 0 of g, y row 1, z stays z), applied
 as g's elementary one-variable substitutions, each one pass over the
 terms (`Substitution`); the action keeps no state.  Products and powers
 exploit characteristic 2: squaring is termwise, so powers collapse via
-the Frobenius, and each polynomial memoizes its own powers and degree.
+the Frobenius.  Each polynomial memoizes what is asked of it: its
+powers, its degree, whether each matrix fixes it (`is_fixed_by`), and
+the products u^a c1^b that `refl2.verify` builds with it as u, by c1
+(`_products`).  The memos are freed with the polynomial.
 Exact division (`div_exact`) eliminates leading terms with a heap.
 
 The per-term kernels (`*`, `act`, `frobenius`, `scale`, `div_exact`,
@@ -136,7 +139,9 @@ def _powers(x: int, K: int, left, right, prod) -> list:
 class MultiPoly:
     """Immutable sparse polynomial in x, y, z over a FieldCtx."""
 
-    __slots__ = ("ctx", "_terms", "_key", "_pows", "_deg")
+    # _fixed: {g: self.act(g) == self}; _products: the memo of products
+    # u^a c1^b that refl2.verify._Products keeps on u = self, by c1
+    __slots__ = ("ctx", "_terms", "_key", "_pows", "_deg", "_fixed", "_products")
 
     def __init__(self, ctx: FieldCtx, terms: dict | None = None):
         self.ctx = ctx
@@ -144,6 +149,8 @@ class MultiPoly:
         self._key = None
         self._pows = None
         self._deg = None
+        self._fixed = None
+        self._products = None
 
     # -- constructors ------------------------------------------------------
 
@@ -336,6 +343,15 @@ class MultiPoly:
         if g.ctx != self.ctx:
             raise ValueError("matrix entries from a mismatched context")
         return Substitution(self.ctx, g.rows)(self)
+
+    def is_fixed_by(self, g) -> bool:
+        """self.act(g) == self, memoized on this polynomial by g."""
+        if self._fixed is None:
+            self._fixed = {}
+        fixed = self._fixed.get(g)
+        if fixed is None:
+            fixed = self._fixed[g] = self.act(g) == self
+        return fixed
 
     def restrict_z0(self) -> "MultiPoly":
         """Set z = 0."""

@@ -47,17 +47,20 @@ into the levels for every term c U^a C^b it solves.  That cancels level
 k, so dividing by z is moving on to the next level.  The restricted
 generator products have pairwise distinct leading monomials, so the
 matching-degree linear system is triangular and is solved exactly by
-leading-term elimination.  Each product u^a c1^b is built once per call,
-in a memo that dies with the call: its restriction to z = 0 serves the
-solve, and the product itself the lift and the reconstruction check,
-which rebuilds p from the expression's terms and compares exactly.
-Invariance comes last, from the generators: g acts on k[x, y, z] as a
-ring automorphism, so once p = F(u, c1, z) holds exactly, every g fixing
-u, c1 and z fixes p.  At n=2 d=0 that is 9 `act`s of 8, 42 and 1 terms,
-not one `act` per g of a p of up to hundreds of terms.  p is acted on
-only when some g moves u, c1 or z, or when expression fails, to tell a
-non-invariant p from a failed claim: a rejected input pays for one
-expression attempt, then one `act` of p per generator.
+leading-term elimination.  Each product u^a c1^b is built once for the
+life of u, in a memo kept on u by c1 (`_Products`): its restriction to
+z = 0 serves the solve, and the product itself the lift and the
+reconstruction check, which rebuilds p from the expression's terms and
+compares exactly on every call.  Invariance comes last, from the
+generators: g acts on k[x, y, z] as a ring automorphism, so once
+p = F(u, c1, z) holds exactly, every g fixing u, c1 and z fixes p.  Each
+polynomial remembers which g fix it (`MultiPoly.is_fixed_by`), so at
+n=2 d=0 the generators are acted on 9 times (8, 42 and 1 terms) for the
+life of those objects, not one `act` per g of a p of up to hundreds of
+terms on every call.  p is acted on only when some g moves u, c1 or z,
+or when expression fails, to tell a non-invariant p from a failed claim:
+a rejected input pays for one expression attempt, then one `act` of p
+per generator.
 """
 
 from __future__ import annotations
@@ -79,8 +82,10 @@ class NotExpressibleError(ValueError):
 
 
 def is_invariant(p: MultiPoly, gens: list[Mat3]) -> bool:
-    """True iff p is fixed by every generator (hence by the group)."""
-    return all(p.act(g) == p for g in gens)
+    """True iff p is fixed by every generator (hence by the group).  p
+    remembers the answer per generator (`MultiPoly.is_fixed_by`), so it is
+    acted on once per distinct g for its life."""
+    return all(p.is_fixed_by(g) for g in gens)
 
 
 # -- Kemper's criterion ------------------------------------------------------
@@ -118,7 +123,8 @@ def kemper_check(
     """POLYNOMIAL iff the invariants are fixed by all generators, their
     degrees multiply to the group order, and their Jacobian is nonzero.
 
-    Every (generator, invariant) pair is evaluated once and recorded in
+    Every (generator, invariant) pair is evaluated once, by the memoized
+    `MultiPoly.is_fixed_by` that `is_invariant` reads, and recorded in
     `fixed_by`, one row per generator in the order given.  Degree i
     counts as weights[i] * deg(invs[i]): the pipeline passes the small
     family (u~, c1~, z), the maps M_g and weights (q^d, q^d, 1) for
@@ -134,7 +140,7 @@ def kemper_check(
         if p.is_zero() or not p.is_homogeneous():
             raise ValueError("invariants must be nonzero and homogeneous")
     failed = []
-    fixed_by = tuple(tuple(p.act(g) == p for p in invs) for g in gens)
+    fixed_by = tuple(tuple(p.is_fixed_by(g) for p in invs) for g in gens)
     if not all(all(row) for row in fixed_by):
         failed.append("invariance")
     degrees = tuple(w * p.deg() for w, p in zip(weights, invs))
@@ -426,23 +432,43 @@ def generated_dimensions(invs: list[MultiPoly], max_deg: int) -> list[int]:
 # -- expression in the generators ---------------------------------------------
 
 
-class _Products(dict):
+class _Products:
     """u^a c1^b by (a, b), each built on first use as one product of the
-    powers u^a and c1^b, which u and c1 memoize themselves."""
+    powers u^a and c1^b, which u and c1 memoize themselves, and its
+    restriction to z = 0 (`restricted`).  Both memos are kept on u, by c1
+    (`MultiPoly._products`), so every call with the same pair shares
+    them: they hold the products up to the largest degree asked, and are
+    freed with u."""
+
+    __slots__ = ("u", "c1", "full", "plane")
 
     def __init__(self, u: MultiPoly, c1: MultiPoly):
-        super().__init__()
         self.u, self.c1 = u, c1
+        if u._products is None:
+            u._products = {}
+        memo = u._products.get(c1)
+        if memo is None:
+            memo = u._products[c1] = ({}, {})
+        self.full, self.plane = memo
 
-    def __missing__(self, key):
-        a, b = key
-        if not a:
-            prod = self.c1**b
-        elif not b:
-            prod = self.u**a
-        else:
-            prod = self.u**a * self.c1**b
-        self[key] = prod
+    def __getitem__(self, key) -> MultiPoly:
+        prod = self.full.get(key)
+        if prod is None:
+            a, b = key
+            if not a:
+                prod = self.c1**b
+            elif not b:
+                prod = self.u**a
+            else:
+                prod = self.u**a * self.c1**b
+            self.full[key] = prod
+        return prod
+
+    def restricted(self, key) -> MultiPoly:
+        """self[key] at z = 0."""
+        prod = self.plane.get(key)
+        if prod is None:
+            prod = self.plane[key] = self[key].restrict_z0()
         return prod
 
 
@@ -457,15 +483,16 @@ class GeneratorExpr:
     generators: tuple[MultiPoly, MultiPoly, MultiPoly]
 
     def __post_init__(self):
+        if any(f.ctx != self.ctx for f in self.generators):
+            raise ValueError("polynomials from mismatched contexts")
         if self.generators[2] != MultiPoly.variable(self.ctx, 2):
             raise ValueError("the third generator must be the coordinate z")
 
-    def substitute(self, products: dict | None = None) -> MultiPoly:
+    def substitute(self) -> MultiPoly:
         """The polynomial this stands for.  Each term c U^i C^j Z^k adds
-        c z^k u^i c1^j, a shift of the product u^i c1^j, which `products`
-        holds by (i, j) or builds (`_Products`)."""
-        if products is None:
-            products = _Products(*self.generators[:2])
+        c z^k u^i c1^j, a shift of the product u^i c1^j, which u keeps
+        (`_Products`)."""
+        products = _Products(*self.generators[:2])
         levels: dict = {}
         for (i, j, k), coeff in self.terms:
             if coeff:
@@ -499,7 +526,7 @@ def _leading(p: MultiPoly) -> tuple[tuple[int, int, int], int]:
 
 def _express_restriction(ctx, p0, products, lu, lc1):
     """Write the plane polynomial p0 as sum h_ab u0^a c10^b, where
-    u0^a c10^b is products[a, b] (`_Products`) restricted to z = 0.
+    u0^a c10^b is products.restricted((a, b)) (`_Products`).
 
     The products' leading monomials a*lu + b*lc1 are pairwise distinct,
     so greedy leading-term elimination is an exact triangular solve.
@@ -517,7 +544,7 @@ def _express_restriction(ctx, p0, products, lu, lc1):
         a, b = na // det, nb // det
         if a < 0 or b < 0:
             raise NotExpressibleError("restriction escapes the generators")
-        prod = products[a, b].restrict_z0()
+        prod = products.restricted((a, b))
         lead_exps, lead_c = _leading(prod)
         if lead_exps != (e1, e2, 0):
             raise NotExpressibleError("restriction escapes the generators")
@@ -534,6 +561,8 @@ def express_in_generators(
     doc).  Exact round trip or an explicit error.  Invariance is proved
     on (u, c1, z), and on p only when that proof is not available."""
     u, c1, z = invs
+    if any(f.ctx != p.ctx for f in invs):
+        raise ValueError("polynomials from mismatched contexts")
     if z != MultiPoly.variable(p.ctx, 2):
         raise ValueError("the third generator must be the coordinate z")
     if not p.is_homogeneous():
@@ -578,6 +607,6 @@ def _express(p, u, c1, z) -> GeneratorExpr:
         for e in sorted(terms, key=lambda t: (sum(t), t[0], t[1], t[2]), reverse=True)
     )
     expr = GeneratorExpr(ctx, canon, (u, c1, z))
-    if expr.substitute(products) != p:
+    if expr.substitute() != p:
         raise NotExpressibleError("reconstruction mismatch")
     return expr

@@ -726,14 +726,15 @@ def _restriction_reference(ctx, p0, u0, c10, lu, lc1):
 def express_reference(p, invs, gens):
     """Reference for `express_in_generators`, the terms of the expression:
     restrict to z = 0, solve, subtract the lift, divide by z one power at
-    a time, and check by multiplying out u^i c1^j z^k term by term."""
+    a time, and check by multiplying out u^i c1^j z^k term by term.  p is
+    acted on by every generator on every call, with no memo."""
     u, c1, z = invs
     ctx = p.ctx
     if z != MultiPoly.variable(ctx, 2):
         raise ValueError("the third generator must be the coordinate z")
     if not p.is_homogeneous():
         raise ValueError("input must be homogeneous")
-    if not is_invariant(p, gens):
+    if not all(p.act(g) == p for g in gens):
         raise NotInvariantError("input is not invariant under the generators")
     u0, c10 = u.restrict_z0(), c1.restrict_z0()
     lu, lc1 = _leading_reference(u0)[0][:2], _leading_reference(c10)[0][:2]
@@ -835,10 +836,56 @@ def test_express_matches_reference(n, d, max_deg):
         assert error is None or expected is error
 
 
-def test_express_acts_on_the_generators_not_the_input(monkeypatch):
-    # a degree-60 input is proved invariant by acting on u-bar, c1-bar
-    # and z only, each once per generator
-    invs, gens = n2_d0_setup()
+def test_express_matches_reference_on_warm_generators():
+    # one set of generator objects across calls, so every call after the
+    # first reads the products and invariance answers they keep; each
+    # group list is built afresh per call, as a caller would
+    invs, gens = composed_setup()
+    ub, c1b, zp = invs
+    x, y = MultiPoly.variable(GF4, 0), MultiPoly.variable(GF4, 1)
+    inputs = [*criterion_9_inputs(invs, 9, 12, 60), ub * c1b, zp**7, x + y]
+
+    def check(p, cand, group):
+        expected = express_outcome(express_reference, p, cand, group)
+        assert express_outcome(express_in_generators, p, cand, list(group)) == expected
+        return expected
+
+    for _ in range(2):
+        for p in inputs:
+            check(p, invs, gens)
+    # u' = u-bar + y^deg is not invariant: u' c1-bar is rejected every time
+    moved = (ub + y ** ub.deg(), c1b, zp)
+    for _ in range(2):
+        assert check(moved[0] * c1b, moved, gens) is NotInvariantError
+    # no generators, then the real ones, then a list that moves u-bar
+    mover = Mat3.translation(GF4, 1, 0)
+    assert ub.act(mover) != ub
+    for group in ([], gens, [mover], [], gens + [mover], gens):
+        for p in inputs:
+            check(p, invs, group)
+    assert check(ub * c1b, invs, [mover]) is NotInvariantError
+    assert check(zp**7, invs, [mover]) == (((0, 0, 7), 1),)
+
+
+def test_express_rejects_mismatched_contexts():
+    # a polynomial over GF(16) against generators over GF(4) is named as
+    # such, whichever of p, u, c1 or z it is, and so is an expression
+    # over GF(4) tied to it
+    invs, gens = composed_setup()
+    gf16 = field_new(4)
+    mismatched = "^polynomials from mismatched contexts$"
+    for i in range(4):
+        args = [invs[0] * invs[1], *invs]
+        args[i] = MultiPoly.variable(gf16, 2 if i == 3 else 0)
+        with pytest.raises(ValueError, match=mismatched):
+            express_in_generators(args[0], tuple(args[1:]), gens)
+        if i:
+            with pytest.raises(ValueError, match=mismatched):
+                GeneratorExpr(GF4, (((1, 0, 0), 1),), tuple(args[1:]))
+
+
+def degree_60_input(invs):
+    """A criterion-9 input of degree 60 at n=2 d=0."""
     ub, c1b, zp = invs
     rng = random.Random(60)
     p = MultiPoly.zero(GF4)
@@ -847,6 +894,16 @@ def test_express_acts_on_the_generators_not_the_input(monkeypatch):
             if rng.random() < 0.5:
                 c = 60 - ub.deg() * a - c1b.deg() * b
                 p = p + (ub**a * c1b**b * zp**c).scale(rng.randrange(1, 4))
+    return p
+
+
+def test_express_acts_on_the_generators_not_the_input(monkeypatch):
+    # a degree-60 input is proved invariant by acting on u-bar, c1-bar
+    # and z only, each once per generator; fresh generators, since they
+    # remember what acted on them
+    invs, gens = composed_setup()
+    ub, c1b, zp = invs
+    p = degree_60_input(invs)
     bound = max(len(ub._terms), len(c1b._terms))
     assert len(p._terms) > bound
     sizes = []
@@ -880,6 +937,23 @@ def test_express_builds_each_product_once(monkeypatch):
     expr = express_in_generators(p, (ub, c1b, zp), gens)
     assert dict(expr.terms) == picked
     assert len(calls) == 1
+
+
+def test_express_warm_call_builds_and_acts_on_nothing(monkeypatch):
+    # the generators keep their products and invariance answers, so a
+    # second call multiplies no polynomials and acts on none; the
+    # reconstruction check still runs, from the kept products
+    invs, gens = composed_setup()
+    p = degree_60_input(invs)
+    q = p + invs[2] ** 60
+    assert dict(express_in_generators(p, invs, gens).terms)
+    calls, acted = [], []
+    mul, act = MultiPoly.__mul__, MultiPoly.act
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    monkeypatch.setattr(MultiPoly, "act", lambda f, g: acted.append(f) or act(f, g))
+    for r in (p, q):
+        assert express_in_generators(r, invs, gens).substitute() == r
+    assert calls == [] and acted == []
 
 
 def test_generator_expr_needs_the_coordinate_z():
