@@ -331,7 +331,9 @@ class LambdaSpace:
         return 1 << (2 * self.n * self.d)
 
     def value(self, a: int) -> int:
-        """P(a), zero exactly when a lies in Lambda_1."""
+        """P(a), zero exactly when a lies in Lambda_1; ValueError when a is
+        not an element of the ambient field."""
+        a = self.ambient.check(a)
         mul, pow_, q = self.ambient.mul, self.ambient.pow_, 1 << self.n
         total = 0
         for c in self.coeffs:

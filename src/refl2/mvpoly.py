@@ -32,7 +32,8 @@ keep one ctx.mul per product behind the same lookup.
 Text format: terms in canonical order joined by " + ", each term
 "{coeff-hex}*x^a*y^b*z^c" with zero exponents omitted, "^1" omitted,
 and unit coefficients omitted (a bare constant prints as its hex).
-The zero polynomial prints "0x0".
+The zero polynomial prints "0x0".  `format_terms` writes it, for
+`refl2.verify.GeneratorExpr` too, with U, C, Z for x, y, z.
 """
 
 from __future__ import annotations
@@ -48,6 +49,23 @@ _VARS = ("x", "y", "z")
 def _term_key(exps):
     a, b, c = exps
     return (a + b + c, a, b, c)
+
+
+def format_terms(terms: Iterable, names: tuple[str, str, str]) -> str:
+    """The text format (module doc) of (exps, coeff) pairs, in the order
+    given, with the three exponents naming the variables `names`."""
+    parts = []
+    for exps, c in terms:
+        factors = []
+        if c != 1 or not any(exps):
+            factors.append(f"{c:#x}")
+        for name, e in zip(names, exps):
+            if e == 1:
+                factors.append(name)
+            elif e > 1:
+                factors.append(f"{name}^{e}")
+        parts.append("*".join(factors))
+    return " + ".join(parts) or "0x0"
 
 
 class _PairProduct:
@@ -139,8 +157,8 @@ def _powers(x: int, K: int, left, right, prod) -> list:
 class MultiPoly:
     """Immutable sparse polynomial in x, y, z over a FieldCtx."""
 
-    # _fixed: {g: self.act(g) == self}; _products: the memo of products
-    # u^a c1^b that refl2.verify._Products keeps on u = self, by c1
+    # _fixed: {g: self.act(g) == self}; _products: {c1: {(a, b): u^a c1^b}},
+    # the one memo of products that refl2.verify._Products keeps on u = self
     __slots__ = ("ctx", "_terms", "_key", "_pows", "_deg", "_fixed", "_products")
 
     def __init__(self, ctx: FieldCtx, terms: dict | None = None):
@@ -447,8 +465,10 @@ class MultiPoly:
         )
 
     def eval(self, vx: int, vy: int, vz: int) -> int:
-        """Evaluate at a point of the field (ints as bit-vectors)."""
+        """Evaluate at a point of the field (ints as bit-vectors); ValueError
+        on a coordinate outside the field."""
         ctx = self.ctx
+        vx, vy, vz = ctx.check(vx), ctx.check(vy), ctx.check(vz)
         total = 0
         for (a, b, c), v in self._terms.items():
             t = ctx.mul(ctx.mul(ctx.pow_(vx, a), ctx.pow_(vy, b)), ctx.pow_(vz, c))
@@ -474,20 +494,7 @@ class MultiPoly:
         return hash((self.ctx.modulus, self.canonical()))
 
     def __str__(self):
-        if not self._terms:
-            return "0x0"
-        parts = []
-        for exps, c in self.terms():
-            factors = []
-            if c != 1 or exps == (0, 0, 0):
-                factors.append(f"{c:#x}")
-            for name, e in zip(_VARS, exps):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
+        return format_terms(self.terms(), _VARS)
 
     def __repr__(self):
         return f"MultiPoly({self})"

@@ -39,28 +39,29 @@ side's p^i q^j = p^(i-1) q^j p.  Ranks over GF(2^m) are GF(2) ranks of
 the rows v, t v, ..., t^(m-1) v, divided by m, and c v is the XOR of the
 t^j v over the set bits j of c.
 
-`express_in_generators` realizes the inductive division argument in
-one pass over the z-levels of p, split once: p = sum_k z^k p_k with
-p_k in k[x, y].  At the lowest level k left, it expresses p_k in the
-restricted generators u(x, y, 0) and c1(x, y, 0), and adds c z^k u^a c1^b
-into the levels for every term c U^a C^b it solves.  That cancels level
-k, so dividing by z is moving on to the next level.  The restricted
-generator products have pairwise distinct leading monomials, so the
-matching-degree linear system is triangular and is solved exactly by
-leading-term elimination.  Each product u^a c1^b is built once for the
-life of u, in a memo kept on u by c1 (`_Products`): its restriction to
-z = 0 serves the solve, and the product itself the lift and the
-reconstruction check, which rebuilds p from the expression's terms and
-compares exactly on every call.  Invariance comes last, from the
-generators: g acts on k[x, y, z] as a ring automorphism, so once
+`express_in_generators` realizes the inductive division argument in one
+pass over the z-levels of p, split once: p = sum_k z^k p_k with p_k in
+k[x, y].  Each level is eliminated in place, lowest first, by subalgebra
+reduction (Robbiano and Sweedler, "Subalgebra bases", 1990).  The
+restricted products u(x, y, 0)^a c1(x, y, 0)^b have pairwise distinct
+leading monomials a lu + b lc1, so the lead x^e1 y^e2 of level k names
+one (a, b); over a field the lead of a product is the product of the
+leads, so u^a c1^b has the term x^e1 y^e2 z^0, and adding c z^k u^a c1^b
+for the matching c cancels the lead and lifts the product into the
+higher levels at once.  Once level k is empty, dividing by z is moving
+on to the next level.  Each product u^a c1^b is built once for the life
+of u, in one memo kept on u by c1 (`_Products`), and serves the steps
+and the reconstruction check, which rebuilds p from the expression's
+terms and compares exactly on every call.  Invariance comes last, from
+the generators: g acts on k[x, y, z] as a ring automorphism, so once
 p = F(u, c1, z) holds exactly, every g fixing u, c1 and z fixes p.  Each
-polynomial remembers which g fix it (`MultiPoly.is_fixed_by`), so at
-n=2 d=0 the generators are acted on 9 times (8, 42 and 1 terms) for the
-life of those objects, not one `act` per g of a p of up to hundreds of
-terms on every call.  p is acted on only when some g moves u, c1 or z,
-or when expression fails, to tell a non-invariant p from a failed claim:
-a rejected input pays for one expression attempt, then one `act` of p
-per generator.
+polynomial remembers which g fix it (`MultiPoly.is_fixed_by`), so at n=2
+d=0 the generators are acted on 9 times (8, 42 and 1 terms) for the life
+of those objects, not one `act` per g of a p of up to hundreds of terms
+on every call.  p is acted on only when some g moves u, c1 or z, or when
+expression fails, to tell a non-invariant p from a failed claim: a
+rejected input pays for one expression attempt, then one `act` of p per
+generator.
 """
 
 from __future__ import annotations
@@ -69,7 +70,14 @@ from dataclasses import dataclass
 
 from refl2.ffield import FieldCtx
 from refl2.grouplift import Mat3
-from refl2.mvpoly import MultiPoly, add_z_multiple, jacobian_det, z_levels
+from refl2.mvpoly import (
+    MultiPoly,
+    _term_key,
+    add_z_multiple,
+    format_terms,
+    jacobian_det,
+    z_levels,
+)
 
 
 class NotInvariantError(ValueError):
@@ -434,25 +442,21 @@ def generated_dimensions(invs: list[MultiPoly], max_deg: int) -> list[int]:
 
 class _Products:
     """u^a c1^b by (a, b), each built on first use as one product of the
-    powers u^a and c1^b, which u and c1 memoize themselves, and its
-    restriction to z = 0 (`restricted`).  Both memos are kept on u, by c1
-    (`MultiPoly._products`), so every call with the same pair shares
-    them: they hold the products up to the largest degree asked, and are
-    freed with u."""
+    powers u^a and c1^b, which u and c1 memoize themselves.  The memo is
+    one dict kept on u, by c1 (`MultiPoly._products`), so every call with
+    the same pair shares it: it holds the products up to the largest
+    degree asked, and is freed with u."""
 
-    __slots__ = ("u", "c1", "full", "plane")
+    __slots__ = ("u", "c1", "memo")
 
     def __init__(self, u: MultiPoly, c1: MultiPoly):
         self.u, self.c1 = u, c1
         if u._products is None:
             u._products = {}
-        memo = u._products.get(c1)
-        if memo is None:
-            memo = u._products[c1] = ({}, {})
-        self.full, self.plane = memo
+        self.memo = u._products.setdefault(c1, {})
 
     def __getitem__(self, key) -> MultiPoly:
-        prod = self.full.get(key)
+        prod = self.memo.get(key)
         if prod is None:
             a, b = key
             if not a:
@@ -461,14 +465,7 @@ class _Products:
                 prod = self.u**a
             else:
                 prod = self.u**a * self.c1**b
-            self.full[key] = prod
-        return prod
-
-    def restricted(self, key) -> MultiPoly:
-        """self[key] at z = 0."""
-        prod = self.plane.get(key)
-        if prod is None:
-            prod = self.plane[key] = self[key].restrict_z0()
+            self.memo[key] = prod
         return prod
 
 
@@ -503,55 +500,7 @@ class GeneratorExpr:
         )
 
     def __str__(self):
-        if not self.terms:
-            return "0x0"
-        parts = []
-        for (i, j, k), coeff in self.terms:
-            factors = []
-            if coeff != 1 or (i, j, k) == (0, 0, 0):
-                factors.append(f"{coeff:#x}")
-            for name, e in zip(("U", "C", "Z"), (i, j, k)):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            parts.append("*".join(factors))
-        return " + ".join(parts)
-
-
-def _leading(p: MultiPoly) -> tuple[tuple[int, int, int], int]:
-    exps = max(p._terms, key=lambda e: (e[0] + e[1] + e[2], e[0], e[1], e[2]))
-    return exps, p._terms[exps]
-
-
-def _express_restriction(ctx, p0, products, lu, lc1):
-    """Write the plane polynomial p0 as sum h_ab u0^a c10^b, where
-    u0^a c10^b is products.restricted((a, b)) (`_Products`).
-
-    The products' leading monomials a*lu + b*lc1 are pairwise distinct,
-    so greedy leading-term elimination is an exact triangular solve.
-    """
-    det = lu[0] * lc1[1] - lu[1] * lc1[0]
-    coeffs = {}
-    rem = p0
-    while not rem.is_zero():
-        (e1, e2, _), lcoef = _leading(rem)
-        # solve a*lu + b*lc1 = (e1, e2) over the integers
-        na = e1 * lc1[1] - e2 * lc1[0]
-        nb = lu[0] * e2 - lu[1] * e1
-        if na % det or nb % det:
-            raise NotExpressibleError("restriction escapes the generators")
-        a, b = na // det, nb // det
-        if a < 0 or b < 0:
-            raise NotExpressibleError("restriction escapes the generators")
-        prod = products.restricted((a, b))
-        lead_exps, lead_c = _leading(prod)
-        if lead_exps != (e1, e2, 0):
-            raise NotExpressibleError("restriction escapes the generators")
-        c = ctx.mul(lcoef, ctx.inv(lead_c))
-        coeffs[(a, b)] = coeffs.get((a, b), 0) ^ c
-        rem = rem + prod.scale(c)
-    return coeffs
+        return format_terms(self.terms, ("U", "C", "Z"))
 
 
 def express_in_generators(
@@ -578,15 +527,23 @@ def express_in_generators(
     return expr
 
 
+def _plane_lead(level: dict) -> tuple[int, int]:
+    """The graded-lex leading (a, b) of a z-level (`z_levels`)."""
+    return max(level, key=lambda e: (e[0] + e[1], e[0]))
+
+
 def _express(p, u, c1, z) -> GeneratorExpr:
     """p as a polynomial in (u, c1, z), checked by exact reconstruction,
-    or a `ValueError`; invariance is the caller's."""
+    or a `ValueError`; invariance is the caller's.  Each level is
+    eliminated in place, one `add_z_multiple` per solved term (module
+    doc)."""
     ctx = p.ctx
-    u0, c10 = u.restrict_z0(), c1.restrict_z0()
-    if u0.is_zero() or c10.is_zero():
+    u0, c10 = z_levels(u).get(0), z_levels(c1).get(0)
+    if not u0 or not c10:
         raise ValueError("a generator vanishes at z = 0: no leading term to solve with")
-    lu, lc1 = _leading(u0)[0][:2], _leading(c10)[0][:2]
-    if lu[0] * lc1[1] - lu[1] * lc1[0] == 0:
+    lu, lc1 = _plane_lead(u0), _plane_lead(c10)
+    det = lu[0] * lc1[1] - lu[1] * lc1[0]
+    if det == 0:
         raise ValueError("restricted generators have dependent leading terms")
     products = _Products(u, c1)
     levels = z_levels(p)
@@ -594,18 +551,20 @@ def _express(p, u, c1, z) -> GeneratorExpr:
     while levels:
         k = min(levels)
         level = levels[k]
-        if level:
-            p0 = MultiPoly(ctx, {(a, b, 0): v for (a, b), v in level.items()})
-            for (a, b), c in _express_restriction(ctx, p0, products, lu, lc1).items():
-                terms[(a, b, k)] = c
-                add_z_multiple(levels, products[a, b], c, k)
-        # the lifts cancel level k, so what is left is z^(k+1) times the rest
-        if levels.pop(k):
-            raise NotExpressibleError(f"a term of z-degree {k} is left after the lift")
-    canon = tuple(
-        (e, terms[e])
-        for e in sorted(terms, key=lambda t: (sum(t), t[0], t[1], t[2]), reverse=True)
-    )
+        while level:
+            e1, e2 = _plane_lead(level)
+            # solve a*lu + b*lc1 = (e1, e2) over the integers
+            na = e1 * lc1[1] - e2 * lc1[0]
+            nb = lu[0] * e2 - lu[1] * e1
+            a, b = na // det, nb // det
+            if na % det or nb % det or a < 0 or b < 0:
+                raise NotExpressibleError("restriction escapes the generators")
+            prod = products[a, b]
+            c = ctx.mul(level[e1, e2], ctx.inv(prod._terms[e1, e2, 0]))
+            terms[a, b, k] = c
+            add_z_multiple(levels, prod, c, k)
+        del levels[k]
+    canon = tuple((e, terms[e]) for e in sorted(terms, key=_term_key, reverse=True))
     expr = GeneratorExpr(ctx, canon, (u, c1, z))
     if expr.substitute() != p:
         raise NotExpressibleError("reconstruction mismatch")

@@ -218,6 +218,15 @@ def test_lambda_space():
         LambdaSpace(GF4, 2, (1, 1))
 
 
+def test_lambda_space_rejects_elements_outside_the_field():
+    ls = LambdaSpace(GF4, 2, (1,))
+    for a in (-1, 4, 5):
+        with pytest.raises(ValueError, match="out of range"):
+            ls.value(a)
+        with pytest.raises(ValueError, match="out of range"):
+            a in ls
+
+
 def test_lambda_span_closed():
     ctx = field_new(4)
     theta = 0x2

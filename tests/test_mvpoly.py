@@ -358,6 +358,15 @@ def test_restrict_z0():
     assert p.restrict_z0() == Y() ** 2
 
 
+def test_eval_rejects_points_outside_the_field():
+    # a coordinate that is no element of GF(4) is named, not reduced or
+    # looked up out of range
+    assert X().eval(3, 0, 0) == 3
+    for point in ((-1, 0, 0), (5, 0, 0), (0, 4, 0), (0, 0, 1 << 9)):
+        with pytest.raises(ValueError, match="out of range"):
+            X().eval(*point)
+
+
 def test_text_format():
     assert str(MultiPoly.zero(GF4)) == "0x0"
     assert str(MultiPoly.one(GF4)) == "0x1"

@@ -737,6 +737,8 @@ def express_reference(p, invs, gens):
     if not all(p.act(g) == p for g in gens):
         raise NotInvariantError("input is not invariant under the generators")
     u0, c10 = u.restrict_z0(), c1.restrict_z0()
+    if u0.is_zero() or c10.is_zero():
+        raise ValueError("a generator vanishes at z = 0: no leading term to solve with")
     lu, lc1 = _leading_reference(u0)[0][:2], _leading_reference(c10)[0][:2]
     if lu[0] * lc1[1] - lu[1] * lc1[0] == 0:
         raise ValueError("restricted generators have dependent leading terms")
@@ -767,11 +769,12 @@ def express_reference(p, invs, gens):
 
 
 def express_outcome(express, p, invs, gens):
-    """The terms of the expression, or the type of the error raised."""
+    """The terms of the expression, or the type and message of the error
+    raised."""
     try:
         out = express(p, invs, gens)
     except ValueError as exc:
-        return type(exc)
+        return type(exc), str(exc)
     return out if isinstance(out, tuple) else out.terms
 
 
@@ -793,9 +796,19 @@ def criterion_9_inputs(invs, seed, count, max_deg):
         yield p
 
 
-@pytest.mark.parametrize("n, d, max_deg", [(2, 0, 60), (2, 1, 120), (3, 0, 130)])
-def test_express_matches_reference(n, d, max_deg):
-    invs, gens = composed_setup(n, d, ctx=field_new(n))
+@pytest.mark.parametrize(
+    "n, d, max_deg, variant, ctx, basis",
+    [
+        pytest.param(2, 0, 60, "h1", field_new(2), None, id="2-0-60"),
+        pytest.param(2, 1, 120, "h1", field_new(2), None, id="2-1-120"),
+        pytest.param(3, 0, 130, "h1", field_new(3), None, id="3-0-130"),
+        pytest.param(2, 0, 60, "h0", field_new(2), None, id="2-0-60-h0"),
+        # a Lambda_1 basis off the subfield: GF(16), x^4 + x + 1, basis (t,)
+        pytest.param(2, 1, 120, "h1", field_new(4, 0x13), (0x2,), id="2-1-120-offset"),
+    ],
+)
+def test_express_matches_reference(n, d, max_deg, variant, ctx, basis):
+    invs, gens = composed_setup(n, d, variant, ctx, basis)
     ub, c1b, zp = invs
     ctx = ub.ctx
     x, y = MultiPoly.variable(ctx, 0), MultiPoly.variable(ctx, 1)
@@ -814,8 +827,9 @@ def test_express_matches_reference(n, d, max_deg):
             assert express_outcome(express_in_generators, p, invs, group) == expected
     # u-bar is invariant but not a polynomial in (u-bar^2, c1-bar, z)
     squared = (ub * ub, c1b, zp)
-    assert express_outcome(express_in_generators, ub, squared, gens) is NotExpressibleError
-    assert express_outcome(express_reference, ub, squared, gens) is NotExpressibleError
+    expected = express_outcome(express_reference, ub, squared, gens)
+    assert expected[0] is NotExpressibleError
+    assert express_outcome(express_in_generators, ub, squared, gens) == expected
     # u' = u-bar + y^deg is not invariant, so the generators prove nothing
     # and p itself decides: u' c1-bar is expressible but not invariant,
     # c1-bar z and u-bar c1-bar are invariant
@@ -833,7 +847,13 @@ def test_express_matches_reference(n, d, max_deg):
     for p, cand, error in cases:
         expected = express_outcome(express_reference, p, cand, gens)
         assert express_outcome(express_in_generators, p, cand, gens) == expected
-        assert error is None or expected is error
+        assert error is None or expected[0] is error
+    # with no generators every p is invariant, so the vanishing generator
+    # itself is the error
+    vanishing = (zp * ub, c1b, zp)
+    expected = express_outcome(express_reference, ub * c1b, vanishing, [])
+    assert expected[0] is ValueError and "vanishes at z = 0" in expected[1]
+    assert express_outcome(express_in_generators, ub * c1b, vanishing, []) == expected
 
 
 def test_express_matches_reference_on_warm_generators():
@@ -855,15 +875,16 @@ def test_express_matches_reference_on_warm_generators():
             check(p, invs, gens)
     # u' = u-bar + y^deg is not invariant: u' c1-bar is rejected every time
     moved = (ub + y ** ub.deg(), c1b, zp)
+    not_invariant = (NotInvariantError, "input is not invariant under the generators")
     for _ in range(2):
-        assert check(moved[0] * c1b, moved, gens) is NotInvariantError
+        assert check(moved[0] * c1b, moved, gens) == not_invariant
     # no generators, then the real ones, then a list that moves u-bar
     mover = Mat3.translation(GF4, 1, 0)
     assert ub.act(mover) != ub
     for group in ([], gens, [mover], [], gens + [mover], gens):
         for p in inputs:
             check(p, invs, group)
-    assert check(ub * c1b, invs, [mover]) is NotInvariantError
+    assert check(ub * c1b, invs, [mover]) == not_invariant
     assert check(zp**7, invs, [mover]) == (((0, 0, 7), 1),)
 
 
@@ -965,6 +986,15 @@ def test_generator_expr_needs_the_coordinate_z():
 def test_generator_expr_str_constant():
     expr = GeneratorExpr(GF4, (((0, 0, 0), 0x3),), composed_setup()[0])
     assert str(expr) == "0x3"
+
+
+def test_generator_expr_str_matches_the_polynomial_format():
+    invs = composed_setup()[0]
+    # canonical order, as both keep their terms
+    terms = (((0, 1, 3), 1), ((2, 1, 0), 0x2), ((1, 0, 0), 1), ((0, 0, 0), 1))
+    assert str(GeneratorExpr(GF4, terms, invs)) == "C*Z^3 + 0x2*U^2*C + U + 0x1"
+    assert str(MultiPoly.from_terms(GF4, terms)) == "y*z^3 + 0x2*x^2*y + x + 0x1"
+    assert str(GeneratorExpr(GF4, (), invs)) == "0x0"
 
 
 @functools.cache
