@@ -15,13 +15,14 @@ as g's elementary one-variable substitutions, each one pass over the
 terms (`Substitution`); the action keeps no state.  Products and powers
 exploit characteristic 2: squaring is termwise, so powers collapse via
 the Frobenius.  Each polynomial memoizes what is asked of it: its
-powers, its degree, whether each matrix fixes it (`is_fixed_by`), and
-the products u^a c1^b that `refl2.verify` builds with it as u, by c1
-(`_products`).  The memos are freed with the polynomial.
+powers, its degree, its hash, whether each matrix fixes it
+(`is_fixed_by`), and what `refl2.verify`'s expression asks of it as u
+together with each c1 (`_products`): the products u^a c1^b and their
+packed rows.  The memos are freed with the polynomial.
 Exact division (`div_exact`) eliminates leading terms with a heap.
 
-The per-term kernels (`*`, `act`, `frobenius`, `scale`, `div_exact`,
-`add_z_multiple`) make no field-method call per term.  A monomial
+The per-term kernels (`*`, `act`, `frobenius`, `scale`, `div_exact`)
+make no field-method call per term.  A monomial
 x^a y^b z^c is packed into one int a << 2B | b << B | c, with B bits
 enough for every exponent the kernel meets, so a product of monomials
 is a sum of keys.
@@ -116,34 +117,6 @@ def _unpack(packed: dict, B: int) -> dict:
     }
 
 
-def z_levels(p: "MultiPoly") -> dict:
-    """p split by the power of z: {k: {(a, b): coeff}} over the terms
-    x^a y^b z^k of p."""
-    levels: dict = {}
-    for (a, b, k), v in p._terms.items():
-        level = levels.get(k)
-        if level is None:
-            level = levels[k] = {}
-        level[a, b] = v
-    return levels
-
-
-def add_z_multiple(levels: dict, p: "MultiPoly", c: int, k: int) -> None:
-    """levels += c z^k p in place, for levels as `z_levels` splits them and
-    a nonzero c: one table lookup per term of p (`_coeff_tables`).  Terms
-    that cancel are dropped; a level they empty stays, as an empty dict."""
-    left, right, prod = _coeff_tables(p.ctx)
-    lc = left[c]
-    get = levels.get
-    for (a, b, e), v in p._terms.items():
-        level = get(k + e)
-        if level is None:
-            level = levels[k + e] = {}
-        v = prod[lc + right[v]] ^ level.pop((a, b), 0)
-        if v:
-            level[a, b] = v
-
-
 def _powers(x: int, K: int, left, right, prod) -> list:
     """right[x^j] for j = 0..K, for a nonzero x."""
     rx = right[x]
@@ -157,14 +130,15 @@ def _powers(x: int, K: int, left, right, prod) -> list:
 class MultiPoly:
     """Immutable sparse polynomial in x, y, z over a FieldCtx."""
 
-    # _fixed: {g: self.act(g) == self}; _products: {c1: {(a, b): u^a c1^b}},
-    # the one memo of products that refl2.verify._Products keeps on u = self
-    __slots__ = ("ctx", "_terms", "_key", "_pows", "_deg", "_fixed", "_products")
+    # _fixed: {g: self.act(g) == self}; _products: {c1: refl2.verify._Pair},
+    # what expression keeps of the pair (u = self, c1), its products included
+    __slots__ = ("ctx", "_terms", "_key", "_hash", "_pows", "_deg", "_fixed", "_products")
 
     def __init__(self, ctx: FieldCtx, terms: dict | None = None):
         self.ctx = ctx
         self._terms = terms or {}
         self._key = None
+        self._hash = None
         self._pows = None
         self._deg = None
         self._fixed = None
@@ -491,7 +465,9 @@ class MultiPoly:
         return self.ctx == other.ctx and self._terms == other._terms
 
     def __hash__(self):
-        return hash((self.ctx.modulus, self.canonical()))
+        if self._hash is None:
+            self._hash = hash((self.ctx.modulus, self.canonical()))
+        return self._hash
 
     def __str__(self):
         return format_terms(self.terms(), _VARS)

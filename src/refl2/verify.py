@@ -40,28 +40,39 @@ the rows v, t v, ..., t^(m-1) v, divided by m, and c v is the XOR of the
 t^j v over the set bits j of c.
 
 `express_in_generators` realizes the inductive division argument in one
-pass over the z-levels of p, split once: p = sum_k z^k p_k with p_k in
-k[x, y].  Each level is eliminated in place, lowest first, by subalgebra
-reduction (Robbiano and Sweedler, "Subalgebra bases", 1990).  The
-restricted products u(x, y, 0)^a c1(x, y, 0)^b have pairwise distinct
-leading monomials a lu + b lc1, so the lead x^e1 y^e2 of level k names
-one (a, b); over a field the lead of a product is the product of the
-leads, so u^a c1^b has the term x^e1 y^e2 z^0, and adding c z^k u^a c1^b
+pass over the z-levels of p, lowest first, by subalgebra reduction
+(Robbiano and Sweedler, "Subalgebra bases", 1990), on p packed once as
+one row of m-bit lanes.  p is homogeneous of degree D, so x^a y^b z^c is
+named by (c, b), and its coefficient sits at lane c T + b, with T the
+least power of two above D (`_pack_levels`; the packing pass checks
+homogeneity).  The lowest set lane is then the lead: the lowest z-level
+first, then the largest power of x.  The restricted products
+u(x, y, 0)^a c1(x, y, 0)^b have pairwise distinct leading monomials
+a lu + b lc1, so the lead x^e1 y^e2 z^k names one (a, b); over a field
+the lead of a product is the product of the leads, so u^a c1^b has the
+term x^e1 y^e2 z^0, at lane e2 of its own row, and adding c z^k u^a c1^b
 for the matching c cancels the lead and lifts the product into the
-higher levels at once.  Once level k is empty, dividing by z is moving
-on to the next level.  Each product u^a c1^b is built once for the life
-of u, in one memo kept on u by c1 (`_Products`), and serves the steps
-and the reconstruction check, which rebuilds p from the expression's
-terms and compares exactly on every call.  Invariance comes last, from
-the generators: g acts on k[x, y, z] as a ring automorphism, so once
-p = F(u, c1, z) holds exactly, every g fixing u, c1 and z fixes p.  Each
-polynomial remembers which g fix it (`MultiPoly.is_fixed_by`), so at n=2
-d=0 the generators are acted on 9 times (8, 42 and 1 terms) for the life
-of those objects, not one `act` per g of a p of up to hundreds of terms
-on every call.  p is acted on only when some g moves u, c1 or z, or when
-expression fails, to tell a non-invariant p from a failed claim: a
-rejected input pays for one expression attempt, then one `act` of p per
-generator.
+higher levels at once.  That step is v ^= c * row << k T lanes: c times
+the packed product is the XOR of its `_field_rows` over the set bits of
+c (`_scale`), so a step costs O(m) big-int operations whatever the size
+of the product.  Each product u^a c1^b is built once for the life of u,
+and its rows once per stride T, in one memo kept on u by c1 (`_Pair`),
+with the homogeneity of u and c1, their restricted leads and the
+determinant that solves for (a, b).  The lanes hold the products only if
+u and c1 are homogeneous too, so any other pair is refused before any
+work.  The products serve the steps and
+the reconstruction check, which XORs every term's scaled, shifted
+product again, from the expression's canonical terms, and compares with
+packed p exactly on every call; `GeneratorExpr.substitute` rebuilds the
+same XOR and unpacks it.  Invariance comes last, from the generators: g
+acts on k[x, y, z] as a ring automorphism, so once p = F(u, c1, z) holds
+exactly, every g fixing u, c1 and z fixes p.  Each polynomial remembers
+which g fix it (`MultiPoly.is_fixed_by`), so at n=2 d=0 the generators
+are acted on 9 times (8, 42 and 1 terms) for the life of those objects,
+not one `act` per g of a p of up to hundreds of terms on every call.  p
+is acted on only when some g moves u, c1 or z, or when expression fails,
+to tell a non-invariant p from a failed claim: a rejected input pays for
+one expression attempt, then one `act` of p per generator.
 """
 
 from __future__ import annotations
@@ -70,14 +81,7 @@ from dataclasses import dataclass
 
 from refl2.ffield import FieldCtx
 from refl2.grouplift import Mat3
-from refl2.mvpoly import (
-    MultiPoly,
-    _term_key,
-    add_z_multiple,
-    format_terms,
-    jacobian_det,
-    z_levels,
-)
+from refl2.mvpoly import MultiPoly, _term_key, format_terms, jacobian_det
 
 
 class NotInvariantError(ValueError):
@@ -440,23 +444,107 @@ def generated_dimensions(invs: list[MultiPoly], max_deg: int) -> list[int]:
 # -- expression in the generators ---------------------------------------------
 
 
-class _Products:
-    """u^a c1^b by (a, b), each built on first use as one product of the
-    powers u^a and c1^b, which u and c1 memoize themselves.  The memo is
-    one dict kept on u, by c1 (`MultiPoly._products`), so every call with
-    the same pair shares it: it holds the products up to the largest
-    degree asked, and is freed with u."""
+def _stride(deg: int) -> int:
+    """The lane stride T for a homogeneous degree deg (`_pack_levels`):
+    the least power of two above it, so that inputs of nearby degrees
+    share the packed products."""
+    return 1 << deg.bit_length()
 
-    __slots__ = ("u", "c1", "memo")
+
+def _pack_levels(f: MultiPoly, deg: int, T: int) -> int:
+    """f, homogeneous of degree deg < T, as a row of m-bit lanes: the
+    coefficient of x^a y^b z^c goes to lane c T + b, which names the term
+    since a = deg - b - c.  So the lowest set lane is the lowest z-level's
+    graded-lex lead, and z^k times a row is a shift by k T lanes.  Each
+    z-level is packed on its own, as a short int, and the levels are
+    joined at the end.  ValueError on a term of another degree."""
+    m = f.ctx.m
+    levels = [0] * (deg + 1)
+    for (a, b, c), coeff in f._terms.items():
+        if a + b + c != deg:
+            raise ValueError("input must be homogeneous")
+        levels[c] ^= coeff << b * m
+    shift, v = T * m, 0
+    for level in reversed(levels):
+        v = v << shift ^ level
+    return v
+
+
+def _unpack_levels(v: int, deg: int, T: int, m: int) -> dict:
+    """The term dict of a row packed as `_pack_levels` does, one z-level
+    at a time."""
+    mask, shift = (1 << m) - 1, T * m
+    level_mask = (1 << shift) - 1
+    terms = {}
+    k = 0
+    while v:
+        level = v & level_mask
+        v >>= shift
+        b = 0
+        while level:
+            skip = ((level & -level).bit_length() - 1) // m
+            level >>= skip * m
+            b += skip
+            terms[deg - b - k, b, k] = level & mask
+            level >>= m
+            b += 1
+        k += 1
+    return terms
+
+
+class _Pair:
+    """What expression asks of u and c1 together, kept on u by c1
+    (`MultiPoly._products`), so every call with the same pair shares it,
+    and freed with u; it refers to neither.  Built once from the terms of
+    each: whether both are homogeneous, and the leads lu and lc1 of their
+    restrictions to z = 0 with det = lu x lc1, or the reason (`error`)
+    no lead solves.  Then every product u^a c1^b built so far, as a
+    `MultiPoly` by (a, b) and as the `_field_rows` of its `_pack_levels`
+    row by (a, b, T)."""
+
+    __slots__ = ("homogeneous", "error", "lu", "lc1", "det", "products", "rows")
+
+    def __init__(self, u: MultiPoly, c1: MultiPoly):
+        self.products: dict = {}
+        self.rows: dict = {}
+        self.error = self.lu = self.lc1 = self.det = None
+        self.homogeneous = u.is_homogeneous() and c1.is_homogeneous()
+        if not self.homogeneous:
+            return
+        # the graded-lex lead of a z-level of a homogeneous polynomial is
+        # its term with the largest x-exponent
+        lu, lc1 = (max(((a, b) for a, b, c in f._terms if not c), default=None) for f in (u, c1))
+        if lu is None or lc1 is None:
+            self.error = "a generator vanishes at z = 0: no leading term to solve with"
+            return
+        self.lu, self.lc1 = lu, lc1
+        self.det = lu[0] * lc1[1] - lu[1] * lc1[0]
+        if self.det == 0:
+            self.error = "restricted generators have dependent leading terms"
+
+
+class _Products:
+    """u^a c1^b by (a, b) and its packed rows, each built on first use and
+    kept in the `_Pair` of u and c1.  A product is one product of the
+    powers u^a and c1^b, which u and c1 memoize themselves; the memo holds
+    the products up to the largest degree asked.  ValueError unless u
+    and c1 are homogeneous, which the packed rows need."""
+
+    __slots__ = ("u", "c1", "pair")
 
     def __init__(self, u: MultiPoly, c1: MultiPoly):
         self.u, self.c1 = u, c1
         if u._products is None:
             u._products = {}
-        self.memo = u._products.setdefault(c1, {})
+        pair = u._products.get(c1)
+        if pair is None:
+            pair = u._products[c1] = _Pair(u, c1)
+        if not pair.homogeneous:
+            raise ValueError("generators must be homogeneous")
+        self.pair = pair
 
     def __getitem__(self, key) -> MultiPoly:
-        prod = self.memo.get(key)
+        prod = self.pair.products.get(key)
         if prod is None:
             a, b = key
             if not a:
@@ -465,8 +553,30 @@ class _Products:
                 prod = self.u**a
             else:
                 prod = self.u**a * self.c1**b
-            self.memo[key] = prod
+            self.pair.products[key] = prod
         return prod
+
+    def rows(self, a: int, b: int, T: int) -> list[int]:
+        """The `_field_rows` of u^a c1^b packed at stride T."""
+        rows = self.pair.rows.get((a, b, T))
+        if rows is None:
+            prod = self[a, b]
+            deg, ctx = max(prod.deg(), 0), prod.ctx  # a zero u packs to 0
+            # lane c T + b with b <= deg - c is at most deg T
+            tops = _repeat(ctx.m, deg * T + 1) << (ctx.m - 1)
+            rows = self.pair.rows[a, b, T] = _field_rows(ctx, _pack_levels(prod, deg, T), tops)
+        return rows
+
+    def packed(self, terms, T: int) -> int:
+        """sum c z^k u^i c1^j over ((i, j, k), c) in terms, all of one
+        degree below T, packed at stride T: the XOR of the scaled, shifted
+        rows."""
+        shift = T * self.u.ctx.m
+        v = 0
+        for (i, j, k), c in terms:
+            if c:
+                v ^= _scale(self.rows(i, j, T), c) << k * shift
+        return v
 
 
 @dataclass(frozen=True)
@@ -486,18 +596,19 @@ class GeneratorExpr:
             raise ValueError("the third generator must be the coordinate z")
 
     def substitute(self) -> MultiPoly:
-        """The polynomial this stands for.  Each term c U^i C^j Z^k adds
-        c z^k u^i c1^j, a shift of the product u^i c1^j, which u keeps
-        (`_Products`)."""
-        products = _Products(*self.generators[:2])
-        levels: dict = {}
-        for (i, j, k), coeff in self.terms:
-            if coeff:
-                add_z_multiple(levels, products[i, j], coeff, k)
-        return MultiPoly(
-            self.ctx,
-            {(a, b, k): v for k, level in levels.items() for (a, b), v in level.items()},
-        )
+        """The polynomial this stands for, one degree at a time: the XOR
+        of the packed products that u keeps (`_Products.packed`),
+        unpacked.  ValueError unless u and c1 are homogeneous."""
+        u, c1, _ = self.generators
+        products = _Products(u, c1)
+        by_degree: dict = {}
+        for (i, j, k), c in self.terms:
+            by_degree.setdefault(i * u.deg() + j * c1.deg() + k, []).append(((i, j, k), c))
+        terms: dict = {}
+        for deg, group in by_degree.items():
+            T = _stride(deg)
+            terms.update(_unpack_levels(products.packed(group, T), deg, T, self.ctx.m))
+        return MultiPoly(self.ctx, terms)
 
     def __str__(self):
         return format_terms(self.terms, ("U", "C", "Z"))
@@ -514,10 +625,12 @@ def express_in_generators(
         raise ValueError("polynomials from mismatched contexts")
     if z != MultiPoly.variable(p.ctx, 2):
         raise ValueError("the third generator must be the coordinate z")
-    if not p.is_homogeneous():
-        raise ValueError("input must be homogeneous")
+    products = _Products(u, c1)
+    # the degree of any term; packing checks that every term has it
+    deg = sum(next(iter(p._terms), (0, 0, 0)))
+    packed = _pack_levels(p, deg, _stride(deg))
     try:
-        expr = _express(p, u, c1, z)
+        expr = _express(p, packed, deg, products, z)
     except ValueError as exc:
         if not is_invariant(p, gens):
             raise NotInvariantError("input is not invariant under the generators") from exc
@@ -527,45 +640,36 @@ def express_in_generators(
     return expr
 
 
-def _plane_lead(level: dict) -> tuple[int, int]:
-    """The graded-lex leading (a, b) of a z-level (`z_levels`)."""
-    return max(level, key=lambda e: (e[0] + e[1], e[0]))
-
-
-def _express(p, u, c1, z) -> GeneratorExpr:
-    """p as a polynomial in (u, c1, z), checked by exact reconstruction,
-    or a `ValueError`; invariance is the caller's.  Each level is
-    eliminated in place, one `add_z_multiple` per solved term (module
-    doc)."""
+def _express(p, packed: int, deg: int, products: _Products, z) -> GeneratorExpr:
+    """p, homogeneous of degree deg and packed at stride T = _stride(deg),
+    as a polynomial in (u, c1, z), checked by exact reconstruction, or a
+    `ValueError`; invariance is the caller's.  Each step eliminates the
+    lowest set lane by one XOR of a scaled, shifted product (module doc)."""
+    pair = products.pair
+    if pair.error:
+        raise ValueError(pair.error)
+    lu, lc1, det = pair.lu, pair.lc1, pair.det
     ctx = p.ctx
-    u0, c10 = z_levels(u).get(0), z_levels(c1).get(0)
-    if not u0 or not c10:
-        raise ValueError("a generator vanishes at z = 0: no leading term to solve with")
-    lu, lc1 = _plane_lead(u0), _plane_lead(c10)
-    det = lu[0] * lc1[1] - lu[1] * lc1[0]
-    if det == 0:
-        raise ValueError("restricted generators have dependent leading terms")
-    products = _Products(u, c1)
-    levels = z_levels(p)
+    m, mask, T = ctx.m, ctx.order - 1, _stride(deg)
+    v = packed
     terms: dict = {}
-    while levels:
-        k = min(levels)
-        level = levels[k]
-        while level:
-            e1, e2 = _plane_lead(level)
-            # solve a*lu + b*lc1 = (e1, e2) over the integers
-            na = e1 * lc1[1] - e2 * lc1[0]
-            nb = lu[0] * e2 - lu[1] * e1
-            a, b = na // det, nb // det
-            if na % det or nb % det or a < 0 or b < 0:
-                raise NotExpressibleError("restriction escapes the generators")
-            prod = products[a, b]
-            c = ctx.mul(level[e1, e2], ctx.inv(prod._terms[e1, e2, 0]))
-            terms[a, b, k] = c
-            add_z_multiple(levels, prod, c, k)
-        del levels[k]
+    while v:
+        lane = ((v & -v).bit_length() - 1) // m
+        k, e2 = divmod(lane, T)
+        e1 = deg - k - e2
+        # solve a*lu + b*lc1 = (e1, e2) over the integers
+        na = e1 * lc1[1] - e2 * lc1[0]
+        nb = lu[0] * e2 - lu[1] * e1
+        a, b = na // det, nb // det
+        if na % det or nb % det or a < 0 or b < 0:
+            raise NotExpressibleError("restriction escapes the generators")
+        rows = products.rows(a, b, T)
+        # the lead of u^a c1^b is x^e1 y^e2 z^0, at lane e2 of its row
+        c = ctx.mul(v >> lane * m & mask, ctx.inv(rows[0] >> e2 * m & mask))
+        terms[a, b, k] = c
+        v ^= _scale(rows, c) << k * T * m
     canon = tuple((e, terms[e]) for e in sorted(terms, key=_term_key, reverse=True))
-    expr = GeneratorExpr(ctx, canon, (u, c1, z))
-    if expr.substitute() != p:
+    expr = GeneratorExpr(ctx, canon, (products.u, products.c1, z))
+    if products.packed(canon, T) != packed:
         raise NotExpressibleError("reconstruction mismatch")
     return expr

@@ -14,7 +14,7 @@ from refl2.grouplift import (
     lift_generators,
     sl2_generators,
 )
-from refl2.mvpoly import MultiPoly, add_z_multiple, jacobian_det, z_levels
+from refl2.mvpoly import MultiPoly, jacobian_det
 
 GF2 = field_new(1)
 GF4 = field_new(2)
@@ -252,25 +252,6 @@ def test_jacobian_alternating():
         j = jacobian_det(p1, p2, p3)
         assert jacobian_det(p2, p1, p3) == j  # swap == negate == identity in char 2
         assert jacobian_det(p1, p1, p3).is_zero()
-
-
-def test_z_levels_and_add_z_multiple():
-    assert z_levels(X() * Z() + Y() ** 2) == {1: {(1, 0): 1}, 0: {(0, 2): 1}}
-    assert z_levels(MultiPoly.zero(GF4)) == {}
-    rng = random.Random(37)
-    for ctx in (GF4, GF16, GF2_18):
-        for _ in range(20):
-            p, q = rand_poly(ctx, rng), rand_poly(ctx, rng)
-            c, k = rng.randrange(1, ctx.order), rng.randrange(4)
-            levels = z_levels(p)
-            add_z_multiple(levels, q, c, k)
-            expected = p + mul_reference(q, MultiPoly.from_terms(ctx, [((0, 0, k), c)]))
-            assert {e: level for e, level in levels.items() if level} == z_levels(expected)
-    # p - p cancels every term and leaves the levels empty
-    p = X() * Z() + Y() ** 2
-    levels = z_levels(p)
-    add_z_multiple(levels, p, 1, 0)
-    assert levels == {0: {}, 1: {}}
 
 
 def test_div_exact_examples():

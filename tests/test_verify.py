@@ -778,22 +778,26 @@ def express_outcome(express, p, invs, gens):
     return out if isinstance(out, tuple) else out.terms
 
 
-def criterion_9_inputs(invs, seed, count, max_deg):
-    """Acceptance criterion 9's recipe: random U^a C^b Z^c of one degree,
-    each picked with probability 1/2, coefficients 1..3."""
+def degree_input(invs, rng, deg):
+    """Acceptance criterion 9's recipe at one degree: random U^a C^b Z^c
+    of degree deg, each picked with probability 1/2, nonzero coefficients."""
     ub, c1b, zp = invs
     ctx = ub.ctx
-    rng = random.Random(seed)
     du, dc = ub.deg(), c1b.deg()
+    p = MultiPoly.zero(ctx)
+    for a in range(deg // du + 1):
+        for b in range((deg - du * a) // dc + 1):
+            if rng.random() < 0.5:
+                c = deg - du * a - dc * b
+                p = p + (ub**a * c1b**b * zp**c).scale(rng.randrange(1, ctx.order))
+    return p
+
+
+def criterion_9_inputs(invs, seed, count, max_deg):
+    """Acceptance criterion 9's recipe: `degree_input` at random degrees."""
+    rng = random.Random(seed)
     for _ in range(count):
-        deg = rng.randrange(0, max_deg + 1)
-        p = MultiPoly.zero(ctx)
-        for a in range(deg // du + 1):
-            for b in range((deg - du * a) // dc + 1):
-                if rng.random() < 0.5:
-                    c = deg - du * a - dc * b
-                    p = p + (ub**a * c1b**b * zp**c).scale(rng.randrange(1, ctx.order))
-        yield p
+        yield degree_input(invs, rng, rng.randrange(0, max_deg + 1))
 
 
 @pytest.mark.parametrize(
@@ -856,6 +860,28 @@ def test_express_matches_reference(n, d, max_deg, variant, ctx, basis):
     assert express_outcome(express_in_generators, ub * c1b, vanishing, []) == expected
 
 
+def test_express_matches_reference_at_stride_boundaries():
+    # expression packs a degree-D input at lane stride T, the least power
+    # of two above D, so T doubles from D = 31 to 32 and from 63 to 64
+    invs, gens = composed_setup()
+    ub, c1b, zp = invs
+    x, y = MultiPoly.variable(GF4, 0), MultiPoly.variable(GF4, 1)
+    rng = random.Random(64)
+    for deg in (31, 32, 63, 64):
+        for p in (degree_input(invs, rng, deg), degree_input(invs, rng, deg), x**deg + y**deg):
+            for group in (gens, []):
+                expected = express_outcome(express_reference, p, invs, group)
+                assert express_outcome(express_in_generators, p, invs, group) == expected
+    # u-bar c1-bar^2 z^3, of degree 32, is invariant but not a polynomial
+    # in (u-bar^2, c1-bar, z)
+    squared = (ub * ub, c1b, zp)
+    p = ub * c1b**2 * zp**3
+    assert p.deg() == 32
+    expected = express_outcome(express_reference, p, squared, gens)
+    assert expected[0] is NotExpressibleError
+    assert express_outcome(express_in_generators, p, squared, gens) == expected
+
+
 def test_express_matches_reference_on_warm_generators():
     # one set of generator objects across calls, so every call after the
     # first reads the products and invariance answers they keep; each
@@ -907,15 +933,7 @@ def test_express_rejects_mismatched_contexts():
 
 def degree_60_input(invs):
     """A criterion-9 input of degree 60 at n=2 d=0."""
-    ub, c1b, zp = invs
-    rng = random.Random(60)
-    p = MultiPoly.zero(GF4)
-    for a in range(60 // ub.deg() + 1):
-        for b in range((60 - ub.deg() * a) // c1b.deg() + 1):
-            if rng.random() < 0.5:
-                c = 60 - ub.deg() * a - c1b.deg() * b
-                p = p + (ub**a * c1b**b * zp**c).scale(rng.randrange(1, 4))
-    return p
+    return degree_input(invs, random.Random(60), 60)
 
 
 def test_express_acts_on_the_generators_not_the_input(monkeypatch):
@@ -932,6 +950,23 @@ def test_express_acts_on_the_generators_not_the_input(monkeypatch):
     monkeypatch.setattr(MultiPoly, "act", lambda f, g: sizes.append(len(f._terms)) or act(f, g))
     assert express_in_generators(p, invs, gens).substitute() == p
     assert len(sizes) == 3 * len(gens) and max(sizes) <= bound
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_express_rejects_non_homogeneous_generators(which):
+    # elimination of x under (x + x z, y, z) would lift x z^(k+1) into
+    # the next z-level at every step, forever: such generators are
+    # refused before any work, and so is a substitution into them
+    x, y, z = (MultiPoly.variable(GF4, i) for i in range(3))
+    invs = [x, y, z]
+    p = invs[which]
+    invs[which] = p + p * z
+    not_homogeneous = "^generators must be homogeneous$"
+    for _ in range(2):  # the answer is kept on the pair
+        with pytest.raises(ValueError, match=not_homogeneous):
+            express_in_generators(p, tuple(invs), [])
+    with pytest.raises(ValueError, match=not_homogeneous):
+        GeneratorExpr(GF4, (((1, 0, 0), 1),), tuple(invs)).substitute()
 
 
 @pytest.mark.parametrize("which", [0, 1])
@@ -960,27 +995,83 @@ def test_express_builds_each_product_once(monkeypatch):
     assert len(calls) == 1
 
 
+class WatchedTerms(dict):
+    """A term dict that records every pass over it in `passes`."""
+
+    def __init__(self, terms, passes):
+        super().__init__(terms)
+        self.passes = passes
+
+    def __iter__(self):
+        self.passes.append("iter")
+        return super().__iter__()
+
+    def keys(self):
+        self.passes.append("keys")
+        return super().keys()
+
+    def values(self):
+        self.passes.append("values")
+        return super().values()
+
+    def items(self):
+        self.passes.append("items")
+        return super().items()
+
+
 def test_express_warm_call_builds_and_acts_on_nothing(monkeypatch):
-    # the generators keep their products and invariance answers, so a
-    # second call multiplies no polynomials and acts on none; the
-    # reconstruction check still runs, from the kept products
+    # the generators keep their products, packed rows, invariance answers,
+    # homogeneity, leads and hash, so a second call multiplies no
+    # polynomials, acts on none and makes no pass over the terms of u-bar
+    # or c1-bar; the reconstruction check still runs, from the kept
+    # products
     invs, gens = composed_setup()
     p = degree_60_input(invs)
     q = p + invs[2] ** 60
     assert dict(express_in_generators(p, invs, gens).terms)
-    calls, acted = [], []
+    calls, acted, passes = [], [], []
     mul, act = MultiPoly.__mul__, MultiPoly.act
     monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
     monkeypatch.setattr(MultiPoly, "act", lambda f, g: acted.append(f) or act(f, g))
+    for f in invs[:2]:
+        f._terms = WatchedTerms(f._terms, passes)
+        f._key = None  # so that hashing f again would walk its terms
     for r in (p, q):
         assert express_in_generators(r, invs, gens).substitute() == r
-    assert calls == [] and acted == []
+    assert calls == [] and acted == [] and passes == []
 
 
 def test_generator_expr_needs_the_coordinate_z():
     ub, c1b, zp = composed_setup()[0]
     with pytest.raises(ValueError, match="coordinate z"):
         GeneratorExpr(GF4, (), (ub, c1b, ub))
+
+
+@pytest.mark.parametrize("case", ["gf8-composed", "gf2^18-plain"])
+def test_generator_expr_substitute_matches_the_explicit_sum(case):
+    # substitute() XORs scalar multiples of packed products, one degree at
+    # a time; over GF(8) and GF(2^18) a multiple overflows its lane, so
+    # `_field_rows` reduces it by the modulus
+    rng = random.Random(8)
+    if case == "gf8-composed":
+        invs = composed_setup(3, 0, ctx=field_new(3))[0]
+    else:
+        ctx = field_new(18, 0x40009)
+        x, y, z = (MultiPoly.variable(ctx, i) for i in range(3))
+        invs = (x**3 + y * z * (x + y), y**4 + (x * z).scale(0x3FFFF) ** 2, z)
+    ub, c1b, zp = invs
+    ctx = ub.ctx
+    exps = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (2, 0, 31), (1, 1, 3), (3, 0, 0), (0, 0, 40), (2, 1, 7)]
+    terms = tuple((e, rng.randrange(1, ctx.order)) for e in exps)
+    explicit = MultiPoly.zero(ctx)
+    for (i, j, k), c in terms:
+        explicit = explicit + MultiPoly.constant(ctx, c) * ub**i * c1b**j * zp**k
+    assert GeneratorExpr(ctx, terms, invs).substitute() == explicit
+    assert GeneratorExpr(ctx, (), invs).substitute() == MultiPoly.zero(ctx)
+    # a zero u contributes nothing, whatever its power
+    vanishing = (MultiPoly.zero(ctx), c1b, zp)
+    terms = (((2, 1, 0), 1), ((1, 0, 4), 1), ((0, 1, 2), 1))
+    assert GeneratorExpr(ctx, terms, vanishing).substitute() == c1b * zp**2
 
 
 def test_generator_expr_str_constant():
