@@ -10,8 +10,11 @@ layer's per-term kernels read the log/exp tables (see `FieldCtx`).
 
 Moduli are bit-vectors too, with bit m (the leading bit) set; they print
 as hex with the low bit the constant term, e.g. the GF(4) modulus
-t^2+t+1 is 0x7.  Construction checks irreducibility by trial division
-by every polynomial of degree up to m/2.
+t^2+t+1 is 0x7.  Construction checks irreducibility by Rabin's test
+(`modulus_is_irreducible`), m squarings modulo the modulus, so a modulus
+of degree 64 is checked at once.  Subfields are found without factoring
+2^m - 1 (`subfield_elements`); only a multiplicative generator of the
+whole field (`mult_generator`) needs that factorization.
 """
 
 from __future__ import annotations
@@ -64,13 +67,25 @@ def _pmul(a: int, b: int) -> int:
     return r
 
 
+def _pgcd(a: int, b: int) -> int:
+    """Greatest common divisor of two GF(2) polynomials."""
+    while b:
+        a, b = b, _pmod(a, b)
+    return a
+
+
 def modulus_is_irreducible(modulus: int, m: int) -> bool:
-    """Trial division by all polynomials of degree 1..m//2."""
-    for d in range(1, m // 2 + 1):
-        for q in range(1 << d, 1 << (d + 1)):
-            if _pmod(modulus, q) == 0:
-                return False
-    return True
+    """Rabin's test for f = modulus of degree m: f is irreducible over
+    GF(2) iff x^(2^m) = x mod f and gcd(x^(2^(m/p)) - x, f) = 1 for every
+    prime p | m (Rabin, "Probabilistic algorithms in finite fields",
+    1980).  x is taken mod f, which matters for m = 1."""
+    x = _pmod(2, modulus)
+    powers = [x]  # x^(2^k) mod f for k = 0..m
+    for _ in range(m):
+        powers.append(_pmod(_pmul(powers[-1], powers[-1]), modulus))
+    if powers[m] != x:
+        return False
+    return all(_pgcd(powers[m // p] ^ x, modulus) == 1 for p in _factorize(m))
 
 
 def _factorize(n: int) -> list[int]:
@@ -145,8 +160,10 @@ class FieldCtx:
     def _mul_raw(self, a: int, b: int) -> int:
         return _pmod(_pmul(a, b), self.modulus)
 
-    def _order_raw(self, a: int) -> int:
-        n = self.order - 1
+    def _order_raw(self, a: int, n: int = 0) -> int:
+        """The multiplicative order of a nonzero a, given a multiple n of
+        it (by default 2^m - 1); only n is factored."""
+        n = n or self.order - 1
         ord_ = n
         for p in _factorize(n):
             while ord_ % p == 0 and self._pow_raw(a, ord_ // p) == 1:
@@ -252,21 +269,26 @@ def mult_generator(ctx: FieldCtx) -> int:
 
 
 def subfield_elements(ctx: FieldCtx, n: int) -> list[int]:
-    """The GF(2^n) subfield sorted by value: 0 and the powers of
-    h = g^((2^m-1)/(2^n-1)), of order 2^n - 1, for a generator g."""
+    """The GF(2^n) subfield sorted by value: 0 and the powers of an h of
+    order 2^n - 1.  h = a^((2^m-1)/(2^n-1)) lies in the subfield for every
+    nonzero a, so a = 1, 2, ... is tried until h has that order, which
+    factors only 2^n - 1; the powers of a generator g would need 2^m - 1
+    factored to find g."""
     if n < 1 or ctx.m % n != 0:
         raise ValueError(f"subfield degree {n} does not divide {ctx.m}")
     q = 1 << n
-    h = ctx.pow_(mult_generator(ctx), (ctx.order - 1) // (q - 1))
+    powers = (ctx.pow_(a, (ctx.order - 1) // (q - 1)) for a in range(1, ctx.order))
+    h = next(h for h in powers if ctx._order_raw(h, q - 1) == q - 1)
     out = [0] + [ctx.pow_(h, i) for i in range(q - 1)]
     assert len(set(out)) == q
     return sorted(out)
 
 
 def subfield_generator(ctx: FieldCtx, n: int) -> int:
-    """Smallest element of the GF(2^n) subfield with multiplicative order 2^n-1."""
+    """Smallest element of the GF(2^n) subfield with multiplicative order
+    2^n-1; orders in the subfield divide 2^n-1, so only it is factored."""
     target = (1 << n) - 1
     for a in subfield_elements(ctx, n):
-        if a and ctx._order_raw(a) == target:
+        if a and ctx._order_raw(a, target) == target:
             return a
     raise AssertionError("subfield generator always exists")

@@ -17,8 +17,8 @@ exploit characteristic 2: squaring is termwise, so powers collapse via
 the Frobenius.  Each polynomial memoizes what is asked of it: its
 powers, its degree, its hash, whether each matrix fixes it
 (`is_fixed_by`), and what `refl2.verify`'s expression asks of it as u
-together with each c1 (`_products`): the products u^a c1^b and their
-packed rows.  The memos are freed with the polynomial.
+together with each c1 (`_products`): the products u^a c1^b as packed
+rows only.  The memos are freed with the polynomial.
 Exact division (`div_exact`) eliminates leading terms with a heap.
 
 The per-term kernels (`*`, `act`, `frobenius`, `scale`, `div_exact`)
@@ -131,7 +131,7 @@ class MultiPoly:
     """Immutable sparse polynomial in x, y, z over a FieldCtx."""
 
     # _fixed: {g: self.act(g) == self}; _products: {c1: refl2.verify._Pair},
-    # what expression keeps of the pair (u = self, c1), its products included
+    # what expression keeps of the pair (u = self, c1): the packed products
     __slots__ = ("ctx", "_terms", "_key", "_hash", "_pows", "_deg", "_fixed", "_products")
 
     def __init__(self, ctx: FieldCtx, terms: dict | None = None):

@@ -55,24 +55,27 @@ for the matching c cancels the lead and lifts the product into the
 higher levels at once.  That step is v ^= c * row << k T lanes: c times
 the packed product is the XOR of its `_field_rows` over the set bits of
 c (`_scale`), so a step costs O(m) big-int operations whatever the size
-of the product.  Each product u^a c1^b is built once for the life of u,
-and its rows once per stride T, in one memo kept on u by c1 (`_Pair`),
-with the homogeneity of u and c1, their restricted leads and the
-determinant that solves for (a, b).  The lanes hold the products only if
-u and c1 are homogeneous too, so any other pair is refused before any
-work.  The products serve the steps and
-the reconstruction check, which XORs every term's scaled, shifted
-product again, from the expression's canonical terms, and compares with
-packed p exactly on every call; `GeneratorExpr.substitute` rebuilds the
-same XOR and unpacks it.  Invariance comes last, from the generators: g
-acts on k[x, y, z] as a ring automorphism, so once p = F(u, c1, z) holds
-exactly, every g fixing u, c1 and z fixes p.  Each polynomial remembers
-which g fix it (`MultiPoly.is_fixed_by`), so at n=2 d=0 the generators
-are acted on 9 times (8, 42 and 1 terms) for the life of those objects,
-not one `act` per g of a p of up to hundreds of terms on every call.  p
-is acted on only when some g moves u, c1 or z, or when expression fails,
-to tell a non-invariant p from a failed claim: a rejected input pays for
-one expression attempt, then one `act` of p per generator.
+of the product.  The products exist only as packed rows, built on the
+lanes (Kronecker substitution): u^a c1^b is u^(a-1) c1^b times u, or
+c1^b is c1^(b-1) times c1, one scaled, shifted copy of the smaller row
+per term of the factor (`_times`, shared with `generated_dimensions`),
+and no lane carries since every product has degree below T.  Each is
+built once per stride T for the life of u, in one memo kept on u by c1
+(`_Pair`) with the homogeneity of u and c1, their restricted leads and
+the determinant that solves for (a, b).  The lanes hold the products
+only if u and c1 are homogeneous, so any other pair is refused before
+any work.  The reconstruction check XORs the canonical terms' scaled,
+shifted products again and compares with packed p exactly on every call;
+`GeneratorExpr.substitute` rebuilds the same XOR and unpacks it.
+Invariance comes last, from the generators: g acts on k[x, y, z] as a
+ring automorphism, so once p = F(u, c1, z) holds exactly, every g fixing
+u, c1 and z fixes p.  Each polynomial remembers which g fix it
+(`MultiPoly.is_fixed_by`), so at n=2 d=0 the generators are acted on 9
+times (8, 42 and 1 terms) for the life of those objects, not one `act`
+per g of a p of up to hundreds of terms on every call.  p is acted on
+only when some g moves u, c1 or z, or when expression fails, to tell a
+non-invariant p from a failed claim: a rejected input pays for one
+expression attempt, then one `act` of p per generator.
 """
 
 from __future__ import annotations
@@ -237,6 +240,18 @@ def _scale(rows: list[int], c: int) -> int:
     return out
 
 
+def _times(rows: list[int], shifts) -> int:
+    """The product of the packed field vector whose `_field_rows` are
+    `rows` with a polynomial given as (shift, coefficient) per term: one
+    scaled copy of the vector per term, shifted to the term's lane.  Both
+    packings (`_pack`, `_pack_levels`) add lanes under multiplication, so
+    they differ only in the shifts."""
+    out = 0
+    for shift, c in shifts:
+        out ^= _scale(rows, c) << shift
+    return out
+
+
 def _ranks(ctx: FieldCtx, max_deg: int, vectors, tops: int) -> list[int]:
     """Entry d is the field rank of every packed vector that `vectors(e)`
     yields for e = 0..d.  One GF(2) echelon basis is kept for the whole
@@ -395,9 +410,8 @@ def generated_dimensions(invs: list[MultiPoly], max_deg: int) -> list[int]:
     sweep, with z the coordinate itself: the echelon rows of Gen_{d-1} are
     rows of Gen_d as they stand (module doc, `_pack` with top degree
     max_deg), and degree d inserts only its products p^i q^j.  Each is
-    built once, as packed rows: p^i q^j is p^(i-1) q^j times p, and q^j
-    is q^(j-1) times q, where a term of p or q is one scalar multiple of
-    the row and one shift.  Neither p nor q is raised to a power."""
+    built once on the lanes, p^i q^j as p^(i-1) q^j times p and q^j as
+    q^(j-1) times q (`_times`): neither p nor q is raised to a power."""
     if len(invs) != 3:
         raise ValueError("need generators (p, q, z)")
     _check_generators(invs)
@@ -417,13 +431,6 @@ def generated_dimensions(invs: list[MultiPoly], max_deg: int) -> list[int]:
         for f in (p, q)
     )
 
-    def times(v, factor):
-        rows = _field_rows(ctx, v, tops)
-        out = 0
-        for shift, c in factor:
-            out ^= _scale(rows, c) << shift
-        return out
-
     powers = {(0, 0): 1}  # (i, j) -> packed p^i q^j, until it is extended
 
     def products(d):
@@ -433,9 +440,9 @@ def generated_dimensions(invs: list[MultiPoly], max_deg: int) -> list[int]:
                 continue
             if i:
                 base = powers.pop((i - 1, j)) if i > 1 else powers[0, j]
-                powers[i, j] = times(base, fp)
+                powers[i, j] = _times(_field_rows(ctx, base, tops), fp)
             elif j:
-                powers[0, j] = times(powers[0, j - 1], fq)
+                powers[0, j] = _times(_field_rows(ctx, powers[0, j - 1], tops), fq)
             yield powers[i, j]
 
     return _ranks(ctx, max_deg, products, tops)
@@ -494,18 +501,17 @@ def _unpack_levels(v: int, deg: int, T: int, m: int) -> dict:
 
 class _Pair:
     """What expression asks of u and c1 together, kept on u by c1
-    (`MultiPoly._products`), so every call with the same pair shares it,
-    and freed with u; it refers to neither.  Built once from the terms of
-    each: whether both are homogeneous, and the leads lu and lc1 of their
-    restrictions to z = 0 with det = lu x lc1, or the reason (`error`)
-    no lead solves.  Then every product u^a c1^b built so far, as a
-    `MultiPoly` by (a, b) and as the `_field_rows` of its `_pack_levels`
-    row by (a, b, T)."""
+    (`MultiPoly._products`) so every call with the pair shares it, and
+    freed with u; it refers to the term dicts of u and c1, not to them.
+    Built once: whether both are homogeneous, and the leads lu and lc1 of
+    their restrictions to z = 0 with det = lu x lc1, or why no lead
+    solves (`error`).  Then only packed rows: by (a, b, T), the
+    `_field_rows` of every product u^a c1^b built so far at stride T."""
 
-    __slots__ = ("homogeneous", "error", "lu", "lc1", "det", "products", "rows")
+    __slots__ = ("homogeneous", "error", "lu", "lc1", "det", "terms", "rows")
 
     def __init__(self, u: MultiPoly, c1: MultiPoly):
-        self.products: dict = {}
+        self.terms = (u._terms, c1._terms)
         self.rows: dict = {}
         self.error = self.lu = self.lc1 = self.det = None
         self.homogeneous = u.is_homogeneous() and c1.is_homogeneous()
@@ -522,60 +528,51 @@ class _Pair:
         if self.det == 0:
             self.error = "restricted generators have dependent leading terms"
 
-
-class _Products:
-    """u^a c1^b by (a, b) and its packed rows, each built on first use and
-    kept in the `_Pair` of u and c1.  A product is one product of the
-    powers u^a and c1^b, which u and c1 memoize themselves; the memo holds
-    the products up to the largest degree asked.  ValueError unless u
-    and c1 are homogeneous, which the packed rows need."""
-
-    __slots__ = ("u", "c1", "pair")
-
-    def __init__(self, u: MultiPoly, c1: MultiPoly):
-        self.u, self.c1 = u, c1
+    @staticmethod
+    def of(u: MultiPoly, c1: MultiPoly) -> "_Pair":
+        """The pair kept on u by c1, built on first use.  ValueError unless
+        u and c1 are homogeneous, which the packed rows need."""
         if u._products is None:
             u._products = {}
-        pair = u._products.get(c1)
-        if pair is None:
-            pair = u._products[c1] = _Pair(u, c1)
+        pair = u._products.get(c1) or u._products.setdefault(c1, _Pair(u, c1))
         if not pair.homogeneous:
             raise ValueError("generators must be homogeneous")
-        self.pair = pair
+        return pair
 
-    def __getitem__(self, key) -> MultiPoly:
-        prod = self.pair.products.get(key)
-        if prod is None:
-            a, b = key
-            if not a:
-                prod = self.c1**b
-            elif not b:
-                prod = self.u**a
-            else:
-                prod = self.u**a * self.c1**b
-            self.pair.products[key] = prod
-        return prod
-
-    def rows(self, a: int, b: int, T: int) -> list[int]:
-        """The `_field_rows` of u^a c1^b packed at stride T."""
-        rows = self.pair.rows.get((a, b, T))
+    def field_rows(self, ctx: FieldCtx, a: int, b: int, T: int) -> list[int]:
+        """The `_field_rows` of u^a c1^b, of degree below T, packed at
+        stride T; built with every missing product on the path 1, c1, ...,
+        c1^b, u c1^b, ..., u^a c1^b, each from the one before it."""
+        rows = self.rows.get((a, b, T))
         if rows is None:
-            prod = self[a, b]
-            deg, ctx = max(prod.deg(), 0), prod.ctx  # a zero u packs to 0
-            # lane c T + b with b <= deg - c is at most deg T
-            tops = _repeat(ctx.m, deg * T + 1) << (ctx.m - 1)
-            rows = self.pair.rows[a, b, T] = _field_rows(ctx, _pack_levels(prod, deg, T), tops)
+            for i, j in [(0, j) for j in range(b + 1)] + [(i, b) for i in range(1, a + 1)]:
+                if (i, j, T) not in self.rows:
+                    self._step(ctx, i, j, T)
+            rows = self.rows[a, b, T]
         return rows
 
-    def packed(self, terms, T: int) -> int:
+    def _step(self, ctx: FieldCtx, a: int, b: int, T: int) -> None:
+        """Keep the rows of u^a c1^b at stride T: 1, or u^(a-1) c1^b times
+        u, or c1^(b-1) times c1, from the kept rows of the smaller product.
+        A term y^e z^k of u or c1 moves lane c T + b to (c + k) T + b + e,
+        and b + e is at most the product's degree, below T, so no lane
+        carries into the next (`_times`)."""
+        m, v = ctx.m, 1
+        if a or b:
+            (i, j), terms = ((a - 1, b), self.terms[0]) if a else ((0, b - 1), self.terms[1])
+            shifts = [((k * T + e) * m, c) for (_, e, k), c in terms.items()]
+            v = _times(self.rows[i, j, T], shifts)
+        # the top bit of every lane c T + b with b, c < T
+        self.rows[a, b, T] = _field_rows(ctx, v, _repeat(m, T * T) << (m - 1))
+
+    def packed(self, ctx: FieldCtx, terms, T: int) -> int:
         """sum c z^k u^i c1^j over ((i, j, k), c) in terms, all of one
-        degree below T, packed at stride T: the XOR of the scaled, shifted
-        rows."""
-        shift = T * self.u.ctx.m
+        degree below T, packed at stride T."""
+        shift = T * ctx.m
         v = 0
         for (i, j, k), c in terms:
             if c:
-                v ^= _scale(self.rows(i, j, T), c) << k * shift
+                v ^= _scale(self.field_rows(ctx, i, j, T), c) << k * shift
         return v
 
 
@@ -597,17 +594,17 @@ class GeneratorExpr:
 
     def substitute(self) -> MultiPoly:
         """The polynomial this stands for, one degree at a time: the XOR
-        of the packed products that u keeps (`_Products.packed`),
-        unpacked.  ValueError unless u and c1 are homogeneous."""
+        of the packed products that u keeps (`_Pair.packed`), unpacked.
+        ValueError unless u and c1 are homogeneous."""
         u, c1, _ = self.generators
-        products = _Products(u, c1)
+        pair = _Pair.of(u, c1)
         by_degree: dict = {}
         for (i, j, k), c in self.terms:
             by_degree.setdefault(i * u.deg() + j * c1.deg() + k, []).append(((i, j, k), c))
         terms: dict = {}
         for deg, group in by_degree.items():
             T = _stride(deg)
-            terms.update(_unpack_levels(products.packed(group, T), deg, T, self.ctx.m))
+            terms.update(_unpack_levels(pair.packed(self.ctx, group, T), deg, T, self.ctx.m))
         return MultiPoly(self.ctx, terms)
 
     def __str__(self):
@@ -625,12 +622,12 @@ def express_in_generators(
         raise ValueError("polynomials from mismatched contexts")
     if z != MultiPoly.variable(p.ctx, 2):
         raise ValueError("the third generator must be the coordinate z")
-    products = _Products(u, c1)
+    pair = _Pair.of(u, c1)
     # the degree of any term; packing checks that every term has it
     deg = sum(next(iter(p._terms), (0, 0, 0)))
     packed = _pack_levels(p, deg, _stride(deg))
     try:
-        expr = _express(p, packed, deg, products, z)
+        expr = _express(p, packed, deg, pair, (u, c1, z))
     except ValueError as exc:
         if not is_invariant(p, gens):
             raise NotInvariantError("input is not invariant under the generators") from exc
@@ -640,12 +637,11 @@ def express_in_generators(
     return expr
 
 
-def _express(p, packed: int, deg: int, products: _Products, z) -> GeneratorExpr:
+def _express(p, packed: int, deg: int, pair: _Pair, invs) -> GeneratorExpr:
     """p, homogeneous of degree deg and packed at stride T = _stride(deg),
     as a polynomial in (u, c1, z), checked by exact reconstruction, or a
     `ValueError`; invariance is the caller's.  Each step eliminates the
     lowest set lane by one XOR of a scaled, shifted product (module doc)."""
-    pair = products.pair
     if pair.error:
         raise ValueError(pair.error)
     lu, lc1, det = pair.lu, pair.lc1, pair.det
@@ -663,13 +659,13 @@ def _express(p, packed: int, deg: int, products: _Products, z) -> GeneratorExpr:
         a, b = na // det, nb // det
         if na % det or nb % det or a < 0 or b < 0:
             raise NotExpressibleError("restriction escapes the generators")
-        rows = products.rows(a, b, T)
+        rows = pair.field_rows(ctx, a, b, T)
         # the lead of u^a c1^b is x^e1 y^e2 z^0, at lane e2 of its row
         c = ctx.mul(v >> lane * m & mask, ctx.inv(rows[0] >> e2 * m & mask))
         terms[a, b, k] = c
         v ^= _scale(rows, c) << k * T * m
     canon = tuple((e, terms[e]) for e in sorted(terms, key=_term_key, reverse=True))
-    expr = GeneratorExpr(ctx, canon, (products.u, products.c1, z))
-    if products.packed(canon, T) != packed:
+    expr = GeneratorExpr(ctx, canon, invs)
+    if pair.packed(ctx, canon, T) != packed:
         raise NotExpressibleError("reconstruction mismatch")
     return expr

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -161,6 +162,24 @@ def test_cli_ambient_past_the_table_limit(capsys):
     # of order 3, not from a scan of the 2^18 elements
     argv = ["verify", "--n", "2", "--modulus-ambient", "0x40009"]
     assert main(argv) == EXIT_OK
+    assert "verdict     POLYNOMIAL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "modulus",
+    [
+        pytest.param("0x1000000000000001B", id="x^64+x^4+x^3+x+1"),
+        # 2^62 - 1 = 3 * 715827883 * 2147483647
+        pytest.param("0x4000000000000069", id="degree-62"),
+    ],
+)
+def test_cli_large_ambient_moduli(modulus, capsys):
+    # Rabin's test checks the modulus in m squarings, where trial division
+    # took about 2^(m/2) steps, and the GF(4) subfield comes without
+    # factoring 2^m - 1 by trial division
+    start = time.process_time()
+    assert main(["verify", "--n", "2", "--modulus-ambient", modulus]) == EXIT_OK
+    assert time.process_time() - start < 5
     assert "verdict     POLYNOMIAL" in capsys.readouterr().out
 
 

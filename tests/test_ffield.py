@@ -5,6 +5,7 @@ import pytest
 from refl2.ffield import (
     DEFAULT_MODULI,
     FieldCtx,
+    _pmod,
     _pmul,
     field_new,
     modulus_is_irreducible,
@@ -25,6 +26,29 @@ def brute_force_reducible(p: int, m: int) -> bool:
                 if _pmul(f, g) == p:
                     return True
     return False
+
+
+def trial_division_irreducible(p: int, m: int) -> bool:
+    # reference: no factor among the polynomials of degree 1..m//2
+    return all(
+        _pmod(p, q) for d in range(1, m // 2 + 1) for q in range(1 << d, 1 << (d + 1))
+    )
+
+
+def test_rabin_matches_trial_division():
+    # every polynomial of degree 1..12, m = 1 included, where x mod f is
+    # not x itself
+    for m in range(1, 13):
+        for p in range(1 << m, 1 << (m + 1)):
+            assert modulus_is_irreducible(p, m) == trial_division_irreducible(p, m)
+    assert modulus_is_irreducible(0x2, 1) and modulus_is_irreducible(0x3, 1)
+
+
+def test_rabin_at_degree_64():
+    # trial division would take about 2^32 steps here
+    assert modulus_is_irreducible(0x1000000000000001B, 64)  # x^64+x^4+x^3+x+1
+    for p in (_pmul(0x1002B, 1 << 48 | 1), _pmul(1 << 32 | 0x8D, 1 << 32 | 0x8D)):
+        assert p.bit_length() == 65 and not modulus_is_irreducible(p, 64)
 
 
 def test_default_moduli_follow_convention():
@@ -61,9 +85,10 @@ def test_field_new_gf16_matches_brute_force():
     ctx = field_new(4, 0x13)
     assert not brute_force_reducible(0x13, 4)
     assert ctx.order == 16
-    # and the brute-force oracle agrees with trial division on everything
+    # and the brute-force oracle agrees with both tests on everything
     for p in range(1 << 4, 1 << 5):
         assert modulus_is_irreducible(p, 4) == (not brute_force_reducible(p, 4))
+        assert trial_division_irreducible(p, 4) == (not brute_force_reducible(p, 4))
 
 
 def test_gf4_mul_table():
@@ -178,6 +203,35 @@ def test_subfield_generator():
     assert ctx.in_subfield(e, 2)
     # in the whole field the subfield generator is the field generator
     assert subfield_generator(ctx, 4) == mult_generator(ctx)
+
+
+def test_subfields_match_the_field_generator_route():
+    # reference: the subfield from the powers of g^((2^m-1)/(2^n-1)) for a
+    # generator g of the whole field, and its least element of full order
+    # by the order in the whole field, on every modulus of degree <= 8
+    for m in range(1, 9):
+        for modulus in range(1 << m, 1 << (m + 1)):
+            if not modulus_is_irreducible(modulus, m):
+                continue
+            ctx = FieldCtx(m, modulus)
+            for n in (n for n in range(1, m + 1) if m % n == 0):
+                q = 1 << n
+                h = ctx.pow_(mult_generator(ctx), (ctx.order - 1) // (q - 1))
+                expected = sorted({0} | {ctx.pow_(h, i) for i in range(q - 1)})
+                assert subfield_elements(ctx, n) == expected
+                e = subfield_generator(ctx, n)
+                assert e == min(a for a in expected if a and ctx.order_of(a) == q - 1)
+
+
+def test_subfields_of_a_degree_62_field():
+    # no log tables and 2^62 - 1 = 3 * 715827883 * 2147483647, which the
+    # subfields never factor
+    ctx = FieldCtx(62, 0x4000000000000069)
+    for n in (1, 2):
+        sub = subfield_elements(ctx, n)
+        assert len(sub) == 1 << n and all(ctx.in_subfield(a, n) for a in sub)
+    e = subfield_generator(ctx, 2)
+    assert ctx.mul(e, ctx.mul(e, e)) == 1 and e != 1
 
 
 def test_field_axioms_exhaustive_small():

@@ -32,6 +32,10 @@ from refl2.linalg import field_kernel_dimension, field_matrix_rank, gf2_rank
 from refl2.mvpoly import MultiPoly
 from refl2.verify import (
     GeneratorExpr,
+    _field_rows,
+    _pack_levels,
+    _Pair,
+    _repeat,
     NotExpressibleError,
     NotInvariantError,
     express_in_generators,
@@ -978,21 +982,72 @@ def test_express_rejects_generator_vanishing_at_z0(which):
         express_in_generators(ub * c1b, tuple(invs), gens)
 
 
+def count_products(monkeypatch) -> list:
+    """Record every `MultiPoly` product and power from now on."""
+    calls = []
+    mul, pow_ = MultiPoly.__mul__, MultiPoly.__pow__
+    monkeypatch.setattr(MultiPoly, "__mul__", lambda f, g: calls.append("mul") or mul(f, g))
+    monkeypatch.setattr(MultiPoly, "__pow__", lambda f, k: calls.append("pow") or pow_(f, k))
+    return calls
+
+
 def test_express_builds_each_product_once(monkeypatch):
-    # u^2 c1^2 is the one product of two powers: it serves the restriction,
-    # the lift and the reconstruction check, and is built once
-    (ub, c1b, zp), gens = composed_setup()
+    # every product u^a c1^b is built on the lanes once per stride T, by
+    # one `_Pair._step`, for the life of u: across calls at two strides no
+    # (a, b, T) is built twice, a warm call builds none, and no call on
+    # the fresh generators multiplies or raises a `MultiPoly`
+    invs, gens = composed_setup()
+    ub, c1b, zp = invs
     deg = 2 * ub.deg() + 2 * c1b.deg() + 3
     picked = {(2, 2, 3): 1, (3, 0, deg - 3 * ub.deg()): 2, (0, 1, deg - c1b.deg()): 3}
     p = MultiPoly.zero(GF4)
     for (a, b, c), coeff in picked.items():
         p = p + (ub**a * c1b**b * zp**c).scale(coeff)
-    calls = []
-    mul = MultiPoly.__mul__
-    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
-    expr = express_in_generators(p, (ub, c1b, zp), gens)
-    assert dict(expr.terms) == picked
-    assert len(calls) == 1
+    inputs = [p, degree_60_input(invs), degree_input(invs, random.Random(20), 20)]
+    built = []
+    step = _Pair._step
+    monkeypatch.setattr(
+        _Pair, "_step", lambda pair, ctx, a, b, T: built.append((a, b, T)) or step(pair, ctx, a, b, T)
+    )
+    calls = count_products(monkeypatch)
+    assert dict(express_in_generators(p, invs, gens).terms) == picked
+    for q in inputs[1:]:
+        assert express_in_generators(q, invs, gens).substitute() == q
+    assert calls == []
+    assert {T for _, _, T in built} == {32, 64}
+    assert sorted(built) == sorted(set(built)) == sorted(ub._products[c1b].rows)
+    count = len(built)
+    for q in inputs:
+        assert express_in_generators(q, invs, gens).substitute() == q
+    assert len(built) == count
+
+
+@pytest.mark.parametrize("T", [32, 64])
+@pytest.mark.parametrize("case", ["gf4-h1", "gf4-h0", "gf8-h1", "gf2^18-plain"])
+def test_products_on_the_lanes_match_the_packed_products(case, T):
+    # u^a c1^b built on the lanes from a product one factor smaller equals
+    # the `MultiPoly` product packed at stride T, for every (a, b) of
+    # degree below T, asked for in a seeded order so that builds start
+    # from whichever product is kept: at h1 u and c1 have z-terms, at h0
+    # they are the closed-form pair, over GF(8) a scaled copy overflows
+    # its lane and is reduced, GF(2^18) has no log tables
+    if case == "gf2^18-plain":
+        ctx = field_new(18, 0x40009)
+        x, y, z = (MultiPoly.variable(ctx, i) for i in range(3))
+        invs = (x**3 + y * z * (x + y), y**4 + (x * z).scale(0x3FFFF) ** 2, z)
+    else:
+        n = 3 if case == "gf8-h1" else 2
+        invs = composed_setup(n, 0, case[-2:], field_new(n))[0]
+    u, c1, _ = invs
+    ctx, du, dc = u.ctx, u.deg(), c1.deg()
+    tops = _repeat(ctx.m, T * T) << (ctx.m - 1)
+    pair = _Pair.of(u, c1)
+    keys = [(a, b) for a in range(T) for b in range(T) if a * du + b * dc < T]
+    random.Random(T).shuffle(keys)
+    for a, b in keys:
+        packed = _pack_levels(u**a * c1**b, a * du + b * dc, T)
+        assert pair.field_rows(ctx, a, b, T) == _field_rows(ctx, packed, tops)
+    assert len(pair.rows) == len(keys)
 
 
 class WatchedTerms(dict):
@@ -1020,25 +1075,29 @@ class WatchedTerms(dict):
 
 
 def test_express_warm_call_builds_and_acts_on_nothing(monkeypatch):
-    # the generators keep their products, packed rows, invariance answers,
+    # the generators keep their packed products, invariance answers,
     # homogeneity, leads and hash, so a second call multiplies no
     # polynomials, acts on none and makes no pass over the terms of u-bar
     # or c1-bar; the reconstruction check still runs, from the kept
-    # products
+    # products.  A first call at a new stride builds its products on the
+    # lanes: still no `MultiPoly` product, power or action
     invs, gens = composed_setup()
     p = degree_60_input(invs)
     q = p + invs[2] ** 60
+    r = degree_input(invs, random.Random(100), 100)
     assert dict(express_in_generators(p, invs, gens).terms)
-    calls, acted, passes = [], [], []
-    mul, act = MultiPoly.__mul__, MultiPoly.act
-    monkeypatch.setattr(MultiPoly, "__mul__", lambda a, b: calls.append(1) or mul(a, b))
+    acted, passes = [], []
+    calls = count_products(monkeypatch)
+    act = MultiPoly.act
     monkeypatch.setattr(MultiPoly, "act", lambda f, g: acted.append(f) or act(f, g))
     for f in invs[:2]:
         f._terms = WatchedTerms(f._terms, passes)
         f._key = None  # so that hashing f again would walk its terms
-    for r in (p, q):
-        assert express_in_generators(r, invs, gens).substitute() == r
+    for s in (p, q):
+        assert express_in_generators(s, invs, gens).substitute() == s
     assert calls == [] and acted == [] and passes == []
+    assert express_in_generators(r, invs, gens).substitute() == r
+    assert calls == [] and acted == []
 
 
 def test_generator_expr_needs_the_coordinate_z():
