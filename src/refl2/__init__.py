@@ -52,7 +52,6 @@ from refl2.verify import (
     express_in_generators,
     fixed_dimensions,
     generated_dimension,
-    generated_dimensions,
     graded_fixed_dimension,
     is_invariant,
     kemper_check,
@@ -98,7 +97,6 @@ __all__ = [
     "express_in_generators",
     "fixed_dimensions",
     "generated_dimension",
-    "generated_dimensions",
     "graded_fixed_dimension",
     "is_invariant",
     "kemper_check",

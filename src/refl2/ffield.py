@@ -14,10 +14,14 @@ t^2+t+1 is 0x7.  Construction checks irreducibility by Rabin's test
 (`modulus_is_irreducible`), m squarings modulo the modulus, so a modulus
 of degree 64 is checked at once.  Subfields are found without factoring
 2^m - 1 (`subfield_elements`); only a multiplicative generator of the
-whole field (`mult_generator`) needs that factorization.
+whole field (`mult_generator`) needs that factorization, which Pollard's
+rho finds and Miller-Rabin proves (`_factorize`), so 2^62 - 1 takes
+milliseconds.
 """
 
 from __future__ import annotations
+
+from math import gcd
 
 # Default irreducible modulus per degree, lowest weight first, then
 # lowest bit-vector value.  Regenerated by tests/test_ffield.py.
@@ -88,19 +92,84 @@ def modulus_is_irreducible(modulus: int, m: int) -> bool:
     return all(_pgcd(powers[m // p] ^ x, modulus) == 1 for p in _factorize(m))
 
 
+# Miller-Rabin on these bases decides primality below _PRIME_PROVEN
+# (Sorenson and Webster, "Strong pseudoprimes to twelve prime bases",
+# Math. Comp. 86, 2017).
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_PRIME_PROVEN = 3_317_044_064_679_887_385_961_981
+
+
+def _is_prime(n: int) -> bool:
+    """Whether n is prime, for n > 1 with no factor among `_PRIME_BASES`.
+    ValueError when n passes every base but is too large for that to
+    prove it prime."""
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n >= _PRIME_PROVEN:
+        raise ValueError(f"cannot prove {n} prime: past the deterministic Miller-Rabin range")
+    return True
+
+
+def _split(n: int) -> int:
+    """A proper factor of the odd composite n, by Pollard's rho with
+    Brent's cycle finding and batched gcds (Brent, "An improved Monte
+    Carlo factorization algorithm", BIT 20, 1980)."""
+    for c in range(1, n):
+        y, r, acc, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                saved = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    acc = acc * abs(x - y) % n
+                g = gcd(acc, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: redo it one step at a time
+            g = 1
+            while g == 1:
+                saved = (saved * saved + c) % n
+                g = gcd(abs(x - saved), n)
+        if g != n:
+            return g
+    raise AssertionError("no composite resists every rho polynomial")
+
+
 def _factorize(n: int) -> list[int]:
-    """Prime factors of n, without multiplicity."""
-    out = []
-    p = 2
-    while p * p <= n:
+    """Prime factors of n >= 1, without multiplicity, ascending: the
+    primes of `_PRIME_BASES` by division, the rest split by `_split`
+    and each factor proved prime by `_is_prime`."""
+    out = set()
+    for p in _PRIME_BASES:
         if n % p == 0:
-            out.append(p)
+            out.add(p)
             while n % p == 0:
                 n //= p
-        p += 1
-    if n > 1:
-        out.append(n)
-    return out
+    rest = [n] if n > 1 else []
+    while rest:
+        f = rest.pop()
+        if _is_prime(f):
+            out.add(f)
+        else:
+            g = _split(f)
+            rest += [g, f // g]
+    return sorted(out)
 
 
 class FieldCtx:

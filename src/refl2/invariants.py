@@ -141,7 +141,9 @@ def lifted_invariants(
 
 class ActionShapeError(ValueError):
     """The image of a kernel invariant is not an affine combination of
-    (f_x, f_y, z^(q^d)) -- signals a construction bug upstream."""
+    (f_x, f_y, z^(q^d)), or the small family's restrictions to z = 0 have
+    dependent leads (`refl2.verify.restricted_leads`) -- signals a
+    construction bug upstream."""
 
 
 @dataclass(frozen=True)

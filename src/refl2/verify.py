@@ -6,38 +6,42 @@ invariant ring iff their degrees multiply to the group order and their
 Jacobian determinant is nonzero.  `kemper_check` verifies the three
 clauses exactly and names every failing one.  The pipeline runs it on
 the small family (u~, c1~, z) under the maps M_g (`kemper_check`), and
-expands u-bar and c1-bar only for the oracle.
+at d >= 1 neither it nor the oracle builds u-bar or c1-bar.
 
-The oracle is independent of the construction path: degree by degree it
-compares the dimension of the fixed homogeneous polynomials in x, y, z,
-the kernel of Phi_d(p) = (g p - p) stacked over the generators (no
-averaging exists in the modular case), with the number of independent
-monomials in the candidate generators.  Three variables suffice: for
-block-diagonal generators S^G = k[x, y]^G [z], so dim S^G_d is the sum
-over k <= d of dim k[x, y]^G_k, and likewise for Gen(c0, c1, z) and
-Gen(c0, c1); by first differences, agreement up to degree D in one form
-is agreement up to D in the other.  `fixed_dimensions` sweeps all
-degrees at once.  Every generator has last row (0, 0, 1), so g z = z, and
+The oracle compares, degree by degree, the dimension of the fixed
+homogeneous polynomials in x, y, z, the kernel of Phi_d(p) = (g p - p)
+stacked over the generators (no averaging exists in the modular case),
+with the dimension of the span of the degree-d products of the candidate
+generators.  Three variables suffice: for block-diagonal generators
+S^G = k[x, y]^G [z], so dim S^G_d is the sum over k <= d of
+dim k[x, y]^G_k, and likewise for Gen(c0, c1, z) and Gen(c0, c1); by
+first differences, agreement up to degree D in one form is agreement up
+to D in the other.  `fixed_dimensions` sweeps all degrees at once.
+Every generator has last row (0, 0, 1), so g z = z, and
   Phi_d(z p) = z Phi_{d-1}(p),
   S_d = k[x, y]_d + z S_{d-1} (direct sum),
   hence image Phi_d = Phi_d(k[x, y]_d) + z image Phi_{d-1}:
 one GF(2) echelon basis of the image carries over from degree to degree,
-and degree d adds only the images of the d+1 monomials free of z.
-`generated_dimensions` sweeps the generated side the same way: the span
-Gen_d of the degree-d products of candidate generators (u, c1, z) is
-  Gen_d = z Gen_{d-1} + span{u^i c1^j : i deg u + j deg c1 = d},
-so the echelon basis of Gen_{d-1} carries over as it stands, and degree d
-adds only its products free of z, each built once.  Both sweeps run
-the one echelon loop `_ranks` on rows of m-bit lanes packed as `_pack`
-does: for a sweep to degree D, x^a y^b z^c sits at lane
-(a + (D+1) b) k + i, where k rows are interleaved and i picks one.  So
-z times a row is the row itself, x shifts it by k lanes and y by
-(D+1) k lanes, and both sides build every row from a row of a lower
-degree by shifts and scalar multiples alone: the fixed side's images
-g(x^a y^(d-a)) = g(x^(a-1) y^(d-a)) g x (g y when a = 0), the generated
-side's p^i q^j = p^(i-1) q^j p.  Ranks over GF(2^m) are GF(2) ranks of
-the rows v, t v, ..., t^(m-1) v, divided by m, and c v is the XOR of the
-t^j v over the set bits j of c.
+and degree d adds only the images of the d+1 monomials free of z.  Rows
+are m-bit lanes packed as `_pack` does: for a sweep to degree D,
+x^a y^b z^c sits at lane (a + (D+1) b) k + i, where k rows are
+interleaved and i picks one.  So z times a row is the row itself, x
+shifts it by k lanes and y by (D+1) k lanes, and each image
+g(x^a y^(d-a)) = g(x^(a-1) y^(d-a)) g x (g y when a = 0) is built from
+one of degree d-1 by shifts and scalar multiples alone.  Ranks over
+GF(2^m) are GF(2) ranks of the rows v, t v, ..., t^(m-1) v, divided by
+m, and c v is the XOR of the t^j v over the set bits j of c.
+The generated side is a count.  Let the restrictions of homogeneous u
+and c1 to z = 0 have independent leads lu and lc1 (`restricted_leads`).
+Then the restricted products u^i c1^j have the distinct leads
+i lu + j lc1, so they are linearly independent; a least relation
+G(u, c1, z) = 0 has G(U, C, 0) = 0, so Z divides G and G/Z is a smaller
+relation.  So the products u^i c1^j z^k are linearly independent, and
+the generated dimension in degree D is the number of them, the
+coefficient of t^D in 1/((1 - t^deg u)(1 - t^deg c1)(1 - t))
+(`free_dimensions`).
+`generated_dimension` ranks the products of one degree by elimination,
+with no premise; it is the reference the count is tested against.
 
 `express_in_generators` realizes the inductive division argument in one
 pass over the z-levels of p, lowest first, by subalgebra reduction
@@ -58,9 +62,8 @@ c (`_scale`), so a step costs O(m) big-int operations whatever the size
 of the product.  The products exist only as packed rows, built on the
 lanes (Kronecker substitution): u^a c1^b is u^(a-1) c1^b times u, or
 c1^b is c1^(b-1) times c1, one scaled, shifted copy of the smaller row
-per term of the factor (`_times`, shared with `generated_dimensions`),
-and no lane carries since every product has degree below T.  Each is
-built once per stride T for the life of u, in one memo kept on u by c1
+per term of the factor (`_Pair._step`), and no lane carries since every
+product has degree below T.  Each is built once per stride T for the life of u, in one memo kept on u by c1
 (`_Pair`) with the homogeneity of u and c1, their restricted leads and
 the determinant that solves for (a, b).  The lanes hold the products
 only if u and c1 are homogeneous, so any other pair is refused before
@@ -240,18 +243,6 @@ def _scale(rows: list[int], c: int) -> int:
     return out
 
 
-def _times(rows: list[int], shifts) -> int:
-    """The product of the packed field vector whose `_field_rows` are
-    `rows` with a polynomial given as (shift, coefficient) per term: one
-    scaled copy of the vector per term, shifted to the term's lane.  Both
-    packings (`_pack`, `_pack_levels`) add lanes under multiplication, so
-    they differ only in the shifts."""
-    out = 0
-    for shift, c in shifts:
-        out ^= _scale(rows, c) << shift
-    return out
-
-
 def _ranks(ctx: FieldCtx, max_deg: int, vectors, tops: int) -> list[int]:
     """Entry d is the field rank of every packed vector that `vectors(e)`
     yields for e = 0..d.  One GF(2) echelon basis is kept for the whole
@@ -405,47 +396,36 @@ def generated_dimension(invs: list[MultiPoly], deg: int) -> int:
     return _ranks(ctx, 0, products, tops)[0]
 
 
-def generated_dimensions(invs: list[MultiPoly], max_deg: int) -> list[int]:
-    """`generated_dimension` of (p, q, z) for degrees 0..max_deg, in one
-    sweep, with z the coordinate itself: the echelon rows of Gen_{d-1} are
-    rows of Gen_d as they stand (module doc, `_pack` with top degree
-    max_deg), and degree d inserts only its products p^i q^j.  Each is
-    built once on the lanes, p^i q^j as p^(i-1) q^j times p and q^j as
-    q^(j-1) times q (`_times`): neither p nor q is raised to a power."""
-    if len(invs) != 3:
-        raise ValueError("need generators (p, q, z)")
-    _check_generators(invs)
+def free_dimensions(degrees, max_deg: int) -> list[int]:
+    """Dimensions in degrees 0..max_deg of a polynomial ring on
+    generators of the given degrees: the coefficients of
+    1/prod(1 - t^w) over w in degrees, one pass per degree.  These are
+    the generated dimensions of algebraically independent generators
+    (`restricted_leads`)."""
     _check_degree(max_deg)
-    p, q, z = invs
-    ctx = p.ctx
-    if q.ctx != ctx:
-        raise ValueError("generators from mixed contexts")
-    if z != MultiPoly.variable(ctx, 2):
-        raise ValueError("the third generator must be the coordinate z")
-    dp, dq = p.deg(), q.deg()
-    m, side = ctx.m, max_deg + 1
-    tops = _repeat(m, side * side) << (m - 1)
-    # (shift, coefficient) per term
-    fp, fq = (
-        [((a + side * b) * m, c) for (a, b, _), c in f._terms.items()]
-        for f in (p, q)
-    )
+    if any(w < 1 for w in degrees):
+        raise ValueError("degrees must be at least 1")
+    counts = [1] + [0] * max_deg
+    for w in degrees:
+        for deg in range(w, max_deg + 1):
+            counts[deg] += counts[deg - w]
+    return counts
 
-    powers = {(0, 0): 1}  # (i, j) -> packed p^i q^j, until it is extended
 
-    def products(d):
-        for i in range(d // dp + 1):
-            j, rest = divmod(d - i * dp, dq)
-            if rest:
-                continue
-            if i:
-                base = powers.pop((i - 1, j)) if i > 1 else powers[0, j]
-                powers[i, j] = _times(_field_rows(ctx, base, tops), fp)
-            elif j:
-                powers[0, j] = _times(_field_rows(ctx, powers[0, j - 1], tops), fq)
-            yield powers[i, j]
-
-    return _ranks(ctx, max_deg, products, tops)
+def restricted_leads(u: MultiPoly, c1: MultiPoly):
+    """(lu, lc1, det): the leads of u(x, y, 0) and c1(x, y, 0), their
+    largest exponent pairs (a, b) in lex order, the graded-lex leads for
+    homogeneous u and c1, and det = lu x lc1; or a ValueError when a
+    restriction is zero or det = 0.  With det != 0 the products
+    u^i c1^j z^k of homogeneous u and c1 are linearly independent
+    (module doc), and expression solves for (i, j) from a lead."""
+    lu, lc1 = (max(((a, b) for a, b, c in f._terms if not c), default=None) for f in (u, c1))
+    if lu is None or lc1 is None:
+        raise ValueError("a generator vanishes at z = 0: no leading term to solve with")
+    det = lu[0] * lc1[1] - lu[1] * lc1[0]
+    if det == 0:
+        raise ValueError("restricted generators have dependent leading terms")
+    return lu, lc1, det
 
 
 # -- expression in the generators ---------------------------------------------
@@ -503,10 +483,10 @@ class _Pair:
     """What expression asks of u and c1 together, kept on u by c1
     (`MultiPoly._products`) so every call with the pair shares it, and
     freed with u; it refers to the term dicts of u and c1, not to them.
-    Built once: whether both are homogeneous, and the leads lu and lc1 of
-    their restrictions to z = 0 with det = lu x lc1, or why no lead
-    solves (`error`).  Then only packed rows: by (a, b, T), the
-    `_field_rows` of every product u^a c1^b built so far at stride T."""
+    Built once: whether both are homogeneous, and their restricted leads
+    (`restricted_leads`), or why no lead solves (`error`).  Then only
+    packed rows: by (a, b, T), the `_field_rows` of every product
+    u^a c1^b built so far at stride T."""
 
     __slots__ = ("homogeneous", "error", "lu", "lc1", "det", "terms", "rows")
 
@@ -515,18 +495,11 @@ class _Pair:
         self.rows: dict = {}
         self.error = self.lu = self.lc1 = self.det = None
         self.homogeneous = u.is_homogeneous() and c1.is_homogeneous()
-        if not self.homogeneous:
-            return
-        # the graded-lex lead of a z-level of a homogeneous polynomial is
-        # its term with the largest x-exponent
-        lu, lc1 = (max(((a, b) for a, b, c in f._terms if not c), default=None) for f in (u, c1))
-        if lu is None or lc1 is None:
-            self.error = "a generator vanishes at z = 0: no leading term to solve with"
-            return
-        self.lu, self.lc1 = lu, lc1
-        self.det = lu[0] * lc1[1] - lu[1] * lc1[0]
-        if self.det == 0:
-            self.error = "restricted generators have dependent leading terms"
+        if self.homogeneous:
+            try:
+                self.lu, self.lc1, self.det = restricted_leads(u, c1)
+            except ValueError as exc:
+                self.error = str(exc)
 
     @staticmethod
     def of(u: MultiPoly, c1: MultiPoly) -> "_Pair":
@@ -556,12 +529,14 @@ class _Pair:
         u, or c1^(b-1) times c1, from the kept rows of the smaller product.
         A term y^e z^k of u or c1 moves lane c T + b to (c + k) T + b + e,
         and b + e is at most the product's degree, below T, so no lane
-        carries into the next (`_times`)."""
+        carries into the next: the product is the XOR of one scaled,
+        shifted copy of the smaller row per term of the factor."""
         m, v = ctx.m, 1
         if a or b:
             (i, j), terms = ((a - 1, b), self.terms[0]) if a else ((0, b - 1), self.terms[1])
-            shifts = [((k * T + e) * m, c) for (_, e, k), c in terms.items()]
-            v = _times(self.rows[i, j, T], shifts)
+            rows, v = self.rows[i, j, T], 0
+            for (_, e, k), c in terms.items():
+                v ^= _scale(rows, c) << (k * T + e) * m
         # the top bit of every lane c T + b with b, c < T
         self.rows[a, b, T] = _field_rows(ctx, v, _repeat(m, T * T) << (m - 1))
 

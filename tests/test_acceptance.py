@@ -38,8 +38,8 @@ from refl2.mvpoly import MultiPoly, jacobian_det
 from refl2.verify import (
     express_in_generators,
     fixed_dimensions,
+    free_dimensions,
     generated_dimension,
-    generated_dimensions,
     kemper_check,
 )
 from test_grouplift import kernel_reference, lambda_span_reference
@@ -207,14 +207,16 @@ def test_criterion_8_oracle_agreement():
         for deg, fd in enumerate(fixed_dimensions(lifts, 60)):
             gd = generated_dimension([ub, c1b, zp], deg)
             assert fd == gd, (deg, fd, gd)
-        # the one-sweep generated side that `refl2 verify` calls
-        assert fixed_dimensions(lifts, 60) == generated_dimensions([ub, c1b, zp], 60)
+        # the count that `refl2 verify` compares with
+        assert fixed_dimensions(lifts, 60) == free_dimensions([ub.deg(), c1b.deg(), 1], 60)
         # q = 2 against the plain Dickson pair and z, degrees 0..15
         ctx2 = field_new(1)
         _, S, T = sl2_generators(1, ctx2)
         c0, c1 = dickson_pair(1, ctx2)
         z = MultiPoly.variable(ctx2, 2)
-        assert fixed_dimensions([S, T], 15) == generated_dimensions([c0, c1, z], 15)
+        count = free_dimensions([c0.deg(), c1.deg(), 1], 15)
+        assert fixed_dimensions([S, T], 15) == count
+        assert count == [generated_dimension([c0, c1, z], deg) for deg in range(16)]
 
 
 def test_criterion_9_expression_round_trip():

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import pytest
 
+import refl2.cli
+from refl2 import ffield
 from refl2.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -274,6 +276,38 @@ def test_cli_human_output(capsys):
     assert "order 60" in out
 
 
+def test_cli_capped_output_prints_only_what_was_computed(capsys):
+    # the group cap stops the run before the group order and the action
+    assert main(["verify", "--n", "2", "--max-group", "10"]) == EXIT_CHECK_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == ["instance", "fields", "verdict"]
+    assert lines[-1].startswith("verdict     FAIL(group-cap) (")
+    # the JSON keeps every key
+    _, report = run_verify(VerifyConfig(n=2, max_group=10))
+    r = json.loads(report.to_json())
+    assert (r["group_order"], r["alpha"], r["action_note"]) == (None, "0x0", "")
+
+
+def test_cli_degree_62_default_basis_factors_fast(capsys):
+    # the default d = 2 basis needs a generator of GF(2^62), so
+    # 2^62 - 1 = 3 * 715827883 * 2147483647 is factored; trial division
+    # took about 7 * 10^8 steps, Pollard's rho a few thousand
+    start = time.process_time()
+    argv = ["verify", "--n", "31", "--d", "2", "--modulus-ambient", "0x4000000000000069"]
+    assert main(argv) == EXIT_CHECK_FAILED
+    assert time.process_time() - start < 5
+    assert "verdict     FAIL(group-cap)" in capsys.readouterr().out
+
+
+def test_cli_unproven_prime_exits_2(monkeypatch, capsys):
+    # a prime factor that Miller-Rabin cannot prove is refused, not
+    # trusted: with the proof bound lowered below 127, GF(2^14) and its
+    # 2^14 - 1 = 3 * 43 * 127 make a configuration error
+    monkeypatch.setattr(ffield, "_PRIME_PROVEN", 100)
+    assert main(["verify", "--n", "7", "--d", "2", "--quiet"]) == EXIT_BAD_CONFIG
+    assert "cannot prove 127 prime" in capsys.readouterr().err
+
+
 def test_selftest_scopes(capsys):
     assert run_selftest("cocycle") == EXIT_OK
     out = capsys.readouterr().out
@@ -337,7 +371,8 @@ def test_verify_max_group_caps_kernel():
 
 def test_verify_n2_d1_criterion_small_and_oracle_expanded(degree_spy, capsys):
     # n=2 d=1: the criterion runs on the small family, of degrees 5 and 12,
-    # and only the oracle expands c1-bar, of degree 48
+    # and the oracle counts from the degrees; neither expands c1-bar, of
+    # degree 48
     assert run_verify(VerifyConfig(n=2, d=1))[0] == EXIT_OK
     assert degree_spy.top <= 15  # q^2 - 1
     code, report = run_verify(VerifyConfig(n=2, d=1, oracle_max_degree=20))
@@ -355,14 +390,42 @@ def test_verify_n2_d1_criterion_small_and_oracle_expanded(degree_spy, capsys):
 
 
 def test_verify_n5_d2_oracle_expands_c1bar():
-    # the oracle expands c1-bar, of degree 992 * 1024; no degree bound
-    # stops it, and its sweep to degree 2 sees z alone
+    # c1-bar has degree 992 * 1024; the oracle counts from the degrees
+    # and never builds it, and its sweep to degree 2 sees z alone
     code, report = run_verify(VerifyConfig(n=5, d=2, oracle_max_degree=2))
     r = report.to_dict()
     assert (code, r["verdict"]) == (EXIT_OK, "POLYNOMIAL")
     assert r["oracle"] == [
         {"degree": k, "fixed_dim": 1, "generated_dim": 1} for k in range(3)
     ]
+
+
+@pytest.mark.parametrize("n, d, top", [(2, 1, 20), (3, 1, 30), (4, 1, 10), (5, 2, 2)])
+def test_verify_oracle_builds_no_composed_invariant(degree_spy, n, d, top):
+    # the generated side is counted from the degrees: no product or square
+    # passes q^2 + 1, where u-bar and c1-bar reach (q^2 - q) q^d
+    code, report = run_verify(VerifyConfig(n=n, d=d, oracle_max_degree=top))
+    r = report.to_dict()
+    assert (code, r["verdict"]) == (EXIT_OK, "POLYNOMIAL")
+    assert len(r["oracle"]) == top + 1
+    assert degree_spy.top <= (1 << 2 * n) + 1
+
+
+def test_verify_oracle_refuses_dependent_leads(monkeypatch, capsys):
+    # negative control: (u~, u~^2, z) has dependent leads at z = 0, so the
+    # count is not its generated dimension and the oracle refuses it
+    small_family = refl2.cli.small_family
+
+    def dependent(desc):
+        u, _, z = small_family(desc)
+        return u, u * u, z
+
+    monkeypatch.setattr(refl2.cli, "small_family", dependent)
+    assert main(["verify", "--n", "2", "--oracle-max-degree", "5"]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    verdict = captured.out.splitlines()[-1]
+    assert verdict.startswith("verdict     FAIL(") and "action-shape" in verdict
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from refl2.ffield import (
     DEFAULT_MODULI,
     FieldCtx,
+    _factorize,
     _pmod,
     _pmul,
     field_new,
@@ -33,6 +34,60 @@ def trial_division_irreducible(p: int, m: int) -> bool:
     return all(
         _pmod(p, q) for d in range(1, m // 2 + 1) for q in range(1 << d, 1 << (d + 1))
     )
+
+
+def trial_division_factors(n: int) -> list[int]:
+    # reference: the distinct prime factors of n, ascending
+    out, p = [], 2
+    while p * p <= n:
+        if n % p == 0:
+            out.append(p)
+            while n % p == 0:
+                n //= p
+        p += 1
+    return out + [n] if n > 1 else out
+
+
+def lucas_lehmer(k: int) -> bool:
+    # 2^k - 1, k an odd prime, is prime iff s_(k-2) = 0 (mod 2^k - 1)
+    n, s = (1 << k) - 1, 4
+    for _ in range(k - 2):
+        s = (s * s - 2) % n
+    return s == 0
+
+
+def test_factorize_matches_trial_division():
+    for n in range(1, 10**5 + 1):
+        assert _factorize(n) == trial_division_factors(n), n
+
+
+def test_factorize_mersenne_numbers():
+    # 2^k - 1 for k <= 64: the factors divide it out completely, and each
+    # is prime by trial division; 2^61 - 1, whose trial division would take
+    # about 10^9 steps, by Lucas-Lehmer
+    for k in range(1, 65):
+        n = rest = (1 << k) - 1
+        primes = _factorize(n)
+        assert primes == sorted(set(primes))
+        for p in primes:
+            assert rest % p == 0
+            while rest % p == 0:
+                rest //= p
+            if p.bit_length() > 60:
+                assert p == n and lucas_lehmer(k)
+            else:
+                assert trial_division_factors(p) == [p]
+        assert rest == 1, k
+    assert _factorize((1 << 62) - 1) == [3, 715827883, 2147483647]
+
+
+def test_factorize_refuses_unproven_primes():
+    # 2^89 - 1 is prime, past the range where 13 Miller-Rabin bases prove
+    # it; a composite that large still splits
+    with pytest.raises(ValueError, match="cannot prove"):
+        _factorize((1 << 89) - 1)
+    big = 641 * 6700417 * ((1 << 61) - 1)
+    assert _factorize(3 * big) == [3, 641, 6700417, (1 << 61) - 1]
 
 
 def test_rabin_matches_trial_division():

@@ -40,11 +40,12 @@ from refl2.verify import (
     NotInvariantError,
     express_in_generators,
     fixed_dimensions,
+    free_dimensions,
     generated_dimension,
-    generated_dimensions,
     graded_fixed_dimension,
     is_invariant,
     kemper_check,
+    restricted_leads,
 )
 from test_mvpoly import substitute_reference
 
@@ -512,8 +513,11 @@ def sweep_setup(n, d, basis=None):
      (2, 2, None, 30), (2, 1, (0x2,), 30)],
 )
 def test_generated_dimensions_match_per_degree(n, d, basis, max_deg):
+    # the pipeline's generators have independent restricted leads, so the
+    # count of their products is the rank of their span in every degree
     invs = list(sweep_setup(n, d, basis))
-    assert generated_dimensions(invs, max_deg) == [
+    restricted_leads(invs[0], invs[1])
+    assert free_dimensions([f.deg() for f in invs], max_deg) == [
         generated_dimension(invs, deg) for deg in range(max_deg + 1)
     ]
 
@@ -522,43 +526,37 @@ def test_generated_dimensions_match_per_degree(n, d, basis, max_deg):
 def test_generated_dimensions_two_vars_match_per_degree(ctx):
     # Gen(c0, c1, z)_d is the sum over k <= d of Gen(c0, c1)_k
     c0, c1 = dickson_pair(ctx.m, ctx)
-    z = MultiPoly.variable(ctx, 2)
-    assert generated_dimensions([c0, c1, z], 30) == running_sums(
+    restricted_leads(c0, c1)
+    assert free_dimensions([c0.deg(), c1.deg(), 1], 30) == running_sums(
         generated_dimension([c0, c1], deg) for deg in range(31)
     )
 
 
 def test_generated_dimensions_count_over_the_field():
-    # x and t x span one line over GF(4) but two over GF(2)
-    x, z = MultiPoly.variable(GF4, 0), MultiPoly.variable(GF4, 2)
+    # x and t x span one line over GF(4) but two over GF(2); their leads
+    # are dependent, so they are refused a count
+    x = MultiPoly.variable(GF4, 0)
     plane = [generated_dimension([x, x.scale(2)], deg) for deg in range(4)]
     assert plane == [1, 1, 1, 1]
-    assert generated_dimensions([x, x.scale(2), z], 3) == running_sums(plane)
+    with pytest.raises(ValueError, match="dependent leading terms"):
+        restricted_leads(x, x.scale(2))
 
 
 def test_generated_dimensions_rejects_bad_input():
     x, y, z = (MultiPoly.variable(GF4, i) for i in range(3))
-    bad = [
-        [x],  # not (p, q, z)
-        [x, y],
-        [x, y, z, z],
-        [MultiPoly.zero(GF4), y, z],
-        [x + y**2, y, z],  # not homogeneous
-        [MultiPoly.one(GF4), y, z],  # degree 0
-        [x, y, y],  # third is not z
-        [x, y, z.scale(2)],
-        [MultiPoly.variable(GF2, 0), y, z],  # mixed contexts
-        [x, MultiPoly.variable(GF2, 1), z],
-    ]
-    for invs in bad:
-        with pytest.raises(ValueError):
-            generated_dimensions(invs, 3)
-    with pytest.raises(ValueError, match="at least 0"):
-        generated_dimensions([x, y, z], -1)
+    for invs in ([MultiPoly.zero(GF4), y], [x + y**2, y]):  # zero, not homogeneous
+        with pytest.raises(ValueError, match="nonzero and homogeneous"):
+            generated_dimension(invs, 2)
     with pytest.raises(ValueError, match="positive degree"):
         generated_dimension([MultiPoly.one(GF4), x], 2)
     with pytest.raises(ValueError, match="at least one generator"):
         generated_dimension([], 2)
+    with pytest.raises(ValueError, match="at least 1"):
+        free_dimensions([0, 1, 1], 3)
+    with pytest.raises(ValueError, match="at least 0"):
+        free_dimensions([1, 1, 1], -1)
+    with pytest.raises(ValueError, match="vanishes at z = 0"):
+        restricted_leads(x, y * z)
 
 
 @st.composite
@@ -588,20 +586,31 @@ def sweep_inputs(draw):
     return p, q, draw(st.integers(0, 8))
 
 
+def swap_xy(f: MultiPoly) -> MultiPoly:
+    return MultiPoly(f.ctx, {(b, a, c): v for (a, b, c), v in f._terms.items()})
+
+
 @settings(max_examples=60, deadline=None, database=None)
 @given(sweep_inputs())
 def test_generated_dimensions_property(drawn):
+    # at z = 0 every drawn p and q is 0 or leads with a power of x, so
+    # (p, q) is refused a count; (p, q with x and y swapped) often is not
     p, q, max_deg = drawn
     z = MultiPoly.variable(p.ctx, 2)
     degrees = range(max_deg + 1)
-    assert generated_dimensions([p, q, z], max_deg) == [
-        dense_generated_dimension([p, q, z], deg) for deg in degrees
-    ]
-    # the plane parts: Gen(p0, q0, z) = Gen(p0, q0)[z]
-    p0, q0 = p.restrict_z0(), q.restrict_z0()
-    if q0:  # p0 != 0: p has a term in x^deg p
-        assert generated_dimensions([p0, q0, z], max_deg) == running_sums(
-            dense_generated_dimension([p0, q0], deg) for deg in degrees
+    for f in (q, swap_xy(q)):
+        count = free_dimensions([p.deg(), f.deg(), 1], max_deg)
+        dense = [dense_generated_dimension([p, f, z], deg) for deg in degrees]
+        assert all(c >= r for c, r in zip(count, dense))
+        try:
+            restricted_leads(p, f)
+        except ValueError:
+            continue
+        assert count == dense
+        # the plane parts: Gen(p0, f0, z) = Gen(p0, f0)[z]
+        p0, f0 = p.restrict_z0(), f.restrict_z0()
+        assert count == running_sums(
+            dense_generated_dimension([p0, f0], deg) for deg in degrees
         )
 
 
