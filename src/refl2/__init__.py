@@ -43,7 +43,7 @@ from refl2.invariants import (
     kernel_invariants,
     lifted_invariants,
 )
-from refl2.mvpoly import MultiPoly, Substitution, jacobian_det
+from refl2.mvpoly import MultiPoly, jacobian_det
 from refl2.verify import (
     GeneratorExpr,
     KemperVerdict,
@@ -88,7 +88,6 @@ __all__ = [
     "kernel_invariants",
     "lifted_invariants",
     "MultiPoly",
-    "Substitution",
     "jacobian_det",
     "GeneratorExpr",
     "KemperVerdict",

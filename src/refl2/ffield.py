@@ -154,7 +154,12 @@ def _split(n: int) -> int:
 def _factorize(n: int) -> list[int]:
     """Prime factors of n >= 1, without multiplicity, ascending: the
     primes of `_PRIME_BASES` by division, the rest split by `_split`
-    and each factor proved prime by `_is_prime`."""
+    and each factor proved prime by `_is_prime`.  n = 2^(2k) - 1 is first
+    split into 2^k - 1 and 2^k + 1: rho needs about sqrt(p) steps to split
+    off a prime p, so two large primes, one in each half, would stall it."""
+    k = n.bit_length()
+    if n > 3 and n & (n + 1) == 0 and k % 2 == 0:  # 3 = 2^1 + 1 is its own half
+        return sorted(set(_factorize((1 << k // 2) - 1) + _factorize((1 << k // 2) + 1)))
     out = set()
     for p in _PRIME_BASES:
         if n % p == 0:

@@ -229,20 +229,16 @@ def sl2_generators(n: int, ambient: FieldCtx) -> tuple[Mat3, Mat3, Mat3]:
 def lift_generators(variant: str, n: int, ambient: FieldCtx) -> tuple[Mat3, Mat3, Mat3]:
     """Lifted generators (R-lift, S-lift, T-lift).
 
-    variant "h1": the R-lift carries third column (1, e, 1); variant
-    "h0": block-diagonal R-lift.  S and T lift with zero third column.
+    The `sl2_generators`, with R's third column set to (1, e) for
+    variant "h1"; variant "h0" keeps them block-diagonal.
     """
     if variant not in ("h1", "h0"):
         raise ValueError(f"unknown variant {variant!r}; expected 'h1' or 'h0'")
-    e = subfield_generator(ambient, n)
-    ei = ambient.inv(e)
-    S_l = Mat3.block(ambient, 1, 1, 0, 1)
-    T_l = Mat3.block(ambient, 1, 0, 1, 1)
-    if variant == "h0":
-        R_l = Mat3.block(ambient, ei, 0, 0, e)
-    else:
-        R_l = Mat3.block(ambient, ei, 0, 0, e, col=(1, e))
-    return R_l, S_l, T_l
+    R, S, T = sl2_generators(n, ambient)
+    if variant == "h1":
+        ei, _, _, e = R.block2()
+        R = Mat3.block(ambient, ei, 0, 0, e, col=(1, e))
+    return R, S, T
 
 
 def sl2_elements(n: int, ambient: FieldCtx) -> list[tuple[int, int, int, int]]:

@@ -15,7 +15,7 @@ as g's elementary one-variable substitutions, each one pass over the
 terms (`Substitution`); the action keeps no state.  Products and powers
 exploit characteristic 2: squaring is termwise, so powers collapse via
 the Frobenius.  Each polynomial memoizes what is asked of it: its
-powers, its degree, its hash, whether each matrix fixes it
+degree, its hash, whether each matrix fixes it
 (`is_fixed_by`), and what `refl2.verify`'s expression asks of it as u
 together with each c1 (`_products`): the products u^a c1^b as packed
 rows only.  The memos are freed with the polynomial.
@@ -132,14 +132,13 @@ class MultiPoly:
 
     # _fixed: {g: self.act(g) == self}; _products: {c1: refl2.verify._Pair},
     # what expression keeps of the pair (u = self, c1): the packed products
-    __slots__ = ("ctx", "_terms", "_key", "_hash", "_pows", "_deg", "_fixed", "_products")
+    __slots__ = ("ctx", "_terms", "_key", "_hash", "_deg", "_fixed", "_products")
 
     def __init__(self, ctx: FieldCtx, terms: dict | None = None):
         self.ctx = ctx
         self._terms = terms or {}
         self._key = None
         self._hash = None
-        self._pows = None
         self._deg = None
         self._fixed = None
         self._products = None
@@ -294,14 +293,9 @@ class MultiPoly:
         )
 
     def __pow__(self, k: int) -> "MultiPoly":
-        """The k-th power, memoized on this polynomial by k."""
+        """The k-th power, by squaring (`frobenius`) and multiplying."""
         if k < 0:
             raise ValueError("negative polynomial power")
-        if self._pows is None:
-            self._pows = {}
-        result = self._pows.get(k)
-        if result is not None:
-            return result
         result = MultiPoly.one(self.ctx)
         base, e = self, k
         while e:
@@ -310,7 +304,6 @@ class MultiPoly:
             e >>= 1
             if e:
                 base = base.frobenius()
-        self._pows[k] = result
         return result
 
     # -- calculus and substitution -------------------------------------------

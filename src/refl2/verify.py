@@ -23,10 +23,10 @@ Every generator has last row (0, 0, 1), so g z = z, and
   hence image Phi_d = Phi_d(k[x, y]_d) + z image Phi_{d-1}:
 one GF(2) echelon basis of the image carries over from degree to degree,
 and degree d adds only the images of the d+1 monomials free of z.  Rows
-are m-bit lanes packed as `_pack` does: for a sweep to degree D,
-x^a y^b z^c sits at lane (a + (D+1) b) k + i, where k rows are
-interleaved and i picks one.  So z times a row is the row itself, x
-shifts it by k lanes and y by (D+1) k lanes, and each image
+are m-bit lanes: for a sweep to degree D, x^a y^b z^c sits at lane
+(a + (D+1) b) k + i, whatever c, where k rows are interleaved and i
+picks one.  So z times a row is the row itself, x shifts it by k lanes
+and y by (D+1) k lanes, and each image
 g(x^a y^(d-a)) = g(x^(a-1) y^(d-a)) g x (g y when a = 0) is built from
 one of degree d-1 by shifts and scalar multiples alone.  Ranks over
 GF(2^m) are GF(2) ranks of the rows v, t v, ..., t^(m-1) v, divided by
@@ -41,7 +41,8 @@ the generated dimension in degree D is the number of them, the
 coefficient of t^D in 1/((1 - t^deg u)(1 - t^deg c1)(1 - t))
 (`free_dimensions`).
 `generated_dimension` ranks the products of one degree by elimination,
-with no premise; it is the reference the count is tested against.
+packed as expression packs them (`_pack_levels`), with no premise; it
+is the reference the count is tested against.
 
 `express_in_generators` realizes the inductive division argument in one
 pass over the z-levels of p, lowest first, by subalgebra reduction
@@ -191,7 +192,7 @@ ROW_BITS_CAP = 1 << 17
 
 def oracle_row_bits(max_deg: int, k: int, m: int) -> int:
     """Bits in one packed row of a sweep to degree max_deg that interleaves
-    k rows of m-bit lanes (`_pack`)."""
+    k rows of m-bit lanes (`fixed_dimensions`)."""
     return (max_deg + 1) ** 2 * k * m
 
 
@@ -243,32 +244,16 @@ def _scale(rows: list[int], c: int) -> int:
     return out
 
 
-def _ranks(ctx: FieldCtx, max_deg: int, vectors, tops: int) -> list[int]:
-    """Entry d is the field rank of every packed vector that `vectors(e)`
-    yields for e = 0..d.  One GF(2) echelon basis is kept for the whole
-    sweep: its rows of degree d-1 stand for z times them in degree d."""
-    basis: dict = {}
-    ranks = []
-    for d in range(max_deg + 1):
-        for v in vectors(d):
-            for row in _field_rows(ctx, v, tops):
-                _insert(basis, row)
-        rank, rest = divmod(len(basis), ctx.m)
-        assert not rest
-        ranks.append(rank)
-    return ranks
-
-
-def _pack(terms: dict, top: int, m: int) -> int:
-    """The polynomial with term dict `terms`, of degree at most `top`, as a
-    GF(2) row of m-bit lanes: the coefficient of x^a y^b z^c goes to lane
-    a + (top+1) b, whatever c.  Within one degree the lane tells the
-    monomial; z times a monomial keeps its lane, x adds 1 and y adds
-    top+1, so multiplying a row by x or y is a shift."""
-    v = 0
-    for (a, b, _), coeff in terms.items():
-        v ^= coeff << (a + (top + 1) * b) * m
-    return v
+def _rank(ctx: FieldCtx, vectors, tops: int, basis: dict) -> int:
+    """Insert the `_field_rows` of every packed field vector in `vectors`
+    into the GF(2) echelon basis `basis`, which the caller owns, and
+    return the field rank of all it holds."""
+    for v in vectors:
+        for row in _field_rows(ctx, v, tops):
+            _insert(basis, row)
+    rank, rest = divmod(len(basis), ctx.m)
+    assert not rest
+    return rank
 
 
 def _check_degree(max_deg: int) -> None:
@@ -283,9 +268,9 @@ def fixed_dimensions(gens: list[Mat3], max_deg: int) -> list[int]:
     doc).  For block-diagonal generators the counts in x, y alone are the
     first differences of this list, since S^G = k[x, y]^G [z].
 
-    The value at (monomial, generator) sits at lane index*|gens| +
-    generator, where index is the monomial's lane in `_pack` with top
-    degree max_deg.  So the echelon rows of image Phi_{d-1} are rows of
+    The value at (x^a y^b z^c, generator) sits at lane
+    (a + (max_deg+1) b) |gens| + generator, whatever c.  So one echelon
+    basis serves the whole sweep: the rows of image Phi_{d-1} are rows of
     image Phi_d as they stand, and degree d inserts only
     Phi_d(x^a y^(d-a)).  Every generator's image of x^a y^(d-a) is built
     at once from the packed images of degree d-1: times g x (or g y when
@@ -332,16 +317,14 @@ def fixed_dimensions(gens: list[Mat3], max_deg: int) -> list[int]:
         return out
 
     images = [ones]  # g x^a y^(d-a) for a = d..0, here d = 0
-
-    def phi(d):
-        nonlocal images
+    basis: dict = {}
+    dims = []
+    for d in range(max_deg + 1):
         if d:
             images = [times(v, gx) for v in images] + [times(images[-1], gy)]
-        for b, image in enumerate(images):
-            yield image ^ ones << (d - b + side * b) * k * m
-
-    ranks = _ranks(ctx, max_deg, phi, tops)
-    return [(d + 1) * (d + 2) // 2 - rank for d, rank in enumerate(ranks)]
+        phi = (image ^ ones << (d - b + side * b) * k * m for b, image in enumerate(images))
+        dims.append((d + 1) * (d + 2) // 2 - _rank(ctx, phi, tops, basis))
+    return dims
 
 
 def graded_fixed_dimension(gens: list[Mat3], deg: int) -> int:
@@ -378,22 +361,21 @@ def _check_generators(invs: list[MultiPoly]) -> None:
 def generated_dimension(invs: list[MultiPoly], deg: int) -> int:
     """Rank of the set of monomials in the candidate generators of the
     given total degree, by exact elimination.  The products are built as
-    `MultiPoly`s and packed as `_pack` does with top degree deg."""
+    `MultiPoly`s and packed by `_pack_levels` at stride `_stride(deg)`."""
     if not invs:
         raise ValueError("need at least one generator")
     _check_generators(invs)
-    ctx = invs[0].ctx
+    ctx, T = invs[0].ctx, _stride(deg)
 
-    def products(_):
+    def products():
         for e in _weighted_compositions([p.deg() for p in invs], deg):
             prod = MultiPoly.one(ctx)
             for p, k in zip(invs, e):
                 if k:
                     prod = prod * p**k
-            yield _pack(prod._terms, deg, ctx.m)
+            yield _pack_levels(prod, deg, T)
 
-    tops = _repeat(ctx.m, (deg + 1) ** 2) << (ctx.m - 1)
-    return _ranks(ctx, 0, products, tops)[0]
+    return _rank(ctx, products(), _repeat(ctx.m, T * T) << (ctx.m - 1), {})
 
 
 def free_dimensions(degrees, max_deg: int) -> list[int]:
@@ -551,6 +533,15 @@ class _Pair:
         return v
 
 
+def _check_triple(ctx: FieldCtx, invs) -> None:
+    """ValueError unless the candidate generators (u, c1, z) are over ctx
+    and z is the coordinate itself."""
+    if any(f.ctx != ctx for f in invs):
+        raise ValueError("polynomials from mismatched contexts")
+    if invs[2] != MultiPoly.variable(ctx, 2):
+        raise ValueError("the third generator must be the coordinate z")
+
+
 @dataclass(frozen=True)
 class GeneratorExpr:
     """A polynomial in the abstract symbols U, C, Z, tied to the concrete
@@ -562,10 +553,7 @@ class GeneratorExpr:
     generators: tuple[MultiPoly, MultiPoly, MultiPoly]
 
     def __post_init__(self):
-        if any(f.ctx != self.ctx for f in self.generators):
-            raise ValueError("polynomials from mismatched contexts")
-        if self.generators[2] != MultiPoly.variable(self.ctx, 2):
-            raise ValueError("the third generator must be the coordinate z")
+        _check_triple(self.ctx, self.generators)
 
     def substitute(self) -> MultiPoly:
         """The polynomial this stands for, one degree at a time: the XOR
@@ -593,10 +581,7 @@ def express_in_generators(
     doc).  Exact round trip or an explicit error.  Invariance is proved
     on (u, c1, z), and on p only when that proof is not available."""
     u, c1, z = invs
-    if any(f.ctx != p.ctx for f in invs):
-        raise ValueError("polynomials from mismatched contexts")
-    if z != MultiPoly.variable(p.ctx, 2):
-        raise ValueError("the third generator must be the coordinate z")
+    _check_triple(p.ctx, invs)
     pair = _Pair.of(u, c1)
     # the degree of any term; packing checks that every term has it
     deg = sum(next(iter(p._terms), (0, 0, 0)))

@@ -308,6 +308,22 @@ def test_cli_unproven_prime_exits_2(monkeypatch, capsys):
     assert "cannot prove 127 prime" in capsys.readouterr().err
 
 
+def test_cli_two_large_prime_factors_exit_2():
+    # x^178 + x^87 + 1: 2^178 - 1 has the large primes of 2^89 - 1 and
+    # 2^89 + 1, which rho alone would take about 10^8 steps to split
+    # apart; split into those halves first, the unprovable 2^89 - 1 is
+    # refused at once.  A subprocess, so that a hang fails the test
+    argv = ["verify", "--n", "89", "--d", "2", "--quiet"]
+    argv += ["--modulus-ambient", "0x400000000000000000000008000000000000000000001"]
+    code = f"import sys, refl2.cli; sys.exit(refl2.cli.main({argv!r}))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert run.returncode == EXIT_BAD_CONFIG
+    assert "cannot prove 618970019642690137449562111 prime" in run.stderr
+
+
 def test_selftest_scopes(capsys):
     assert run_selftest("cocycle") == EXIT_OK
     out = capsys.readouterr().out

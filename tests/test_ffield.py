@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -88,6 +89,19 @@ def test_factorize_refuses_unproven_primes():
         _factorize((1 << 89) - 1)
     big = 641 * 6700417 * ((1 << 61) - 1)
     assert _factorize(3 * big) == [3, 641, 6700417, (1 << 61) - 1]
+
+
+def test_factorize_splits_even_mersenne_numbers_in_halves():
+    # 2^178 - 1 = (2^89 - 1)(2^89 + 1) holds the unprovable prime 2^89 - 1
+    # and 18584774046020617 | 2^89 + 1: split in halves first, it is
+    # refused at once rather than left to rho
+    start = time.process_time()
+    with pytest.raises(ValueError, match="cannot prove 618970019642690137449562111 prime"):
+        _factorize((1 << 178) - 1)
+    assert time.process_time() - start < 5
+    # 2^128 - 1 is the product of the Fermat numbers F_0, ..., F_6
+    fermat = [3, 5, 17, 257, 641, 65537, 274177, 6700417, 67280421310721]
+    assert _factorize((1 << 128) - 1) == fermat
 
 
 def test_rabin_matches_trial_division():

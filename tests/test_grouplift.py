@@ -178,6 +178,14 @@ def test_lift_generators_displays():
     assert sts.rows == ((0, 1, 0), (1, 0, 0), (0, 0, 1))
     with pytest.raises(ValueError):
         lift_generators("h2", 2, GF4)
+    # h0 lifts are the SL2 generators; h1 differs only in R's third column
+    GF16 = field_new(4)
+    for n, ctx in ((1, GF2), (2, GF4), (2, GF16), (4, GF16)):
+        R, S, T = sl2_generators(n, ctx)
+        assert lift_generators("h0", n, ctx) == (R, S, T)
+        R1, S1, T1 = lift_generators("h1", n, ctx)
+        assert (S1, T1) == (S, T) and R1.block2() == R.block2()
+        assert R1.third_col() == (1, R.rows[1][1])
 
 
 def test_h_gamma_block_diagonal_when_zero():
