@@ -55,6 +55,7 @@ from refl2.verify import (
     graded_fixed_dimension,
     is_invariant,
     kemper_check,
+    kemper_lines,
 )
 
 __all__ = [
@@ -99,4 +100,5 @@ __all__ = [
     "graded_fixed_dimension",
     "is_invariant",
     "kemper_check",
+    "kemper_lines",
 ]

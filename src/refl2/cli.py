@@ -13,38 +13,28 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import asdict, dataclass, field
 
-from refl2.ffield import field_new, subfield_elements
+from refl2.ffield import field_new
 from refl2.grouplift import (
     ClosureCapError,
     LambdaSpace,
-    cocycle_f,
-    cocycle_g,
     default_lambda_basis,
     kernel_group,
     lift_generators,
-    sl2_elements,
-    sl2_generators,
     verify_splitting,
 )
 from refl2.invariants import (
     ActionShapeError,
-    dickson_pair,
-    dickson_support_check,
-    dickson_u,
     kernel_action,
     kernel_invariants,
-    lifted_invariants,
     small_family,
 )
-from refl2.mvpoly import MultiPoly, jacobian_det
 from refl2.verify import (
     ROW_BITS_CAP,
     fixed_dimensions,
     free_dimensions,
-    generated_dimension,
     kemper_check,
+    kemper_lines,
     oracle_row_bits,
     restricted_leads,
 )
@@ -58,38 +48,58 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
 class VerifyConfig:
-    n: int
-    d: int = 0
-    variant: str = "h1"
-    modulus_ambient: int | None = None
-    lambda_basis: tuple[int, ...] | None = None
-    oracle_max_degree: int = 0
-    max_group: int = 10**7
+    __slots__ = (
+        "n", "d", "variant", "modulus_ambient", "lambda_basis", "oracle_max_degree", "max_group",
+    )
+
+    def __init__(
+        self,
+        n: int,
+        d: int = 0,
+        variant: str = "h1",
+        modulus_ambient: int | None = None,
+        lambda_basis: tuple[int, ...] | None = None,
+        oracle_max_degree: int = 0,
+        max_group: int = 10**7,
+    ):
+        self.n = n
+        self.d = d
+        self.variant = variant
+        self.modulus_ambient = modulus_ambient
+        self.lambda_basis = lambda_basis
+        self.oracle_max_degree = oracle_max_degree
+        self.max_group = max_group
 
 
-@dataclass
 class VerificationReport:
-    n: int
-    d: int
-    variant: str
-    moduli: dict
-    group_order: int | None = None
-    split: dict = field(default_factory=dict)
-    alpha: str = "0x0"
-    action_note: str = ""
-    degrees: list = field(default_factory=list)
-    degree_product: int | None = None
-    jacobian_nonzero: bool | None = None
-    invariance: list = field(default_factory=list)
-    oracle: list = field(default_factory=list)
-    verdict: str = "FAIL(incomplete)"
-    elapsed_ms: int = 0
+    # the JSON keys, in report order
+    __slots__ = (
+        "n", "d", "variant", "moduli", "group_order", "split", "alpha", "action_note",
+        "degrees", "degree_product", "jacobian_nonzero", "invariance", "oracle",
+        "verdict", "elapsed_ms",
+    )
+
+    def __init__(self, n: int, d: int, variant: str, moduli: dict):
+        self.n = n
+        self.d = d
+        self.variant = variant
+        self.moduli = moduli
+        self.group_order: int | None = None
+        self.split: dict = {}
+        self.alpha = "0x0"
+        self.action_note = ""
+        self.degrees: list = []
+        self.degree_product: int | None = None
+        self.jacobian_nonzero: bool | None = None
+        self.invariance: list = []
+        self.oracle: list = []
+        self.verdict = "FAIL(incomplete)"
+        self.elapsed_ms = 0
 
     def to_dict(self) -> dict:
-        """The report's fields, in field order."""
-        return asdict(self)
+        """The report's fields, in report order."""
+        return {k: getattr(self, k) for k in self.__slots__}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2) + "\n"
@@ -210,10 +220,15 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
         report.alpha = f"{desc.alpha:#x}"
         report.action_note = _action_note(desc)
 
-        # (u-bar, c1-bar, z) checked as the small family under the maps M_g
-        small = small_family(desc)
-        weights = (desc.zpow, desc.zpow, 1)
-        verdict = kemper_check(split.group_order, small, desc.maps, weights)
+        # (u-bar, c1-bar, z) checked as the small family under the maps
+        # M_g: a lifted family from its line forms, expanded when they do
+        # not decide it; the closed-form pair, of q + 1 terms, expanded
+        small = None
+        verdict = None if desc.all_offsets_zero else kemper_lines(split.group_order, desc)
+        if verdict is None:
+            small = small_family(desc)
+            weights = (desc.zpow, desc.zpow, 1)
+            verdict = kemper_check(split.group_order, small, desc.maps, weights)
         report.degrees = list(verdict.degrees)
         report.invariance = [
             {"generator": name, "u": u, "c1": c1, "z": z}
@@ -227,8 +242,9 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
             # u-bar(x, y, 0) = u~(x^Q, y^Q, 0) with Q = q^d, and likewise
             # c1-bar, so independent leads of the small family at z = 0
             # make the generated side a count (refl2.verify module doc)
+            u, c1, _ = small or small_family(desc)
             try:
-                restricted_leads(small[0], small[1])
+                restricted_leads(u, c1)
             except ValueError as exc:
                 raise ActionShapeError(str(exc)) from exc
             fixed = fixed_dimensions(gens, cfg.oracle_max_degree)
@@ -290,122 +306,11 @@ def _print_report(report: VerificationReport, out=None):
     print(f"verdict     {d['verdict']} ({d['elapsed_ms']} ms)", file=out)
 
 
-# -- selftest suites -------------------------------------------------------------
-
-
-def _selftest_cocycle(log) -> tuple[int, int]:
-    passed = failed = 0
-    for n in (1, 2, 3):
-        ctx = field_new(n)
-        sub = subfield_elements(ctx, n)
-        mul = ctx.mul
-        count = 0
-        for a, b, c, d in sl2_elements(n, ctx):
-            fab = cocycle_f(ctx, a, b, n)
-            fcd = cocycle_f(ctx, c, d, n)
-            for p in sub:
-                for q in sub:
-                    lhs = mul(p, fab) ^ mul(q, fcd)
-                    u, v = mul(p, a) ^ mul(q, c), mul(p, b) ^ mul(q, d)
-                    fuv = cocycle_f(ctx, u, v, n)
-                    ok = lhs ^ cocycle_f(ctx, p, q, n) == fuv
-                    ok &= lhs ^ cocycle_g(ctx, p, q, n) == fuv ^ 1
-                    passed += ok
-                    failed += not ok
-                    count += 1
-        homog = 0
-        for t in sub:
-            for a in sub:
-                for b in sub:
-                    lhs = cocycle_g(ctx, mul(t, a), mul(t, b), n)
-                    ok = lhs == mul(t, cocycle_g(ctx, a, b, n))
-                    passed += ok
-                    failed += not ok
-                    homog += 1
-        log(f"cocycle n={n}: {count} identity instances, {homog} homogeneity instances")
-    return passed, failed
-
-
-def _selftest_dickson(log) -> tuple[int, int]:
-    passed = failed = 0
-    for n in (1, 2, 3):
-        ctx = field_new(n)
-        q = 1 << n
-        x = MultiPoly.variable(ctx, 0)
-        y = MultiPoly.variable(ctx, 1)
-        c0, c1 = dickson_pair(n, ctx)
-        u = dickson_u(n, ctx)
-        ut, c1t = lifted_invariants(n, ctx)
-        checks = [
-            u * c1 == x * y ** (q * q) + x ** (q * q) * y,
-            ut.restrict_z0() == u,
-            c1t.restrict_z0() == c1,
-            c0.deg() == q * q - 1,
-            c1.deg() == q * q - q,
-            u.deg() == q + 1,
-        ]
-        for g in sl2_generators(n, ctx):
-            checks.append(c0.act(g) == c0)
-            checks.append(c1.act(g) == c1)
-            checks.append(u.act(g) == u)
-        passed += sum(checks)
-        failed += len(checks) - sum(checks)
-        log(f"dickson n={n}: {len(checks)} identities checked")
-    for n in (1, 2, 3):
-        for d in (0, 1, 2):
-            ctx = field_new(n * (2 if d == 2 else 1))
-            ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
-            fx, fy, fz = kernel_invariants(ls)
-            checks = [
-                dickson_support_check(fx, n, d),
-                dickson_support_check(fy, n, d),
-                not jacobian_det(fx, fy, fz).is_zero(),
-            ]
-            passed += sum(checks)
-            failed += len(checks) - sum(checks)
-    log("dickson support: n <= 3, d <= 2 swept")
-    return passed, failed
-
-
-def _selftest_oracle(log) -> tuple[int, int]:
-    passed = failed = 0
-    ctx = field_new(1)
-    _, S, T = sl2_generators(1, ctx)
-    c0, c1 = dickson_pair(1, ctx)
-    z = MultiPoly.variable(ctx, 2)
-    for deg, fd in enumerate(fixed_dimensions([S, T], 15)):
-        ok = fd == generated_dimension([c0, c1, z], deg)
-        passed += ok
-        failed += not ok
-    log("oracle q=2: degrees 0..15 against (c0, c1, z)")
-    code, report = run_verify(VerifyConfig(n=2, d=0, oracle_max_degree=12))
-    ok = code == EXIT_OK and all(
-        e["fixed_dim"] == e["generated_dim"] for e in report.oracle
-    )
-    passed += ok
-    failed += not ok
-    log("oracle n=2 d=0: degrees 0..12 against (u-bar, c1-bar, z)")
-    return passed, failed
-
-
 def run_selftest(scope: str, quiet: bool = False) -> int:
-    suites = {
-        "cocycle": _selftest_cocycle,
-        "dickson": _selftest_dickson,
-        "oracle": _selftest_oracle,
-    }
-    if scope != "all" and scope not in suites:
-        raise ConfigError(f"unknown selftest scope {scope!r}")
-    selected = suites if scope == "all" else {scope: suites[scope]}
-    log = (lambda msg: None) if quiet else (lambda msg: print(msg))
-    total_pass = total_fail = 0
-    for name, fn in selected.items():
-        p, f = fn(log)
-        total_pass += p
-        total_fail += f
-        log(f"{name}: {p} passed, {f} failed")
-    log(f"selftest total: {total_pass} passed, {total_fail} failed")
-    return EXIT_OK if total_fail == 0 else EXIT_CHECK_FAILED
+    """`refl2 selftest`, from `refl2.selftest`, which only it loads."""
+    from refl2.selftest import run_selftest
+
+    return run_selftest(scope, quiet)
 
 
 # -- argument parsing -------------------------------------------------------------

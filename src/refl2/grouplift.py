@@ -5,9 +5,10 @@ plane: the SL2(GF(2^n)) generators R, S, T and their lifts, the cocycle
 f(x,y) = 1 + x + y + x^(2^(n-1)) y^(2^(n-1)) and its homogeneous
 companion g = f + 1, the cocycle subgroups H_gamma, the translation
 kernel N = Lambda_1^2 for a GF(2^n)-subspace Lambda_1 of the ambient
-field, breadth-first group closure, and the semidirect-split check.
-Lambda_1 is held as its subspace polynomial and N as its 2d generating
-translations; neither is listed element by element.
+field, breadth-first group closure, and the semidirect-split check, which
+finds |<lifts>| by orbit and stabilizer instead of closure.  Lambda_1 is
+held as its subspace polynomial and N as its 2d generating translations;
+neither is listed element by element.
 
 Matrices are immutable; the canonical encoding used for dedup, sorting
 and golden files is the row-major 9-tuple of element bit-vectors.
@@ -15,7 +16,6 @@ and golden files is the row-major 9-tuple of element bit-vectors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product as iproduct
 
 from refl2.ffield import FieldCtx, mult_generator, subfield_elements, subfield_generator
@@ -27,6 +27,23 @@ class ClosureCapError(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"group exceeds the cap of {cap} elements")
         self.cap = cap
+
+
+def _bmul(mul, x: tuple, y: tuple) -> tuple:
+    """The product of 2x2 blocks (a, b, c, d) = [[a, b], [c, d]]."""
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        mul(a, e) ^ mul(b, g), mul(a, f) ^ mul(b, h),
+        mul(c, e) ^ mul(d, g), mul(c, f) ^ mul(d, h),
+    )
+
+
+def _binv(ctx: FieldCtx, x: tuple) -> tuple:
+    mul = ctx.mul
+    a, b, c, d = x
+    di = ctx.inv(mul(a, d) ^ mul(b, c))
+    return (mul(di, d), mul(di, b), mul(di, c), mul(di, a))
 
 
 class Mat3:
@@ -95,10 +112,8 @@ class Mat3:
     def inverse(self) -> "Mat3":
         ctx = self.ctx
         mul = ctx.mul
-        (a, b, al), (c, d, be), _ = self.rows
-        det = mul(a, d) ^ mul(b, c)
-        di = ctx.inv(det)
-        ia, ib, ic, id_ = mul(di, d), mul(di, b), mul(di, c), mul(di, a)
+        ia, ib, ic, id_ = _binv(ctx, self.block2())
+        al, be = self.third_col()
         # translation part: block_inverse * (al, be)
         ta = mul(ia, al) ^ mul(ib, be)
         tb = mul(ic, al) ^ mul(id_, be)
@@ -376,24 +391,110 @@ def kernel_group(ls: LambdaSpace, cap: int = 10**7) -> list[Mat3]:
 # -- splitting -----------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class SplitReport:
-    group_order: int
-    kernel_order: int
-    complement_order: int
-    intersection_order: int
+    """|G| = |N| |H| / |N meet H| and its three factors."""
+
+    __slots__ = ("group_order", "kernel_order", "complement_order", "intersection_order")
+
+    def __init__(
+        self, group_order: int, kernel_order: int, complement_order: int, intersection_order: int
+    ):
+        self.group_order = group_order
+        self.kernel_order = kernel_order
+        self.complement_order = complement_order
+        self.intersection_order = intersection_order
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        return isinstance(other, SplitReport) and self._key() == other._key()
+
+    def __repr__(self):
+        return f"SplitReport{self._key()}"
 
     @property
     def is_split(self) -> bool:
         return self.intersection_order == 1
 
 
+class _BlockChain:
+    """A group of invertible 2x2 blocks as a two-level Schreier-Sims chain
+    on the base (1, 0), (0, 1) (Sims 1970; Seress, Permutation Group
+    Algorithms, 2003).  `orbit` maps each point p of the orbit of (1, 0)
+    to u_p^-1, for a group element u_p with u_p (1, 0) = p; `fixer` lists
+    the subgroup fixing (1, 0) by where each element sends (0, 1), which
+    names it.  So |group| = |orbit| |fixer|, and x is in the group iff
+    u_p^-1 x, p = x (1, 0), is in `fixer` (a sift).  Past `limit`
+    elements it raises ClosureCapError(cap)."""
+
+    def __init__(self, ctx: FieldCtx, limit: int, cap: int):
+        self.ctx, self.limit, self.cap = ctx, limit, cap
+        self.gens: list = []  # (g, g^-1) pairs
+        self.orbit = {(1, 0): (1, 0, 0, 1)}
+        self.fixer = {(0, 1): (1, 0, 0, 1)}
+        self.fixer_gens: list = []
+
+    def order(self) -> int:
+        return len(self.orbit) * len(self.fixer)
+
+    def _grew(self):
+        if self.order() > self.limit:
+            raise ClosureCapError(self.cap)
+
+    def __contains__(self, x: tuple) -> bool:
+        ui = self.orbit.get((x[0], x[2]))
+        if ui is None:
+            return False
+        r = _bmul(self.ctx.mul, ui, x)
+        return (r[1], r[3]) in self.fixer
+
+    def add(self, x: tuple) -> None:
+        """Extend the group by x, unless it holds x already: extend the
+        orbit, then put into `fixer` the Schreier generators
+        u_(gp)^-1 g u_p of the pairs (p, g) that are new (Schreier's lemma)."""
+        if x in self:
+            return
+        ctx, mul, orbit = self.ctx, self.ctx.mul, self.orbit
+        old = len(orbit)
+        pairs = self.gens
+        pairs.append((x, _binv(ctx, x)))
+        points = list(orbit)
+        for i, p in enumerate(points):  # grows as the orbit does
+            ui = orbit[p]
+            u = _binv(ctx, ui)
+            for g, gi in pairs if i >= old else pairs[-1:]:
+                q = (mul(g[0], p[0]) ^ mul(g[1], p[1]), mul(g[2], p[0]) ^ mul(g[3], p[1]))
+                qi = orbit.get(q)
+                if qi is None:  # a tree edge: u_q = g u_p
+                    orbit[q] = _bmul(mul, ui, gi)
+                    self._grew()
+                    points.append(q)
+                else:
+                    self._fix(_bmul(mul, qi, _bmul(mul, g, u)))
+
+    def _fix(self, h: tuple) -> None:
+        """Close `fixer` under h as well."""
+        mul, fixer = self.ctx.mul, self.fixer
+        if (h[1], h[3]) in fixer:
+            return
+        self.fixer_gens.append(h)
+        elements = list(fixer.values())
+        for y in elements:  # grows as the subgroup does
+            for g in self.fixer_gens:
+                z = _bmul(mul, y, g)
+                if (z[1], z[3]) not in fixer:
+                    fixer[z[1], z[3]] = z
+                    self._grew()
+                    elements.append(z)
+
+
 def verify_splitting(
     ls: LambdaSpace, translations: list[Mat3], lifts: list[Mat3], cap: int = 10**7
 ) -> SplitReport:
     """Check that G = <N, lifts> is the semidirect product of
-    N = Lambda_1^2 and H = <lifts>, and find |G| without enumerating G
-    or N.  `translations` are the generators `kernel_group(ls)` returns.
+    N = Lambda_1^2 and H = <lifts>, and find |G| without enumerating G,
+    N or H.  `translations` are the generators `kernel_group(ls)` returns.
 
     N is normal in G when each lift g conjugates N into N.  For
     g = [[A, w], [0, 1]], g T_v g^-1 = T_(Av), and A is linear over the
@@ -401,16 +502,45 @@ def verify_splitting(
     the 2d translations T_(b,0), T_(0,b); it lies in N when those images
     do.  Inverse lifts need no check: N is finite, so gNg^-1 inside N
     means gNg^-1 = N.  With N normal, G = NH, and the product formula
-    gives |G| = |N| |H| / |N meet H| with |N| = q^(2d).  Only H is
-    enumerated, under cap (ClosureCapError past it), and |N meet H|
-    counts its elements in N.  G splits when H meets N trivially.
+    gives |G| = |N| |H| / |N meet H| with |N| = q^(2d).
+
+    |H| = |orbit of 0| |Stab(0)| for H acting on the plane by
+    v -> A v + w.  The orbit comes with the blocks of a transversal t_p
+    (t_p 0 = p), Stab(0) is the group of the Schreier generators
+    t_(gp)^-1 g t_p, and as it fixes 0 it is the group of their blocks,
+    held as a `_BlockChain`.  H holds the translation T_w iff w is in
+    the orbit and the block of t_w is in Stab(0), since then
+    t_w s^-1 = T_w for the s in Stab(0) with that block; so the W that
+    passes that sift is {w : T_w in H}, |W| = |H| / |pi(H)|, and
+    |N meet H| counts W in Lambda_1^2.  ClosureCapError exactly when
+    |H| > cap.  G splits when H meets N trivially.
     """
     for g in lifts:
         gi = g.inverse()
         for t in translations:
             if not ls.kernel_contains(g * t * gi):
                 raise ValueError("kernel is not normal in the group")
-    H = closure(lifts, cap=cap)
-    inter = sum(1 for m in H if ls.kernel_contains(m))
+    ctx = ls.ambient
+    mul = ctx.mul
+    gens = [(g.block2(), g.third_col()) for g in lifts]
+    blocks = {(0, 0): (1, 0, 0, 1)}  # point p -> block of t_p
+    points = [(0, 0)]
+    edges = []  # (g p, block of g t_p) off the tree
+    for p in points:  # grows as the orbit does
+        u = blocks[p]
+        for A, (w0, w1) in gens:
+            q = (mul(A[0], p[0]) ^ mul(A[1], p[1]) ^ w0, mul(A[2], p[0]) ^ mul(A[3], p[1]) ^ w1)
+            if q in blocks:
+                edges.append((q, _bmul(mul, A, u)))
+            elif len(points) >= cap:
+                raise ClosureCapError(cap)
+            else:
+                blocks[q] = _bmul(mul, A, u)
+                points.append(q)
+    stab = _BlockChain(ctx, cap // len(points), cap)
+    for q, gu in edges:
+        stab.add(_bmul(mul, _binv(ctx, blocks[q]), gu))
+    order = len(points) * stab.order()
+    inter = sum(1 for (a, b), u in blocks.items() if u in stab and a in ls and b in ls)
     N = ls.kernel_order
-    return SplitReport(N * len(H) // inter, N, len(H), inter)
+    return SplitReport(N * order // inter, N, order, inter)

@@ -34,8 +34,6 @@ family with z scaled by alpha -- composed with F.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from refl2.ffield import FieldCtx, subfield_elements, subfield_generator
 from refl2.grouplift import LambdaSpace, Mat3, cocycle_g
 from refl2.mvpoly import MultiPoly
@@ -78,40 +76,42 @@ def _dickson(q: int, X: MultiPoly, Y: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
     return X**q * Y + X * Y**q, c1
 
 
-def _lifted_family(
-    ctx: FieldCtx,
-    n: int,
-    X: MultiPoly,
-    Y: MultiPoly,
-    Z: MultiPoly,
-    gscale: int = 1,
-) -> tuple[MultiPoly, MultiPoly]:
-    """(u-like, c1-like) from the q+1 line forms L = a X + b Y + s g(a,b) Z.
+def _forms(ctx: FieldCtx, n: int, gscale: int) -> list[tuple[int, int, int]]:
+    """The q+1 canonical line forms a x + b y + c z, first nonzero of
+    (a, b) equal to 1, lifted by c = gscale g(a, b); c = 0 when gscale is."""
+    pairs = [(0, 1)] + [(1, s) for s in subfield_elements(ctx, n)]
+    return [(a, b, ctx.mul(gscale, cocycle_g(ctx, a, b, n))) for a, b in pairs]
 
-    u = prod_L L, and c1 = sum_L (u/L)^(q-1) is the exact quotient of
-    sum_L L (u/L)^q by u: each summand is u (u/L)^(q-1), so u divides
-    the sum and no (q-1)-th power is taken.  u/L is the product of the
-    other q forms, kept as prefix and suffix products.
-    """
 
-    def form(a: int, b: int) -> MultiPoly:
-        return X.scale(a) + Y.scale(b) + Z.scale(ctx.mul(gscale, cocycle_g(ctx, a, b, n)))
-
-    # the q+1 canonical line forms: first nonzero coefficient 1
-    forms = [form(0, 1)] + [form(1, s) for s in subfield_elements(ctx, n)]
-    # prefix[i] is the product of forms[:i]; suffix that of forms[i+1:]
-    prefix = [MultiPoly.one(ctx)]
-    for L in forms:
+def _line_products(forms, X: MultiPoly, Y: MultiPoly, Z: MultiPoly):
+    """(u, sum_L L (u/L)^q) for u = prod_L L over the forms L = a X + b Y
+    + c Z, q + 1 of them.  u/L is the product of the other q forms, kept
+    as prefix and suffix products, and its q-th power is n Frobenius steps."""
+    n = (len(forms) - 1).bit_length() - 1
+    polys = [X.scale(a) + Y.scale(b) + Z.scale(c) for a, b, c in forms]
+    # prefix[i] is the product of polys[:i]; suffix that of polys[i+1:]
+    prefix = [MultiPoly.one(X.ctx)]
+    for L in polys:
         prefix.append(prefix[-1] * L)
-    num = MultiPoly.zero(ctx)
-    suffix = MultiPoly.one(ctx)
-    for i in reversed(range(len(forms))):
+    num = MultiPoly.zero(X.ctx)
+    suffix = MultiPoly.one(X.ctx)
+    for i in reversed(range(len(polys))):
         r = prefix[i] * suffix
         for _ in range(n):
             r = r.frobenius()
-        num = num + forms[i] * r
-        suffix = suffix * forms[i]
-    u = prefix[-1]
+        num = num + polys[i] * r
+        suffix = suffix * polys[i]
+    return prefix[-1], num
+
+
+def _lifted_family(forms, X: MultiPoly, Y: MultiPoly, Z: MultiPoly):
+    """(u-like, c1-like) from the q+1 line forms L = a X + b Y + c Z.
+
+    u = prod_L L, and c1 = sum_L (u/L)^(q-1) is the exact quotient of
+    sum_L L (u/L)^q by u: each summand is u (u/L)^(q-1), so u divides
+    the sum and no (q-1)-th power is taken.
+    """
+    u, num = _line_products(forms, X, Y, Z)
     return u, num.div_exact(u)
 
 
@@ -133,7 +133,7 @@ def lifted_invariants(
 ) -> tuple[MultiPoly, MultiPoly]:
     """(u~, c1~) with every plane form lifted by + scale*g(a,b)*z."""
     x, y, z = (MultiPoly.variable(ambient, i) for i in range(3))
-    return _lifted_family(ambient, n, x, y, z, scale)
+    return _lifted_family(_forms(ambient, n, scale), x, y, z)
 
 
 # -- action of the generators on the kernel invariants ----------------------
@@ -146,20 +146,22 @@ class ActionShapeError(ValueError):
     construction bug upstream."""
 
 
-@dataclass(frozen=True)
 class ActionDescriptor:
     """Exact affine action of each generator g on F = (f_x, f_y, z^(q^d)),
     in generator order: maps[i] is M_g = [[a_x, b_x, t_x], [a_y, b_y, t_y],
     [0, 0, 1]] with g f_x = a_x f_x + b_x f_y + t_x z^(q^d) and likewise for
     f_y, the linear part over the subfield, so g (p o F) = (M_g p) o F."""
 
-    ctx: FieldCtx
-    n: int
-    d: int
-    zpow: int
-    maps: tuple[Mat3, ...]
-    alpha: int
-    e: int
+    __slots__ = ("ctx", "n", "d", "zpow", "maps", "alpha", "e")
+
+    def __init__(self, ctx: FieldCtx, n: int, d: int, zpow: int, maps, alpha: int, e: int):
+        self.ctx = ctx
+        self.n = n
+        self.d = d
+        self.zpow = zpow
+        self.maps = maps
+        self.alpha = alpha
+        self.e = e
 
     @property
     def all_offsets_zero(self) -> bool:
@@ -212,19 +214,40 @@ def kernel_action(
     return ActionDescriptor(ctx, n, d, zpow, tuple(maps), alpha, e)
 
 
-def _family(desc: ActionDescriptor, X: MultiPoly, Y: MultiPoly, W: MultiPoly):
-    """(u~, c1~) at (X, Y, W): the closed-form pair when every offset is
-    zero, else the lifted family with W scaled by alpha and the cocycle
-    by (1 + e^-1)^-1, to be fixed by the lifted generators as displayed."""
-    if desc.all_offsets_zero:
-        return _dickson(1 << desc.n, X, Y)
+def line_forms(desc: ActionDescriptor) -> list[tuple[int, int, int]]:
+    """The q+1 forms (a, b, c) = a x + b y + c z that the small family is
+    built from: the plane forms (c = 0) when every offset is zero, else
+    the forms lifted by c = alpha (1 + e^-1)^-1 g(a, b), to be fixed by
+    the lifted generators as displayed."""
     ctx = desc.ctx
+    if desc.all_offsets_zero:
+        return _forms(ctx, desc.n, 0)
     if desc.alpha == 0:
         raise ActionShapeError("nonzero offsets but no diagonal-lift offset found")
     delta = 1 ^ ctx.inv(desc.e)
     if delta == 0:
         raise ValueError("lift normalization needs a subfield with e != 1")
-    return _lifted_family(ctx, desc.n, X, Y, W.scale(desc.alpha), ctx.inv(delta))
+    return _forms(ctx, desc.n, ctx.mul(desc.alpha, ctx.inv(delta)))
+
+
+def _family(desc: ActionDescriptor, X: MultiPoly, Y: MultiPoly, W: MultiPoly):
+    """(u~, c1~) at (X, Y, W): the closed-form pair when every offset is
+    zero, else the products of the lifted `line_forms`."""
+    if desc.all_offsets_zero:
+        return _dickson(1 << desc.n, X, Y)
+    return _lifted_family(line_forms(desc), X, Y, W)
+
+
+def restricted_pair(desc: ActionDescriptor):
+    """(u~, c1~) at z = 0 without building them: the closed-form pair
+    (u, c1), checked against the products of the q+1 plane forms,
+    u = prod_L L and u c1 = sum_L L (u/L)^q, which are the restrictions
+    of the small family whatever the lift (`line_forms`); None when the
+    check fails.  No polynomial of degree above q^2 + 1 is built."""
+    x, y, z = (MultiPoly.variable(desc.ctx, i) for i in range(3))
+    u, c1 = _dickson(1 << desc.n, x, y)
+    plane_u, num = _line_products(_forms(desc.ctx, desc.n, 0), x, y, z)
+    return (u, c1) if plane_u == u and num == u * c1 else None
 
 
 def small_family(descriptor: ActionDescriptor) -> tuple[MultiPoly, MultiPoly, MultiPoly]:

@@ -5,8 +5,10 @@ The criterion: three homogeneous invariants freely generate the
 invariant ring iff their degrees multiply to the group order and their
 Jacobian determinant is nonzero.  `kemper_check` verifies the three
 clauses exactly and names every failing one.  The pipeline runs it on
-the small family (u~, c1~, z) under the maps M_g (`kemper_check`), and
-at d >= 1 neither it nor the oracle builds u-bar or c1-bar.
+the small family (u~, c1~, z) under the maps M_g, and at d >= 1 neither
+it nor the oracle builds u-bar or c1-bar.  A lifted small family is not
+built either: `kemper_lines` reads the same verdict off its q+1 line
+forms, and the expanded check runs only when the forms do not decide.
 
 The oracle compares, degree by degree, the dimension of the fixed
 homogeneous polynomials in x, y, z, the kernel of Phi_d(p) = (g p - p)
@@ -84,10 +86,9 @@ expression attempt, then one `act` of p per generator.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from refl2.ffield import FieldCtx
 from refl2.grouplift import Mat3
+from refl2.invariants import ActionDescriptor, line_forms, restricted_pair
 from refl2.mvpoly import MultiPoly, _term_key, format_terms, jacobian_det
 
 
@@ -110,15 +111,43 @@ def is_invariant(p: MultiPoly, gens: list[Mat3]) -> bool:
 # -- Kemper's criterion ------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class KemperVerdict:
-    polynomial: bool
-    failed_clauses: tuple[str, ...]
-    group_order: int
-    degrees: tuple[int, ...]
-    degree_product: int
-    fixed_by: tuple[tuple[bool, ...], ...]  # per generator, per invariant
-    jacobian_nonzero: bool
+    __slots__ = (
+        "polynomial",
+        "failed_clauses",
+        "group_order",
+        "degrees",
+        "degree_product",
+        "fixed_by",  # per generator, per invariant
+        "jacobian_nonzero",
+    )
+
+    def __init__(
+        self,
+        polynomial: bool,
+        failed_clauses: tuple[str, ...],
+        group_order: int,
+        degrees: tuple[int, ...],
+        degree_product: int,
+        fixed_by: tuple[tuple[bool, ...], ...],
+        jacobian_nonzero: bool,
+    ):
+        self.polynomial = polynomial
+        self.failed_clauses = failed_clauses
+        self.group_order = group_order
+        self.degrees = degrees
+        self.degree_product = degree_product
+        self.fixed_by = fixed_by
+        self.jacobian_nonzero = jacobian_nonzero
+
+    def _key(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        return isinstance(other, KemperVerdict) and self._key() == other._key()
+
+    def __repr__(self):
+        return f"KemperVerdict{self._key()}"
 
     @property
     def invariance(self) -> tuple[bool, ...]:
@@ -177,6 +206,64 @@ def kemper_check(
         degree_product=product,
         fixed_by=fixed_by,
         jacobian_nonzero=jac_nonzero,
+    )
+
+
+def kemper_lines(group_order: int, desc: ActionDescriptor) -> KemperVerdict | None:
+    """`kemper_check` of the small family (u~, c1~, z) under the maps M_g
+    with weights (q^d, q^d, 1), read off the q+1 `line_forms` L instead
+    of the expanded polynomials; None when that does not decide it.
+
+    M_g sends the form (a, b, c) to (a m00 + b m10, a m01 + b m11,
+    a m02 + b m12 + c), lambda_L times a form with first nonzero (a, b)
+    entry 1.  The forms are pairwise non-proportional linear forms, hence
+    distinct primes, so by unique factorization M_g fixes u~ = prod_L L
+    iff it permutes the forms with prod_L lambda_L = 1.  c1~ is
+    sum_L (u~/L)^(q-1), so when M_g permutes the forms with every
+    lambda_L in GF(q)*, it permutes the summands and fixes c1~;
+    otherwise this returns None.
+    The degrees are q + 1 and q^2 - q.  Setting z = 0 commutes with the
+    x and y partials, so J(u~, c1~, z) = J_xy(u~, c1~) restricts to
+    J(u, c1, z) of the plane pair (`restricted_pair`), and is nonzero
+    when that is; otherwise this returns None."""
+    ctx, n = desc.ctx, desc.n
+    mul, inv = ctx.mul, ctx.inv
+    forms = line_forms(desc)
+    lifted = {(a, b): c for a, b, c in forms}
+    fixed_by = []
+    for M in desc.maps:
+        (m00, m01, m02), (m10, m11, m12), _ = M.rows
+        images, scale = set(), 1
+        for a, b, c in forms:
+            a2, b2 = mul(a, m00) ^ mul(b, m10), mul(a, m01) ^ mul(b, m11)
+            lam = a2 or b2
+            if not lam:  # a singular block: the expanded check refuses it
+                return None
+            li = inv(lam)
+            image = (mul(a2, li), mul(b2, li))
+            c2 = mul(mul(a, m02) ^ mul(b, m12) ^ c, li)
+            if lifted.get(image) != c2 or image in images or not ctx.in_subfield(lam, n):
+                return None
+            images.add(image)
+            scale = mul(scale, lam)
+        fixed_by.append((scale == 1, True, True))
+    pair = restricted_pair(desc)
+    if pair is None or jacobian_det(*pair, MultiPoly.variable(ctx, 2)).is_zero():
+        return None
+    q = 1 << n
+    degrees = (desc.zpow * (q + 1), desc.zpow * (q * q - q), 1)
+    product = degrees[0] * degrees[1]
+    failed = [] if all(row[0] for row in fixed_by) else ["invariance"]
+    if product != group_order:
+        failed.append("degree-product")
+    return KemperVerdict(
+        polynomial=not failed,
+        failed_clauses=tuple(failed),
+        group_order=group_order,
+        degrees=degrees,
+        degree_product=product,
+        fixed_by=tuple(fixed_by),
+        jacobian_nonzero=True,
     )
 
 
@@ -542,18 +629,18 @@ def _check_triple(ctx: FieldCtx, invs) -> None:
         raise ValueError("the third generator must be the coordinate z")
 
 
-@dataclass(frozen=True)
 class GeneratorExpr:
     """A polynomial in the abstract symbols U, C, Z, tied to the concrete
     generators (u, c1, z) it refers to, z the coordinate itself;
     substitution reproduces the source exactly."""
 
-    ctx: FieldCtx
-    terms: tuple  # ((i, j, k), coeff) pairs, canonical order
-    generators: tuple[MultiPoly, MultiPoly, MultiPoly]
+    __slots__ = ("ctx", "terms", "generators")
 
-    def __post_init__(self):
-        _check_triple(self.ctx, self.generators)
+    def __init__(self, ctx: FieldCtx, terms: tuple, generators: tuple):
+        _check_triple(ctx, generators)
+        self.ctx = ctx
+        self.terms = terms  # ((i, j, k), coeff) pairs, canonical order
+        self.generators = generators
 
     def substitute(self) -> MultiPoly:
         """The polynomial this stands for, one degree at a time: the XOR

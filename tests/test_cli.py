@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import refl2.cli
-from refl2 import ffield
+from refl2 import ffield, grouplift
 from refl2.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -269,6 +269,16 @@ def test_cli_import_leaves_numpy_unloaded():
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
+def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
+    # a subprocess, since pytest itself imports dataclasses; the selftest
+    # suites are compiled only for the selftest command
+    unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "numpy", "refl2.selftest"}
+    code = f"import sys, refl2.cli; print(sorted({unwanted!r} & sys.modules.keys()))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert (run.returncode, run.stdout) == (0, "[]\n"), run.stderr
+
+
 def test_cli_human_output(capsys):
     assert main(["verify", "--n", "2"]) == EXIT_OK
     out = capsys.readouterr().out
@@ -502,3 +512,31 @@ def test_verify_n3_d2_without_enumerating_group():
     assert d["group_order"] == 2_064_384
     assert d["split"] == {"complement_order": 504, "intersection_order": 1}
     assert d["degrees"] == [576, 3584, 1]
+
+
+def test_verify_n6_d0_reads_the_line_forms(monkeypatch, degree_spy):
+    # a passing d=0 run decides the criterion from the q+1 lifted forms:
+    # the lifted family is never expanded, and nothing passes degree q^2 + 1
+    def refuse(desc):
+        raise AssertionError("the small family was expanded")
+
+    monkeypatch.setattr(refl2.cli, "small_family", refuse)
+    code, report = run_verify(VerifyConfig(n=6, d=0))
+    r = report.to_dict()
+    assert (code, r["verdict"], r["degrees"]) == (EXIT_OK, "POLYNOMIAL", [65, 4032, 1])
+    assert r["degree_product"] == r["group_order"] == 262080
+    assert degree_spy.top <= (1 << 12) + 1
+
+
+def test_verify_n7_d1_splits_without_listing_h(monkeypatch):
+    # |H| = 2 097 024: the orbit of 0 (8 128 points) and its stabilizer,
+    # of order 2(q + 1) = 258, give it with no closure
+    def refuse(*args, **kwargs):
+        raise AssertionError("H was listed")
+
+    monkeypatch.setattr(grouplift, "closure", refuse)
+    code, report = run_verify(VerifyConfig(n=7, d=1))
+    r = report.to_dict()
+    assert (code, r["verdict"]) == (EXIT_OK, "POLYNOMIAL")
+    assert r["split"] == {"complement_order": 2097024, "intersection_order": 1}
+    assert r["group_order"] == 16384 * 2097024

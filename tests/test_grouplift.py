@@ -1,3 +1,4 @@
+import functools
 import random
 from itertools import product as iproduct
 
@@ -10,6 +11,7 @@ from refl2.grouplift import (
     ClosureCapError,
     LambdaSpace,
     Mat3,
+    SplitReport,
     closure,
     cocycle_f,
     cocycle_g,
@@ -479,3 +481,68 @@ def test_h_gamma_n3_closure_cardinality():
     for gamma in (0, 1):
         H = h_gamma(gamma, 3, GF8)
         assert len(H) == 504
+
+
+@functools.lru_cache(maxsize=None)
+def closure_of(lifts: tuple) -> list:
+    return list(closure(list(lifts)))
+
+
+def split_reference(ls, lifts):
+    """`verify_splitting`'s report by BFS: H = <lifts> enumerated by
+    `closure`, and |N meet H| counted over its elements."""
+    H = closure_of(tuple(lifts))
+    inter = sum(1 for m in H if ls.kernel_contains(m))
+    N = ls.kernel_order
+    return SplitReport(N * len(H) // inter, N, len(H), inter)
+
+
+@pytest.mark.parametrize("variant", ["h1", "h0"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_orbit_stabilizer_split_matches_bfs_default_bases(n, variant):
+    for d in (0, 1, 2) if n < 5 else (0, 1):
+        ctx = field_new(n * (2 if d == 2 else 1))
+        ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+        lifts = list(lift_generators(variant, n, ctx))
+        rep = verify_splitting(ls, kernel_group(ls), lifts)
+        assert rep == split_reference(ls, lifts)
+        assert rep.is_split
+
+
+# the other Lambda bases the tests use, as (n, ambient modulus, basis)
+OTHER_BASES = [(2, 0x13, (0x2,)), (3, 0x43, (0x2,)), (2, 0x43, (1, 0x2))]
+
+
+@pytest.mark.parametrize("variant", ["h1", "h0"])
+@pytest.mark.parametrize("n, modulus, basis", OTHER_BASES)
+def test_orbit_stabilizer_split_matches_bfs_other_bases(n, modulus, basis, variant):
+    ls = LambdaSpace(field_new(modulus.bit_length() - 1, modulus), n, basis)
+    lifts = list(lift_generators(variant, n, ls.ambient))
+    assert verify_splitting(ls, kernel_group(ls), lifts) == split_reference(ls, lifts)
+
+
+@pytest.mark.parametrize("variant, d", [("h1", 1), ("h1", 0), ("h0", 1)])
+def test_orbit_stabilizer_split_matches_bfs_corrupted_lift(variant, d):
+    # R's third column off the cocycle: H meets N, found through the
+    # translations W that pass the sift
+    ls = LambdaSpace(GF4, 2, default_lambda_basis(d, 2, GF4))
+    R, S, T = lift_generators(variant, 2, GF4)
+    bad = Mat3.block(GF4, *R.block2(), col=(0, 1))
+    rep = verify_splitting(ls, kernel_group(ls), [bad, S, T])
+    assert rep == split_reference(ls, [bad, S, T])
+    assert rep.complement_order > 60
+    assert rep.is_split == (d == 0)
+
+
+@pytest.mark.parametrize("n, variant", [(2, "h1"), (2, "h0"), (3, "h1"), (3, "h0")])
+def test_orbit_stabilizer_split_cap_is_exact(n, variant):
+    # ClosureCapError exactly when |H| passes the cap, whether the orbit of
+    # 0 (h1) or the block chain (h0) carries the count
+    ls = LambdaSpace(GF4 if n == 2 else GF8, n, ())
+    lifts = list(lift_generators(variant, n, ls.ambient))
+    order = len(closure_of(tuple(lifts)))
+    assert verify_splitting(ls, [], lifts, cap=order).complement_order == order
+    with pytest.raises(ClosureCapError):
+        verify_splitting(ls, [], lifts, cap=order - 1)
+    with pytest.raises(ClosureCapError):
+        verify_splitting(ls, [], lifts, cap=1)

@@ -1,5 +1,3 @@
-import dataclasses
-
 import pytest
 
 from refl2.ffield import field_new, subfield_elements, subfield_generator
@@ -14,6 +12,7 @@ from refl2.grouplift import (
     sl2_generators,
 )
 from refl2.invariants import (
+    ActionDescriptor,
     ActionShapeError,
     composed_invariants,
     dickson_pair,
@@ -468,10 +467,14 @@ def test_composed_offset_zeroed_recovers_plain_pair():
     fx, fy, fz = kernel_invariants(ls)
     lifts = list(lift_generators("h1", 2, GF16))
     desc = kernel_action(lifts, fx, fy, fz, n=2)
-    zeroed = dataclasses.replace(
-        desc,
+    zeroed = ActionDescriptor(
+        desc.ctx,
+        desc.n,
+        desc.d,
+        desc.zpow,
         maps=tuple(Mat3.block(GF16, *m.block2()) for m in desc.maps),
         alpha=0,
+        e=desc.e,
     )
     ub0, c1b0, _ = composed_invariants(2, ls, zeroed)
     ub1, c1b1, _ = composed_invariants(2, ls, desc)

@@ -45,6 +45,7 @@ from refl2.verify import (
     graded_fixed_dimension,
     is_invariant,
     kemper_check,
+    kemper_lines,
     restricted_leads,
 )
 from test_mvpoly import substitute_reference
@@ -188,10 +189,8 @@ DEFAULT_CASES = list(iproduct((2, 3), (0, 1, 2), ("h1", "h0")))
 OFFSET_CASES = [(2, "h1", 0x13, (0x2,)), (2, "h0", 0x13, (0x2,)), (3, "h1", 0x43, (0x2,))]
 
 
-def both_criteria(ls, variant, column=None):
-    """The pipeline's verdict, kemper_check on the small family under the
-    maps M_g with degrees scaled by q^d, and the reference, kemper_check on
-    the expanded (u-bar, c1-bar, z) under the generators themselves.
+def small_setup(ls, variant, column=None):
+    """(|G|, the descriptor, the generators) for the lifts of the variant.
     `column` replaces the third column of the lift (index, column)."""
     n, ctx = ls.n, ls.ambient
     lifts = list(lift_generators(variant, n, ctx))
@@ -201,11 +200,22 @@ def both_criteria(ls, variant, column=None):
     translations = kernel_group(ls)
     gens = lifts + translations
     order = verify_splitting(ls, translations, lifts).group_order
-    desc = kernel_action(gens, *kernel_invariants(ls), n=n)
-    weights = (desc.zpow, desc.zpow, 1)
-    small = kemper_check(order, small_family(desc), desc.maps, weights)
-    reference = kemper_check(order, composed_invariants(n, ls, desc), gens)
-    return small, reference, desc
+    return order, kernel_action(gens, *kernel_invariants(ls), n=n), gens
+
+
+def expanded_small(order, desc):
+    """kemper_check on the expanded small family under the maps M_g, with
+    degrees scaled by q^d."""
+    return kemper_check(order, small_family(desc), desc.maps, (desc.zpow, desc.zpow, 1))
+
+
+def both_criteria(ls, variant, column=None):
+    """The pipeline's verdict, kemper_check on the small family under the
+    maps M_g with degrees scaled by q^d, and the reference, kemper_check on
+    the expanded (u-bar, c1-bar, z) under the generators themselves."""
+    order, desc, gens = small_setup(ls, variant, column)
+    reference = kemper_check(order, composed_invariants(ls.n, ls, desc), gens)
+    return expanded_small(order, desc), reference, desc
 
 
 @pytest.mark.parametrize("n, d, variant", DEFAULT_CASES)
@@ -237,6 +247,46 @@ def test_small_family_criterion_matches_expanded_perturbed_lift():
         assert small == reference
         assert "invariance" in small.failed_clauses
         assert not small.fixed_by[i][0] and not small.fixed_by[i][1]
+
+
+# -- the criterion from the line forms against the expanded small family -------
+
+LINE_CASES = DEFAULT_CASES + [
+    (4, 0, "h1"), (4, 0, "h0"), (4, 1, "h1"), (4, 1, "h0"), (5, 0, "h1"), (5, 0, "h0"),
+]
+
+
+def both_small_criteria(ls, variant, column=None):
+    """`kemper_lines` and the expanded `kemper_check` on the small family."""
+    order, desc, _ = small_setup(ls, variant, column)
+    return kemper_lines(order, desc), expanded_small(order, desc)
+
+
+@pytest.mark.parametrize("n, d, variant", LINE_CASES)
+def test_line_form_criterion_matches_expanded_default_bases(n, d, variant):
+    ctx = field_new(n * (2 if d == 2 else 1))
+    ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+    lines, expanded = both_small_criteria(ls, variant)
+    assert lines == expanded
+    assert lines.polynomial
+
+
+@pytest.mark.parametrize("n, variant, modulus, basis", OFFSET_CASES)
+def test_line_form_criterion_matches_expanded_offset_bases(n, variant, modulus, basis):
+    ls = LambdaSpace(field_new(modulus.bit_length() - 1, modulus), n, basis)
+    lines, expanded = both_small_criteria(ls, variant)
+    assert lines == expanded
+    assert lines.polynomial
+
+
+def test_line_form_criterion_perturbed_lift_takes_the_fallback():
+    # negative control: the offset P(1) moves the lifted forms off one
+    # another, so the forms decide nothing, and the expanded check fails
+    ls = LambdaSpace(field_new(4, 0x13), 2, (0x2,))
+    for variant, i in (("h1", 1), ("h0", 0)):
+        lines, expanded = both_small_criteria(ls, variant, column=(i, (1, 0)))
+        assert lines is None
+        assert "invariance" in expanded.failed_clauses
 
 
 # -- graded fixed dimension ----------------------------------------------------
