@@ -27,6 +27,7 @@ from refl2.invariants import (
     ActionShapeError,
     kernel_action,
     kernel_invariants,
+    restricted_pair,
     small_family,
 )
 from refl2.verify import (
@@ -241,8 +242,10 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
         if cfg.oracle_max_degree > 0:
             # u-bar(x, y, 0) = u~(x^Q, y^Q, 0) with Q = q^d, and likewise
             # c1-bar, so independent leads of the small family at z = 0
-            # make the generated side a count (refl2.verify module doc)
-            u, c1, _ = small or small_family(desc)
+            # make the generated side a count (refl2.verify module doc);
+            # `kemper_lines` decided only after checking that the plane
+            # pair is that restriction
+            u, c1 = small[:2] if small else restricted_pair(desc)
             try:
                 restricted_leads(u, c1)
             except ValueError as exc:

@@ -16,7 +16,8 @@ of degree 64 is checked at once.  Subfields are found without factoring
 2^m - 1 (`subfield_elements`); only a multiplicative generator of the
 whole field (`mult_generator`) needs that factorization, which Pollard's
 rho finds and Miller-Rabin proves (`_factorize`), so 2^62 - 1 takes
-milliseconds.
+milliseconds.  `gf2_insert` is the GF(2) echelon step on bit rows that
+the oracle and the split's translations share.
 """
 
 from __future__ import annotations
@@ -356,6 +357,20 @@ def subfield_elements(ctx: FieldCtx, n: int) -> list[int]:
     out = [0] + [ctx.pow_(h, i) for i in range(q - 1)]
     assert len(set(out)) == q
     return sorted(out)
+
+
+def gf2_insert(basis: dict, v: int) -> int:
+    """Reduce the GF(2) row v (bit i of the int is column i) by the rows
+    of `basis`, each keyed by the length of its highest set bit, and add
+    the remainder if it is nonzero; return the remainder."""
+    while v:
+        top = v.bit_length()
+        row = basis.get(top)
+        if row is None:
+            basis[top] = v
+            break
+        v ^= row
+    return v
 
 
 def subfield_generator(ctx: FieldCtx, n: int) -> int:

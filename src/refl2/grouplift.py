@@ -6,9 +6,9 @@ f(x,y) = 1 + x + y + x^(2^(n-1)) y^(2^(n-1)) and its homogeneous
 companion g = f + 1, the cocycle subgroups H_gamma, the translation
 kernel N = Lambda_1^2 for a GF(2^n)-subspace Lambda_1 of the ambient
 field, breadth-first group closure, and the semidirect-split check, which
-finds |<lifts>| by orbit and stabilizer instead of closure.  Lambda_1 is
-held as its subspace polynomial and N as its 2d generating translations;
-neither is listed element by element.
+finds |<lifts>| from a Schreier-Sims chain on the lines of the plane
+instead of closure.  Lambda_1 is held as its subspace polynomial and N as
+its 2d generating translations; neither is listed element by element.
 
 Matrices are immutable; the canonical encoding used for dedup, sorting
 and golden files is the row-major 9-tuple of element bit-vectors.
@@ -17,8 +17,11 @@ and golden files is the row-major 9-tuple of element bit-vectors.
 from __future__ import annotations
 
 from itertools import product as iproduct
+from math import prod
 
-from refl2.ffield import FieldCtx, mult_generator, subfield_elements, subfield_generator
+from refl2.ffield import (
+    FieldCtx, gf2_insert, mult_generator, subfield_elements, subfield_generator,
+)
 
 
 class ClosureCapError(RuntimeError):
@@ -27,23 +30,6 @@ class ClosureCapError(RuntimeError):
     def __init__(self, cap: int):
         super().__init__(f"group exceeds the cap of {cap} elements")
         self.cap = cap
-
-
-def _bmul(mul, x: tuple, y: tuple) -> tuple:
-    """The product of 2x2 blocks (a, b, c, d) = [[a, b], [c, d]]."""
-    a, b, c, d = x
-    e, f, g, h = y
-    return (
-        mul(a, e) ^ mul(b, g), mul(a, f) ^ mul(b, h),
-        mul(c, e) ^ mul(d, g), mul(c, f) ^ mul(d, h),
-    )
-
-
-def _binv(ctx: FieldCtx, x: tuple) -> tuple:
-    mul = ctx.mul
-    a, b, c, d = x
-    di = ctx.inv(mul(a, d) ^ mul(b, c))
-    return (mul(di, d), mul(di, b), mul(di, c), mul(di, a))
 
 
 class Mat3:
@@ -112,8 +98,9 @@ class Mat3:
     def inverse(self) -> "Mat3":
         ctx = self.ctx
         mul = ctx.mul
-        ia, ib, ic, id_ = _binv(ctx, self.block2())
-        al, be = self.third_col()
+        (a, b, al), (c, d, be), _ = self.rows
+        di = ctx.inv(mul(a, d) ^ mul(b, c))
+        ia, ib, ic, id_ = mul(di, d), mul(di, b), mul(di, c), mul(di, a)
         # translation part: block_inverse * (al, be)
         ta = mul(ia, al) ^ mul(ib, be)
         tb = mul(ic, al) ^ mul(id_, be)
@@ -418,75 +405,93 @@ class SplitReport:
         return self.intersection_order == 1
 
 
-class _BlockChain:
-    """A group of invertible 2x2 blocks as a two-level Schreier-Sims chain
-    on the base (1, 0), (0, 1) (Sims 1970; Seress, Permutation Group
-    Algorithms, 2003).  `orbit` maps each point p of the orbit of (1, 0)
-    to u_p^-1, for a group element u_p with u_p (1, 0) = p; `fixer` lists
-    the subgroup fixing (1, 0) by where each element sends (0, 1), which
-    names it.  So |group| = |orbit| |fixer|, and x is in the group iff
-    u_p^-1 x, p = x (1, 0), is in `fixer` (a sift).  Past `limit`
-    elements it raises ClosureCapError(cap)."""
+def _base_image(ctx: FieldCtx, level: int, m: Mat3):
+    """Where m's block sends the chain's base point at `level`: the lines
+    through (1, 0), (0, 1) and (1, 1), each named by x/y (None for the
+    line y = 0), then the vector (1, 0)."""
+    (a, b, _), (c, d, _), _ = m.rows
+    if level == 3:
+        return a, c
+    if level == 1:
+        a, c = b, d
+    elif level == 2:
+        a, c = a ^ b, c ^ d
+    return ctx.mul(a, ctx.inv(c)) if c else None
 
-    def __init__(self, ctx: FieldCtx, limit: int, cap: int):
-        self.ctx, self.limit, self.cap = ctx, limit, cap
-        self.gens: list = []  # (g, g^-1) pairs
-        self.orbit = {(1, 0): (1, 0, 0, 1)}
-        self.fixer = {(0, 1): (1, 0, 0, 1)}
-        self.fixer_gens: list = []
 
-    def order(self) -> int:
-        return len(self.orbit) * len(self.fixer)
+class _Chain:
+    """H = <lifts>, whose elements [[A, w], [0, 1]] act on the plane by
+    v -> A v + w, as a Schreier-Sims chain (Sims 1970; Seress, Permutation
+    Group Algorithms, 2003) on the base points of `_base_image`.  Level i
+    keeps the strong generators `gens[i]`, which fix the base points
+    above it, and `orbits[i]`, which maps each point p of its base
+    point's orbit under them to (u, u^-1) for an element u sending the
+    base point to p.  An element fixing the three lines and (1, 0) has
+    block I, so below the last level lie the translations
+    {T_w in H}, held as `W`: a GF(2) echelon basis of the rows
+    w0 + w1 2^m.  So |H| is the product of the orbit lengths times
+    2^dim W.  On SL2(q) blocks the orbits have q + 1, q, q - 1 and 1
+    points."""
 
-    def _grew(self):
-        if self.order() > self.limit:
-            raise ClosureCapError(self.cap)
+    def __init__(self, ctx: FieldCtx, lifts: list[Mat3]):
+        ident = Mat3.identity(ctx)
+        self.ctx, self.lifts = ctx, lifts
+        self.gens: list[list[Mat3]] = [[], [], [], []]
+        self.orbits = [{_base_image(ctx, i, ident): (ident, ident)} for i in range(4)]
+        self.W: dict = {}
+        for g in lifts:
+            self.include(g, 0)
 
-    def __contains__(self, x: tuple) -> bool:
-        ui = self.orbit.get((x[0], x[2]))
-        if ui is None:
-            return False
-        r = _bmul(self.ctx.mul, ui, x)
-        return (r[1], r[3]) in self.fixer
-
-    def add(self, x: tuple) -> None:
-        """Extend the group by x, unless it holds x already: extend the
-        orbit, then put into `fixer` the Schreier generators
-        u_(gp)^-1 g u_p of the pairs (p, g) that are new (Schreier's lemma)."""
-        if x in self:
+    def include(self, x: Mat3, top: int) -> None:
+        """Make the chain hold x, an element of H fixing the base points
+        above level `top`: sift x down the levels, and where it leaves
+        an orbit, add what is left of it as a strong generator to every
+        level from `top` to that one."""
+        for level in range(top, 4):
+            pair = self.orbits[level].get(_base_image(self.ctx, level, x))
+            if pair is None:
+                break
+            x = pair[1] * x
+        else:
+            self._translate(x.third_col())
             return
-        ctx, mul, orbit = self.ctx, self.ctx.mul, self.orbit
-        old = len(orbit)
-        pairs = self.gens
-        pairs.append((x, _binv(ctx, x)))
-        points = list(orbit)
-        for i, p in enumerate(points):  # grows as the orbit does
-            ui = orbit[p]
-            u = _binv(ctx, ui)
-            for g, gi in pairs if i >= old else pairs[-1:]:
-                q = (mul(g[0], p[0]) ^ mul(g[1], p[1]), mul(g[2], p[0]) ^ mul(g[3], p[1]))
-                qi = orbit.get(q)
-                if qi is None:  # a tree edge: u_q = g u_p
-                    orbit[q] = _bmul(mul, ui, gi)
-                    self._grew()
-                    points.append(q)
+        for i in reversed(range(top, level + 1)):
+            self.gens[i].append(x)
+            self._extend(i, x)
+
+    def _extend(self, level: int, y: Mat3) -> None:
+        """Close the orbit at `level` under its generators, y the new one,
+        and include the Schreier generators u_(sp)^-1 s u_p of every new
+        pair (p, s) in the level below (Schreier's lemma)."""
+        orbit, gens = self.orbits[level], self.gens[level]
+        pairs = list(orbit.values())
+        old = len(pairs)
+        for i, (u, _) in enumerate(pairs):  # grows as the orbit does
+            for s in gens if i >= old else (y,):
+                x = s * u
+                p = _base_image(self.ctx, level, x)
+                pair = orbit.get(p)
+                if pair is None:
+                    orbit[p] = pair = (x, x.inverse())
+                    pairs.append(pair)
                 else:
-                    self._fix(_bmul(mul, qi, _bmul(mul, g, u)))
+                    self.include(pair[1] * x, level + 1)
 
-    def _fix(self, h: tuple) -> None:
-        """Close `fixer` under h as well."""
-        mul, fixer = self.ctx.mul, self.fixer
-        if (h[1], h[3]) in fixer:
-            return
-        self.fixer_gens.append(h)
-        elements = list(fixer.values())
-        for y in elements:  # grows as the subgroup does
-            for g in self.fixer_gens:
-                z = _bmul(mul, y, g)
-                if (z[1], z[3]) not in fixer:
-                    fixer[z[1], z[3]] = z
-                    self._grew()
-                    elements.append(z)
+    def _translate(self, w: tuple) -> None:
+        """Put w into W, and close W under w -> A w for each lift block A.
+        g T_w g^-1 = T_(A w) for g = [[A, v], [0, 1]], so that closure
+        holds in H, and it stands in for the Schreier generators
+        u^-1 T_w u of the translations at every level."""
+        ctx, m = self.ctx, self.ctx.m
+        mul, mask = ctx.mul, (1 << m) - 1
+        todo = [w[0] | w[1] << m]
+        while todo:
+            v = gf2_insert(self.W, todo.pop())
+            if v:
+                w0, w1 = v & mask, v >> m
+                for g in self.lifts:
+                    a, b, c, d = g.block2()
+                    todo.append(mul(a, w0) ^ mul(b, w1) | (mul(c, w0) ^ mul(d, w1)) << m)
 
 
 def verify_splitting(
@@ -504,43 +509,27 @@ def verify_splitting(
     means gNg^-1 = N.  With N normal, G = NH, and the product formula
     gives |G| = |N| |H| / |N meet H| with |N| = q^(2d).
 
-    |H| = |orbit of 0| |Stab(0)| for H acting on the plane by
-    v -> A v + w.  The orbit comes with the blocks of a transversal t_p
-    (t_p 0 = p), Stab(0) is the group of the Schreier generators
-    t_(gp)^-1 g t_p, and as it fixes 0 it is the group of their blocks,
-    held as a `_BlockChain`.  H holds the translation T_w iff w is in
-    the orbit and the block of t_w is in Stab(0), since then
-    t_w s^-1 = T_w for the s in Stab(0) with that block; so the W that
-    passes that sift is {w : T_w in H}, |W| = |H| / |pi(H)|, and
-    |N meet H| counts W in Lambda_1^2.  ClosureCapError exactly when
-    |H| > cap.  G splits when H meets N trivially.
+    |H| comes from the Schreier-Sims chain `_Chain`, which stores O(q)
+    points on SL2(q) blocks, and its translations W = {w : T_w in H}
+    give N meet H = W meet Lambda_1^2.  w -> (P(w0), P(w1)), P the
+    subspace polynomial, is GF(2)-linear with kernel Lambda_1^2, so
+    dim (W meet Lambda_1^2) is dim W less the rank of the images of W's
+    basis.  ClosureCapError exactly when |H| > cap.  G splits when H
+    meets N trivially.
     """
     for g in lifts:
         gi = g.inverse()
         for t in translations:
             if not ls.kernel_contains(g * t * gi):
                 raise ValueError("kernel is not normal in the group")
-    ctx = ls.ambient
-    mul = ctx.mul
-    gens = [(g.block2(), g.third_col()) for g in lifts]
-    blocks = {(0, 0): (1, 0, 0, 1)}  # point p -> block of t_p
-    points = [(0, 0)]
-    edges = []  # (g p, block of g t_p) off the tree
-    for p in points:  # grows as the orbit does
-        u = blocks[p]
-        for A, (w0, w1) in gens:
-            q = (mul(A[0], p[0]) ^ mul(A[1], p[1]) ^ w0, mul(A[2], p[0]) ^ mul(A[3], p[1]) ^ w1)
-            if q in blocks:
-                edges.append((q, _bmul(mul, A, u)))
-            elif len(points) >= cap:
-                raise ClosureCapError(cap)
-            else:
-                blocks[q] = _bmul(mul, A, u)
-                points.append(q)
-    stab = _BlockChain(ctx, cap // len(points), cap)
-    for q, gu in edges:
-        stab.add(_bmul(mul, _binv(ctx, blocks[q]), gu))
-    order = len(points) * stab.order()
-    inter = sum(1 for (a, b), u in blocks.items() if u in stab and a in ls and b in ls)
+    chain = _Chain(ls.ambient, lifts)
+    order = prod(map(len, chain.orbits)) << len(chain.W)
+    if order > cap:
+        raise ClosureCapError(cap)
+    m = ls.ambient.m
+    images: dict = {}
+    for v in chain.W.values():
+        gf2_insert(images, ls.value(v & (1 << m) - 1) | ls.value(v >> m) << m)
+    inter = 1 << (len(chain.W) - len(images))
     N = ls.kernel_order
     return SplitReport(N * order // inter, N, order, inter)

@@ -86,7 +86,7 @@ expression attempt, then one `act` of p per generator.
 
 from __future__ import annotations
 
-from refl2.ffield import FieldCtx
+from refl2.ffield import FieldCtx, gf2_insert
 from refl2.grouplift import Mat3
 from refl2.invariants import ActionDescriptor, line_forms, restricted_pair
 from refl2.mvpoly import MultiPoly, _term_key, format_terms, jacobian_det
@@ -283,19 +283,6 @@ def oracle_row_bits(max_deg: int, k: int, m: int) -> int:
     return (max_deg + 1) ** 2 * k * m
 
 
-def _insert(basis: dict, v: int) -> None:
-    """Reduce the GF(2) row v (bit i of the int is column i) by the rows
-    of `basis`, each keyed by the length of its highest set bit, and add
-    the remainder if it is nonzero."""
-    while v:
-        top = v.bit_length()
-        row = basis.get(top)
-        if row is None:
-            basis[top] = v
-            return
-        v ^= row
-
-
 def _repeat(width: int, count: int) -> int:
     """Bit 0 of each of `count` consecutive blocks of `width` bits."""
     return ((1 << width * count) - 1) // ((1 << width) - 1)
@@ -337,7 +324,7 @@ def _rank(ctx: FieldCtx, vectors, tops: int, basis: dict) -> int:
     return the field rank of all it holds."""
     for v in vectors:
         for row in _field_rows(ctx, v, tops):
-            _insert(basis, row)
+            gf2_insert(basis, row)
     rank, rest = divmod(len(basis), ctx.m)
     assert not rest
     return rank

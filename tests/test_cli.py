@@ -438,20 +438,32 @@ def test_verify_oracle_builds_no_composed_invariant(degree_spy, n, d, top):
 
 
 def test_verify_oracle_refuses_dependent_leads(monkeypatch, capsys):
-    # negative control: (u~, u~^2, z) has dependent leads at z = 0, so the
-    # count is not its generated dimension and the oracle refuses it
-    small_family = refl2.cli.small_family
+    # negative control: (u, u^2) has dependent leads, so the count is not
+    # its generated dimension and the oracle refuses it; the premise reads
+    # the plane pair that `kemper_lines` checked as u~ and c1~ at z = 0
+    restricted_pair = refl2.cli.restricted_pair
 
     def dependent(desc):
-        u, _, z = small_family(desc)
-        return u, u * u, z
+        u, _ = restricted_pair(desc)
+        return u, u * u
 
-    monkeypatch.setattr(refl2.cli, "small_family", dependent)
+    monkeypatch.setattr(refl2.cli, "restricted_pair", dependent)
     assert main(["verify", "--n", "2", "--oracle-max-degree", "5"]) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     verdict = captured.out.splitlines()[-1]
     assert verdict.startswith("verdict     FAIL(") and "action-shape" in verdict
     assert "Traceback" not in captured.err
+
+
+def test_verify_oracle_premise_expands_no_small_family(monkeypatch, capsys):
+    # the lifted family's restriction to z = 0 is the checked plane pair,
+    # so the oracle's lead premise needs no expanded c1~
+    def refuse(desc):
+        raise AssertionError("the small family was expanded")
+
+    monkeypatch.setattr(refl2.cli, "small_family", refuse)
+    assert main(["verify", "--n", "4", "--d", "0", "--oracle-max-degree", "10"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1].startswith("verdict     POLYNOMIAL")
 
 
 @pytest.mark.parametrize(
@@ -529,8 +541,8 @@ def test_verify_n6_d0_reads_the_line_forms(monkeypatch, degree_spy):
 
 
 def test_verify_n7_d1_splits_without_listing_h(monkeypatch):
-    # |H| = 2 097 024: the orbit of 0 (8 128 points) and its stabilizer,
-    # of order 2(q + 1) = 258, give it with no closure
+    # |H| = 2 097 024 = 129 * 128 * 127: the chain's orbits on the lines
+    # give it with no closure
     def refuse(*args, **kwargs):
         raise AssertionError("H was listed")
 

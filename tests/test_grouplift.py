@@ -497,6 +497,136 @@ def split_reference(ls, lifts):
     return SplitReport(N * len(H) // inter, N, len(H), inter)
 
 
+def _bmul(mul, x, y):
+    a, b, c, d = x
+    e, f, g, h = y
+    return (
+        mul(a, e) ^ mul(b, g), mul(a, f) ^ mul(b, h),
+        mul(c, e) ^ mul(d, g), mul(c, f) ^ mul(d, h),
+    )
+
+
+def _binv(ctx, x):
+    a, b, c, d = x
+    di = ctx.inv(ctx.mul(a, d) ^ ctx.mul(b, c))
+    return tuple(ctx.mul(di, v) for v in (d, b, c, a))
+
+
+class _BlockChain:
+    """A group of 2x2 blocks as a two-level Schreier-Sims chain on the
+    base (1, 0), (0, 1): `orbit` maps each point p of the orbit of
+    (1, 0) to u_p^-1, and `fixer` names the stabilizer of (1, 0) by
+    where each element sends (0, 1)."""
+
+    def __init__(self, ctx):
+        self.ctx = ctx
+        self.gens = []  # (g, g^-1) pairs
+        self.orbit = {(1, 0): (1, 0, 0, 1)}
+        self.fixer = {(0, 1): (1, 0, 0, 1)}
+        self.fixer_gens = []
+
+    def order(self):
+        return len(self.orbit) * len(self.fixer)
+
+    def __contains__(self, x):
+        ui = self.orbit.get((x[0], x[2]))
+        if ui is None:
+            return False
+        r = _bmul(self.ctx.mul, ui, x)
+        return (r[1], r[3]) in self.fixer
+
+    def add(self, x):
+        if x in self:
+            return
+        ctx, mul, orbit = self.ctx, self.ctx.mul, self.orbit
+        old = len(orbit)
+        pairs = self.gens
+        pairs.append((x, _binv(ctx, x)))
+        points = list(orbit)
+        for i, p in enumerate(points):
+            ui = orbit[p]
+            u = _binv(ctx, ui)
+            for g, gi in pairs if i >= old else pairs[-1:]:
+                q = (mul(g[0], p[0]) ^ mul(g[1], p[1]), mul(g[2], p[0]) ^ mul(g[3], p[1]))
+                qi = orbit.get(q)
+                if qi is None:
+                    orbit[q] = _bmul(mul, ui, gi)
+                    points.append(q)
+                else:
+                    self._fix(_bmul(mul, qi, _bmul(mul, g, u)))
+
+    def _fix(self, h):
+        mul, fixer = self.ctx.mul, self.fixer
+        if (h[1], h[3]) in fixer:
+            return
+        self.fixer_gens.append(h)
+        elements = list(fixer.values())
+        for y in elements:
+            for g in self.fixer_gens:
+                z = _bmul(mul, y, g)
+                if (z[1], z[3]) not in fixer:
+                    fixer[z[1], z[3]] = z
+                    elements.append(z)
+
+
+def orbit_stabilizer_split(ls, lifts):
+    """`verify_splitting`'s report by orbit and stabilizer, the reference
+    for the chain up to n = 8: |H| = |orbit of 0 under v -> A v + w|
+    |Stab(0)|, Stab(0) generated by the blocks of the Schreier generators
+    t_(gp)^-1 g t_p, and W = {w : T_w in H} the orbit points whose
+    transversal block lies in Stab(0).  O(q^2) points and blocks."""
+    ctx = ls.ambient
+    mul = ctx.mul
+    gens = [(g.block2(), g.third_col()) for g in lifts]
+    blocks = {(0, 0): (1, 0, 0, 1)}  # point p -> block of t_p
+    points = [(0, 0)]
+    edges = []  # (g p, block of g t_p) off the tree
+    for p in points:
+        u = blocks[p]
+        for A, (w0, w1) in gens:
+            q = (mul(A[0], p[0]) ^ mul(A[1], p[1]) ^ w0, mul(A[2], p[0]) ^ mul(A[3], p[1]) ^ w1)
+            if q in blocks:
+                edges.append((q, _bmul(mul, A, u)))
+            else:
+                blocks[q] = _bmul(mul, A, u)
+                points.append(q)
+    stab = _BlockChain(ctx)
+    for q, gu in edges:
+        stab.add(_bmul(mul, _binv(ctx, blocks[q]), gu))
+    order = len(points) * stab.order()
+    inter = sum(1 for (a, b), u in blocks.items() if u in stab and a in ls and b in ls)
+    N = ls.kernel_order
+    return SplitReport(N * order // inter, N, order, inter)
+
+
+@pytest.mark.parametrize(
+    "n, d, variant, kind",
+    [(n, d, v, None) for n in (6, 7) for d in (0, 1) for v in ("h1", "h0")]
+    + [(4, 1, v, k) for v in ("h1", "h0") for k in ("R", "T", "S")],
+)
+def test_chain_split_matches_orbit_stabilizer_split(n, d, variant, kind):
+    # |H| = 1 044 480 for the n=4 controls, too many to list by BFS
+    ctx = field_new(n)
+    ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+    lifts = control_lifts(kind, variant, n, ctx) if kind else list(lift_generators(variant, n, ctx))
+    cap = 1 << 40
+    assert verify_splitting(ls, kernel_group(ls), lifts, cap) == orbit_stabilizer_split(ls, lifts)
+
+
+@pytest.mark.parametrize("variant", ["h1", "h0"])
+@pytest.mark.parametrize("n, d", [(9, 0), (10, 0), (12, 0), (10, 1)])
+def test_chain_split_at_scale(n, d, variant):
+    # O(q) chain points: the orbits have q + 1, q, q - 1 and 1 points
+    ctx = field_new(n)
+    ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+    lifts = list(lift_generators(variant, n, ctx))
+    rep = verify_splitting(ls, kernel_group(ls), lifts, cap=1 << 60)
+    q = 1 << n
+    assert rep.complement_order == q * (q * q - 1)
+    assert rep.intersection_order == 1
+    assert rep.group_order == q ** (2 * d) * q * (q * q - 1)
+
+
 @pytest.mark.parametrize("variant", ["h1", "h0"])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_orbit_stabilizer_split_matches_bfs_default_bases(n, variant):
@@ -521,16 +651,37 @@ def test_orbit_stabilizer_split_matches_bfs_other_bases(n, modulus, basis, varia
     assert verify_splitting(ls, kernel_group(ls), lifts) == split_reference(ls, lifts)
 
 
-@pytest.mark.parametrize("variant, d", [("h1", 1), ("h1", 0), ("h0", 1)])
-def test_orbit_stabilizer_split_matches_bfs_corrupted_lift(variant, d):
-    # R's third column off the cocycle: H meets N, found through the
-    # translations W that pass the sift
-    ls = LambdaSpace(GF4, 2, default_lambda_basis(d, 2, GF4))
-    R, S, T = lift_generators(variant, 2, GF4)
-    bad = Mat3.block(GF4, *R.block2(), col=(0, 1))
-    rep = verify_splitting(ls, kernel_group(ls), [bad, S, T])
-    assert rep == split_reference(ls, [bad, S, T])
-    assert rep.complement_order > 60
+def control_lifts(kind, variant, n, ctx):
+    """The lifts with one change that makes H meet the translations: R's
+    third column off the cocycle ("R"), the translation T_(1,0) added
+    ("T"), or S's third column set to (1, 0) ("S")."""
+    R, S, T = lift_generators(variant, n, ctx)
+    if kind == "R":
+        return [Mat3.block(ctx, *R.block2(), col=(0, 1)), S, T]
+    if kind == "T":
+        return [R, S, T, Mat3.translation(ctx, 1, 0)]
+    return [R, Mat3.block(ctx, *S.block2(), col=(1, 0)), T]
+
+
+@pytest.mark.parametrize(
+    "n, variant, d, kind",
+    [
+        pytest.param(2, "h1", 1, "R", id="h1-1"),
+        pytest.param(2, "h1", 0, "R", id="h1-0"),
+        pytest.param(2, "h0", 1, "R", id="h0-1"),
+    ]
+    + [(n, v, 1, k) for n in (2, 3) for v in ("h1", "h0") for k in ("T", "S")],
+)
+def test_orbit_stabilizer_split_matches_bfs_corrupted_lift(n, variant, d, kind):
+    # H meets the translations, found through the translations W at the
+    # bottom of the chain and their closure under the blocks
+    ctx = GF4 if n == 2 else GF8
+    ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+    lifts = control_lifts(kind, variant, n, ctx)
+    rep = verify_splitting(ls, kernel_group(ls), lifts)
+    assert rep == split_reference(ls, lifts)
+    q = 1 << n
+    assert rep.complement_order > q * (q * q - 1)
     assert rep.is_split == (d == 0)
 
 
