@@ -222,10 +222,11 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
         report.action_note = _action_note(desc)
 
         # (u-bar, c1-bar, z) checked as the small family under the maps
-        # M_g: a lifted family from its line forms, expanded when they do
-        # not decide it; the closed-form pair, of q + 1 terms, expanded
+        # M_g: a lifted family from its line forms and the plane pair, built
+        # once, expanded when they do not decide it; the closed form expanded
         small = None
-        verdict = None if desc.all_offsets_zero else kemper_lines(split.group_order, desc)
+        pair = None if desc.all_offsets_zero else restricted_pair(desc)
+        verdict = pair and kemper_lines(split.group_order, desc, pair)
         if verdict is None:
             small = small_family(desc)
             weights = (desc.zpow, desc.zpow, 1)
@@ -243,9 +244,8 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
             # u-bar(x, y, 0) = u~(x^Q, y^Q, 0) with Q = q^d, and likewise
             # c1-bar, so independent leads of the small family at z = 0
             # make the generated side a count (refl2.verify module doc);
-            # `kemper_lines` decided only after checking that the plane
-            # pair is that restriction
-            u, c1 = small[:2] if small else restricted_pair(desc)
+            # when `kemper_lines` decided, `pair` is that restriction, checked
+            u, c1 = (small or pair)[:2]
             try:
                 restricted_leads(u, c1)
             except ValueError as exc:

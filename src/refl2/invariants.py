@@ -19,8 +19,8 @@
   c1~ = sum_L (u~/L~)^(q-1) restrict to u, c1 at z = 0.  Since
   u~ (u~/L~)^(q-1) = L~ (u~/L~)^q, c1~ is built as
       u~ c1~ = sum_L L~ (u~/L~)^q,
-  where the q-th power is n termwise Frobenius steps and the division
-  by u~ is exact: the right side is u~ times the polynomial c1~.
+  where u~/L~ is an exact quotient (`MultiPoly.div_exact`), its q-th
+  power one termwise Frobenius pass, and the division by u~ is exact.
   An optional scale multiplies g: scale 1 gives outputs invariant under
   the cocycle subgroup H_1, while the pipeline uses scale (1 + e^-1)^-1
   to match the lifted generators actually closed over.
@@ -85,23 +85,17 @@ def _forms(ctx: FieldCtx, n: int, gscale: int) -> list[tuple[int, int, int]]:
 
 def _line_products(forms, X: MultiPoly, Y: MultiPoly, Z: MultiPoly):
     """(u, sum_L L (u/L)^q) for u = prod_L L over the forms L = a X + b Y
-    + c Z, q + 1 of them.  u/L is the product of the other q forms, kept
-    as prefix and suffix products, and its q-th power is n Frobenius steps."""
-    n = (len(forms) - 1).bit_length() - 1
+    + c Z, q + 1 of them.  u is one running product, and each u/L is its
+    exact quotient by L (`MultiPoly.div_exact`)."""
+    q = len(forms) - 1
     polys = [X.scale(a) + Y.scale(b) + Z.scale(c) for a, b, c in forms]
-    # prefix[i] is the product of polys[:i]; suffix that of polys[i+1:]
-    prefix = [MultiPoly.one(X.ctx)]
+    u = MultiPoly.one(X.ctx)
     for L in polys:
-        prefix.append(prefix[-1] * L)
+        u = u * L
     num = MultiPoly.zero(X.ctx)
-    suffix = MultiPoly.one(X.ctx)
-    for i in reversed(range(len(polys))):
-        r = prefix[i] * suffix
-        for _ in range(n):
-            r = r.frobenius()
-        num = num + polys[i] * r
-        suffix = suffix * polys[i]
-    return prefix[-1], num
+    for L in polys:
+        num = num + L * u.div_exact(L) ** q
+    return u, num
 
 
 def _lifted_family(forms, X: MultiPoly, Y: MultiPoly, Z: MultiPoly):
@@ -241,12 +235,16 @@ def _family(desc: ActionDescriptor, X: MultiPoly, Y: MultiPoly, W: MultiPoly):
 def restricted_pair(desc: ActionDescriptor):
     """(u~, c1~) at z = 0 without building them: the closed-form pair
     (u, c1), checked against the products of the q+1 plane forms,
-    u = prod_L L and u c1 = sum_L L (u/L)^q, which are the restrictions
-    of the small family whatever the lift (`line_forms`); None when the
-    check fails.  No polynomial of degree above q^2 + 1 is built."""
+    u = prod_L L and u c1 = sum_L L (u/L)^q with u/L an exact quotient,
+    which are the restrictions of the small family whatever the lift
+    (`line_forms`); None when the check fails or a division raises.  No
+    polynomial of degree above q^2 + 1 is built."""
     x, y, z = (MultiPoly.variable(desc.ctx, i) for i in range(3))
     u, c1 = _dickson(1 << desc.n, x, y)
-    plane_u, num = _line_products(_forms(desc.ctx, desc.n, 0), x, y, z)
+    try:
+        plane_u, num = _line_products(_forms(desc.ctx, desc.n, 0), x, y, z)
+    except ValueError:
+        return None
     return (u, c1) if plane_u == u and num == u * c1 else None
 
 

@@ -281,23 +281,23 @@ class MultiPoly:
             self.ctx, {e: prod[left[v] + rc] for e, v in self._terms.items()}
         )
 
-    def frobenius(self) -> "MultiPoly":
-        """The square, computed termwise (valid in characteristic 2)."""
-        left, right, prod = _coeff_tables(self.ctx)
+    def frobenius(self, k: int = 1) -> "MultiPoly":
+        """The 2^k-th power, computed termwise in one pass (valid in
+        characteristic 2): exponents times 2^k, coefficients to the 2^k."""
+        t, pow_ = 1 << k, self.ctx.pow_
         return MultiPoly(
             self.ctx,
-            {
-                (2 * a, 2 * b, 2 * c): prod[left[v] + right[v]]
-                for (a, b, c), v in self._terms.items()
-            },
+            {(t * a, t * b, t * c): pow_(v, t) for (a, b, c), v in self._terms.items()},
         )
 
     def __pow__(self, k: int) -> "MultiPoly":
-        """The k-th power, by squaring (`frobenius`) and multiplying."""
+        """The k-th power: the 2^s-th power for the largest 2^s dividing k
+        in one `frobenius` pass, then by squaring and multiplying."""
         if k < 0:
             raise ValueError("negative polynomial power")
+        s = (k & -k).bit_length() - 1 if k else 0
         result = MultiPoly.one(self.ctx)
-        base, e = self, k
+        base, e = self.frobenius(s) if s else self, k >> s
         while e:
             if e & 1:
                 result = result * base

@@ -88,7 +88,7 @@ from __future__ import annotations
 
 from refl2.ffield import FieldCtx, gf2_insert
 from refl2.grouplift import Mat3
-from refl2.invariants import ActionDescriptor, line_forms, restricted_pair
+from refl2.invariants import ActionDescriptor, line_forms
 from refl2.mvpoly import MultiPoly, _term_key, format_terms, jacobian_det
 
 
@@ -209,7 +209,7 @@ def kemper_check(
     )
 
 
-def kemper_lines(group_order: int, desc: ActionDescriptor) -> KemperVerdict | None:
+def kemper_lines(group_order: int, desc: ActionDescriptor, pair) -> KemperVerdict | None:
     """`kemper_check` of the small family (u~, c1~, z) under the maps M_g
     with weights (q^d, q^d, 1), read off the q+1 `line_forms` L instead
     of the expanded polynomials; None when that does not decide it.
@@ -224,8 +224,8 @@ def kemper_lines(group_order: int, desc: ActionDescriptor) -> KemperVerdict | No
     otherwise this returns None.
     The degrees are q + 1 and q^2 - q.  Setting z = 0 commutes with the
     x and y partials, so J(u~, c1~, z) = J_xy(u~, c1~) restricts to
-    J(u, c1, z) of the plane pair (`restricted_pair`), and is nonzero
-    when that is; otherwise this returns None."""
+    J(u, c1, z) of `pair`, the plane pair from `restricted_pair` (built
+    once by the caller), and is nonzero when that is; else None."""
     ctx, n = desc.ctx, desc.n
     mul, inv = ctx.mul, ctx.inv
     forms = line_forms(desc)
@@ -247,7 +247,6 @@ def kemper_lines(group_order: int, desc: ActionDescriptor) -> KemperVerdict | No
             images.add(image)
             scale = mul(scale, lam)
         fixed_by.append((scale == 1, True, True))
-    pair = restricted_pair(desc)
     if pair is None or jacobian_det(*pair, MultiPoly.variable(ctx, 2)).is_zero():
         return None
     q = 1 << n

@@ -9,7 +9,8 @@ from pathlib import Path
 import pytest
 
 import refl2.cli
-from refl2 import ffield, grouplift
+import refl2.verify
+from refl2 import ffield, grouplift, invariants
 from refl2.cli import (
     EXIT_BAD_CONFIG,
     EXIT_CHECK_FAILED,
@@ -440,18 +441,77 @@ def test_verify_oracle_builds_no_composed_invariant(degree_spy, n, d, top):
 def test_verify_oracle_refuses_dependent_leads(monkeypatch, capsys):
     # negative control: (u, u^2) has dependent leads, so the count is not
     # its generated dimension and the oracle refuses it; the premise reads
-    # the plane pair that `kemper_lines` checked as u~ and c1~ at z = 0
-    restricted_pair = refl2.cli.restricted_pair
+    # the plane pair that `kemper_lines` checked as u~ and c1~ at z = 0, and
+    # only the premise sees the dependent pair: `kemper_lines` gets the
+    # checked one and decides
+    restricted_leads = refl2.cli.restricted_leads
 
-    def dependent(desc):
-        u, _ = restricted_pair(desc)
-        return u, u * u
+    def dependent(u, c1):
+        return restricted_leads(u, u * u)
 
-    monkeypatch.setattr(refl2.cli, "restricted_pair", dependent)
+    monkeypatch.setattr(refl2.cli, "restricted_leads", dependent)
     assert main(["verify", "--n", "2", "--oracle-max-degree", "5"]) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
     verdict = captured.out.splitlines()[-1]
     assert verdict.startswith("verdict     FAIL(") and "action-shape" in verdict
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, calls",
+    [(["--n", "4", "--d", "0", "--oracle-max-degree", "10"], 1), (["--n", "3", "--d", "1"], 0)],
+)
+def test_verify_builds_the_plane_pair_at_most_once(monkeypatch, argv, calls):
+    # a lifted run builds the checked plane pair once, for the criterion and
+    # the oracle's lead premise alike; a closed-form run never builds it
+    built = []
+
+    def counted(desc):
+        built.append(desc)
+        return invariants.restricted_pair(desc)
+
+    for module in (refl2.cli, refl2.verify):
+        if hasattr(module, "restricted_pair"):
+            monkeypatch.setattr(module, "restricted_pair", counted)
+    assert main(["verify", *argv, "--quiet"]) == EXIT_OK
+    assert len(built) == calls
+
+
+def test_verify_plane_form_off_the_line_takes_the_fallback(monkeypatch, capsys):
+    # negative control: a plane form x + s y with s outside GF(q) does not
+    # divide u = x^q y + x y^q, so the plane pair is refused (None) while
+    # the lifted forms stay as they are; the run then reports the expanded
+    # fallback's verdict, the same report as an unpatched run, and no
+    # traceback
+    cfg = VerifyConfig(n=2, modulus_ambient=0x13, oracle_max_degree=5)
+    reference = run_verify(cfg)[1].to_dict()
+    forms = invariants._forms
+
+    def off_line(ctx, n, gscale):
+        out = forms(ctx, n, gscale)
+        if gscale == 0:
+            out[-1] = (1, next(v for v in range(ctx.order) if not ctx.in_subfield(v, n)), 0)
+        return out
+
+    expanded = []
+    small_family = refl2.cli.small_family
+
+    def counted(desc):
+        expanded.append(desc)
+        return small_family(desc)
+
+    monkeypatch.setattr(invariants, "_forms", off_line)
+    monkeypatch.setattr(refl2.cli, "small_family", counted)
+    code, report = run_verify(cfg)
+    r = report.to_dict()
+    for d in (r, reference):
+        d.pop("elapsed_ms")
+    assert (code, r) == (EXIT_OK, reference)
+    assert len(expanded) == 1 and invariants.restricted_pair(expanded[0]) is None
+    argv = ["verify", "--n", "2", "--modulus-ambient", "0x13", "--oracle-max-degree", "5"]
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].startswith("verdict     POLYNOMIAL")
     assert "Traceback" not in captured.err
 
 

@@ -13,6 +13,8 @@ from refl2.grouplift import (
 )
 from refl2.invariants import (
     ActionDescriptor,
+    _forms,
+    _line_products,
     ActionShapeError,
     composed_invariants,
     dickson_pair,
@@ -21,10 +23,12 @@ from refl2.invariants import (
     kernel_action,
     kernel_invariants,
     lifted_invariants,
+    line_forms,
     small_family,
 )
 from refl2.mvpoly import MultiPoly, jacobian_det
 from test_grouplift import kernel_reference, lambda_span_reference
+from test_verify import OFFSET_CASES
 
 GF2 = field_new(1)
 GF4 = field_new(2)
@@ -96,6 +100,27 @@ def lifted_family_reference(ctx, n, X, Y, Z, gscale=1):
     return prefix[-1], c1
 
 
+def prefix_suffix_line_products(forms, X, Y, Z):
+    """Reference for `_line_products`: (u, sum_L L (u/L)^q) with u/L the
+    product of the other q forms, kept as prefix and suffix products, and
+    its q-th power n Frobenius squarings."""
+    n = (len(forms) - 1).bit_length() - 1
+    polys = [X.scale(a) + Y.scale(b) + Z.scale(c) for a, b, c in forms]
+    # prefix[i] is the product of polys[:i]; suffix that of polys[i+1:]
+    prefix = [MultiPoly.one(X.ctx)]
+    for L in polys:
+        prefix.append(prefix[-1] * L)
+    num = MultiPoly.zero(X.ctx)
+    suffix = MultiPoly.one(X.ctx)
+    for i in reversed(range(len(polys))):
+        r = prefix[i] * suffix
+        for _ in range(n):
+            r = r.frobenius()
+        num = num + polys[i] * r
+        suffix = suffix * polys[i]
+    return prefix[-1], num
+
+
 def xyz(ctx):
     return tuple(MultiPoly.variable(ctx, i) for i in range(3))
 
@@ -152,6 +177,32 @@ def test_small_family_matches_power_reference_offset_bases(n, modulus):
         ctx, n, x, y, z.scale(desc.alpha), displayed_scale(n, ctx)
     )
     assert small_family(desc) == (*reference, z)
+
+
+LINE_PRODUCT_CASES = [
+    pytest.param(n, variant, None, None, d, id=f"{n}-{d}-{variant}")
+    for n in range(2, 7)
+    for d in (0, 1, 2)
+    for variant in ("h1", "h0")
+] + [
+    pytest.param(n, variant, modulus, basis, 1, id=f"{n}-{variant}-{modulus:#x}-{basis[0]:#x}")
+    for n, variant, modulus, basis in OFFSET_CASES
+]
+
+
+@pytest.mark.parametrize("n, variant, modulus, basis, d", LINE_PRODUCT_CASES)
+def test_line_products_match_prefix_suffix_reference(n, variant, modulus, basis, d):
+    # the running product and its exact quotients against the prefix and
+    # suffix products, on the pipeline's forms (lifted at h1 d=0 and on the
+    # offset bases) and on the plane forms
+    m = modulus.bit_length() - 1 if modulus else n * (2 if d == 2 else 1)
+    ctx = field_new(m, modulus)
+    ls = LambdaSpace(ctx, n, basis or default_lambda_basis(d, n, ctx))
+    gens = list(lift_generators(variant, n, ctx)) + kernel_group(ls, cap=1 << 30)
+    desc = kernel_action(gens, *kernel_invariants(ls), n=n)
+    plane = _forms(ctx, n, 0)
+    for forms in [plane] + ([] if desc.all_offsets_zero else [line_forms(desc)]):
+        assert _line_products(forms, *xyz(ctx)) == prefix_suffix_line_products(forms, *xyz(ctx))
 
 
 def test_closed_form_pair_matches_line_products():

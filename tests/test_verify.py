@@ -26,6 +26,7 @@ from refl2.invariants import (
     dickson_pair,
     kernel_action,
     kernel_invariants,
+    restricted_pair,
     small_family,
 )
 from refl2.linalg import field_kernel_dimension, field_matrix_rank, gf2_rank
@@ -259,7 +260,7 @@ LINE_CASES = DEFAULT_CASES + [
 def both_small_criteria(ls, variant, column=None):
     """`kemper_lines` and the expanded `kemper_check` on the small family."""
     order, desc, _ = small_setup(ls, variant, column)
-    return kemper_lines(order, desc), expanded_small(order, desc)
+    return kemper_lines(order, desc, restricted_pair(desc)), expanded_small(order, desc)
 
 
 @pytest.mark.parametrize("n, d, variant", LINE_CASES)
