@@ -221,16 +221,14 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
         report.alpha = f"{desc.alpha:#x}"
         report.action_note = _action_note(desc)
 
-        # (u-bar, c1-bar, z) checked as the small family under the maps
-        # M_g: a lifted family from its line forms and the plane pair, built
-        # once, expanded when they do not decide it; the closed form expanded
-        small = None
-        pair = None if desc.all_offsets_zero else restricted_pair(desc)
+        # (u-bar, c1-bar, z) as the small family under the maps M_g, from its
+        # line forms and the plane pair, built once; expanded only as the fallback
+        pair = restricted_pair(desc)
         verdict = pair and kemper_lines(split.group_order, desc, pair)
         if verdict is None:
             small = small_family(desc)
-            weights = (desc.zpow, desc.zpow, 1)
-            verdict = kemper_check(split.group_order, small, desc.maps, weights)
+            pair = small[:2]
+            verdict = kemper_check(split.group_order, small, desc.maps, (desc.zpow, desc.zpow, 1))
         report.degrees = list(verdict.degrees)
         report.invariance = [
             {"generator": name, "u": u, "c1": c1, "z": z}
@@ -244,10 +242,9 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
             # u-bar(x, y, 0) = u~(x^Q, y^Q, 0) with Q = q^d, and likewise
             # c1-bar, so independent leads of the small family at z = 0
             # make the generated side a count (refl2.verify module doc);
-            # when `kemper_lines` decided, `pair` is that restriction, checked
-            u, c1 = (small or pair)[:2]
+            # `pair` is that restriction, checked, or the expanded family
             try:
-                restricted_leads(u, c1)
+                restricted_leads(*pair)
             except ValueError as exc:
                 raise ActionShapeError(str(exc)) from exc
             fixed = fixed_dimensions(gens, cfg.oracle_max_degree)

@@ -16,11 +16,8 @@
 * lifted invariants: every plane form a x + b y is replaced by
   a x + b y + g(a,b) z, with g the homogeneous cocycle companion, so
   g(ta, tb) = t g(a,b) and the line products u~ = prod_L L~,
-  c1~ = sum_L (u~/L~)^(q-1) restrict to u, c1 at z = 0.  Since
-  u~ (u~/L~)^(q-1) = L~ (u~/L~)^q, c1~ is built as
-      u~ c1~ = sum_L L~ (u~/L~)^q,
-  where u~/L~ is an exact quotient (`MultiPoly.div_exact`), its q-th
-  power one termwise Frobenius pass, and the division by u~ is exact.
+  c1~ = sum_L (u~/L~)^(q-1) restrict to u, c1 at z = 0.  c1~ is built
+  as the exact quotient of sum_L L~ (u~/L~)^q by u~ (`_lifted_family`).
   An optional scale multiplies g: scale 1 gives outputs invariant under
   the cocycle subgroup H_1, while the pipeline uses scale (1 + e^-1)^-1
   to match the lifted generators actually closed over.
@@ -29,7 +26,9 @@ S^N = k[F] with F = (f_x, f_y, z^(q^d)), and each generator g maps F
 affinely by a matrix M_g (`kernel_action`), so g (p o F) = (M_g p) o F.
 The candidates u-bar, c1-bar are the small family (u~, c1~) -- the
 closed-form pair when every offset of M_g vanishes, else the lifted
-family with z scaled by alpha -- composed with F.
+family with z scaled by alpha -- composed with F.  The criterion reads
+it off its `line_forms` and `restricted_pair`, expanding it only as the
+fallback.
 """
 
 from __future__ import annotations
@@ -99,12 +98,9 @@ def _line_products(forms, X: MultiPoly, Y: MultiPoly, Z: MultiPoly):
 
 
 def _lifted_family(forms, X: MultiPoly, Y: MultiPoly, Z: MultiPoly):
-    """(u-like, c1-like) from the q+1 line forms L = a X + b Y + c Z.
-
-    u = prod_L L, and c1 = sum_L (u/L)^(q-1) is the exact quotient of
-    sum_L L (u/L)^q by u: each summand is u (u/L)^(q-1), so u divides
-    the sum and no (q-1)-th power is taken.
-    """
+    """(u-like, c1-like) from the q+1 line forms L = a X + b Y + c Z:
+    u = prod_L L, and c1 = sum_L (u/L)^(q-1) = (sum_L L (u/L)^q) / u, an
+    exact quotient, so no (q-1)-th power is taken."""
     u, num = _line_products(forms, X, Y, Z)
     return u, num.div_exact(u)
 
@@ -233,19 +229,24 @@ def _family(desc: ActionDescriptor, X: MultiPoly, Y: MultiPoly, W: MultiPoly):
 
 
 def restricted_pair(desc: ActionDescriptor):
-    """(u~, c1~) at z = 0 without building them: the closed-form pair
-    (u, c1), checked against the products of the q+1 plane forms,
-    u = prod_L L and u c1 = sum_L L (u/L)^q with u/L an exact quotient,
-    which are the restrictions of the small family whatever the lift
-    (`line_forms`); None when the check fails or a division raises.  No
-    polynomial of degree above q^2 + 1 is built."""
-    x, y, z = (MultiPoly.variable(desc.ctx, i) for i in range(3))
-    u, c1 = _dickson(1 << desc.n, x, y)
-    try:
-        plane_u, num = _line_products(_forms(desc.ctx, desc.n, 0), x, y, z)
-    except ValueError:
-        return None
-    return (u, c1) if plane_u == u and num == u * c1 else None
+    """(u~, c1~) at z = 0 without building them: the closed-form (u, c1),
+    checked to be (prod_L L, sum_L (u/L)^(q-1)) over the q+1 plane forms
+    L = a x + b y, the restrictions of the small family whatever the lift
+    (`line_forms`); None when it is not.  The second is u c1 =
+    sum_L L (u/L)^q, which is x u_x^q + y u_y^q: u_x = sum_L a_L u/L by
+    the product rule, the q-th power is additive, and a_L^q = a_L.  Once
+    prod_L L = u = x^q y + x y^q = xy (x^(q-1) + y^(q-1)), that sum is
+    x y^(q^2) + x^(q^2) y, so cancelling xy the check is
+    c1 (x^(q-1) + y^(q-1)) = x^(q^2-1) + y^(q^2-1).  Both are exact
+    equalities, with no division and nothing above degree q^2 - 1."""
+    q, ctx = 1 << desc.n, desc.ctx
+    x, y = (MultiPoly.variable(ctx, i) for i in (0, 1))
+    u, c1 = _dickson(q, x, y)
+    plane_u = MultiPoly.one(ctx)
+    for a, b, _ in _forms(ctx, desc.n, 0):
+        plane_u = plane_u * (x.scale(a) + y.scale(b))
+    top = x ** (q * q - 1) + y ** (q * q - 1)
+    return (u, c1) if plane_u == u and c1 * (x ** (q - 1) + y ** (q - 1)) == top else None
 
 
 def small_family(descriptor: ActionDescriptor) -> tuple[MultiPoly, MultiPoly, MultiPoly]:

@@ -4,11 +4,11 @@ fixed-space oracle, and expression of invariants in candidate generators.
 The criterion: three homogeneous invariants freely generate the
 invariant ring iff their degrees multiply to the group order and their
 Jacobian determinant is nonzero.  `kemper_check` verifies the three
-clauses exactly and names every failing one.  The pipeline runs it on
-the small family (u~, c1~, z) under the maps M_g, and at d >= 1 neither
-it nor the oracle builds u-bar or c1-bar.  A lifted small family is not
-built either: `kemper_lines` reads the same verdict off its q+1 line
-forms, and the expanded check runs only when the forms do not decide.
+clauses exactly and names every failing one.  The pipeline decides it
+for the small family (u~, c1~, z) under the maps M_g, building neither
+u-bar nor c1-bar nor, closed-form or lifted, the family: `kemper_lines`
+reads the verdict off its q+1 line forms and the plane pair, and the
+expanded check runs only when they do not decide.
 
 The oracle compares, degree by degree, the dimension of the fixed
 homogeneous polynomials in x, y, z, the kernel of Phi_d(p) = (g p - p)
@@ -221,8 +221,9 @@ def kemper_lines(group_order: int, desc: ActionDescriptor, pair) -> KemperVerdic
     iff it permutes the forms with prod_L lambda_L = 1.  c1~ is
     sum_L (u~/L)^(q-1), so when M_g permutes the forms with every
     lambda_L in GF(q)*, it permutes the summands and fixes c1~;
-    otherwise this returns None.
-    The degrees are q + 1 and q^2 - q.  Setting z = 0 commutes with the
+    otherwise this returns None.  With every offset zero these are the
+    plane forms, whose products `restricted_pair` checked to be the
+    closed-form pair.  The degrees are q + 1 and q^2 - q.  Setting z = 0 commutes with the
     x and y partials, so J(u~, c1~, z) = J_xy(u~, c1~) restricts to
     J(u, c1, z) of `pair`, the plane pair from `restricted_pair` (built
     once by the caller), and is nonzero when that is; else None."""

@@ -430,12 +430,12 @@ def test_verify_n5_d2_oracle_expands_c1bar():
 @pytest.mark.parametrize("n, d, top", [(2, 1, 20), (3, 1, 30), (4, 1, 10), (5, 2, 2)])
 def test_verify_oracle_builds_no_composed_invariant(degree_spy, n, d, top):
     # the generated side is counted from the degrees: no product or square
-    # passes q^2 + 1, where u-bar and c1-bar reach (q^2 - q) q^d
+    # passes q^2 - 1, where u-bar and c1-bar reach (q^2 - q) q^d
     code, report = run_verify(VerifyConfig(n=n, d=d, oracle_max_degree=top))
     r = report.to_dict()
     assert (code, r["verdict"]) == (EXIT_OK, "POLYNOMIAL")
     assert len(r["oracle"]) == top + 1
-    assert degree_spy.top <= (1 << 2 * n) + 1
+    assert degree_spy.top <= (1 << 2 * n) - 1
 
 
 def test_verify_oracle_refuses_dependent_leads(monkeypatch, capsys):
@@ -458,12 +458,17 @@ def test_verify_oracle_refuses_dependent_leads(monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv, calls",
-    [(["--n", "4", "--d", "0", "--oracle-max-degree", "10"], 1), (["--n", "3", "--d", "1"], 0)],
+    "argv",
+    [
+        ["--n", "4", "--d", "0", "--oracle-max-degree", "10"],
+        ["--n", "3", "--d", "1"],
+        ["--n", "3", "--d", "0", "--variant", "h0"],
+        ["--n", "2", "--d", "2"],
+    ],
 )
-def test_verify_builds_the_plane_pair_at_most_once(monkeypatch, argv, calls):
-    # a lifted run builds the checked plane pair once, for the criterion and
-    # the oracle's lead premise alike; a closed-form run never builds it
+def test_verify_builds_the_plane_pair_once(monkeypatch, argv):
+    # every run, lifted or closed-form, builds the checked plane pair once,
+    # for the criterion and the oracle's lead premise alike
     built = []
 
     def counted(desc):
@@ -474,15 +479,15 @@ def test_verify_builds_the_plane_pair_at_most_once(monkeypatch, argv, calls):
         if hasattr(module, "restricted_pair"):
             monkeypatch.setattr(module, "restricted_pair", counted)
     assert main(["verify", *argv, "--quiet"]) == EXIT_OK
-    assert len(built) == calls
+    assert len(built) == 1
 
 
 def test_verify_plane_form_off_the_line_takes_the_fallback(monkeypatch, capsys):
-    # negative control: a plane form x + s y with s outside GF(q) does not
-    # divide u = x^q y + x y^q, so the plane pair is refused (None) while
-    # the lifted forms stay as they are; the run then reports the expanded
-    # fallback's verdict, the same report as an unpatched run, and no
-    # traceback
+    # negative control: with a plane form x + s y, s outside GF(q), the
+    # product of the plane forms differs from u = x^q y + x y^q, so the
+    # plane pair is refused (None) while the lifted forms stay as they are;
+    # nothing is divided.  The run then reports the expanded fallback's
+    # verdict, the same report as an unpatched run, and no traceback
     cfg = VerifyConfig(n=2, modulus_ambient=0x13, oracle_max_degree=5)
     reference = run_verify(cfg)[1].to_dict()
     forms = invariants._forms
@@ -548,8 +553,9 @@ def test_verify_scale_ladder_under_a_low_degree_cap(degree_spy, n, d, degrees, o
 
 @pytest.mark.parametrize("variant", ["h1", "h0"])
 def test_verify_n4_d0_under_the_numerator_degree_cap(degree_spy, variant):
-    # the lifted c1~ (h1) is sum_L L (u~/L)^q divided by u~: that numerator,
-    # of degree q^2 + 1, is the largest polynomial built
+    # the criterion reads the line forms and checks the plane pair by the
+    # product rule, so neither the lifted c1~ (h1) nor its numerator
+    # sum_L L (u~/L)^q, of degree q^2 + 1, is built: nothing passes q^2 - 1
     for n, degrees, order in ((4, (17, 240, 1), 4080), (5, (33, 992, 1), 32736)):
         degree_spy.top = -1
         code, report = run_verify(VerifyConfig(n=n, d=0, variant=variant))
@@ -557,7 +563,7 @@ def test_verify_n4_d0_under_the_numerator_degree_cap(degree_spy, variant):
         assert (code, r["verdict"]) == (EXIT_OK, "POLYNOMIAL")
         assert tuple(r["degrees"]) == degrees
         assert r["degree_product"] == r["group_order"] == order
-        assert degree_spy.top <= (1 << 2 * n) + 1
+        assert degree_spy.top <= (1 << 2 * n) - 1
 
 
 def test_verify_builds_only_the_kernel_generators(monkeypatch):
@@ -586,18 +592,64 @@ def test_verify_n3_d2_without_enumerating_group():
     assert d["degrees"] == [576, 3584, 1]
 
 
-def test_verify_n6_d0_reads_the_line_forms(monkeypatch, degree_spy):
-    # a passing d=0 run decides the criterion from the q+1 lifted forms:
-    # the lifted family is never expanded, and nothing passes degree q^2 + 1
-    def refuse(desc):
-        raise AssertionError("the small family was expanded")
+@pytest.mark.parametrize(
+    "cfg, degrees",
+    [
+        pytest.param(VerifyConfig(n=6), [65, 4032, 1], id="6-0-h1"),
+        pytest.param(VerifyConfig(n=6, variant="h0"), [65, 4032, 1], id="6-0-h0"),
+        pytest.param(VerifyConfig(n=5, d=1), [1056, 31744, 1], id="5-1-h1"),
+        pytest.param(VerifyConfig(n=3, d=2), [576, 3584, 1], id="3-2-h1"),
+        pytest.param(
+            VerifyConfig(n=2, variant="h0", modulus_ambient=0x13, lambda_basis=(0x2,), d=1),
+            [20, 48, 1],
+            id="2-h0-0x13-0x2",
+        ),
+    ],
+)
+def test_verify_reads_the_line_forms(monkeypatch, degree_spy, cfg, degrees):
+    # a passing run, with a lifted (6-0-h1) or a closed-form small family
+    # (the others), decides the criterion from the q+1 forms and the plane
+    # pair: nothing is expanded or divided, and nothing passes q^2 - 1
+    def refuse(*args):
+        raise AssertionError("the expanded criterion or a division ran")
 
     monkeypatch.setattr(refl2.cli, "small_family", refuse)
-    code, report = run_verify(VerifyConfig(n=6, d=0))
+    monkeypatch.setattr(refl2.cli, "kemper_check", refuse)
+    monkeypatch.setattr(invariants.MultiPoly, "div_exact", refuse)
+    code, report = run_verify(cfg)
     r = report.to_dict()
-    assert (code, r["verdict"], r["degrees"]) == (EXIT_OK, "POLYNOMIAL", [65, 4032, 1])
-    assert r["degree_product"] == r["group_order"] == 262080
-    assert degree_spy.top <= (1 << 12) + 1
+    assert (code, r["verdict"], r["degrees"]) == (EXIT_OK, "POLYNOMIAL", degrees)
+    assert r["degree_product"] == r["group_order"]
+    assert degree_spy.top <= (1 << 2 * cfg.n) - 1
+
+
+def test_verify_stray_term_in_c1_takes_the_fallback(monkeypatch, capsys):
+    # negative control for the product-rule check: c1 with one stray term
+    # x^(q^2 - q) fails c1 (x^(q-1) + y^(q-1)) = x^(q^2-1) + y^(q^2-1), so
+    # the plane pair is refused and the run takes the expanded fallback,
+    # which fails a clause on the same stray term
+    dickson = invariants._dickson
+
+    def stray(q, X, Y):
+        u, c1 = dickson(q, X, Y)
+        return u, c1 + X ** (q * q - q)
+
+    expanded = []
+    small_family = refl2.cli.small_family
+
+    def counted(desc):
+        expanded.append(desc)
+        return small_family(desc)
+
+    monkeypatch.setattr(invariants, "_dickson", stray)
+    monkeypatch.setattr(refl2.cli, "small_family", counted)
+    code, report = run_verify(VerifyConfig(n=3, d=1))
+    assert invariants.restricted_pair(expanded[0]) is None
+    assert code == EXIT_CHECK_FAILED and report.to_dict()["verdict"].startswith("FAIL(")
+    assert main(["verify", "--n", "3", "--d", "1"]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.out.splitlines()[-1].startswith("verdict     FAIL(")
+    assert "Traceback" not in captured.err
 
 
 def test_verify_n7_d1_splits_without_listing_h(monkeypatch):

@@ -13,6 +13,7 @@ from refl2.grouplift import (
 )
 from refl2.invariants import (
     ActionDescriptor,
+    _dickson,
     _forms,
     _line_products,
     ActionShapeError,
@@ -24,6 +25,7 @@ from refl2.invariants import (
     kernel_invariants,
     lifted_invariants,
     line_forms,
+    restricted_pair,
     small_family,
 )
 from refl2.mvpoly import MultiPoly, jacobian_det
@@ -190,11 +192,26 @@ LINE_PRODUCT_CASES = [
 ]
 
 
+def division_restricted_pair(desc):
+    """Reference for `restricted_pair`: the closed-form pair checked as
+    u = prod_L L and u c1 = sum_L L (u/L)^q over the plane forms, with
+    u/L an exact quotient (`_line_products`)."""
+    x, y, z = xyz(desc.ctx)
+    u, c1 = _dickson(1 << desc.n, x, y)
+    try:
+        plane_u, num = _line_products(_forms(desc.ctx, desc.n, 0), x, y, z)
+    except ValueError:
+        return None
+    return (u, c1) if plane_u == u and num == u * c1 else None
+
+
 @pytest.mark.parametrize("n, variant, modulus, basis, d", LINE_PRODUCT_CASES)
 def test_line_products_match_prefix_suffix_reference(n, variant, modulus, basis, d):
     # the running product and its exact quotients against the prefix and
     # suffix products, on the pipeline's forms (lifted at h1 d=0 and on the
-    # offset bases) and on the plane forms
+    # offset bases) and on the plane forms; the plane numerator is
+    # x u_x^q + y u_y^q and u c1, as `restricted_pair` proves, and the
+    # product-rule check agrees with the division-based one
     m = modulus.bit_length() - 1 if modulus else n * (2 if d == 2 else 1)
     ctx = field_new(m, modulus)
     ls = LambdaSpace(ctx, n, basis or default_lambda_basis(d, n, ctx))
@@ -203,6 +220,12 @@ def test_line_products_match_prefix_suffix_reference(n, variant, modulus, basis,
     plane = _forms(ctx, n, 0)
     for forms in [plane] + ([] if desc.all_offsets_zero else [line_forms(desc)]):
         assert _line_products(forms, *xyz(ctx)) == prefix_suffix_line_products(forms, *xyz(ctx))
+    x, y, _ = xyz(ctx)
+    u, num = _line_products(plane, *xyz(ctx))
+    assert num == x * u.partial(0) ** (1 << n) + y * u.partial(1) ** (1 << n)
+    pair = restricted_pair(desc)
+    assert pair is not None and num == pair[0] * pair[1]
+    assert pair == division_restricted_pair(desc)
 
 
 def test_closed_form_pair_matches_line_products():
