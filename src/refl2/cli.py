@@ -28,13 +28,11 @@ from refl2.invariants import (
     kernel_action,
     kernel_invariants,
     restricted_pair,
-    small_family,
 )
 from refl2.verify import (
     ROW_BITS_CAP,
     fixed_dimensions,
     free_dimensions,
-    kemper_check,
     kemper_lines,
     oracle_row_bits,
     restricted_leads,
@@ -222,13 +220,9 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
         report.action_note = _action_note(desc)
 
         # (u-bar, c1-bar, z) as the small family under the maps M_g, from its
-        # line forms and the plane pair, built once; expanded only as the fallback
+        # line forms and the plane pair, built once; nothing is expanded
         pair = restricted_pair(desc)
-        verdict = pair and kemper_lines(split.group_order, desc, pair)
-        if verdict is None:
-            small = small_family(desc)
-            pair = small[:2]
-            verdict = kemper_check(split.group_order, small, desc.maps, (desc.zpow, desc.zpow, 1))
+        verdict = kemper_lines(split.group_order, desc, pair)
         report.degrees = list(verdict.degrees)
         report.invariance = [
             {"generator": name, "u": u, "c1": c1, "z": z}
@@ -242,7 +236,7 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
             # u-bar(x, y, 0) = u~(x^Q, y^Q, 0) with Q = q^d, and likewise
             # c1-bar, so independent leads of the small family at z = 0
             # make the generated side a count (refl2.verify module doc);
-            # `pair` is that restriction, checked, or the expanded family
+            # `pair` is that restriction, checked
             try:
                 restricted_leads(*pair)
             except ValueError as exc:

@@ -27,8 +27,7 @@ affinely by a matrix M_g (`kernel_action`), so g (p o F) = (M_g p) o F.
 The candidates u-bar, c1-bar are the small family (u~, c1~) -- the
 closed-form pair when every offset of M_g vanishes, else the lifted
 family with z scaled by alpha -- composed with F.  The criterion reads
-it off its `line_forms` and `restricted_pair`, expanding it only as the
-fallback.
+it off its `line_forms` and `restricted_pair` and never expands it.
 """
 
 from __future__ import annotations
@@ -131,8 +130,10 @@ def lifted_invariants(
 
 class ActionShapeError(ValueError):
     """The image of a kernel invariant is not an affine combination of
-    (f_x, f_y, z^(q^d)), or the small family's restrictions to z = 0 have
-    dependent leads (`refl2.verify.restricted_leads`) -- signals a
+    (f_x, f_y, z^(q^d)), a map M_g has a singular block, or the small
+    family's restrictions to z = 0 are not the closed-form pair
+    (`restricted_pair`), have a zero Jacobian (`refl2.verify.kemper_lines`)
+    or have dependent leads (`refl2.verify.restricted_leads`) -- signals a
     construction bug upstream."""
 
 
@@ -220,19 +221,11 @@ def line_forms(desc: ActionDescriptor) -> list[tuple[int, int, int]]:
     return _forms(ctx, desc.n, ctx.mul(desc.alpha, ctx.inv(delta)))
 
 
-def _family(desc: ActionDescriptor, X: MultiPoly, Y: MultiPoly, W: MultiPoly):
-    """(u~, c1~) at (X, Y, W): the closed-form pair when every offset is
-    zero, else the products of the lifted `line_forms`."""
-    if desc.all_offsets_zero:
-        return _dickson(1 << desc.n, X, Y)
-    return _lifted_family(line_forms(desc), X, Y, W)
-
-
-def restricted_pair(desc: ActionDescriptor):
+def restricted_pair(desc: ActionDescriptor) -> tuple[MultiPoly, MultiPoly]:
     """(u~, c1~) at z = 0 without building them: the closed-form (u, c1),
     checked to be (prod_L L, sum_L (u/L)^(q-1)) over the q+1 plane forms
     L = a x + b y, the restrictions of the small family whatever the lift
-    (`line_forms`); None when it is not.  The second is u c1 =
+    (`line_forms`); `ActionShapeError` when it is not.  The second is u c1 =
     sum_L L (u/L)^q, which is x u_x^q + y u_y^q: u_x = sum_L a_L u/L by
     the product rule, the q-th power is additive, and a_L^q = a_L.  Once
     prod_L L = u = x^q y + x y^q = xy (x^(q-1) + y^(q-1)), that sum is
@@ -246,24 +239,22 @@ def restricted_pair(desc: ActionDescriptor):
     for a, b, _ in _forms(ctx, desc.n, 0):
         plane_u = plane_u * (x.scale(a) + y.scale(b))
     top = x ** (q * q - 1) + y ** (q * q - 1)
-    return (u, c1) if plane_u == u and c1 * (x ** (q - 1) + y ** (q - 1)) == top else None
-
-
-def small_family(descriptor: ActionDescriptor) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
-    """(u~, c1~, z): the small family at (x, y, z), on which the maps
-    M_g act as the generators act on its composition with F."""
-    x, y, z = (MultiPoly.variable(descriptor.ctx, i) for i in range(3))
-    return (*_family(descriptor, x, y, z), z)
+    if plane_u != u or c1 * (x ** (q - 1) + y ** (q - 1)) != top:
+        raise ActionShapeError("the plane forms' products are not the closed-form pair")
+    return u, c1
 
 
 def composed_invariants(
     n: int, ls: LambdaSpace, descriptor: ActionDescriptor
 ) -> tuple[MultiPoly, MultiPoly, MultiPoly]:
     """(u-bar, c1-bar, z): the small family composed with
-    F = (f_x, f_y, z^(q^d))."""
+    F = (f_x, f_y, z^(q^d)), the closed-form pair when every offset is
+    zero, else the products of the lifted `line_forms`."""
     ctx = ls.ambient
     if descriptor.ctx != ctx or descriptor.n != n or descriptor.d != ls.d:
         raise ValueError("descriptor does not match the Lambda space")
     fx, fy, fz = kernel_invariants(ls)
+    if descriptor.all_offsets_zero:
+        return (*_dickson(1 << n, fx, fy), fz)
     zq = MultiPoly.from_terms(ctx, [((0, 0, descriptor.zpow), 1)])
-    return (*_family(descriptor, fx, fy, zq), fz)
+    return (*_lifted_family(line_forms(descriptor), fx, fy, zq), fz)

@@ -4,11 +4,11 @@ fixed-space oracle, and expression of invariants in candidate generators.
 The criterion: three homogeneous invariants freely generate the
 invariant ring iff their degrees multiply to the group order and their
 Jacobian determinant is nonzero.  `kemper_check` verifies the three
-clauses exactly and names every failing one.  The pipeline decides it
-for the small family (u~, c1~, z) under the maps M_g, building neither
-u-bar nor c1-bar nor, closed-form or lifted, the family: `kemper_lines`
-reads the verdict off its q+1 line forms and the plane pair, and the
-expanded check runs only when they do not decide.
+clauses exactly on expanded invariants and names every failing one; it
+is the tests' reference.  The pipeline decides the criterion for the
+small family (u~, c1~, z) under the maps M_g, building neither u-bar nor
+c1-bar nor, closed-form or lifted, the family: `kemper_lines` reads the
+verdict off its q+1 line forms and the plane pair, on every run.
 
 The oracle compares, degree by degree, the dimension of the fixed
 homogeneous polynomials in x, y, z, the kernel of Phi_d(p) = (g p - p)
@@ -88,7 +88,7 @@ from __future__ import annotations
 
 from refl2.ffield import FieldCtx, gf2_insert
 from refl2.grouplift import Mat3
-from refl2.invariants import ActionDescriptor, line_forms
+from refl2.invariants import ActionDescriptor, ActionShapeError, line_forms
 from refl2.mvpoly import MultiPoly, _term_key, format_terms, jacobian_det
 
 
@@ -149,13 +149,6 @@ class KemperVerdict:
     def __repr__(self):
         return f"KemperVerdict{self._key()}"
 
-    @property
-    def invariance(self) -> tuple[bool, ...]:
-        """Per invariant: fixed by every generator."""
-        return tuple(
-            all(row[i] for row in self.fixed_by) for i in range(len(self.degrees))
-        )
-
     def __str__(self):
         if self.polynomial:
             return "POLYNOMIAL"
@@ -171,13 +164,14 @@ def kemper_check(
     """POLYNOMIAL iff the invariants are fixed by all generators, their
     degrees multiply to the group order, and their Jacobian is nonzero.
 
-    Every (generator, invariant) pair is evaluated once, by the memoized
-    `MultiPoly.is_fixed_by` that `is_invariant` reads, and recorded in
-    `fixed_by`, one row per generator in the order given.  Degree i
-    counts as weights[i] * deg(invs[i]): the pipeline passes the small
-    family (u~, c1~, z), the maps M_g and weights (q^d, q^d, 1) for
-    (u-bar, c1-bar, z) = (u~ o F, c1~ o F, z), F = (f_x, f_y, z^(q^d)).
-    This is exact.  F is algebraically independent (f_x is monic in x
+    The definition on expanded invariants, and the tests' reference for
+    `kemper_lines`.  Every (generator, invariant) pair is evaluated once,
+    by the memoized `MultiPoly.is_fixed_by` that `is_invariant` reads, and
+    recorded in `fixed_by`, one row per generator in the order given.
+    Degree i counts as weights[i] * deg(invs[i]): given the small family
+    (u~, c1~, z), the maps M_g and weights (q^d, q^d, 1), it decides the
+    criterion for (u-bar, c1-bar, z) = (u~ o F, c1~ o F, z) with
+    F = (f_x, f_y, z^(q^d)).  This is exact.  F is algebraically independent (f_x is monic in x
     over k[z]), so composing with F is injective and g (p o F) =
     (M_g p) o F equals p o F iff M_g p = p.  By the chain rule,
     J(u-bar, c1-bar, z) = c_0^2 z^(2(q^d-1)) (J(u~, c1~, z) o F), with
@@ -209,24 +203,28 @@ def kemper_check(
     )
 
 
-def kemper_lines(group_order: int, desc: ActionDescriptor, pair) -> KemperVerdict | None:
+def kemper_lines(group_order: int, desc: ActionDescriptor, pair) -> KemperVerdict:
     """`kemper_check` of the small family (u~, c1~, z) under the maps M_g
     with weights (q^d, q^d, 1), read off the q+1 `line_forms` L instead
-    of the expanded polynomials; None when that does not decide it.
+    of the expanded polynomials.
 
     M_g sends the form (a, b, c) to (a m00 + b m10, a m01 + b m11,
     a m02 + b m12 + c), lambda_L times a form with first nonzero (a, b)
-    entry 1.  The forms are pairwise non-proportional linear forms, hence
-    distinct primes, so by unique factorization M_g fixes u~ = prod_L L
-    iff it permutes the forms with prod_L lambda_L = 1.  c1~ is
+    entry 1; a singular block raises `ActionShapeError`.  The forms are
+    pairwise non-proportional linear forms, hence distinct primes, so by
+    unique factorization M_g fixes u~ = prod_L L iff it permutes the forms
+    with prod_L lambda_L = 1: the u flag is exact.  c1~ is
     sum_L (u~/L)^(q-1), so when M_g permutes the forms with every
-    lambda_L in GF(q)*, it permutes the summands and fixes c1~;
-    otherwise this returns None.  With every offset zero these are the
-    plane forms, whose products `restricted_pair` checked to be the
-    closed-form pair.  The degrees are q + 1 and q^2 - q.  Setting z = 0 commutes with the
-    x and y partials, so J(u~, c1~, z) = J_xy(u~, c1~) restricts to
-    J(u, c1, z) of `pair`, the plane pair from `restricted_pair` (built
-    once by the caller), and is nonzero when that is; else None."""
+    lambda_L in GF(q)*, it permutes the summands and fixes c1~; the c1
+    flag is that condition, and False means c1~ is not shown fixed.  Any
+    False flag, as from a map that does not permute the forms, fails the
+    clause `invariance`.
+    With every offset zero these are the plane forms, whose products
+    `restricted_pair` checked to be the closed-form pair.  The degrees are
+    q + 1 and q^2 - q.  Setting z = 0 commutes with the x and y partials,
+    so J(u~, c1~, z) = J_xy(u~, c1~) restricts to J(u, c1, z) of `pair`,
+    the plane pair from `restricted_pair` (built once by the caller), and
+    is nonzero when that is; a zero one raises `ActionShapeError`."""
     ctx, n = desc.ctx, desc.n
     mul, inv = ctx.mul, ctx.inv
     forms = line_forms(desc)
@@ -234,26 +232,26 @@ def kemper_lines(group_order: int, desc: ActionDescriptor, pair) -> KemperVerdic
     fixed_by = []
     for M in desc.maps:
         (m00, m01, m02), (m10, m11, m12), _ = M.rows
-        images, scale = set(), 1
+        if mul(m00, m11) == mul(m01, m10):
+            raise ActionShapeError("a map M_g has a singular block")
+        # the block is invertible, so the images of the q+1 distinct forms
+        # are distinct, and lie in the forms exactly when M_g permutes them
+        permutes, in_subfield, scale = True, True, 1
         for a, b, c in forms:
             a2, b2 = mul(a, m00) ^ mul(b, m10), mul(a, m01) ^ mul(b, m11)
             lam = a2 or b2
-            if not lam:  # a singular block: the expanded check refuses it
-                return None
             li = inv(lam)
-            image = (mul(a2, li), mul(b2, li))
             c2 = mul(mul(a, m02) ^ mul(b, m12) ^ c, li)
-            if lifted.get(image) != c2 or image in images or not ctx.in_subfield(lam, n):
-                return None
-            images.add(image)
+            permutes = permutes and lifted.get((mul(a2, li), mul(b2, li))) == c2
+            in_subfield = in_subfield and ctx.in_subfield(lam, n)
             scale = mul(scale, lam)
-        fixed_by.append((scale == 1, True, True))
-    if pair is None or jacobian_det(*pair, MultiPoly.variable(ctx, 2)).is_zero():
-        return None
+        fixed_by.append((permutes and scale == 1, permutes and in_subfield, True))
+    if jacobian_det(*pair, MultiPoly.variable(ctx, 2)).is_zero():
+        raise ActionShapeError("the plane pair has a zero Jacobian")
     q = 1 << n
     degrees = (desc.zpow * (q + 1), desc.zpow * (q * q - q), 1)
     product = degrees[0] * degrees[1]
-    failed = [] if all(row[0] for row in fixed_by) else ["invariance"]
+    failed = [] if all(all(row) for row in fixed_by) else ["invariance"]
     if product != group_order:
         failed.append("degree-product")
     return KemperVerdict(

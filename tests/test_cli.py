@@ -482,14 +482,11 @@ def test_verify_builds_the_plane_pair_once(monkeypatch, argv):
     assert len(built) == 1
 
 
-def test_verify_plane_form_off_the_line_takes_the_fallback(monkeypatch, capsys):
+def test_verify_plane_form_off_the_line_fails_action_shape(monkeypatch, capsys):
     # negative control: with a plane form x + s y, s outside GF(q), the
-    # product of the plane forms differs from u = x^q y + x y^q, so the
-    # plane pair is refused (None) while the lifted forms stay as they are;
-    # nothing is divided.  The run then reports the expanded fallback's
-    # verdict, the same report as an unpatched run, and no traceback
-    cfg = VerifyConfig(n=2, modulus_ambient=0x13, oracle_max_degree=5)
-    reference = run_verify(cfg)[1].to_dict()
+    # product of the plane forms differs from u = x^q y + x y^q, so
+    # `restricted_pair` refuses the plane pair and nothing is divided; the
+    # run fails the clause action-shape, with no traceback
     forms = invariants._forms
 
     def off_line(ctx, n, gscale):
@@ -498,35 +495,34 @@ def test_verify_plane_form_off_the_line_takes_the_fallback(monkeypatch, capsys):
             out[-1] = (1, next(v for v in range(ctx.order) if not ctx.in_subfield(v, n)), 0)
         return out
 
-    expanded = []
-    small_family = refl2.cli.small_family
-
-    def counted(desc):
-        expanded.append(desc)
-        return small_family(desc)
-
     monkeypatch.setattr(invariants, "_forms", off_line)
-    monkeypatch.setattr(refl2.cli, "small_family", counted)
+    cfg = VerifyConfig(n=2, modulus_ambient=0x13, oracle_max_degree=5)
     code, report = run_verify(cfg)
-    r = report.to_dict()
-    for d in (r, reference):
-        d.pop("elapsed_ms")
-    assert (code, r) == (EXIT_OK, reference)
-    assert len(expanded) == 1 and invariants.restricted_pair(expanded[0]) is None
+    assert (code, report.to_dict()["verdict"]) == (EXIT_CHECK_FAILED, "FAIL(action-shape)")
     argv = ["verify", "--n", "2", "--modulus-ambient", "0x13", "--oracle-max-degree", "5"]
-    assert main(argv) == EXIT_OK
+    assert main(argv) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[-1].startswith("verdict     POLYNOMIAL")
+    assert captured.out.splitlines()[-1].startswith("verdict     FAIL(action-shape)")
     assert "Traceback" not in captured.err
+
+
+def refuse_expansion(monkeypatch):
+    """Make the expanded criterion, the expanded lifted family and exact
+    division raise: `run_verify` names neither `kemper_check` nor an
+    expanded small family."""
+    def refuse(*args):
+        raise AssertionError("the expanded criterion, family or a division ran")
+
+    assert not hasattr(refl2.cli, "kemper_check") and not hasattr(refl2.cli, "small_family")
+    monkeypatch.setattr(refl2.verify, "kemper_check", refuse)
+    monkeypatch.setattr(invariants, "_lifted_family", refuse)
+    monkeypatch.setattr(invariants.MultiPoly, "div_exact", refuse)
 
 
 def test_verify_oracle_premise_expands_no_small_family(monkeypatch, capsys):
     # the lifted family's restriction to z = 0 is the checked plane pair,
     # so the oracle's lead premise needs no expanded c1~
-    def refuse(desc):
-        raise AssertionError("the small family was expanded")
-
-    monkeypatch.setattr(refl2.cli, "small_family", refuse)
+    refuse_expansion(monkeypatch)
     assert main(["verify", "--n", "4", "--d", "0", "--oracle-max-degree", "10"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[-1].startswith("verdict     POLYNOMIAL")
 
@@ -610,12 +606,7 @@ def test_verify_reads_the_line_forms(monkeypatch, degree_spy, cfg, degrees):
     # a passing run, with a lifted (6-0-h1) or a closed-form small family
     # (the others), decides the criterion from the q+1 forms and the plane
     # pair: nothing is expanded or divided, and nothing passes q^2 - 1
-    def refuse(*args):
-        raise AssertionError("the expanded criterion or a division ran")
-
-    monkeypatch.setattr(refl2.cli, "small_family", refuse)
-    monkeypatch.setattr(refl2.cli, "kemper_check", refuse)
-    monkeypatch.setattr(invariants.MultiPoly, "div_exact", refuse)
+    refuse_expansion(monkeypatch)
     code, report = run_verify(cfg)
     r = report.to_dict()
     assert (code, r["verdict"], r["degrees"]) == (EXIT_OK, "POLYNOMIAL", degrees)
@@ -623,32 +614,23 @@ def test_verify_reads_the_line_forms(monkeypatch, degree_spy, cfg, degrees):
     assert degree_spy.top <= (1 << 2 * cfg.n) - 1
 
 
-def test_verify_stray_term_in_c1_takes_the_fallback(monkeypatch, capsys):
+def test_verify_stray_term_in_c1_fails_action_shape(monkeypatch, capsys):
     # negative control for the product-rule check: c1 with one stray term
     # x^(q^2 - q) fails c1 (x^(q-1) + y^(q-1)) = x^(q^2-1) + y^(q^2-1), so
-    # the plane pair is refused and the run takes the expanded fallback,
-    # which fails a clause on the same stray term
+    # `restricted_pair` refuses the plane pair and the run fails the clause
+    # action-shape, with no traceback
     dickson = invariants._dickson
 
     def stray(q, X, Y):
         u, c1 = dickson(q, X, Y)
         return u, c1 + X ** (q * q - q)
 
-    expanded = []
-    small_family = refl2.cli.small_family
-
-    def counted(desc):
-        expanded.append(desc)
-        return small_family(desc)
-
     monkeypatch.setattr(invariants, "_dickson", stray)
-    monkeypatch.setattr(refl2.cli, "small_family", counted)
     code, report = run_verify(VerifyConfig(n=3, d=1))
-    assert invariants.restricted_pair(expanded[0]) is None
-    assert code == EXIT_CHECK_FAILED and report.to_dict()["verdict"].startswith("FAIL(")
+    assert (code, report.to_dict()["verdict"]) == (EXIT_CHECK_FAILED, "FAIL(action-shape)")
     assert main(["verify", "--n", "3", "--d", "1"]) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()
-    assert captured.out.splitlines()[-1].startswith("verdict     FAIL(")
+    assert captured.out.splitlines()[-1].startswith("verdict     FAIL(action-shape)")
     assert "Traceback" not in captured.err
 
 

@@ -26,11 +26,10 @@ from refl2.invariants import (
     lifted_invariants,
     line_forms,
     restricted_pair,
-    small_family,
 )
 from refl2.mvpoly import MultiPoly, jacobian_det
 from test_grouplift import kernel_reference, lambda_span_reference
-from test_verify import OFFSET_CASES
+from test_verify import OFFSET_CASES, small_family
 
 GF2 = field_new(1)
 GF4 = field_new(2)
@@ -224,7 +223,7 @@ def test_line_products_match_prefix_suffix_reference(n, variant, modulus, basis,
     u, num = _line_products(plane, *xyz(ctx))
     assert num == x * u.partial(0) ** (1 << n) + y * u.partial(1) ** (1 << n)
     pair = restricted_pair(desc)
-    assert pair is not None and num == pair[0] * pair[1]
+    assert num == pair[0] * pair[1]
     assert pair == division_restricted_pair(desc)
 
 

@@ -22,12 +22,16 @@ from refl2.grouplift import (
     verify_splitting,
 )
 from refl2.invariants import (
+    ActionDescriptor,
+    ActionShapeError,
+    _dickson,
+    _lifted_family,
     composed_invariants,
     dickson_pair,
     kernel_action,
     kernel_invariants,
+    line_forms,
     restricted_pair,
-    small_family,
 )
 from refl2.linalg import field_kernel_dimension, field_matrix_rank, gf2_rank
 from refl2.mvpoly import MultiPoly
@@ -204,6 +208,17 @@ def small_setup(ls, variant, column=None):
     return order, kernel_action(gens, *kernel_invariants(ls), n=n), gens
 
 
+def small_family(desc):
+    """Reference: the small family (u~, c1~, z) expanded at (x, y, z), on
+    which the maps M_g act as the generators act on its composition with F:
+    the closed-form pair when every offset is zero, else the products of
+    the lifted `line_forms`."""
+    x, y, z = (MultiPoly.variable(desc.ctx, i) for i in range(3))
+    if desc.all_offsets_zero:
+        return (*_dickson(1 << desc.n, x, y), z)
+    return (*_lifted_family(line_forms(desc), x, y, z), z)
+
+
 def expanded_small(order, desc):
     """kemper_check on the expanded small family under the maps M_g, with
     degrees scaled by q^d."""
@@ -280,14 +295,77 @@ def test_line_form_criterion_matches_expanded_offset_bases(n, variant, modulus, 
     assert lines.polynomial
 
 
-def test_line_form_criterion_perturbed_lift_takes_the_fallback():
+def test_line_form_criterion_perturbed_lift_fails_invariance():
     # negative control: the offset P(1) moves the lifted forms off one
-    # another, so the forms decide nothing, and the expanded check fails
+    # another, so the perturbed map fixes neither u~ nor, as far as the
+    # forms show, c1~; the verdict is the expanded check's, flags included
     ls = LambdaSpace(field_new(4, 0x13), 2, (0x2,))
     for variant, i in (("h1", 1), ("h0", 0)):
         lines, expanded = both_small_criteria(ls, variant, column=(i, (1, 0)))
-        assert lines is None
-        assert "invariance" in expanded.failed_clauses
+        assert lines == expanded
+        assert "invariance" in lines.failed_clauses
+        assert not lines.fixed_by[i][0] and not lines.fixed_by[i][1]
+
+
+def test_line_form_criterion_scalar_and_singular_maps():
+    # a scalar block s I, s in GF(q)* other than 1, with no offset: on the
+    # plane forms every lambda_L is s, so u~ goes to s^(q+1) u~ = s^2 u~
+    # and c1~ is fixed; it moves the lifted forms (c goes to c / s).  A
+    # singular block and a zero Jacobian are refused
+    ls = LambdaSpace(field_new(4, 0x13), 2, (0x2,))
+    for variant in ("h1", "h0"):
+        order, desc, _ = small_setup(ls, variant)
+        ctx = desc.ctx
+        s = subfield_generator(ctx, 2)
+
+        def with_maps(*maps):
+            return ActionDescriptor(ctx, desc.n, desc.d, desc.zpow, maps, desc.alpha, desc.e)
+
+        scalar = with_maps(*desc.maps, Mat3.block(ctx, s, 0, 0, s))
+        lines = kemper_lines(order, scalar, restricted_pair(desc))
+        assert lines == expanded_small(order, scalar)
+        assert lines.failed_clauses == ("invariance",)
+        assert lines.fixed_by[-1] == (False, desc.all_offsets_zero, True)
+        singular = with_maps(*desc.maps, Mat3.block(ctx, 1, 1, 1, 1))
+        with pytest.raises(ActionShapeError):
+            kemper_lines(order, singular, restricted_pair(desc))
+        u, _ = restricted_pair(desc)
+        with pytest.raises(ActionShapeError):
+            kemper_lines(order, desc, (u, u * u))
+
+
+# (n, m): n = 2 in GF(2^4), GF(2^6) and GF(2^8), n = 3 in GF(2^6), n = 4
+# in GF(2^8); every d = 1..m/n, three seeded random Lambda bases each
+CENSUS = [(2, 4), (2, 6), (2, 8), (3, 6), (4, 8)]
+
+
+def random_lambda_basis(rng, ctx, n, d):
+    """d random elements of the ambient field, independent over GF(2^n)."""
+    basis = ()
+    while len(basis) < d:
+        v = rng.randrange(1, ctx.order)
+        if LambdaSpace(ctx, n, basis).value(v):
+            basis += (v,)
+    return basis
+
+
+@pytest.mark.parametrize("variant", ["h1", "h0"])
+@pytest.mark.parametrize("n, m", CENSUS)
+def test_line_form_criterion_matches_expanded_census(n, m, variant):
+    ctx = field_new(m)
+    lifted = 0
+    for d in range(1, m // n + 1):
+        rng = random.Random(100 * m + 10 * n + d)
+        for _ in range(3):
+            ls = LambdaSpace(ctx, n, random_lambda_basis(rng, ctx, n, d))
+            order, desc, _ = small_setup(ls, variant)
+            lines = kemper_lines(order, desc, restricted_pair(desc))
+            assert lines == expanded_small(order, desc), ls.basis
+            assert lines.polynomial and lines.degree_product == order
+            lifted += not desc.all_offsets_zero
+    # h0 keeps every lift block-diagonal; under h1 a basis of Lambda_1
+    # missing 1 makes the family lifted, and the whole field never does
+    assert (lifted == 0) if variant == "h0" else (0 < lifted < 3 * (m // n))
 
 
 # -- graded fixed dimension ----------------------------------------------------
@@ -693,7 +771,7 @@ def test_kemper_verdict_monotone_in_evidence():
     v = kemper_check(60, [ub, c1b, zp], gens)
     assert v.polynomial
     # POLYNOMIAL implies each clause individually re-verifiable from the record
-    assert all(v.invariance)
+    assert all(all(row) for row in v.fixed_by)
     assert v.degree_product == v.group_order
     assert v.jacobian_nonzero
 
