@@ -66,12 +66,11 @@ def dickson_support_check(f: MultiPoly, n: int, d: int) -> bool:
 
 
 def _dickson(q: int, X: MultiPoly, Y: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
-    """(u, c1) in closed form at (X, Y)."""
+    """(u, c1) in closed form at (X, Y), with A, B = X^(q-1), Y^(q-1) and
+    c1 = sum_{i=0..q} A^i B^(q-i) = A^q + B (A + B)^(q-1): every binomial
+    C(q-1, i) is odd (Lucas: every bit of q - 1 = 2^n - 1 is set)."""
     A, B = X ** (q - 1), Y ** (q - 1)
-    c1 = MultiPoly.zero(X.ctx)
-    for i in range(q + 1):
-        c1 = c1 + A**i * B ** (q - i)
-    return X**q * Y + X * Y**q, c1
+    return X**q * Y + X * Y**q, A**q + B * (A + B) ** (q - 1)
 
 
 def _forms(ctx: FieldCtx, n: int, gscale: int) -> list[tuple[int, int, int]]:
@@ -225,21 +224,22 @@ def restricted_pair(desc: ActionDescriptor) -> tuple[MultiPoly, MultiPoly]:
     """(u~, c1~) at z = 0 without building them: the closed-form (u, c1),
     checked to be (prod_L L, sum_L (u/L)^(q-1)) over the q+1 plane forms
     L = a x + b y, the restrictions of the small family whatever the lift
-    (`line_forms`); `ActionShapeError` when it is not.  The second is u c1 =
-    sum_L L (u/L)^q, which is x u_x^q + y u_y^q: u_x = sum_L a_L u/L by
-    the product rule, the q-th power is additive, and a_L^q = a_L.  Once
-    prod_L L = u = x^q y + x y^q = xy (x^(q-1) + y^(q-1)), that sum is
-    x y^(q^2) + x^(q^2) y, so cancelling xy the check is
-    c1 (x^(q-1) + y^(q-1)) = x^(q^2-1) + y^(q^2-1).  Both are exact
-    equalities, with no division and nothing above degree q^2 - 1."""
-    q, ctx = 1 << desc.n, desc.ctx
+    (`line_forms`); `ActionShapeError` when it is not.  The forms are q+1
+    distinct (a, b) in GF(q)^2 with first nonzero entry 1, so all of
+    P^1(GF(q)), and since t^q + t = prod_{s in GF(q)} (t + s) (factor
+    theorem) their product is y prod_s (x + s y) = x^q y + x y^q = u.
+    Then u c1 = sum_L L (u/L)^q = x u_x^q + y u_y^q (product rule, additive
+    q-th power, a_L^q = a_L) = xy (x^(q^2-1) + y^(q^2-1)); cancelling
+    xy, the check is c1 (x^(q-1) + y^(q-1)) = x^(q^2-1) + y^(q^2-1).  All
+    are exact equalities, with no division and nothing above q^2 - 1."""
+    n, ctx = desc.n, desc.ctx
+    q = 1 << n
     x, y = (MultiPoly.variable(ctx, i) for i in (0, 1))
     u, c1 = _dickson(q, x, y)
-    plane_u = MultiPoly.one(ctx)
-    for a, b, _ in _forms(ctx, desc.n, 0):
-        plane_u = plane_u * (x.scale(a) + y.scale(b))
-    top = x ** (q * q - 1) + y ** (q * q - 1)
-    if plane_u != u or c1 * (x ** (q - 1) + y ** (q - 1)) != top:
+    forms = _forms(ctx, n, 0)
+    points = {(a, b) for a, b, _ in forms if (a, b) == (0, 1) or a == 1 and ctx.in_subfield(b, n)}
+    plane = len(forms) == len(points) == q + 1 and u == x**q * y + x * y**q
+    if not plane or c1 * (x ** (q - 1) + y ** (q - 1)) != x ** (q * q - 1) + y ** (q * q - 1):
         raise ActionShapeError("the plane forms' products are not the closed-form pair")
     return u, c1
 

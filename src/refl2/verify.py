@@ -219,8 +219,8 @@ def kemper_lines(group_order: int, desc: ActionDescriptor, pair) -> KemperVerdic
     flag is that condition, and False means c1~ is not shown fixed.  Any
     False flag, as from a map that does not permute the forms, fails the
     clause `invariance`.
-    With every offset zero these are the plane forms, whose products
-    `restricted_pair` checked to be the closed-form pair.  The degrees are
+    Their (a, b) are the plane forms: `restricted_pair` checked them to be
+    the q+1 points of P^1(GF(q)), distinct and normalized.  The degrees are
     q + 1 and q^2 - q.  Setting z = 0 commutes with the x and y partials,
     so J(u~, c1~, z) = J_xy(u~, c1~) restricts to J(u, c1, z) of `pair`,
     the plane pair from `restricted_pair` (built once by the caller), and

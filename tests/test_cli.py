@@ -482,23 +482,65 @@ def test_verify_builds_the_plane_pair_once(monkeypatch, argv):
     assert len(built) == 1
 
 
-def test_verify_plane_form_off_the_line_fails_action_shape(monkeypatch, capsys):
-    # negative control: with a plane form x + s y, s outside GF(q), the
-    # product of the plane forms differs from u = x^q y + x y^q, so
-    # `restricted_pair` refuses the plane pair and nothing is divided; the
-    # run fails the clause action-shape, with no traceback
+def plane_form_edit(edit):
+    """(name, replacement) for `_forms` with its last plane form (gscale 0)
+    replaced by edit(ctx, n, forms)."""
     forms = invariants._forms
 
-    def off_line(ctx, n, gscale):
+    def edited(ctx, n, gscale):
         out = forms(ctx, n, gscale)
         if gscale == 0:
-            out[-1] = (1, next(v for v in range(ctx.order) if not ctx.in_subfield(v, n)), 0)
+            out[-1] = edit(ctx, n, out)
         return out
 
-    monkeypatch.setattr(invariants, "_forms", off_line)
-    cfg = VerifyConfig(n=2, modulus_ambient=0x13, oracle_max_degree=5)
-    code, report = run_verify(cfg)
-    assert (code, report.to_dict()["verdict"]) == (EXIT_CHECK_FAILED, "FAIL(action-shape)")
+    return "_forms", edited
+
+
+def off_the_line(ctx, n, out):
+    return (1, next(v for v in range(ctx.order) if not ctx.in_subfield(v, n)), 0)
+
+
+def repeated(ctx, n, out):
+    return out[-2]
+
+
+def unnormalized(ctx, n, out):
+    e = ffield.subfield_generator(ctx, n)
+    return (e, ctx.mul(e, out[-1][1]), 0)
+
+
+def u_plus_x_q1():
+    """(name, replacement) for `_dickson` with u + x^(q+1) for u."""
+    dickson = invariants._dickson
+
+    def stray(q, X, Y):
+        u, c1 = dickson(q, X, Y)
+        return u + X ** (q + 1), c1
+
+    return "_dickson", stray
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        pytest.param(lambda: plane_form_edit(off_the_line), id="slope-off-gf-q"),
+        pytest.param(lambda: plane_form_edit(repeated), id="repeated-point"),
+        pytest.param(lambda: plane_form_edit(unnormalized), id="unnormalized-form"),
+        pytest.param(u_plus_x_q1, id="u-plus-x-q1"),
+    ],
+)
+def test_verify_plane_form_off_the_line_fails_action_shape(monkeypatch, capsys, corrupt):
+    # negative controls: a plane form x + s y with s outside GF(q), a
+    # repeated point, an unnormalized form (e, e s) or a closed-form u with a
+    # stray x^(q+1): the plane forms are then not the points of P^1(GF(q))
+    # or u is not x^q y + x y^q, so `restricted_pair` refuses the plane pair
+    # and nothing is divided; the run fails the clause action-shape, with no
+    # traceback, with the oracle or without its lead premise
+    monkeypatch.setattr(invariants, *corrupt())
+    for oracle in (5, 0):
+        cfg = VerifyConfig(n=2, modulus_ambient=0x13, oracle_max_degree=oracle)
+        code, report = run_verify(cfg)
+        assert (code, report.to_dict()["verdict"]) == (EXIT_CHECK_FAILED, "FAIL(action-shape)")
     argv = ["verify", "--n", "2", "--modulus-ambient", "0x13", "--oracle-max-degree", "5"]
     assert main(argv) == EXIT_CHECK_FAILED
     captured = capsys.readouterr()

@@ -191,6 +191,30 @@ LINE_PRODUCT_CASES = [
 ]
 
 
+def dickson_sum(q, X, Y):
+    """Reference for `_dickson`: (u, c1) with c1 the q+1 terms
+    sum_{i=0..q} A^i B^(q-i), A, B = X^(q-1), Y^(q-1), added one by one."""
+    A, B = X ** (q - 1), Y ** (q - 1)
+    c1 = MultiPoly.zero(X.ctx)
+    for i in range(q + 1):
+        c1 = c1 + A**i * B ** (q - i)
+    return X**q * Y + X * Y**q, c1
+
+
+def product_restricted_pair(desc):
+    """Reference for `restricted_pair`: the summed pair checked as
+    u = prod_L L over the plane forms, one running product, and
+    c1 (x^(q-1) + y^(q-1)) = x^(q^2-1) + y^(q^2-1)."""
+    q, ctx = 1 << desc.n, desc.ctx
+    x, y, _ = xyz(ctx)
+    u, c1 = dickson_sum(q, x, y)
+    plane_u = MultiPoly.one(ctx)
+    for a, b, _ in _forms(ctx, desc.n, 0):
+        plane_u = plane_u * (x.scale(a) + y.scale(b))
+    top = x ** (q * q - 1) + y ** (q * q - 1)
+    return (u, c1) if plane_u == u and c1 * (x ** (q - 1) + y ** (q - 1)) == top else None
+
+
 def division_restricted_pair(desc):
     """Reference for `restricted_pair`: the closed-form pair checked as
     u = prod_L L and u c1 = sum_L L (u/L)^q over the plane forms, with
@@ -210,7 +234,10 @@ def test_line_products_match_prefix_suffix_reference(n, variant, modulus, basis,
     # suffix products, on the pipeline's forms (lifted at h1 d=0 and on the
     # offset bases) and on the plane forms; the plane numerator is
     # x u_x^q + y u_y^q and u c1, as `restricted_pair` proves, and the
-    # product-rule check agrees with the division-based one
+    # point check on P^1(GF(q)) agrees with the division-based one and the
+    # product of the plane forms; `_dickson`'s closed form agrees with the
+    # summed c1 at (x, y) for q = 2^k, k = n - 1 and n + 4 covering 1..10,
+    # and at (f_x, f_y) on the closed-form descriptors with n <= 3
     m = modulus.bit_length() - 1 if modulus else n * (2 if d == 2 else 1)
     ctx = field_new(m, modulus)
     ls = LambdaSpace(ctx, n, basis or default_lambda_basis(d, n, ctx))
@@ -224,7 +251,12 @@ def test_line_products_match_prefix_suffix_reference(n, variant, modulus, basis,
     assert num == x * u.partial(0) ** (1 << n) + y * u.partial(1) ** (1 << n)
     pair = restricted_pair(desc)
     assert num == pair[0] * pair[1]
-    assert pair == division_restricted_pair(desc)
+    assert pair == division_restricted_pair(desc) == product_restricted_pair(desc)
+    for k in (n - 1, n + 4):
+        assert _dickson(1 << k, x, y) == dickson_sum(1 << k, x, y)
+    if desc.all_offsets_zero and n <= 3:
+        fx, fy, _ = kernel_invariants(ls)
+        assert _dickson(1 << n, fx, fy) == dickson_sum(1 << n, fx, fy)
 
 
 def test_closed_form_pair_matches_line_products():

@@ -1,4 +1,4 @@
-"""The n = 8..11 ladder, each instance a child process that reports its own
+"""The n = 8..12 ladder, each instance a child process that reports its own
 CPU time and peak RSS.  Marked slow, so deselected by default: run it with
 `pytest -m slow`."""
 
@@ -20,7 +20,7 @@ print(r.ru_utime + r.ru_stime, r.ru_maxrss / 1024)
 sys.exit(code)
 """
 
-LADDER = [(n, d, variant) for n in (8, 9, 10, 11) for d in (0, 1) for variant in ("h1", "h0")]
+LADDER = [(n, d, variant) for n in range(8, 13) for d in (0, 1) for variant in ("h1", "h0")]
 
 
 @pytest.mark.slow
