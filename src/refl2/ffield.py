@@ -293,11 +293,12 @@ class FieldCtx:
         """The unique square root, a**(2^(m-1))."""
         return self.pow_(a, 1 << (self.m - 1))
 
-    def order_of(self, a: int) -> int:
-        """Multiplicative order of a nonzero element."""
+    def order_of(self, a: int, multiple: int = 0) -> int:
+        """Multiplicative order of a nonzero element, given a multiple of
+        it (by default 2^m - 1, always one); only the multiple is factored."""
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
-        return self._order_raw(a)
+        return self._order_raw(a, multiple)
 
     def check(self, a: int) -> int:
         """a itself, if it is an element of this field (0 <= a < 2^m)."""

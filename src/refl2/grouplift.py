@@ -6,9 +6,10 @@ f(x,y) = 1 + x + y + x^(2^(n-1)) y^(2^(n-1)) and its homogeneous
 companion g = f + 1, the cocycle subgroups H_gamma, the translation
 kernel N = Lambda_1^2 for a GF(2^n)-subspace Lambda_1 of the ambient
 field, breadth-first group closure, and the semidirect-split check, which
-finds |<lifts>| from a Schreier-Sims chain on the lines of the plane
-instead of closure.  Lambda_1 is held as its subspace polynomial and N as
-its 2d generating translations; neither is listed element by element.
+finds |<lifts>| from a presentation of SL2(GF(2^n)) that the lifts
+satisfy up to translations, instead of closure.  Lambda_1 is held as its
+subspace polynomial and N as its 2d generating translations; neither is
+listed element by element.
 
 Matrices are immutable; the canonical encoding used for dedup, sorting
 and golden files is the row-major 9-tuple of element bit-vectors.
@@ -17,7 +18,6 @@ and golden files is the row-major 9-tuple of element bit-vectors.
 from __future__ import annotations
 
 from itertools import product as iproduct
-from math import prod
 
 from refl2.ffield import (
     FieldCtx, gf2_insert, mult_generator, subfield_elements, subfield_generator,
@@ -405,93 +405,34 @@ class SplitReport:
         return self.intersection_order == 1
 
 
-def _base_image(ctx: FieldCtx, level: int, m: Mat3):
-    """Where m's block sends the chain's base point at `level`: the lines
-    through (1, 0), (0, 1) and (1, 1), each named by x/y (None for the
-    line y = 0), then the vector (1, 0)."""
-    (a, b, _), (c, d, _), _ = m.rows
-    if level == 3:
-        return a, c
-    if level == 1:
-        a, c = b, d
-    elif level == 2:
-        a, c = a ^ b, c ^ d
-    return ctx.mul(a, ctx.inv(c)) if c else None
+def minimal_polynomial(ctx: FieldCtx, a: int, n: int) -> list[int]:
+    """The bits c_0, ..., c_n of prod_(k < n) (X + a^(2^k)), a in GF(2^n):
+    the minimal polynomial of a over GF(2) when a generates GF(2^n)."""
+    coeffs = [1]
+    for _ in range(n):
+        coeffs = [ctx.mul(a, c) ^ p for c, p in zip(coeffs + [0], [0] + coeffs)]
+        a = ctx.mul(a, a)
+    return coeffs
 
 
-class _Chain:
-    """H = <lifts>, whose elements [[A, w], [0, 1]] act on the plane by
-    v -> A v + w, as a Schreier-Sims chain (Sims 1970; Seress, Permutation
-    Group Algorithms, 2003) on the base points of `_base_image`.  Level i
-    keeps the strong generators `gens[i]`, which fix the base points
-    above it, and `orbits[i]`, which maps each point p of its base
-    point's orbit under them to (u, u^-1) for an element u sending the
-    base point to p.  An element fixing the three lines and (1, 0) has
-    block I, so below the last level lie the translations
-    {T_w in H}, held as `W`: a GF(2) echelon basis of the rows
-    w0 + w1 2^m.  So |H| is the product of the orbit lengths times
-    2^dim W.  On SL2(q) blocks the orbits have q + 1, q, q - 1 and 1
-    points."""
-
-    def __init__(self, ctx: FieldCtx, lifts: list[Mat3]):
-        ident = Mat3.identity(ctx)
-        self.ctx, self.lifts = ctx, lifts
-        self.gens: list[list[Mat3]] = [[], [], [], []]
-        self.orbits = [{_base_image(ctx, i, ident): (ident, ident)} for i in range(4)]
-        self.W: dict = {}
-        for g in lifts:
-            self.include(g, 0)
-
-    def include(self, x: Mat3, top: int) -> None:
-        """Make the chain hold x, an element of H fixing the base points
-        above level `top`: sift x down the levels, and where it leaves
-        an orbit, add what is left of it as a strong generator to every
-        level from `top` to that one."""
-        for level in range(top, 4):
-            pair = self.orbits[level].get(_base_image(self.ctx, level, x))
-            if pair is None:
-                break
-            x = pair[1] * x
-        else:
-            self._translate(x.third_col())
-            return
-        for i in reversed(range(top, level + 1)):
-            self.gens[i].append(x)
-            self._extend(i, x)
-
-    def _extend(self, level: int, y: Mat3) -> None:
-        """Close the orbit at `level` under its generators, y the new one,
-        and include the Schreier generators u_(sp)^-1 s u_p of every new
-        pair (p, s) in the level below (Schreier's lemma)."""
-        orbit, gens = self.orbits[level], self.gens[level]
-        pairs = list(orbit.values())
-        old = len(pairs)
-        for i, (u, _) in enumerate(pairs):  # grows as the orbit does
-            for s in gens if i >= old else (y,):
-                x = s * u
-                p = _base_image(self.ctx, level, x)
-                pair = orbit.get(p)
-                if pair is None:
-                    orbit[p] = pair = (x, x.inverse())
-                    pairs.append(pair)
-                else:
-                    self.include(pair[1] * x, level + 1)
-
-    def _translate(self, w: tuple) -> None:
-        """Put w into W, and close W under w -> A w for each lift block A.
-        g T_w g^-1 = T_(A w) for g = [[A, v], [0, 1]], so that closure
-        holds in H, and it stands in for the Schreier generators
-        u^-1 T_w u of the translations at every level."""
-        ctx, m = self.ctx, self.ctx.m
-        mul, mask = ctx.mul, (1 << m) - 1
-        todo = [w[0] | w[1] << m]
-        while todo:
-            v = gf2_insert(self.W, todo.pop())
-            if v:
-                w0, w1 = v & mask, v >> m
-                for g in self.lifts:
-                    a, b, c, d = g.block2()
-                    todo.append(mul(a, w0) ^ mul(b, w1) | (mul(c, w0) ^ mul(d, w1)) << m)
+def sl2_relators(r, s, t, minpoly: list[int]) -> list:
+    """The relators of `verify_splitting`'s presentation of SL2(q) at r, s
+    and t, elements of any group with `*` and `inverse()`, such as lifts
+    or free-group words; `minpoly` holds the bits c_0, ..., c_n, q = 2^n.
+    In order: s^2, t^2, r^q r^-1 = r^(q-1), (s t s r)^2, (t s)^3, (x_i x_j)^2 for
+    i < j < n, and x_n prod_(c_i = 1) x_i, where x_i = r^-i s r^i."""
+    n = len(minpoly) - 1
+    ri, rq, xs = r.inverse(), r, [s]
+    for _ in range(n):
+        xs.append(ri * xs[-1] * r)
+        rq = rq * rq
+    ts, wr = t * s, s * t * s * r
+    pairs = (xs[i] * xs[j] for j in range(n) for i in range(j))
+    last = xs[n]
+    for x, c in zip(xs, minpoly[:n]):
+        if c:
+            last = last * x
+    return [s * s, t * t, rq * ri, wr * wr, ts * ts * ts] + [p * p for p in pairs] + [last]
 
 
 def verify_splitting(
@@ -500,6 +441,9 @@ def verify_splitting(
     """Check that G = <N, lifts> is the semidirect product of
     N = Lambda_1^2 and H = <lifts>, and find |G| without enumerating G,
     N or H.  `translations` are the generators `kernel_group(ls)` returns.
+    The lifts must be R-, S- and T-lifts, with the blocks diag(e^-1, e),
+    S and T of `sl2_generators` for some e of order q - 1, followed by
+    any number of translations; ValueError otherwise.
 
     N is normal in G when each lift g conjugates N into N.  For
     g = [[A, w], [0, 1]], g T_v g^-1 = T_(Av), and A is linear over the
@@ -509,27 +453,76 @@ def verify_splitting(
     means gNg^-1 = N.  With N normal, G = NH, and the product formula
     gives |G| = |N| |H| / |N meet H| with |N| = q^(2d).
 
-    |H| comes from the Schreier-Sims chain `_Chain`, which stores O(q)
-    points on SL2(q) blocks, and its translations W = {w : T_w in H}
-    give N meet H = W meet Lambda_1^2.  w -> (P(w0), P(w1)), P the
-    subspace polynomial, is GF(2)-linear with kernel Lambda_1^2, so
+    |H| comes from the Bruhat form of Steinberg's presentation of SL2(q)
+    (Steinberg, Lectures on Chevalley Groups, 1967), q = 2^n:
+
+        Gamma = < r, s, t | s^2, t^2, r^(q-1), (s t s r)^2, (t s)^3,
+                  (x_i x_j)^2 for 0 <= i < j < n, x_n prod_(c_i = 1) x_i >
+
+    with x_i = r^-i s r^i and X^n + sum c_i X^i the minimal polynomial of
+    e^2 over GF(2) (`sl2_relators`).  Gamma is SL2(q):
+    - The relators hold on the blocks: R^-i S R^i = [[1, e^2i], [0, 1]]
+      and (S T S R)^2 = (T S)^3 = I.  e^2 has order q - 1, so its first
+      n powers span GF(q), and these x_i and their transposes, the
+      conjugates of T, generate SL2(q).  So Gamma maps onto SL2(q).
+    - U~ = <x_0, ..., x_(n-1)> is generated by n commuting involutions,
+      so it is elementary abelian of order <= q.  r^-1 x_i r = x_(i+1),
+      and the last relator puts x_n in U~, so r normalizes U~ and
+      |<r, s>| = |U~ <r>| <= q(q - 1).
+    - w = s t s is an involution; (w r)^2 = 1 gives w r w = r^-1, and
+      (t s)^3 = 1 gives w = t s t, so w s w = t = s w s.
+    - Conjugation by r makes U~ a cyclic module over GF(2)[X]/(minimal
+      polynomial) = GF(q), so U~ is 1 or a copy of GF(q) on which r acts
+      as multiplication by e^(-+2), transitive on U~ minus 1.  For
+      x = r^-k s r^k, w x w = r^k s w s r^-k lies in U~ w <r, s>.  So
+      <r, s> u U~ w <r, s> is closed under right multiplication by r, s
+      and w; it is Gamma, and |Gamma| <= (q + 1) q (q - 1) = |SL2(q)|.
+    So the kernel of the free group on r, s, t and a letter per further
+    lift onto SL2(q) is the normal closure of the relators and those
+    letters.  Its image in H, {T_w in H}, is the normal closure of the
+    relator values on the lifts and the further lifts, all translations,
+    and g T_w g^-1 = T_(A w).  So W = {w : T_w in H} is the GF(2) span of
+    their translations closed under the lift blocks, an echelon basis of
+    rows w0 + w1 2^m, and |H| = |SL2(q)| 2^dim W: O(n^2) products and
+    nothing stored per point.  ClosureCapError exactly when |H| > cap.
+
+    N meet H = W meet Lambda_1^2.  w -> (P(w0), P(w1)), P the subspace
+    polynomial, is GF(2)-linear with kernel Lambda_1^2, so
     dim (W meet Lambda_1^2) is dim W less the rank of the images of W's
-    basis.  ClosureCapError exactly when |H| > cap.  G splits when H
-    meets N trivially.
+    basis.  G splits when H meets N trivially.
     """
     for g in lifts:
         gi = g.inverse()
         for t in translations:
             if not ls.kernel_contains(g * t * gi):
                 raise ValueError("kernel is not normal in the group")
-    chain = _Chain(ls.ambient, lifts)
-    order = prod(map(len, chain.orbits)) << len(chain.W)
+    ctx, n = ls.ambient, ls.n
+    q, m, mul = 1 << n, ctx.m, ctx.mul
+    blocks = [g.block2() for g in lifts]
+    e = blocks[0][3] if blocks else 0
+    if not e or blocks[:3] != [(ctx.inv(e), 0, 0, e), (1, 1, 0, 1), (1, 0, 1, 1)]:
+        raise ValueError("the lifts do not begin with the blocks diag(e^-1, e), S and T")
+    if not ctx.in_subfield(e, n) or ctx.order_of(e, q - 1) != q - 1:
+        raise ValueError(f"e = {e:#x} does not have order {q - 1}")
+    if any(b != (1, 0, 0, 1) for b in blocks[3:]):
+        raise ValueError("a lift past the third is not a translation")
+    values = sl2_relators(*lifts[:3], minimal_polynomial(ctx, mul(e, e), n))
+    if any(v.block2() != (1, 0, 0, 1) for v in values):
+        raise ValueError("a relator of SL2(q) is not I on the lift blocks")
+    W: dict = {}
+    todo = [w0 | w1 << m for w0, w1 in (g.third_col() for g in values + lifts[3:])]
+    while todo:
+        v = gf2_insert(W, todo.pop())
+        if v:
+            w0, w1 = v & (1 << m) - 1, v >> m
+            for a, b, c, d in blocks[:3]:
+                todo.append(mul(a, w0) ^ mul(b, w1) | (mul(c, w0) ^ mul(d, w1)) << m)
+    order = q * (q * q - 1) << len(W)
     if order > cap:
         raise ClosureCapError(cap)
-    m = ls.ambient.m
     images: dict = {}
-    for v in chain.W.values():
+    for v in W.values():
         gf2_insert(images, ls.value(v & (1 << m) - 1) | ls.value(v >> m) << m)
-    inter = 1 << (len(chain.W) - len(images))
+    inter = 1 << (len(W) - len(images))
     N = ls.kernel_order
     return SplitReport(N * order // inter, N, order, inter)

@@ -75,9 +75,10 @@ def _dickson(q: int, X: MultiPoly, Y: MultiPoly) -> tuple[MultiPoly, MultiPoly]:
 
 def _forms(ctx: FieldCtx, n: int, gscale: int) -> list[tuple[int, int, int]]:
     """The q+1 canonical line forms a x + b y + c z, first nonzero of
-    (a, b) equal to 1, lifted by c = gscale g(a, b); c = 0 when gscale is."""
+    (a, b) equal to 1, lifted by c = gscale g(a, b); c = 0, and g is not
+    evaluated, when gscale is."""
     pairs = [(0, 1)] + [(1, s) for s in subfield_elements(ctx, n)]
-    return [(a, b, ctx.mul(gscale, cocycle_g(ctx, a, b, n))) for a, b in pairs]
+    return [(a, b, gscale and ctx.mul(gscale, cocycle_g(ctx, a, b, n))) for a, b in pairs]
 
 
 def _line_products(forms, X: MultiPoly, Y: MultiPoly, Z: MultiPoly):

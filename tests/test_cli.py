@@ -677,8 +677,8 @@ def test_verify_stray_term_in_c1_fails_action_shape(monkeypatch, capsys):
 
 
 def test_verify_n7_d1_splits_without_listing_h(monkeypatch):
-    # |H| = 2 097 024 = 129 * 128 * 127: the chain's orbits on the lines
-    # give it with no closure
+    # |H| = 2 097 024 = 129 * 128 * 127: the presentation of SL2(q) gives
+    # it with no closure
     def refuse(*args, **kwargs):
         raise AssertionError("H was listed")
 

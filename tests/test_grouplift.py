@@ -1,12 +1,16 @@
 import functools
 import random
 from itertools import product as iproduct
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from refl2.ffield import field_new, subfield_elements, subfield_generator
+from refl2.ffield import (
+    field_new, gf2_insert, modulus_is_irreducible, subfield_elements, subfield_generator,
+)
+from refl2 import grouplift
 from refl2.grouplift import (
     ClosureCapError,
     LambdaSpace,
@@ -19,8 +23,10 @@ from refl2.grouplift import (
     h_gamma,
     kernel_group,
     lift_generators,
+    minimal_polynomial,
     sl2_elements,
     sl2_generators,
+    sl2_relators,
     verify_splitting,
 )
 from refl2.invariants import kernel_invariants
@@ -427,8 +433,10 @@ def test_verify_splitting_normality_matches_enumerated_kernel():
     for s in range(1, ctx.order):
         try:
             verify_splitting(ls, kernel_group(ls), [Mat3.block(ctx, 1, 0, 0, s)])
-        except ValueError:
-            continue
+        except ValueError as exc:
+            # past the normality check, a lone lift is refused as not R, S, T
+            if "not normal" in str(exc):
+                continue
         normalizing.append(s)
     assert normalizing == [
         s for s in range(1, ctx.order) if all(ctx.mul(s, a) in span for a in span)
@@ -599,6 +607,111 @@ def orbit_stabilizer_split(ls, lifts):
     return SplitReport(N * order // inter, N, order, inter)
 
 
+def _base_image(ctx, level, m):
+    """Where m's block sends the chain's base point at `level`: the lines
+    through (1, 0), (0, 1) and (1, 1), each named by x/y (None for the
+    line y = 0), then the vector (1, 0)."""
+    (a, b, _), (c, d, _), _ = m.rows
+    if level == 3:
+        return a, c
+    if level == 1:
+        a, c = b, d
+    elif level == 2:
+        a, c = a ^ b, c ^ d
+    return ctx.mul(a, ctx.inv(c)) if c else None
+
+
+class _Chain:
+    """H = <lifts>, whose elements [[A, w], [0, 1]] act on the plane by
+    v -> A v + w, as a Schreier-Sims chain (Sims 1970; Seress, Permutation
+    Group Algorithms, 2003) on the base points of `_base_image`: the
+    reference for `verify_splitting`'s presentation on any lifts.  Level i
+    keeps the strong generators `gens[i]`, which fix the base points
+    above it, and `orbits[i]`, which maps each point p of its base
+    point's orbit under them to (u, u^-1) for an element u sending the
+    base point to p.  An element fixing the three lines and (1, 0) has
+    block I, so below the last level lie the translations
+    {T_w in H}, held as `W`: a GF(2) echelon basis of the rows
+    w0 + w1 2^m.  So |H| is the product of the orbit lengths times
+    2^dim W.  On SL2(q) blocks the orbits have q + 1, q, q - 1 and 1
+    points."""
+
+    def __init__(self, ctx, lifts):
+        ident = Mat3.identity(ctx)
+        self.ctx, self.lifts = ctx, lifts
+        self.gens = [[], [], [], []]
+        self.orbits = [{_base_image(ctx, i, ident): (ident, ident)} for i in range(4)]
+        self.W = {}
+        for g in lifts:
+            self.include(g, 0)
+
+    def include(self, x, top):
+        """Make the chain hold x, an element of H fixing the base points
+        above level `top`: sift x down the levels, and where it leaves
+        an orbit, add what is left of it as a strong generator to every
+        level from `top` to that one."""
+        for level in range(top, 4):
+            pair = self.orbits[level].get(_base_image(self.ctx, level, x))
+            if pair is None:
+                break
+            x = pair[1] * x
+        else:
+            self._translate(x.third_col())
+            return
+        for i in reversed(range(top, level + 1)):
+            self.gens[i].append(x)
+            self._extend(i, x)
+
+    def _extend(self, level, y):
+        """Close the orbit at `level` under its generators, y the new one,
+        and include the Schreier generators u_(sp)^-1 s u_p of every new
+        pair (p, s) in the level below (Schreier's lemma)."""
+        orbit, gens = self.orbits[level], self.gens[level]
+        pairs = list(orbit.values())
+        old = len(pairs)
+        for i, (u, _) in enumerate(pairs):  # grows as the orbit does
+            for s in gens if i >= old else (y,):
+                x = s * u
+                p = _base_image(self.ctx, level, x)
+                pair = orbit.get(p)
+                if pair is None:
+                    orbit[p] = pair = (x, x.inverse())
+                    pairs.append(pair)
+                else:
+                    self.include(pair[1] * x, level + 1)
+
+    def _translate(self, w):
+        """Put w into W, and close W under w -> A w for each lift block A.
+        g T_w g^-1 = T_(A w) for g = [[A, v], [0, 1]], so that closure
+        holds in H, and it stands in for the Schreier generators
+        u^-1 T_w u of the translations at every level."""
+        ctx, m = self.ctx, self.ctx.m
+        mul, mask = ctx.mul, (1 << m) - 1
+        todo = [w[0] | w[1] << m]
+        while todo:
+            v = gf2_insert(self.W, todo.pop())
+            if v:
+                w0, w1 = v & mask, v >> m
+                for g in self.lifts:
+                    a, b, c, d = g.block2()
+                    todo.append(mul(a, w0) ^ mul(b, w1) | (mul(c, w0) ^ mul(d, w1)) << m)
+
+
+def chain_split(ls, chain):
+    """`verify_splitting`'s report from `chain`, the `_Chain` of the lifts:
+    |H| the product of its orbit lengths times 2^dim W, and
+    N meet H = W meet Lambda_1^2.  The chain does not depend on
+    Lambda_1, so one chain serves every basis over the same field."""
+    order = prod(map(len, chain.orbits)) << len(chain.W)
+    m = ls.ambient.m
+    images = {}
+    for v in chain.W.values():
+        gf2_insert(images, ls.value(v & (1 << m) - 1) | ls.value(v >> m) << m)
+    inter = 1 << (len(chain.W) - len(images))
+    N = ls.kernel_order
+    return SplitReport(N * order // inter, N, order, inter)
+
+
 @pytest.mark.parametrize(
     "n, d, variant, kind",
     [(n, d, v, None) for n in (6, 7) for d in (0, 1) for v in ("h1", "h0")]
@@ -616,7 +729,7 @@ def test_chain_split_matches_orbit_stabilizer_split(n, d, variant, kind):
 @pytest.mark.parametrize("variant", ["h1", "h0"])
 @pytest.mark.parametrize("n, d", [(9, 0), (10, 0), (12, 0), (10, 1)])
 def test_chain_split_at_scale(n, d, variant):
-    # O(q) chain points: the orbits have q + 1, q, q - 1 and 1 points
+    # the presentation's relators, O(n^2) products, give |SL2(q)| and W = 0
     ctx = field_new(n)
     ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
     lifts = list(lift_generators(variant, n, ctx))
@@ -653,11 +766,14 @@ def test_orbit_stabilizer_split_matches_bfs_other_bases(n, modulus, basis, varia
 
 def control_lifts(kind, variant, n, ctx):
     """The lifts with one change that makes H meet the translations: R's
-    third column off the cocycle ("R"), the translation T_(1,0) added
-    ("T"), or S's third column set to (1, 0) ("S")."""
+    third column set to (0, 1) ("R") or moved by (0x2, 0) ("P"), the
+    translation T_(1,0) added ("T"), or S's third column set to (1, 0)
+    ("S")."""
     R, S, T = lift_generators(variant, n, ctx)
-    if kind == "R":
-        return [Mat3.block(ctx, *R.block2(), col=(0, 1)), S, T]
+    if kind in ("R", "P"):
+        w0, w1 = R.third_col()
+        col = (0, 1) if kind == "R" else (w0 ^ 0x2, w1)
+        return [Mat3.block(ctx, *R.block2(), col=col), S, T]
     if kind == "T":
         return [R, S, T, Mat3.translation(ctx, 1, 0)]
     return [R, Mat3.block(ctx, *S.block2(), col=(1, 0)), T]
@@ -673,8 +789,8 @@ def control_lifts(kind, variant, n, ctx):
     + [(n, v, 1, k) for n in (2, 3) for v in ("h1", "h0") for k in ("T", "S")],
 )
 def test_orbit_stabilizer_split_matches_bfs_corrupted_lift(n, variant, d, kind):
-    # H meets the translations, found through the translations W at the
-    # bottom of the chain and their closure under the blocks
+    # H meets the translations, found through the translations W of the
+    # relator values and the further lifts, closed under the blocks
     ctx = GF4 if n == 2 else GF8
     ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
     lifts = control_lifts(kind, variant, n, ctx)
@@ -687,8 +803,7 @@ def test_orbit_stabilizer_split_matches_bfs_corrupted_lift(n, variant, d, kind):
 
 @pytest.mark.parametrize("n, variant", [(2, "h1"), (2, "h0"), (3, "h1"), (3, "h0")])
 def test_orbit_stabilizer_split_cap_is_exact(n, variant):
-    # ClosureCapError exactly when |H| passes the cap, whether the orbit of
-    # 0 (h1) or the block chain (h0) carries the count
+    # ClosureCapError exactly when |H| = |SL2(q)| 2^dim W passes the cap
     ls = LambdaSpace(GF4 if n == 2 else GF8, n, ())
     lifts = list(lift_generators(variant, n, ls.ambient))
     order = len(closure_of(tuple(lifts)))
@@ -697,3 +812,151 @@ def test_orbit_stabilizer_split_cap_is_exact(n, variant):
         verify_splitting(ls, [], lifts, cap=order - 1)
     with pytest.raises(ClosureCapError):
         verify_splitting(ls, [], lifts, cap=1)
+
+
+# -- the presentation of SL2(q) against the chain ------------------------------
+
+
+@pytest.mark.parametrize("variant", ["h1", "h0"])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_split_matches_chain_default_bases(n, variant):
+    # d = 0, 1 over GF(2^n), and d = 2 over GF(2^2n) while n <= 4
+    cases = [(field_new(n), (0, 1))] + ([(field_new(2 * n), (2,))] if n <= 4 else [])
+    for ctx, ds in cases:
+        lifts = list(lift_generators(variant, n, ctx))
+        chain = _Chain(ctx, lifts)
+        for d in ds:
+            ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+            rep = verify_splitting(ls, kernel_group(ls, cap=1 << 60), lifts, cap=1 << 60)
+            assert rep == chain_split(ls, chain)
+
+
+@pytest.mark.parametrize("variant", ["h1", "h0"])
+@pytest.mark.parametrize("n, modulus, basis", OTHER_BASES + [(2, 0x43, (0x1B, 0x2))])
+def test_split_matches_chain_other_bases(n, modulus, basis, variant):
+    ls = LambdaSpace(field_new(modulus.bit_length() - 1, modulus), n, basis)
+    lifts = list(lift_generators(variant, n, ls.ambient))
+    rep = verify_splitting(ls, kernel_group(ls), lifts)
+    assert rep == chain_split(ls, _Chain(ls.ambient, lifts))
+
+
+@pytest.mark.parametrize("variant", ["h1", "h0"])
+@pytest.mark.parametrize("kind", ["R", "P", "S", "T"])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_split_matches_chain_control_lifts(n, kind, variant):
+    # a wrong presentation would understate W and claim a split that does
+    # not hold; these lifts make H meet the translations
+    ctx = field_new(n)
+    lifts = control_lifts(kind, variant, n, ctx)
+    chain = _Chain(ctx, lifts)
+    assert chain.W
+    for d in (0, 1):
+        ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+        assert verify_splitting(ls, kernel_group(ls), lifts, cap=1 << 60) == chain_split(ls, chain)
+
+
+def test_split_matches_chain_on_every_column_over_gf4():
+    # all 4 096 choices of the third columns of R, S and T over GF(4)
+    ls0, ls1 = LambdaSpace(GF4, 2, ()), LambdaSpace(GF4, 2, (1,))
+    blocks = [g.block2() for g in sl2_generators(2, GF4)]
+    pairs = list(iproduct(range(4), repeat=2))
+    for cols in iproduct(pairs, repeat=3):
+        lifts = [Mat3.block(GF4, *b, col=c) for b, c in zip(blocks, cols)]
+        chain = _Chain(GF4, lifts)
+        for ls in (ls0, ls1):
+            assert verify_splitting(ls, kernel_group(ls), lifts) == chain_split(ls, chain)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_split_takes_any_generator_for_e(n):
+    # the proof uses only the order of e: R = diag(e^-k, e^k) for k prime
+    # to q - 1 gives the chain's report too, with or without a translation
+    ctx = field_new(n)
+    q = 1 << n
+    e = subfield_generator(ctx, n)
+    ls = LambdaSpace(ctx, n, (1,))
+    _, S, T = sl2_generators(n, ctx)
+    for k in range(2, q - 1):
+        if gcd(k, q - 1) == 1:
+            ek = ctx.pow_(e, k)
+            for col in ((0, 0), (1, ek), (0, 1)):
+                lifts = [Mat3.block(ctx, ctx.inv(ek), 0, 0, ek, col=col), S, T]
+                rep = verify_splitting(ls, kernel_group(ls), lifts, cap=1 << 60)
+                assert rep == chain_split(ls, _Chain(ctx, lifts))
+
+
+def refused_lifts(ctx, n):
+    R, S, T = lift_generators("h1", n, ctx)
+    e = R.rows[1][1]
+    e3 = ctx.pow_(e, 3)
+    return {
+        "S-block": ([R, Mat3.block(ctx, 1, e, 0, 1), T], "do not begin"),
+        "T-block": ([R, S, Mat3.block(ctx, 1, 0, e, 1)], "do not begin"),
+        "det-e": ([Mat3.block(ctx, 1, 0, 0, e), S, T], "do not begin"),
+        "order-5": ([Mat3.block(ctx, ctx.inv(e3), 0, 0, e3), S, T], "order 15"),
+        "off-GF(4)": ([Mat3.block(ctx, ctx.inv(0x2), 0, 0, 0x2), S, T], "order 3"),
+        "two-lifts": ([R, S], "do not begin"),
+        "no-lifts": ([], "do not begin"),
+        "out-of-order": ([S, R, T], "do not begin"),
+        "fourth-not-translation": ([R, S, T, R], "not a translation"),
+    }
+
+
+@pytest.mark.parametrize("case", list(refused_lifts(field_new(4), 4)))
+def test_verify_splitting_refuses_lifts_off_the_presentation(case):
+    # d = 0, so the normality check passes and the refusal is the new one;
+    # "off-GF(4)" reads e = 0x2 of GF(16) as a lift for n = 2
+    ctx = field_new(4)
+    lifts, message = refused_lifts(ctx, 4)[case]
+    n = 2 if case == "off-GF(4)" else 4
+    with pytest.raises(ValueError, match=message):
+        verify_splitting(LambdaSpace(ctx, n, ()), [], lifts, cap=1 << 60)
+
+
+def test_verify_splitting_refuses_a_relator_off_the_blocks(monkeypatch):
+    # a wrong polynomial, X^n, leaves the last relator x_n = [[1, e^2n], [0, 1]]
+    ctx = field_new(4)
+    monkeypatch.setattr(grouplift, "minimal_polynomial", lambda ctx, a, n: [0] * n + [1])
+    with pytest.raises(ValueError, match="not I"):
+        verify_splitting(LambdaSpace(ctx, 4, ()), [], list(lift_generators("h1", 4, ctx)))
+
+
+def sl2_minimal_polynomial(n):
+    ctx = field_new(n)
+    e = subfield_generator(ctx, n)
+    return ctx, minimal_polynomial(ctx, ctx.mul(e, e), n)
+
+
+@pytest.mark.parametrize("n", range(2, 17))
+def test_sl2_relators_hold_on_the_blocks(n):
+    ctx, minpoly = sl2_minimal_polynomial(n)
+    assert minpoly[n] == 1 and set(minpoly) <= {0, 1}
+    assert modulus_is_irreducible(sum(c << i for i, c in enumerate(minpoly)), n)
+    values = sl2_relators(*sl2_generators(n, ctx), minpoly)
+    assert len(values) == 6 + n * (n - 1) // 2
+    assert all(v == Mat3.identity(ctx) for v in values)
+    # negative control: a wrong polynomial breaks the last relator alone
+    wrong = [minpoly[0] ^ 1] + minpoly[1:]
+    assert sl2_relators(*sl2_generators(n, ctx), wrong)[-1] != Mat3.identity(ctx)
+
+
+@pytest.mark.parametrize(
+    "n, over_r",
+    [(2, True), (3, True), (4, True), pytest.param(5, True, marks=pytest.mark.slow), (2, False)],
+)
+def test_sl2_presentation_by_coset_enumeration(n, over_r):
+    # Todd-Coxeter (Holt, Eick and O'Brien, Handbook of Computational Group
+    # Theory, 2005, ch. 5): <r> has index q(q + 1) in the presented group,
+    # and r^(q-1) = 1, so it has at most q(q + 1)(q - 1) elements; the
+    # relators hold on the blocks, so it maps onto SL2(q) and is SL2(q).
+    # At n=2 the cosets of 1 count the group itself, r^(q-1) included
+    pytest.importorskip("sympy")
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    _, minpoly = sl2_minimal_polynomial(n)
+    F, r, s, t = free_group("r s t")
+    table = FpGroup(F, sl2_relators(r, s, t, minpoly)).coset_enumeration([r] if over_r else [])
+    table.compress()
+    q = 1 << n
+    assert len(table.table) == q * (q + 1) * (1 if over_r else q - 1)
