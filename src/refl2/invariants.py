@@ -23,11 +23,12 @@
   to match the lifted generators actually closed over.
 
 S^N = k[F] with F = (f_x, f_y, z^(q^d)), and each generator g maps F
-affinely by a matrix M_g (`kernel_action`), so g (p o F) = (M_g p) o F.
-The candidates u-bar, c1-bar are the small family (u~, c1~) -- the
-closed-form pair when every offset of M_g vanishes, else the lifted
-family with z scaled by alpha -- composed with F.  The criterion reads
-it off its `line_forms` and `restricted_pair` and never expands it.
+affinely by a matrix M_g read off its entries (`kernel_action`), so
+g (p o F) = (M_g p) o F.  The candidates u-bar, c1-bar are the small
+family (u~, c1~) -- the closed-form pair when every offset of M_g
+vanishes, else the lifted family with z scaled by alpha -- composed with
+F.  The criterion reads it off the maps M_g and `restricted_pair` and
+never expands it.
 """
 
 from __future__ import annotations
@@ -129,12 +130,12 @@ def lifted_invariants(
 
 
 class ActionShapeError(ValueError):
-    """The image of a kernel invariant is not an affine combination of
-    (f_x, f_y, z^(q^d)), a map M_g has a singular block, or the small
-    family's restrictions to z = 0 are not the closed-form pair
-    (`restricted_pair`), have a zero Jacobian (`refl2.verify.kemper_lines`)
-    or have dependent leads (`refl2.verify.restricted_leads`) -- signals a
-    construction bug upstream."""
+    """The kernel invariants are not monic linearized forms, a generator or
+    a map M_g has a block entry outside GF(q) or a map a singular block
+    (`kernel_action`, `refl2.verify.kemper_lines`), or the small family's
+    restrictions to z = 0 are not the closed-form pair (`restricted_pair`),
+    have a zero Jacobian (`kemper_lines`) or have dependent leads
+    (`refl2.verify.restricted_leads`) -- signals a construction bug upstream."""
 
 
 class ActionDescriptor:
@@ -159,66 +160,64 @@ class ActionDescriptor:
         return all(m.third_col() == (0, 0) for m in self.maps)
 
 
-def _affine_decompose(img, fx, fy, zpow, what):
-    """img = a fx + b fy + t z^zpow, by exact coefficient comparison."""
-    a = img.coeff((zpow, 0, 0))
-    b = img.coeff((0, zpow, 0))
-    resid = img + fx.scale(a) + fy.scale(b)
-    t = resid.coeff((0, 0, zpow))
-    resid = resid + MultiPoly.from_terms(img.ctx, [((0, 0, zpow), t)])
-    if not resid.is_zero():
-        raise ActionShapeError(
-            f"image of {what} is not an affine combination of the kernel invariants"
-        )
-    return a, b, t
-
-
 def kernel_action(
     gens: list[Mat3], fx: MultiPoly, fy: MultiPoly, fz: MultiPoly, n: int
 ) -> ActionDescriptor:
-    """Decompose each generator's action on (f_x, f_y) exactly into its map
-    M_g, the linear part over the GF(2^n) subfield; the maps of N's
-    translations are the identity, as P vanishes on Lambda_1.  Reports
-    alpha, the z^(q^d)-offset of f_x under the diagonal lift (zero when
-    every offset vanishes)."""
+    """Each generator's map M_g on F, read off g = [[a, b, w0], [c, d, w1],
+    [0, 0, 1]].  f_x = sum_m c_m x^(q^m) z^(q^d - q^m) is additive, and
+    c x^(q^m) = (c x)^(q^m) for c in GF(q), so with P(w) = f_x(w, 0, 1),
+    the subspace polynomial of Lambda_1,
+      g f_x = a f_x + b f_y + P(w0) z^(q^d),   g f_y = c f_x + d f_y + P(w1) z^(q^d)
+    when a..d lie in GF(q), f_x has that monic shape and f_y is f_x with
+    x and y swapped; else `ActionShapeError`.  N's translations map to the
+    identity, as P vanishes on Lambda_1.  alpha is the z^(q^d)-offset of
+    f_x under the diagonal lift (zero when every offset vanishes)."""
     ctx = fx.ctx
     zpow = fx.deg()
     if fz != MultiPoly.variable(ctx, 2):
         raise ValueError("f_z must be the coordinate z")
-    d = 0
-    while (1 << (n * d)) < zpow:
-        d += 1
+    d = max(zpow.bit_length() - 1, 0) // n
     if (1 << (n * d)) != zpow:
         raise ValueError("degree of f_x is not a power of the subfield size")
+    swapped = MultiPoly.from_terms(ctx, [((b, a, c), v) for (a, b, c), v in fx.terms()])
+    linearized = fx.var_degrees(1) == {0} and dickson_support_check(fx, n, d)
+    if not (linearized and fx.is_homogeneous()) or fx.coeff((zpow, 0, 0)) != 1 or fy != swapped:
+        raise ActionShapeError("the kernel invariants are not monic linearized forms")
     maps = []
     alpha = 0
     for g in gens:
-        ax, bx, tx = _affine_decompose(fx.act(g), fx, fy, zpow, "f_x")
-        ay, by, ty = _affine_decompose(fy.act(g), fx, fy, zpow, "f_y")
-        for v in (ax, bx, ay, by):
-            if not ctx.in_subfield(v, n):
-                raise ActionShapeError("linear part has entries outside GF(2^n)")
-        maps.append(Mat3.block(ctx, ax, bx, ay, by, col=(tx, ty)))
-        if (tx or ty) and bx == 0 and ay == 0 and (ax, by) != (1, 1):
+        if g.ctx != ctx:
+            raise ValueError("matrix entries from a mismatched context")
+        (a, b, w0), (c, d_, w1), _ = g.rows
+        if not all(ctx.in_subfield(v, n) for v in (a, b, c, d_)):
+            raise ActionShapeError("linear part has entries outside GF(2^n)")
+        tx, ty = fx.eval(w0, 0, 1), fx.eval(w1, 0, 1)
+        maps.append(Mat3.block(ctx, a, b, c, d_, col=(tx, ty)))
+        if (tx or ty) and b == 0 and c == 0 and (a, d_) != (1, 1):
             alpha = tx
-    e = subfield_generator(ctx, n)
-    return ActionDescriptor(ctx, n, d, zpow, tuple(maps), alpha, e)
+    return ActionDescriptor(ctx, n, d, zpow, tuple(maps), alpha, subfield_generator(ctx, n))
+
+
+def lift_scale(desc: ActionDescriptor) -> int:
+    """gamma, the scale of the cocycle companion g in the lifted forms: 0
+    when every offset is zero, else alpha (1 + e^-1)^-1, so that the
+    lifted generators as displayed lie in H_gamma."""
+    if desc.all_offsets_zero:
+        return 0
+    if desc.alpha == 0:
+        raise ActionShapeError("nonzero offsets but no diagonal-lift offset found")
+    delta = 1 ^ desc.ctx.inv(desc.e)
+    if delta == 0:
+        raise ValueError("lift normalization needs a subfield with e != 1")
+    return desc.ctx.mul(desc.alpha, desc.ctx.inv(delta))
 
 
 def line_forms(desc: ActionDescriptor) -> list[tuple[int, int, int]]:
     """The q+1 forms (a, b, c) = a x + b y + c z that the small family is
-    built from: the plane forms (c = 0) when every offset is zero, else
-    the forms lifted by c = alpha (1 + e^-1)^-1 g(a, b), to be fixed by
-    the lifted generators as displayed."""
-    ctx = desc.ctx
-    if desc.all_offsets_zero:
-        return _forms(ctx, desc.n, 0)
-    if desc.alpha == 0:
-        raise ActionShapeError("nonzero offsets but no diagonal-lift offset found")
-    delta = 1 ^ ctx.inv(desc.e)
-    if delta == 0:
-        raise ValueError("lift normalization needs a subfield with e != 1")
-    return _forms(ctx, desc.n, ctx.mul(desc.alpha, ctx.inv(delta)))
+    built from: the plane forms lifted by c = gamma g(a, b), gamma the
+    `lift_scale` (so the plane forms themselves when every offset is
+    zero)."""
+    return _forms(desc.ctx, desc.n, lift_scale(desc))
 
 
 def restricted_pair(desc: ActionDescriptor) -> tuple[MultiPoly, MultiPoly]:

@@ -8,7 +8,7 @@ clauses exactly on expanded invariants and names every failing one; it
 is the tests' reference.  The pipeline decides the criterion for the
 small family (u~, c1~, z) under the maps M_g, building neither u-bar nor
 c1-bar nor, closed-form or lifted, the family: `kemper_lines` reads the
-verdict off its q+1 line forms and the plane pair, on every run.
+verdict off the entries of each M_g and the plane pair, on every run.
 
 The oracle compares, degree by degree, the dimension of the fixed
 homogeneous polynomials in x, y, z, the kernel of Phi_d(p) = (g p - p)
@@ -87,8 +87,8 @@ expression attempt, then one `act` of p per generator.
 from __future__ import annotations
 
 from refl2.ffield import FieldCtx, gf2_insert
-from refl2.grouplift import Mat3
-from refl2.invariants import ActionDescriptor, ActionShapeError, line_forms
+from refl2.grouplift import Mat3, cocycle_f
+from refl2.invariants import ActionDescriptor, ActionShapeError, lift_scale
 from refl2.mvpoly import MultiPoly, _term_key, format_terms, jacobian_det
 
 
@@ -205,47 +205,47 @@ def kemper_check(
 
 def kemper_lines(group_order: int, desc: ActionDescriptor, pair) -> KemperVerdict:
     """`kemper_check` of the small family (u~, c1~, z) under the maps M_g
-    with weights (q^d, q^d, 1), read off the q+1 `line_forms` L instead
-    of the expanded polynomials.
+    with weights (q^d, q^d, 1), read off the entries of each M_g.
 
-    M_g sends the form (a, b, c) to (a m00 + b m10, a m01 + b m11,
-    a m02 + b m12 + c), lambda_L times a form with first nonzero (a, b)
-    entry 1; a singular block raises `ActionShapeError`.  The forms are
-    pairwise non-proportional linear forms, hence distinct primes, so by
-    unique factorization M_g fixes u~ = prod_L L iff it permutes the forms
-    with prod_L lambda_L = 1: the u flag is exact.  c1~ is
-    sum_L (u~/L)^(q-1), so when M_g permutes the forms with every
-    lambda_L in GF(q)*, it permutes the summands and fixes c1~; the c1
-    flag is that condition, and False means c1~ is not shown fixed.  Any
-    False flag, as from a map that does not permute the forms, fails the
-    clause `invariance`.
-    Their (a, b) are the plane forms: `restricted_pair` checked them to be
-    the q+1 points of P^1(GF(q)), distinct and normalized.  The degrees are
-    q + 1 and q^2 - q.  Setting z = 0 commutes with the x and y partials,
-    so J(u~, c1~, z) = J_xy(u~, c1~) restricts to J(u, c1, z) of `pair`,
-    the plane pair from `restricted_pair` (built once by the caller), and
-    is nonzero when that is; a zero one raises `ActionShapeError`."""
+    The family is built from the forms p x + r y + gamma g(p, r) z over
+    the points (p, r) of P^1(GF(q)) (`line_forms`, `restricted_pair`),
+    gamma the `lift_scale`, g(p, r) = p + r + sqrt(p r) and f = g + 1,
+    where sqrt x = x^(q/2) is additive and multiplicative on GF(q).  Let
+    M = [[a, b, t0], [c, d, t1]] with block A and delta = ad + bc; a
+    singular A or one with an entry outside GF(q) raises
+    `ActionShapeError`.  M sends the form of (p, r) to that of (p, r) A,
+    its z-coefficient plus p t0 + r t1, and
+      g((p, r) A) = g(p, r) + p f(a, b) + r f(c, d) + (1 + sqrt delta) sqrt(p r),
+    so the image is a lifted form iff
+      Delta(p, r) = p (t0 + gamma f(a, b)) + r (t1 + gamma f(c, d))
+                    + gamma (1 + sqrt delta) sqrt(p r)
+    vanishes.  Delta(s p, s r) = s Delta(p, r), so it vanishes on the q+1
+    points iff on GF(q)^2, iff at (1, 0), (0, 1) and (1, 1): M permutes
+    the forms iff (t0, t1) = gamma (f(a, b), f(c, d)) and (gamma = 0 or
+    delta = 1), i.e. M lies in the cocycle subgroup H_gamma, or gamma = 0
+    and M has no offset.  Each form goes to lambda_L in GF(q)* times a
+    normalized one, and prod_L lambda_L = delta, as the plane forms
+    multiply to u = det [[x, y], [x^q, y^q]] and u o A = delta u.  The
+    forms are distinct primes, so M fixes u~ = prod_L L iff it permutes
+    them with prod_L lambda_L = 1: the u flag, permutes and delta = 1, is
+    exact.  c1~ = sum_L (u~/L)^(q-1) and lambda_L^(q-1) = 1, so the c1
+    flag is permutes (False: not shown fixed).  A False flag fails
+    `invariance`.  The degrees are q + 1 and q^2 - q.  z = 0 commutes with
+    the x and y partials, so J(u~, c1~, z) restricts to J(u, c1, z) of
+    `pair` (`restricted_pair`, built once by the caller), and is nonzero
+    when that is; a zero one raises `ActionShapeError`."""
     ctx, n = desc.ctx, desc.n
-    mul, inv = ctx.mul, ctx.inv
-    forms = line_forms(desc)
-    lifted = {(a, b): c for a, b, c in forms}
+    mul = ctx.mul
+    gamma = lift_scale(desc)
     fixed_by = []
     for M in desc.maps:
-        (m00, m01, m02), (m10, m11, m12), _ = M.rows
-        if mul(m00, m11) == mul(m01, m10):
-            raise ActionShapeError("a map M_g has a singular block")
-        # the block is invertible, so the images of the q+1 distinct forms
-        # are distinct, and lie in the forms exactly when M_g permutes them
-        permutes, in_subfield, scale = True, True, 1
-        for a, b, c in forms:
-            a2, b2 = mul(a, m00) ^ mul(b, m10), mul(a, m01) ^ mul(b, m11)
-            lam = a2 or b2
-            li = inv(lam)
-            c2 = mul(mul(a, m02) ^ mul(b, m12) ^ c, li)
-            permutes = permutes and lifted.get((mul(a2, li), mul(b2, li))) == c2
-            in_subfield = in_subfield and ctx.in_subfield(lam, n)
-            scale = mul(scale, lam)
-        fixed_by.append((permutes and scale == 1, permutes and in_subfield, True))
+        (a, b, t0), (c, d, t1), _ = M.rows
+        delta = mul(a, d) ^ mul(b, c)
+        if delta == 0 or not all(ctx.in_subfield(v, n) for v in (a, b, c, d)):
+            raise ActionShapeError("a map M_g has a singular block or one outside GF(2^n)")
+        cocycle = mul(gamma, cocycle_f(ctx, a, b, n)), mul(gamma, cocycle_f(ctx, c, d, n))
+        permutes = (t0, t1) == cocycle and (gamma == 0 or delta == 1)
+        fixed_by.append((permutes and delta == 1, permutes, True))
     if jacobian_det(*pair, MultiPoly.variable(ctx, 2)).is_zero():
         raise ActionShapeError("the plane pair has a zero Jacobian")
     q = 1 << n

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from refl2.ffield import field_new, subfield_elements, subfield_generator
@@ -29,7 +31,7 @@ from refl2.invariants import (
 )
 from refl2.mvpoly import MultiPoly, jacobian_det
 from test_grouplift import kernel_reference, lambda_span_reference
-from test_verify import OFFSET_CASES, small_family
+from test_verify import OFFSET_CASES, criterion_setups, outcome, random_maps, small_family
 
 GF2 = field_new(1)
 GF4 = field_new(2)
@@ -510,6 +512,88 @@ def test_kernel_action_rejects_entries_outside_subfield():
     bad = Mat3.block(GF16, theta, 0, 0, GF16.inv(theta))
     with pytest.raises(ActionShapeError):
         kernel_action([bad], fx, fy, fz, n=2)
+
+
+def _affine_decompose_reference(img, fx, fy, zpow, what):
+    """img = a fx + b fy + t z^zpow, by exact coefficient comparison."""
+    a = img.coeff((zpow, 0, 0))
+    b = img.coeff((0, zpow, 0))
+    resid = img + fx.scale(a) + fy.scale(b)
+    t = resid.coeff((0, 0, zpow))
+    resid = resid + MultiPoly.from_terms(img.ctx, [((0, 0, zpow), t)])
+    if not resid.is_zero():
+        raise ActionShapeError(f"image of {what} is not an affine combination of F")
+    return a, b, t
+
+
+def kernel_action_reference(gens, fx, fy, fz, n):
+    """Reference for `kernel_action`: g f_x and g f_y expanded by `act` and
+    decomposed into a f_x + b f_y + t z^(q^d) by their coefficients."""
+    ctx = fx.ctx
+    zpow = fx.deg()
+    if fz != MultiPoly.variable(ctx, 2):
+        raise ValueError("f_z must be the coordinate z")
+    d = 0
+    while (1 << (n * d)) < zpow:
+        d += 1
+    if (1 << (n * d)) != zpow:
+        raise ValueError("degree of f_x is not a power of the subfield size")
+    maps = []
+    alpha = 0
+    for g in gens:
+        ax, bx, tx = _affine_decompose_reference(fx.act(g), fx, fy, zpow, "f_x")
+        ay, by, ty = _affine_decompose_reference(fy.act(g), fx, fy, zpow, "f_y")
+        for v in (ax, bx, ay, by):
+            if not ctx.in_subfield(v, n):
+                raise ActionShapeError("linear part has entries outside GF(2^n)")
+        maps.append(Mat3.block(ctx, ax, bx, ay, by, col=(tx, ty)))
+        if (tx or ty) and bx == 0 and ay == 0 and (ax, by) != (1, 1):
+            alpha = tx
+    return ActionDescriptor(ctx, n, d, zpow, tuple(maps), alpha, subfield_generator(ctx, n))
+
+
+def action_outcome(gens, fx, fy, fz, n, action):
+    """The descriptor's fields, or the type of the ValueError raised."""
+    desc = outcome(action, gens, fx, fy, fz, n)
+    if isinstance(desc, type):
+        return desc
+    return desc.ctx, desc.n, desc.d, desc.zpow, desc.maps, desc.alpha, desc.e
+
+
+def test_kernel_action_matches_act_reference():
+    # the pipeline's generators, the control lifts, and seeded GL2(q)
+    # blocks with offsets in H_gamma, moved off it, random or zero; the
+    # random offsets are mostly outside Lambda_1, so P(w) != 0 is read
+    for i, (ls, lifts) in enumerate(criterion_setups()):
+        F = kernel_invariants(ls)
+        gens = list(lifts) + kernel_group(ls, cap=1 << 40)
+        gamma = displayed_scale(ls.n, ls.ambient)
+        kinds = ("cocycle", "perturbed", "random", "zero")
+        gens += random_maps(random.Random(i), ls.ambient, ls.n, gamma, kinds, 8)
+        new = action_outcome(gens, *F, ls.n, kernel_action)
+        assert new == action_outcome(gens, *F, ls.n, kernel_action_reference), ls
+        assert new is not ActionShapeError
+
+
+def test_kernel_action_refusals_match_act_reference():
+    # both refuse: f_x off the linearized shape in x, with a y term or not
+    # homogeneous, f_x not monic, f_y not f_x with x and y swapped (it is
+    # another Lambda_1's), and a block entry outside GF(q)
+    x, y, z = xyz(GF16)
+    fx, fy, fz = kernel_invariants(theta_space())
+    _, other_fy, _ = kernel_invariants(LambdaSpace(GF16, 2, (0x3,)))
+    lifts = list(lift_generators("h1", 2, GF16))
+    bad = lifts + [Mat3.block(GF16, 0x2, 0, 0, GF16.inv(0x2))]
+    for args in [
+        (lifts, x**3 * z, y**3 * z, z),
+        (lifts, x**4 + x * y**3, y**4 + y * x**3, z),
+        (lifts, x**4 + x * z**2, y**4 + y * z**2, z),
+        (lifts, fx.scale(0x6), fy.scale(0x6), fz),
+        (lifts, fx, other_fy, fz),
+        (bad, fx, fy, fz),
+    ]:
+        assert action_outcome(*args, 2, kernel_action) is ActionShapeError
+        assert action_outcome(*args, 2, kernel_action_reference) is ActionShapeError
 
 
 def all_group_generators(variant, n, ctx, ls):

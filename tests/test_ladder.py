@@ -1,6 +1,7 @@
-"""The n = 8..16 ladder, each instance a child process that reports its own
-CPU time and peak RSS.  Marked slow, so deselected by default: run it with
-`pytest -m slow`."""
+"""The n = 8..16 ladder at d = 0, 1, and n=8 at d=2 (q^d = 2^16, the
+largest kernel action on the default moduli), each instance a child
+process that reports its own CPU time and peak RSS.  Marked slow, so
+deselected by default: run it with `pytest -m slow`."""
 
 import json
 import os
@@ -21,6 +22,7 @@ sys.exit(code)
 """
 
 LADDER = [(n, d, variant) for n in range(8, 17) for d in (0, 1) for variant in ("h1", "h0")]
+LADDER += [(8, 2, variant) for variant in ("h1", "h0")]
 
 
 @pytest.mark.slow
@@ -28,7 +30,8 @@ LADDER = [(n, d, variant) for n in range(8, 17) for d in (0, 1) for variant in (
 def test_ladder_under_10s_cpu_and_100mb(tmp_path, n, d, variant):
     report = tmp_path / "report.json"
     argv = ["verify", "--n", str(n), "--d", str(d), "--variant", variant]
-    # the cap admits |H| = q(q^2 - 1): 6.9e10 at n=12, 2.8e14 at n=16
+    # the cap admits |H| = q(q^2 - 1): 6.9e10 at n=12, 2.8e14 at n=16; and
+    # |N| = q^(2d), 4.3e9 at n=8 d=2
     cap = 10**11 if n <= 12 else 10**20
     argv += ["--max-group", str(cap), "--json", str(report), "--quiet"]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

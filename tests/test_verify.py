@@ -10,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refl2.cli import EXIT_OK, VerifyConfig, run_verify
-from refl2.ffield import field_new, subfield_generator
+from refl2.ffield import field_new, subfield_elements, subfield_generator
 from refl2.grouplift import (
     LambdaSpace,
     Mat3,
     closure,
+    cocycle_f,
     default_lambda_basis,
     kernel_group,
     lift_generators,
@@ -30,13 +31,15 @@ from refl2.invariants import (
     dickson_pair,
     kernel_action,
     kernel_invariants,
+    lift_scale,
     line_forms,
     restricted_pair,
 )
 from refl2.linalg import field_kernel_dimension, field_matrix_rank, gf2_rank
-from refl2.mvpoly import MultiPoly
+from refl2.mvpoly import MultiPoly, jacobian_det
 from refl2.verify import (
     GeneratorExpr,
+    KemperVerdict,
     _field_rows,
     _pack_levels,
     _Pair,
@@ -53,6 +56,7 @@ from refl2.verify import (
     kemper_lines,
     restricted_leads,
 )
+from test_grouplift import control_lifts
 from test_mvpoly import substitute_reference
 
 GF2 = field_new(1)
@@ -366,6 +370,192 @@ def test_line_form_criterion_matches_expanded_census(n, m, variant):
     # h0 keeps every lift block-diagonal; under h1 a basis of Lambda_1
     # missing 1 makes the family lifted, and the whole field never does
     assert (lifted == 0) if variant == "h0" else (0 < lifted < 3 * (m // n))
+
+
+# -- the criterion from the maps against the per-form loop ---------------------
+
+
+def lines_reference(group_order, desc, pair):
+    """Reference for `kemper_lines`: each M_g applied to every one of the
+    q+1 lifted `line_forms`, with lambda_L, the normalized image and the
+    product of the lambda_L taken form by form.  The flags are (permutes
+    with prod lambda_L = 1, permutes with every lambda_L in GF(q), True)."""
+    ctx, n = desc.ctx, desc.n
+    mul, inv = ctx.mul, ctx.inv
+    forms = line_forms(desc)
+    lifted = {(a, b): c for a, b, c in forms}
+    fixed_by = []
+    for M in desc.maps:
+        (m00, m01, m02), (m10, m11, m12), _ = M.rows
+        if mul(m00, m11) == mul(m01, m10):
+            raise ActionShapeError("a map M_g has a singular block")
+        permutes, in_subfield, scale = True, True, 1
+        for a, b, c in forms:
+            a2, b2 = mul(a, m00) ^ mul(b, m10), mul(a, m01) ^ mul(b, m11)
+            lam = a2 or b2
+            li = inv(lam)
+            c2 = mul(mul(a, m02) ^ mul(b, m12) ^ c, li)
+            permutes = permutes and lifted.get((mul(a2, li), mul(b2, li))) == c2
+            in_subfield = in_subfield and ctx.in_subfield(lam, n)
+            scale = mul(scale, lam)
+        fixed_by.append((permutes and scale == 1, permutes and in_subfield, True))
+    if jacobian_det(*pair, MultiPoly.variable(ctx, 2)).is_zero():
+        raise ActionShapeError("the plane pair has a zero Jacobian")
+    q = 1 << n
+    degrees = (desc.zpow * (q + 1), desc.zpow * (q * q - q), 1)
+    product = degrees[0] * degrees[1]
+    failed = [] if all(all(row) for row in fixed_by) else ["invariance"]
+    if product != group_order:
+        failed.append("degree-product")
+    return KemperVerdict(
+        not failed, tuple(failed), group_order, degrees, product, tuple(fixed_by), True
+    )
+
+
+def criterion_setups():
+    """(Lambda space, lifts) for the differential tests of `kemper_lines`
+    and `kernel_action`: the LINE_CASES default bases, one seeded random
+    basis per d in each CENSUS field and the OFFSET_CASES bases under both
+    variants, and the split tests' control lifts at n = 2, 3, d = 0, 1."""
+    setups = []
+    for n, d, variant in LINE_CASES:
+        ctx = field_new(n * (2 if d == 2 else 1))
+        setups.append((LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx)), variant))
+    for n, m in CENSUS:
+        ctx = field_new(m)
+        for d in range(1, m // n + 1):
+            rng = random.Random(100 * m + 10 * n + d)
+            ls = LambdaSpace(ctx, n, random_lambda_basis(rng, ctx, n, d))
+            setups += [(ls, "h1"), (ls, "h0")]
+    for n, modulus, basis in sorted({(n, m, b) for n, _, m, b in OFFSET_CASES}):
+        ls = LambdaSpace(field_new(modulus.bit_length() - 1, modulus), n, basis)
+        setups += [(ls, "h1"), (ls, "h0")]
+    out = [(ls, list(lift_generators(variant, ls.n, ls.ambient))) for ls, variant in setups]
+    for n, d, variant, kind in iproduct((2, 3), (0, 1), ("h1", "h0"), "RPTS"):
+        ctx = field_new(n)
+        ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+        out.append((ls, control_lifts(kind, variant, n, ctx)))
+    return out
+
+
+def setup_descriptor(ls, lifts):
+    """(an order, the descriptor, the plane pair) for the lifts and N's
+    translations; the order is |N| q (q^2 - 1), the degree clause's only
+    input, read the same by both criteria."""
+    q = 1 << ls.n
+    gens = list(lifts) + kernel_group(ls, cap=1 << 40)
+    desc = kernel_action(gens, *kernel_invariants(ls), n=ls.n)
+    return ls.kernel_order * q * (q * q - 1), desc, restricted_pair(desc)
+
+
+def with_maps(desc, maps):
+    return ActionDescriptor(desc.ctx, desc.n, desc.d, desc.zpow, tuple(maps), desc.alpha, desc.e)
+
+
+def random_maps(rng, ctx, n, gamma, kinds, count):
+    """`count` maps with seeded random GL2(q) blocks, one in two scaled
+    into SL2(q), and offsets of a random kind: on the cocycle,
+    gamma (f(a, b), f(c, d)); moved off it by a random nonzero element;
+    random in the ambient field; or zero."""
+    sub = subfield_elements(ctx, n)
+    maps = []
+    while len(maps) < count:
+        a, b, c, d = (rng.choice(sub) for _ in range(4))
+        delta = ctx.mul(a, d) ^ ctx.mul(b, c)
+        if not delta:
+            continue
+        if rng.random() < 0.5:
+            a, b = ctx.mul(a, ctx.inv(delta)), ctx.mul(b, ctx.inv(delta))
+        kind = rng.choice(kinds)
+        col = (ctx.mul(gamma, cocycle_f(ctx, a, b, n)), ctx.mul(gamma, cocycle_f(ctx, c, d, n)))
+        if kind == "perturbed":
+            i = rng.randrange(2)
+            col = tuple(v ^ rng.randrange(1, ctx.order) if j == i else v for j, v in enumerate(col))
+        elif kind == "random":
+            col = (rng.randrange(ctx.order), rng.randrange(ctx.order))
+        elif kind == "zero":
+            col = (0, 0)
+        maps.append(Mat3.block(ctx, a, b, c, d, col=col))
+    return maps
+
+
+def outcome(f, *args):
+    """f's value, or the type of the ValueError it raises."""
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def test_kemper_lines_matches_per_form_reference():
+    setups = criterion_setups()
+    assert len(setups) == 80
+    for ls, lifts in setups:
+        order, desc, pair = setup_descriptor(ls, lifts)
+        # control lifts with an offset but no diagonal-lift one are refused
+        lines = outcome(kemper_lines, order, desc, pair)
+        assert lines == outcome(lines_reference, order, desc, pair), ls
+
+
+def test_kemper_lines_matches_per_form_reference_random_maps():
+    # seeded GL2(q) blocks with offsets in H_gamma, moved off it, random or
+    # zero, after the pipeline's own maps; every flag pattern the criterion
+    # can give occurs, and a closed-form descriptor with a nonzero offset
+    # is refused by both
+    seen = set()
+    for i, (ls, lifts) in enumerate(criterion_setups()):
+        order, desc, pair = setup_descriptor(ls, lifts)
+        gamma = outcome(lift_scale, desc)
+        if gamma is ActionShapeError:
+            continue
+        kinds = ("cocycle", "perturbed", "random", "zero") if gamma else ("zero",)
+        extra = random_maps(random.Random(i), desc.ctx, ls.n, gamma, kinds, 24)
+        wide = with_maps(desc, desc.maps + tuple(extra))
+        lines = kemper_lines(order, wide, pair)
+        assert lines == lines_reference(order, wide, pair), ls
+        seen.update(lines.fixed_by)
+        if not gamma:
+            moved = with_maps(desc, desc.maps + (Mat3.translation(desc.ctx, 1, 0),))
+            assert outcome(kemper_lines, order, moved, pair) is ActionShapeError
+            assert outcome(lines_reference, order, moved, pair) is ActionShapeError
+    assert seen == {(True, True, True), (False, True, True), (False, False, True)}
+
+
+def test_kemper_lines_refuses_block_entries_outside_gf_q():
+    # negative control: the proof needs GF(q) blocks.  diag(theta,
+    # theta^-1) with theta generating GF(16) has determinant 1, and the
+    # per-form loop reads it as moving the forms; `kemper_lines` refuses it
+    ls = LambdaSpace(field_new(4, 0x13), 2, (0x2,))
+    for variant in ("h1", "h0"):
+        order, desc, _ = small_setup(ls, variant)
+        ctx, pair = desc.ctx, restricted_pair(desc)
+        bad = with_maps(desc, desc.maps + (Mat3.block(ctx, 0x2, 0, 0, ctx.inv(0x2)),))
+        with pytest.raises(ActionShapeError, match="outside GF"):
+            kemper_lines(order, bad, pair)
+        assert lines_reference(order, bad, pair).fixed_by[-1] == (False, False, True)
+
+
+def test_kernel_action_and_criterion_list_no_forms_and_substitute_nothing(monkeypatch):
+    # the maps are read off the generators and the criterion off the maps:
+    # with `act` and the lifted forms patched to raise, a lifted run and a
+    # closed-form one still reach their verdicts
+    from refl2 import invariants
+
+    def refuse(*args):
+        raise AssertionError("brute-force pass on the run path")
+
+    forms = invariants._forms
+
+    def plane_forms(ctx, n, gscale):
+        return refuse() if gscale else forms(ctx, n, 0)
+
+    monkeypatch.setattr(MultiPoly, "act", refuse)
+    monkeypatch.setattr(invariants, "_forms", plane_forms)
+    for variant in ("h1", "h0"):
+        ls = LambdaSpace(field_new(6, 0x43), 3, (0x2,))
+        order, desc, pair = setup_descriptor(ls, lift_generators(variant, 3, ls.ambient))
+        assert bool(lift_scale(desc)) == (variant == "h1")
+        assert kemper_lines(order, desc, pair).polynomial
 
 
 # -- graded fixed dimension ----------------------------------------------------
