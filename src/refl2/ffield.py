@@ -349,13 +349,15 @@ def subfield_elements(ctx: FieldCtx, n: int) -> list[int]:
     order 2^n - 1.  h = a^((2^m-1)/(2^n-1)) lies in the subfield for every
     nonzero a, so a = 1, 2, ... is tried until h has that order, which
     factors only 2^n - 1; the powers of a generator g would need 2^m - 1
-    factored to find g."""
+    factored to find g.  Each power is one `mul` on the one before it."""
     if n < 1 or ctx.m % n != 0:
         raise ValueError(f"subfield degree {n} does not divide {ctx.m}")
     q = 1 << n
     powers = (ctx.pow_(a, (ctx.order - 1) // (q - 1)) for a in range(1, ctx.order))
     h = next(h for h in powers if ctx._order_raw(h, q - 1) == q - 1)
-    out = [0] + [ctx.pow_(h, i) for i in range(q - 1)]
+    out = [0, 1]
+    for _ in range(q - 2):
+        out.append(ctx.mul(out[-1], h))
     assert len(set(out)) == q
     return sorted(out)
 

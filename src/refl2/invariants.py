@@ -27,13 +27,12 @@ affinely by a matrix M_g read off its entries (`kernel_action`), so
 g (p o F) = (M_g p) o F.  The candidates u-bar, c1-bar are the small
 family (u~, c1~) -- the closed-form pair when every offset of M_g
 vanishes, else the lifted family with z scaled by alpha -- composed with
-F.  The criterion reads it off the maps M_g and `restricted_pair` and
-never expands it.
+F.  The criterion reads it off the maps M_g and never expands it.
 """
 
 from __future__ import annotations
 
-from refl2.ffield import FieldCtx, subfield_elements, subfield_generator
+from refl2.ffield import FieldCtx, subfield_elements
 from refl2.grouplift import LambdaSpace, Mat3, cocycle_g
 from refl2.mvpoly import MultiPoly
 
@@ -132,10 +131,9 @@ def lifted_invariants(
 class ActionShapeError(ValueError):
     """The kernel invariants are not monic linearized forms, a generator or
     a map M_g has a block entry outside GF(q) or a map a singular block
-    (`kernel_action`, `refl2.verify.kemper_lines`), or the small family's
-    restrictions to z = 0 are not the closed-form pair (`restricted_pair`),
-    have a zero Jacobian (`kemper_lines`) or have dependent leads
-    (`refl2.verify.restricted_leads`) -- signals a construction bug upstream."""
+    (`kernel_action`, `refl2.verify.kemper_lines`), or the offsets have no
+    diagonal lift to scale the cocycle by (`lift_scale`) -- signals a
+    construction bug upstream."""
 
 
 class ActionDescriptor:
@@ -171,7 +169,9 @@ def kernel_action(
     when a..d lie in GF(q), f_x has that monic shape and f_y is f_x with
     x and y swapped; else `ActionShapeError`.  N's translations map to the
     identity, as P vanishes on Lambda_1.  alpha is the z^(q^d)-offset of
-    f_x under the diagonal lift (zero when every offset vanishes)."""
+    f_x under the diagonal lift and e that lift's (2, 2) entry, the e of
+    diag(e^-1, e) (both zero when no diagonal lift other than I has an
+    offset)."""
     ctx = fx.ctx
     zpow = fx.deg()
     if fz != MultiPoly.variable(ctx, 2):
@@ -184,7 +184,7 @@ def kernel_action(
     if not (linearized and fx.is_homogeneous()) or fx.coeff((zpow, 0, 0)) != 1 or fy != swapped:
         raise ActionShapeError("the kernel invariants are not monic linearized forms")
     maps = []
-    alpha = 0
+    alpha = e = 0
     for g in gens:
         if g.ctx != ctx:
             raise ValueError("matrix entries from a mismatched context")
@@ -194,18 +194,19 @@ def kernel_action(
         tx, ty = fx.eval(w0, 0, 1), fx.eval(w1, 0, 1)
         maps.append(Mat3.block(ctx, a, b, c, d_, col=(tx, ty)))
         if (tx or ty) and b == 0 and c == 0 and (a, d_) != (1, 1):
-            alpha = tx
-    return ActionDescriptor(ctx, n, d, zpow, tuple(maps), alpha, subfield_generator(ctx, n))
+            alpha, e = tx, d_
+    return ActionDescriptor(ctx, n, d, zpow, tuple(maps), alpha, e)
 
 
 def lift_scale(desc: ActionDescriptor) -> int:
     """gamma, the scale of the cocycle companion g in the lifted forms: 0
-    when every offset is zero, else alpha (1 + e^-1)^-1, so that the
-    lifted generators as displayed lie in H_gamma."""
+    when every offset is zero, else alpha (1 + e^-1)^-1 with alpha and e
+    read off the same diagonal lift, so that the lifted generators as
+    displayed lie in H_gamma."""
     if desc.all_offsets_zero:
         return 0
-    if desc.alpha == 0:
-        raise ActionShapeError("nonzero offsets but no diagonal-lift offset found")
+    if desc.alpha == 0 or desc.e == 0:
+        raise ActionShapeError("nonzero offsets but no invertible diagonal-lift offset found")
     delta = 1 ^ desc.ctx.inv(desc.e)
     if delta == 0:
         raise ValueError("lift normalization needs a subfield with e != 1")
@@ -218,30 +219,6 @@ def line_forms(desc: ActionDescriptor) -> list[tuple[int, int, int]]:
     `lift_scale` (so the plane forms themselves when every offset is
     zero)."""
     return _forms(desc.ctx, desc.n, lift_scale(desc))
-
-
-def restricted_pair(desc: ActionDescriptor) -> tuple[MultiPoly, MultiPoly]:
-    """(u~, c1~) at z = 0 without building them: the closed-form (u, c1),
-    checked to be (prod_L L, sum_L (u/L)^(q-1)) over the q+1 plane forms
-    L = a x + b y, the restrictions of the small family whatever the lift
-    (`line_forms`); `ActionShapeError` when it is not.  The forms are q+1
-    distinct (a, b) in GF(q)^2 with first nonzero entry 1, so all of
-    P^1(GF(q)), and since t^q + t = prod_{s in GF(q)} (t + s) (factor
-    theorem) their product is y prod_s (x + s y) = x^q y + x y^q = u.
-    Then u c1 = sum_L L (u/L)^q = x u_x^q + y u_y^q (product rule, additive
-    q-th power, a_L^q = a_L) = xy (x^(q^2-1) + y^(q^2-1)); cancelling
-    xy, the check is c1 (x^(q-1) + y^(q-1)) = x^(q^2-1) + y^(q^2-1).  All
-    are exact equalities, with no division and nothing above q^2 - 1."""
-    n, ctx = desc.n, desc.ctx
-    q = 1 << n
-    x, y = (MultiPoly.variable(ctx, i) for i in (0, 1))
-    u, c1 = _dickson(q, x, y)
-    forms = _forms(ctx, n, 0)
-    points = {(a, b) for a, b, _ in forms if (a, b) == (0, 1) or a == 1 and ctx.in_subfield(b, n)}
-    plane = len(forms) == len(points) == q + 1 and u == x**q * y + x * y**q
-    if not plane or c1 * (x ** (q - 1) + y ** (q - 1)) != x ** (q * q - 1) + y ** (q * q - 1):
-        raise ActionShapeError("the plane forms' products are not the closed-form pair")
-    return u, c1
 
 
 def composed_invariants(

@@ -8,7 +8,8 @@ clauses exactly on expanded invariants and names every failing one; it
 is the tests' reference.  The pipeline decides the criterion for the
 small family (u~, c1~, z) under the maps M_g, building neither u-bar nor
 c1-bar nor, closed-form or lifted, the family: `kemper_lines` reads the
-verdict off the entries of each M_g and the plane pair, on every run.
+verdict off the entries of each M_g, and the degrees and Jacobian off
+closed forms in q, on every run.
 
 The oracle compares, degree by degree, the dimension of the fixed
 homogeneous polynomials in x, y, z, the kernel of Phi_d(p) = (g p - p)
@@ -203,12 +204,13 @@ def kemper_check(
     )
 
 
-def kemper_lines(group_order: int, desc: ActionDescriptor, pair) -> KemperVerdict:
+def kemper_lines(group_order: int, desc: ActionDescriptor) -> KemperVerdict:
     """`kemper_check` of the small family (u~, c1~, z) under the maps M_g
     with weights (q^d, q^d, 1), read off the entries of each M_g.
 
     The family is built from the forms p x + r y + gamma g(p, r) z over
-    the points (p, r) of P^1(GF(q)) (`line_forms`, `restricted_pair`),
+    the points (p, r) of P^1(GF(q)) (`line_forms`), which restrict at
+    z = 0 to the closed-form pair (u, c1) (`refl2.invariants` module doc),
     gamma the `lift_scale`, g(p, r) = p + r + sqrt(p r) and f = g + 1,
     where sqrt x = x^(q/2) is additive and multiplicative on GF(q).  Let
     M = [[a, b, t0], [c, d, t1]] with block A and delta = ad + bc; a
@@ -230,10 +232,18 @@ def kemper_lines(group_order: int, desc: ActionDescriptor, pair) -> KemperVerdic
     them with prod_L lambda_L = 1: the u flag, permutes and delta = 1, is
     exact.  c1~ = sum_L (u~/L)^(q-1) and lambda_L^(q-1) = 1, so the c1
     flag is permutes (False: not shown fixed).  A False flag fails
-    `invariance`.  The degrees are q + 1 and q^2 - q.  z = 0 commutes with
-    the x and y partials, so J(u~, c1~, z) restricts to J(u, c1, z) of
-    `pair` (`restricted_pair`, built once by the caller), and is nonzero
-    when that is; a zero one raises `ActionShapeError`."""
+    `invariance`.  The degrees are q + 1 and q^2 - q.  The Jacobian is
+    nonzero, whatever the lift.  In characteristic 2 with q even,
+    u = x^q y + x y^q has u_x = y^q and u_y = x^q, and the x- and
+    y-partials of c1 = sum_{i=0..q} x^((q-1)i) y^((q-1)(q-i)) keep only
+    its odd i, so
+      J(u, c1, z) = y^q c1_y + x^q c1_x
+                  = sum_{k=1..q} x^((q-1)k) y^((q-1)(q+1-k))
+                  = (x^q y + x y^q)^(q-1) = u^(q-1) = c0,
+    the odd i give the odd k and i + 1 the even ones, and the last sum is
+    (xy)^(q-1) (x^(q-1) + y^(q-1))^(q-1), as every C(q-1, k) is odd
+    (Lucas: every bit of q - 1 is set).  z = 0 commutes with the x and y
+    partials, so J(u~, c1~, z) restricts to that c0 and is nonzero."""
     ctx, n = desc.ctx, desc.n
     mul = ctx.mul
     gamma = lift_scale(desc)
@@ -246,8 +256,6 @@ def kemper_lines(group_order: int, desc: ActionDescriptor, pair) -> KemperVerdic
         cocycle = mul(gamma, cocycle_f(ctx, a, b, n)), mul(gamma, cocycle_f(ctx, c, d, n))
         permutes = (t0, t1) == cocycle and (gamma == 0 or delta == 1)
         fixed_by.append((permutes and delta == 1, permutes, True))
-    if jacobian_det(*pair, MultiPoly.variable(ctx, 2)).is_zero():
-        raise ActionShapeError("the plane pair has a zero Jacobian")
     q = 1 << n
     degrees = (desc.zpow * (q + 1), desc.zpow * (q * q - q), 1)
     product = degrees[0] * degrees[1]

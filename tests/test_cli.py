@@ -23,7 +23,9 @@ from refl2.cli import (
     run_verify,
 )
 from refl2.grouplift import Mat3
+from refl2.mvpoly import MultiPoly
 from refl2.verify import ROW_BITS_CAP
+from test_invariants import checked_plane_pair
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
@@ -440,46 +442,19 @@ def test_verify_oracle_builds_no_composed_invariant(degree_spy, n, d, top):
 
 def test_verify_oracle_refuses_dependent_leads(monkeypatch, capsys):
     # negative control: (u, u^2) has dependent leads, so the count is not
-    # its generated dimension and the oracle refuses it; the premise reads
-    # the plane pair that `kemper_lines` checked as u~ and c1~ at z = 0, and
-    # only the premise sees the dependent pair: `kemper_lines` gets the
-    # checked one and decides
-    restricted_leads = refl2.cli.restricted_leads
-
-    def dependent(u, c1):
-        return restricted_leads(u, u * u)
-
-    monkeypatch.setattr(refl2.cli, "restricted_leads", dependent)
-    assert main(["verify", "--n", "2", "--oracle-max-degree", "5"]) == EXIT_CHECK_FAILED
-    captured = capsys.readouterr()
-    verdict = captured.out.splitlines()[-1]
-    assert verdict.startswith("verdict     FAIL(") and "action-shape" in verdict
-    assert "Traceback" not in captured.err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--n", "4", "--d", "0", "--oracle-max-degree", "10"],
-        ["--n", "3", "--d", "1"],
-        ["--n", "3", "--d", "0", "--variant", "h0"],
-        ["--n", "2", "--d", "2"],
-    ],
-)
-def test_verify_builds_the_plane_pair_once(monkeypatch, argv):
-    # every run, lifted or closed-form, builds the checked plane pair once,
-    # for the criterion and the oracle's lead premise alike
-    built = []
-
-    def counted(desc):
-        built.append(desc)
-        return invariants.restricted_pair(desc)
-
-    for module in (refl2.cli, refl2.verify):
-        if hasattr(module, "restricted_pair"):
-            monkeypatch.setattr(module, "restricted_pair", counted)
-    assert main(["verify", *argv, "--quiet"]) == EXIT_OK
-    assert len(built) == 1
+    # its generated dimension, and a zero Jacobian.  The oracle's count and
+    # the criterion read the closed-form leads and Jacobian of the plane
+    # pair, which the test-side check refuses for (u, u^2); the run reads
+    # no pair and calls no `restricted_leads`
+    ctx = ffield.field_new(2)
+    x, y = (MultiPoly.variable(ctx, i) for i in (0, 1))
+    u, _ = invariants._dickson(4, x, y)
+    with pytest.raises(invariants.ActionShapeError, match="jacobian, leads"):
+        checked_plane_pair(ctx, 2, (u, u * u))
+    refuse_expansion(monkeypatch)
+    monkeypatch.setattr(refl2.verify, "restricted_leads", refuse)
+    assert main(["verify", "--n", "2", "--oracle-max-degree", "5"]) == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1].startswith("verdict     POLYNOMIAL")
 
 
 def plane_form_edit(edit):
@@ -521,49 +496,51 @@ def u_plus_x_q1():
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, check",
     [
-        pytest.param(lambda: plane_form_edit(off_the_line), id="slope-off-gf-q"),
-        pytest.param(lambda: plane_form_edit(repeated), id="repeated-point"),
-        pytest.param(lambda: plane_form_edit(unnormalized), id="unnormalized-form"),
-        pytest.param(u_plus_x_q1, id="u-plus-x-q1"),
+        pytest.param(lambda: plane_form_edit(off_the_line), "points", id="slope-off-gf-q"),
+        pytest.param(lambda: plane_form_edit(repeated), "points", id="repeated-point"),
+        pytest.param(lambda: plane_form_edit(unnormalized), "points", id="unnormalized-form"),
+        pytest.param(u_plus_x_q1, "u", id="u-plus-x-q1"),
     ],
 )
-def test_verify_plane_form_off_the_line_fails_action_shape(monkeypatch, capsys, corrupt):
+def test_verify_plane_form_off_the_line_fails_action_shape(monkeypatch, corrupt, check):
     # negative controls: a plane form x + s y with s outside GF(q), a
     # repeated point, an unnormalized form (e, e s) or a closed-form u with a
     # stray x^(q+1): the plane forms are then not the points of P^1(GF(q))
-    # or u is not x^q y + x y^q, so `restricted_pair` refuses the plane pair
-    # and nothing is divided; the run fails the clause action-shape, with no
-    # traceback, with the oracle or without its lead premise
+    # or u is not x^q y + x y^q, and the test-side check of the facts a run
+    # reads in closed form refuses the pair.  The run reads neither the
+    # forms nor the pair, so it passes, with the oracle or without
     monkeypatch.setattr(invariants, *corrupt())
+    with pytest.raises(invariants.ActionShapeError, match=check):
+        checked_plane_pair(ffield.field_new(4, 0x13), 2)
     for oracle in (5, 0):
-        cfg = VerifyConfig(n=2, modulus_ambient=0x13, oracle_max_degree=oracle)
-        code, report = run_verify(cfg)
-        assert (code, report.to_dict()["verdict"]) == (EXIT_CHECK_FAILED, "FAIL(action-shape)")
-    argv = ["verify", "--n", "2", "--modulus-ambient", "0x13", "--oracle-max-degree", "5"]
-    assert main(argv) == EXIT_CHECK_FAILED
-    captured = capsys.readouterr()
-    assert captured.out.splitlines()[-1].startswith("verdict     FAIL(action-shape)")
-    assert "Traceback" not in captured.err
+        code, report = run_verify(VerifyConfig(n=2, modulus_ambient=0x13, oracle_max_degree=oracle))
+        assert (code, report.to_dict()["verdict"]) == (EXIT_OK, "POLYNOMIAL")
+
+
+def refuse(*args):
+    raise AssertionError("the expanded criterion, family, a product or a division ran")
 
 
 def refuse_expansion(monkeypatch):
-    """Make the expanded criterion, the expanded lifted family and exact
-    division raise: `run_verify` names neither `kemper_check` nor an
-    expanded small family."""
-    def refuse(*args):
-        raise AssertionError("the expanded criterion, family or a division ran")
-
+    """Make the expanded criterion, the line forms, the closed-form and the
+    lifted family, exact division, every `MultiPoly` product and Frobenius
+    power and the Jacobian raise: `run_verify` names neither
+    `kemper_check` nor an expanded small family, lists no forms and
+    multiplies no polynomial."""
     assert not hasattr(refl2.cli, "kemper_check") and not hasattr(refl2.cli, "small_family")
     monkeypatch.setattr(refl2.verify, "kemper_check", refuse)
-    monkeypatch.setattr(invariants, "_lifted_family", refuse)
-    monkeypatch.setattr(invariants.MultiPoly, "div_exact", refuse)
+    monkeypatch.setattr(refl2.verify, "jacobian_det", refuse)
+    for name in ("_forms", "_dickson", "_lifted_family"):
+        monkeypatch.setattr(invariants, name, refuse)
+    for name in ("div_exact", "__mul__", "frobenius"):
+        monkeypatch.setattr(MultiPoly, name, refuse)
 
 
 def test_verify_oracle_premise_expands_no_small_family(monkeypatch, capsys):
-    # the lifted family's restriction to z = 0 is the checked plane pair,
-    # so the oracle's lead premise needs no expanded c1~
+    # the lifted family's restriction to z = 0 is the closed-form pair, so
+    # the oracle's lead premise is read off q and multiplies no polynomial
     refuse_expansion(monkeypatch)
     assert main(["verify", "--n", "4", "--d", "0", "--oracle-max-degree", "10"]) == EXIT_OK
     assert capsys.readouterr().out.splitlines()[-1].startswith("verdict     POLYNOMIAL")
@@ -644,23 +621,24 @@ def test_verify_n3_d2_without_enumerating_group():
         ),
     ],
 )
-def test_verify_reads_the_line_forms(monkeypatch, degree_spy, cfg, degrees):
+def test_verify_reads_the_line_forms(monkeypatch, cfg, degrees):
     # a passing run, with a lifted (6-0-h1) or a closed-form small family
-    # (the others), decides the criterion from the q+1 forms and the plane
-    # pair: nothing is expanded or divided, and nothing passes q^2 - 1
+    # (the others), d = 2 included, decides the criterion from the maps M_g
+    # and closed forms in q: no form is listed, and no polynomial is
+    # multiplied, expanded or divided
     refuse_expansion(monkeypatch)
     code, report = run_verify(cfg)
     r = report.to_dict()
     assert (code, r["verdict"], r["degrees"]) == (EXIT_OK, "POLYNOMIAL", degrees)
     assert r["degree_product"] == r["group_order"]
-    assert degree_spy.top <= (1 << 2 * cfg.n) - 1
 
 
-def test_verify_stray_term_in_c1_fails_action_shape(monkeypatch, capsys):
+def test_verify_stray_term_in_c1_fails_action_shape(monkeypatch):
     # negative control for the product-rule check: c1 with one stray term
     # x^(q^2 - q) fails c1 (x^(q-1) + y^(q-1)) = x^(q^2-1) + y^(q^2-1), so
-    # `restricted_pair` refuses the plane pair and the run fails the clause
-    # action-shape, with no traceback
+    # the test-side check of the closed-form pair refuses it; the stray
+    # term cancels c1's lead x^(q^2 - q), so the leads fail too, while the
+    # Jacobian, blind to an even power of x, holds
     dickson = invariants._dickson
 
     def stray(q, X, Y):
@@ -668,12 +646,8 @@ def test_verify_stray_term_in_c1_fails_action_shape(monkeypatch, capsys):
         return u, c1 + X ** (q * q - q)
 
     monkeypatch.setattr(invariants, "_dickson", stray)
-    code, report = run_verify(VerifyConfig(n=3, d=1))
-    assert (code, report.to_dict()["verdict"]) == (EXIT_CHECK_FAILED, "FAIL(action-shape)")
-    assert main(["verify", "--n", "3", "--d", "1"]) == EXIT_CHECK_FAILED
-    captured = capsys.readouterr()
-    assert captured.out.splitlines()[-1].startswith("verdict     FAIL(action-shape)")
-    assert "Traceback" not in captured.err
+    with pytest.raises(invariants.ActionShapeError, match="fails: c1, leads$"):
+        checked_plane_pair(ffield.field_new(3), 3)
 
 
 def test_verify_n7_d1_splits_without_listing_h(monkeypatch):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from refl2 import invariants
 from refl2.ffield import field_new, subfield_elements, subfield_generator
 from refl2.grouplift import (
     LambdaSpace,
@@ -27,9 +28,9 @@ from refl2.invariants import (
     kernel_invariants,
     lifted_invariants,
     line_forms,
-    restricted_pair,
 )
 from refl2.mvpoly import MultiPoly, jacobian_det
+from refl2.verify import restricted_leads
 from test_grouplift import kernel_reference, lambda_span_reference
 from test_verify import OFFSET_CASES, criterion_setups, outcome, random_maps, small_family
 
@@ -203,8 +204,8 @@ def dickson_sum(q, X, Y):
     return X**q * Y + X * Y**q, c1
 
 
-def product_restricted_pair(desc):
-    """Reference for `restricted_pair`: the summed pair checked as
+def product_plane_pair(desc):
+    """Reference for the closed-form plane pair: the summed pair checked as
     u = prod_L L over the plane forms, one running product, and
     c1 (x^(q-1) + y^(q-1)) = x^(q^2-1) + y^(q^2-1)."""
     q, ctx = 1 << desc.n, desc.ctx
@@ -217,8 +218,8 @@ def product_restricted_pair(desc):
     return (u, c1) if plane_u == u and c1 * (x ** (q - 1) + y ** (q - 1)) == top else None
 
 
-def division_restricted_pair(desc):
-    """Reference for `restricted_pair`: the closed-form pair checked as
+def division_plane_pair(desc):
+    """Reference for the closed-form plane pair, checked as
     u = prod_L L and u c1 = sum_L L (u/L)^q over the plane forms, with
     u/L an exact quotient (`_line_products`)."""
     x, y, z = xyz(desc.ctx)
@@ -230,13 +231,64 @@ def division_restricted_pair(desc):
     return (u, c1) if plane_u == u and num == u * c1 else None
 
 
+def checked_plane_pair(ctx, n, pair=None):
+    """The closed-form plane pair (u, c1) of `_dickson` at (x, y), or
+    `pair`, checked by expanded arithmetic for every fact that
+    `kemper_lines` and the oracle's count read off q alone; an
+    `ActionShapeError` names each check that fails:
+    - points: the q+1 plane forms (`_forms` with gscale 0) are q+1
+      distinct (a, b) in GF(q)^2 with first nonzero entry 1, so all of
+      P^1(GF(q));
+    - u: u = x^q y + x y^q, their product, as t^q + t = prod_{s in GF(q)}
+      (t + s) (factor theorem) makes it y prod_s (x + s y);
+    - c1: c1 (x^(q-1) + y^(q-1)) = x^(q^2-1) + y^(q^2-1), since
+      u c1 = sum_L L (u/L)^q = x u_x^q + y u_y^q (product rule, additive
+      q-th power, a_L^q = a_L) = xy (x^(q^2-1) + y^(q^2-1));
+    - jacobian: J(u, c1, z) = u^(q-1), Dickson's c0;
+    - leads: `restricted_leads` gives lu = (q, 1), lc1 = (q^2 - q, 0) and
+      det = -q (q - 1).
+    `_forms` and `_dickson` are looked up on the module, so a patched one
+    is what gets checked."""
+    q = 1 << n
+    x, y, z = xyz(ctx)
+    u, c1 = invariants._dickson(q, x, y) if pair is None else pair
+    forms = invariants._forms(ctx, n, 0)
+    points = {(a, b) for a, b, _ in forms if (a, b) == (0, 1) or a == 1 and ctx.in_subfield(b, n)}
+    try:
+        leads = restricted_leads(u, c1)
+    except ValueError:
+        leads = None
+    checks = {
+        "points": len(forms) == len(points) == q + 1,
+        "u": u == x**q * y + x * y**q,
+        "c1": c1 * (x ** (q - 1) + y ** (q - 1)) == x ** (q * q - 1) + y ** (q * q - 1),
+        "jacobian": jacobian_det(u, c1, z) == u ** (q - 1),
+        "leads": leads == ((q, 1), (q * q - q, 0), -q * (q - 1)),
+    }
+    failed = [name for name, ok in checks.items() if not ok]
+    if failed:
+        raise ActionShapeError("the plane pair fails: " + ", ".join(failed))
+    return u, c1
+
+
+@pytest.mark.parametrize(
+    "n", [pytest.param(n, marks=[pytest.mark.slow] if n > 12 else []) for n in range(2, 17)]
+)
+def test_plane_pair_closed_forms(n):
+    # the degrees, J(u, c1, z) = u^(q-1) and the leads that the criterion
+    # and the oracle's count read in closed form, on the expanded pair;
+    # n = 13..16 under -m slow
+    ctx = field_new(n)
+    assert checked_plane_pair(ctx, n) == _dickson(1 << n, *xyz(ctx)[:2])
+
+
 @pytest.mark.parametrize("n, variant, modulus, basis, d", LINE_PRODUCT_CASES)
 def test_line_products_match_prefix_suffix_reference(n, variant, modulus, basis, d):
     # the running product and its exact quotients against the prefix and
     # suffix products, on the pipeline's forms (lifted at h1 d=0 and on the
     # offset bases) and on the plane forms; the plane numerator is
-    # x u_x^q + y u_y^q and u c1, as `restricted_pair` proves, and the
-    # point check on P^1(GF(q)) agrees with the division-based one and the
+    # x u_x^q + y u_y^q and u c1, as `checked_plane_pair` proves, and the
+    # closed-form pair agrees with the division-based check and the
     # product of the plane forms; `_dickson`'s closed form agrees with the
     # summed c1 at (x, y) for q = 2^k, k = n - 1 and n + 4 covering 1..10,
     # and at (f_x, f_y) on the closed-form descriptors with n <= 3
@@ -251,9 +303,9 @@ def test_line_products_match_prefix_suffix_reference(n, variant, modulus, basis,
     x, y, _ = xyz(ctx)
     u, num = _line_products(plane, *xyz(ctx))
     assert num == x * u.partial(0) ** (1 << n) + y * u.partial(1) ** (1 << n)
-    pair = restricted_pair(desc)
+    pair = _dickson(1 << n, x, y)
     assert num == pair[0] * pair[1]
-    assert pair == division_restricted_pair(desc) == product_restricted_pair(desc)
+    assert pair == division_plane_pair(desc) == product_plane_pair(desc)
     for k in (n - 1, n + 4):
         assert _dickson(1 << k, x, y) == dickson_sum(1 << k, x, y)
     if desc.all_offsets_zero and n <= 3:
@@ -528,7 +580,8 @@ def _affine_decompose_reference(img, fx, fy, zpow, what):
 
 def kernel_action_reference(gens, fx, fy, fz, n):
     """Reference for `kernel_action`: g f_x and g f_y expanded by `act` and
-    decomposed into a f_x + b f_y + t z^(q^d) by their coefficients."""
+    decomposed into a f_x + b f_y + t z^(q^d) by their coefficients; alpha
+    and e are the f_x-offset and the f_y-coefficient of the diagonal lift."""
     ctx = fx.ctx
     zpow = fx.deg()
     if fz != MultiPoly.variable(ctx, 2):
@@ -539,7 +592,7 @@ def kernel_action_reference(gens, fx, fy, fz, n):
     if (1 << (n * d)) != zpow:
         raise ValueError("degree of f_x is not a power of the subfield size")
     maps = []
-    alpha = 0
+    alpha = e = 0
     for g in gens:
         ax, bx, tx = _affine_decompose_reference(fx.act(g), fx, fy, zpow, "f_x")
         ay, by, ty = _affine_decompose_reference(fy.act(g), fx, fy, zpow, "f_y")
@@ -548,8 +601,8 @@ def kernel_action_reference(gens, fx, fy, fz, n):
                 raise ActionShapeError("linear part has entries outside GF(2^n)")
         maps.append(Mat3.block(ctx, ax, bx, ay, by, col=(tx, ty)))
         if (tx or ty) and bx == 0 and ay == 0 and (ax, by) != (1, 1):
-            alpha = tx
-    return ActionDescriptor(ctx, n, d, zpow, tuple(maps), alpha, subfield_generator(ctx, n))
+            alpha, e = tx, by
+    return ActionDescriptor(ctx, n, d, zpow, tuple(maps), alpha, e)
 
 
 def action_outcome(gens, fx, fy, fz, n, action):

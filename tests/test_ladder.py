@@ -1,7 +1,8 @@
-"""The n = 8..16 ladder at d = 0, 1, and n=8 at d=2 (q^d = 2^16, the
-largest kernel action on the default moduli), each instance a child
-process that reports its own CPU time and peak RSS.  Marked slow, so
-deselected by default: run it with `pytest -m slow`."""
+"""The n = 8..16 ladder at d = 0, 1, n = 17 and 18 at d = 0 on explicit
+moduli (past the default table), and n=8 at d=2 (q^d = 2^16, the largest
+kernel action on the default moduli), each instance a child process that
+reports its own CPU time and peak RSS.  Marked slow, so deselected by
+default: run it with `pytest -m slow`."""
 
 import json
 import os
@@ -11,18 +12,29 @@ import sys
 import pytest
 
 # the child runs the command line and prints its CPU seconds (user + sys)
-# and peak RSS in MB (ru_maxrss is in KB on Linux) after the report
+# and its own peak RSS in MB after the report.  Linux carries the spawning
+# process's peak into ru_maxrss across exec, so a child of a pytest that
+# has grown reads that peak; VmHWM, in KB, is the child's alone.  Where
+# /proc is missing, ru_maxrss (KB on Linux) stands in
 CHILD = """
 import resource, sys
 from refl2.cli import main
 code = main(sys.argv[1:])
 r = resource.getrusage(resource.RUSAGE_SELF)
-print(r.ru_utime + r.ru_stime, r.ru_maxrss / 1024)
+try:
+    with open("/proc/self/status") as fh:
+        peak = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+except OSError:
+    peak = r.ru_maxrss
+print(r.ru_utime + r.ru_stime, peak / 1024)
 sys.exit(code)
 """
 
 LADDER = [(n, d, variant) for n in range(8, 17) for d in (0, 1) for variant in ("h1", "h0")]
 LADDER += [(8, 2, variant) for variant in ("h1", "h0")]
+# irreducible moduli for GF(2^17) and GF(2^18), which have no default
+MODULI = {17: 0x20009, 18: 0x40081}
+LADDER += [(n, 0, variant) for n in MODULI for variant in ("h1", "h0")]
 
 
 @pytest.mark.slow
@@ -30,8 +42,10 @@ LADDER += [(8, 2, variant) for variant in ("h1", "h0")]
 def test_ladder_under_10s_cpu_and_100mb(tmp_path, n, d, variant):
     report = tmp_path / "report.json"
     argv = ["verify", "--n", str(n), "--d", str(d), "--variant", variant]
-    # the cap admits |H| = q(q^2 - 1): 6.9e10 at n=12, 2.8e14 at n=16; and
-    # |N| = q^(2d), 4.3e9 at n=8 d=2
+    if n in MODULI:
+        argv += ["--modulus-ambient", hex(MODULI[n])]
+    # the cap admits |H| = q(q^2 - 1): 6.9e10 at n=12, 2.8e14 at n=16,
+    # 1.8e16 at n=18; and |N| = q^(2d), 4.3e9 at n=8 d=2
     cap = 10**11 if n <= 12 else 10**20
     argv += ["--max-group", str(cap), "--json", str(report), "--quiet"]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

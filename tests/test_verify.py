@@ -1,4 +1,5 @@
 import functools
+import math
 import random
 import sys
 from itertools import accumulate
@@ -33,7 +34,6 @@ from refl2.invariants import (
     kernel_invariants,
     lift_scale,
     line_forms,
-    restricted_pair,
 )
 from refl2.linalg import field_kernel_dimension, field_matrix_rank, gf2_rank
 from refl2.mvpoly import MultiPoly, jacobian_det
@@ -279,7 +279,7 @@ LINE_CASES = DEFAULT_CASES + [
 def both_small_criteria(ls, variant, column=None):
     """`kemper_lines` and the expanded `kemper_check` on the small family."""
     order, desc, _ = small_setup(ls, variant, column)
-    return kemper_lines(order, desc, restricted_pair(desc)), expanded_small(order, desc)
+    return kemper_lines(order, desc), expanded_small(order, desc)
 
 
 @pytest.mark.parametrize("n, d, variant", LINE_CASES)
@@ -315,7 +315,7 @@ def test_line_form_criterion_scalar_and_singular_maps():
     # a scalar block s I, s in GF(q)* other than 1, with no offset: on the
     # plane forms every lambda_L is s, so u~ goes to s^(q+1) u~ = s^2 u~
     # and c1~ is fixed; it moves the lifted forms (c goes to c / s).  A
-    # singular block and a zero Jacobian are refused
+    # singular block is refused
     ls = LambdaSpace(field_new(4, 0x13), 2, (0x2,))
     for variant in ("h1", "h0"):
         order, desc, _ = small_setup(ls, variant)
@@ -326,16 +326,13 @@ def test_line_form_criterion_scalar_and_singular_maps():
             return ActionDescriptor(ctx, desc.n, desc.d, desc.zpow, maps, desc.alpha, desc.e)
 
         scalar = with_maps(*desc.maps, Mat3.block(ctx, s, 0, 0, s))
-        lines = kemper_lines(order, scalar, restricted_pair(desc))
+        lines = kemper_lines(order, scalar)
         assert lines == expanded_small(order, scalar)
         assert lines.failed_clauses == ("invariance",)
         assert lines.fixed_by[-1] == (False, desc.all_offsets_zero, True)
         singular = with_maps(*desc.maps, Mat3.block(ctx, 1, 1, 1, 1))
         with pytest.raises(ActionShapeError):
-            kemper_lines(order, singular, restricted_pair(desc))
-        u, _ = restricted_pair(desc)
-        with pytest.raises(ActionShapeError):
-            kemper_lines(order, desc, (u, u * u))
+            kemper_lines(order, singular)
 
 
 # (n, m): n = 2 in GF(2^4), GF(2^6) and GF(2^8), n = 3 in GF(2^6), n = 4
@@ -363,7 +360,7 @@ def test_line_form_criterion_matches_expanded_census(n, m, variant):
         for _ in range(3):
             ls = LambdaSpace(ctx, n, random_lambda_basis(rng, ctx, n, d))
             order, desc, _ = small_setup(ls, variant)
-            lines = kemper_lines(order, desc, restricted_pair(desc))
+            lines = kemper_lines(order, desc)
             assert lines == expanded_small(order, desc), ls.basis
             assert lines.polynomial and lines.degree_product == order
             lifted += not desc.all_offsets_zero
@@ -375,7 +372,7 @@ def test_line_form_criterion_matches_expanded_census(n, m, variant):
 # -- the criterion from the maps against the per-form loop ---------------------
 
 
-def lines_reference(group_order, desc, pair):
+def lines_reference(group_order, desc):
     """Reference for `kemper_lines`: each M_g applied to every one of the
     q+1 lifted `line_forms`, with lambda_L, the normalized image and the
     product of the lambda_L taken form by form.  The flags are (permutes
@@ -399,8 +396,6 @@ def lines_reference(group_order, desc, pair):
             in_subfield = in_subfield and ctx.in_subfield(lam, n)
             scale = mul(scale, lam)
         fixed_by.append((permutes and scale == 1, permutes and in_subfield, True))
-    if jacobian_det(*pair, MultiPoly.variable(ctx, 2)).is_zero():
-        raise ActionShapeError("the plane pair has a zero Jacobian")
     q = 1 << n
     degrees = (desc.zpow * (q + 1), desc.zpow * (q * q - q), 1)
     product = degrees[0] * degrees[1]
@@ -439,13 +434,13 @@ def criterion_setups():
 
 
 def setup_descriptor(ls, lifts):
-    """(an order, the descriptor, the plane pair) for the lifts and N's
+    """(an order, the descriptor) for the lifts and N's
     translations; the order is |N| q (q^2 - 1), the degree clause's only
     input, read the same by both criteria."""
     q = 1 << ls.n
     gens = list(lifts) + kernel_group(ls, cap=1 << 40)
     desc = kernel_action(gens, *kernel_invariants(ls), n=ls.n)
-    return ls.kernel_order * q * (q * q - 1), desc, restricted_pair(desc)
+    return ls.kernel_order * q * (q * q - 1), desc
 
 
 def with_maps(desc, maps):
@@ -491,10 +486,10 @@ def test_kemper_lines_matches_per_form_reference():
     setups = criterion_setups()
     assert len(setups) == 80
     for ls, lifts in setups:
-        order, desc, pair = setup_descriptor(ls, lifts)
+        order, desc = setup_descriptor(ls, lifts)
         # control lifts with an offset but no diagonal-lift one are refused
-        lines = outcome(kemper_lines, order, desc, pair)
-        assert lines == outcome(lines_reference, order, desc, pair), ls
+        lines = outcome(kemper_lines, order, desc)
+        assert lines == outcome(lines_reference, order, desc), ls
 
 
 def test_kemper_lines_matches_per_form_reference_random_maps():
@@ -504,20 +499,20 @@ def test_kemper_lines_matches_per_form_reference_random_maps():
     # is refused by both
     seen = set()
     for i, (ls, lifts) in enumerate(criterion_setups()):
-        order, desc, pair = setup_descriptor(ls, lifts)
+        order, desc = setup_descriptor(ls, lifts)
         gamma = outcome(lift_scale, desc)
         if gamma is ActionShapeError:
             continue
         kinds = ("cocycle", "perturbed", "random", "zero") if gamma else ("zero",)
         extra = random_maps(random.Random(i), desc.ctx, ls.n, gamma, kinds, 24)
         wide = with_maps(desc, desc.maps + tuple(extra))
-        lines = kemper_lines(order, wide, pair)
-        assert lines == lines_reference(order, wide, pair), ls
+        lines = kemper_lines(order, wide)
+        assert lines == lines_reference(order, wide), ls
         seen.update(lines.fixed_by)
         if not gamma:
             moved = with_maps(desc, desc.maps + (Mat3.translation(desc.ctx, 1, 0),))
-            assert outcome(kemper_lines, order, moved, pair) is ActionShapeError
-            assert outcome(lines_reference, order, moved, pair) is ActionShapeError
+            assert outcome(kemper_lines, order, moved) is ActionShapeError
+            assert outcome(lines_reference, order, moved) is ActionShapeError
     assert seen == {(True, True, True), (False, True, True), (False, False, True)}
 
 
@@ -528,34 +523,58 @@ def test_kemper_lines_refuses_block_entries_outside_gf_q():
     ls = LambdaSpace(field_new(4, 0x13), 2, (0x2,))
     for variant in ("h1", "h0"):
         order, desc, _ = small_setup(ls, variant)
-        ctx, pair = desc.ctx, restricted_pair(desc)
+        ctx = desc.ctx
         bad = with_maps(desc, desc.maps + (Mat3.block(ctx, 0x2, 0, 0, ctx.inv(0x2)),))
         with pytest.raises(ActionShapeError, match="outside GF"):
-            kemper_lines(order, bad, pair)
-        assert lines_reference(order, bad, pair).fixed_by[-1] == (False, False, True)
+            kemper_lines(order, bad)
+        assert lines_reference(order, bad).fixed_by[-1] == (False, False, True)
 
 
 def test_kernel_action_and_criterion_list_no_forms_and_substitute_nothing(monkeypatch):
     # the maps are read off the generators and the criterion off the maps:
-    # with `act` and the lifted forms patched to raise, a lifted run and a
-    # closed-form one still reach their verdicts
+    # with `act` and the forms, lifted or plane, patched to raise, a lifted
+    # run and a closed-form one still reach their verdicts
     from refl2 import invariants
 
     def refuse(*args):
         raise AssertionError("brute-force pass on the run path")
 
-    forms = invariants._forms
-
-    def plane_forms(ctx, n, gscale):
-        return refuse() if gscale else forms(ctx, n, 0)
-
     monkeypatch.setattr(MultiPoly, "act", refuse)
-    monkeypatch.setattr(invariants, "_forms", plane_forms)
+    monkeypatch.setattr(invariants, "_forms", refuse)
     for variant in ("h1", "h0"):
         ls = LambdaSpace(field_new(6, 0x43), 3, (0x2,))
-        order, desc, pair = setup_descriptor(ls, lift_generators(variant, 3, ls.ambient))
+        order, desc = setup_descriptor(ls, lift_generators(variant, 3, ls.ambient))
         assert bool(lift_scale(desc)) == (variant == "h1")
-        assert kemper_lines(order, desc, pair).polynomial
+        assert kemper_lines(order, desc).polynomial
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_kernel_action_reads_e_off_the_diagonal_lift(n):
+    # R = diag(e^-k, e^k) with third column (1, e^k) is an R-lift for every
+    # k prime to q - 1, which the split accepts; gamma scales the cocycle by
+    # that lift's own e^k, so the criterion from the maps and the expanded
+    # one on (u-bar, c1-bar, z) agree, and both give POLYNOMIAL
+    ctx = field_new(n)
+    ls = LambdaSpace(ctx, n, ())
+    e, q = subfield_generator(ctx, n), 1 << n
+    _, S, T = lift_generators("h1", n, ctx)
+    translations = kernel_group(ls)
+    for k in (k for k in range(1, q - 1) if math.gcd(k, q - 1) == 1):
+        ek = ctx.pow_(e, k)
+        lifts = [Mat3.block(ctx, ctx.inv(ek), 0, 0, ek, col=(1, ek)), S, T]
+        order = verify_splitting(ls, translations, lifts).group_order
+        gens = lifts + translations
+        desc = kernel_action(gens, *kernel_invariants(ls), n=n)
+        assert desc.e == ek and desc.alpha == 1
+        lines = kemper_lines(order, desc)
+        assert lines == kemper_check(order, composed_invariants(n, ls, desc), gens)
+        assert lines.polynomial, k
+    # a singular diagonal lift with an offset has e = 0: refused, not divided by
+    singular = Mat3.block(ctx, 1, 0, 0, 0, col=(1, 0))
+    desc = kernel_action([singular, S, T], *kernel_invariants(ls), n=n)
+    assert (desc.alpha, desc.e) == (1, 0)
+    with pytest.raises(ActionShapeError):
+        kemper_lines(order, desc)
 
 
 # -- graded fixed dimension ----------------------------------------------------
