@@ -4,9 +4,8 @@ Field elements are bit-vectors stored as Python ints: bit k is the
 coefficient of t^k in the polynomial basis of GF(2)[t]/(modulus).  The
 zero and one elements are always the ints 0 and 1, and addition is xor.
 A `FieldCtx` carries the extension degree and the irreducible modulus
-and exposes int-level arithmetic (`mul`, `inv`, `sqrt`, `pow_`); these
-are the hot-path primitives of the matrix layer, while the polynomial
-layer's per-term kernels read the log/exp tables (see `FieldCtx`).
+and exposes int-level arithmetic (`mul`, `inv`, `sqrt`, `pow_`), the
+primitives of the matrix and polynomial layers alike.
 
 Moduli are bit-vectors too, with bit m (the leading bit) set; they print
 as hex with the low bit the constant term, e.g. the GF(4) modulus
@@ -43,6 +42,10 @@ DEFAULT_MODULI = {
     14: 0x4021,
     15: 0x8003,
     16: 0x1002B,
+    17: 0x20009,
+    18: 0x40009,
+    19: 0x80027,
+    20: 0x100009,
 }
 
 # Log/exp tables are built only for fields that fit comfortably in memory.
@@ -189,9 +192,7 @@ class FieldCtx:
     a multiplicative generator: `_log[a]` in [0, 2^m - 1) for nonzero a,
     and `_exp[i]` for 0 <= i < 2 (2^m - 1), so a sum of two logs indexes
     `_exp` unreduced.  Past the limit both are None and every method
-    computes directly.  Besides the methods here, refl2.mvpoly's per-term
-    kernels read `_log` and `_exp` (its `_coeff_tables`), and fall back
-    to `mul` when they are None.
+    computes directly.  Only the methods here read the tables.
     """
 
     __slots__ = ("m", "modulus", "order", "_exp", "_log")
@@ -330,7 +331,7 @@ class FieldCtx:
 
 
 def field_new(m: int, modulus: int | None = None) -> FieldCtx:
-    """Build GF(2^m); modulus defaults to the built-in table for m <= 16."""
+    """Build GF(2^m); modulus defaults to the built-in table for m <= 20."""
     if modulus is None:
         try:
             modulus = DEFAULT_MODULI[m]
@@ -378,7 +379,11 @@ def gf2_insert(basis: dict, v: int) -> int:
 
 def subfield_generator(ctx: FieldCtx, n: int) -> int:
     """Smallest element of the GF(2^n) subfield with multiplicative order
-    2^n-1; orders in the subfield divide 2^n-1, so only it is factored."""
+    2^n-1; orders in the subfield divide 2^n-1, so only it is factored.
+    For the whole field that is `mult_generator`, a scan by value; a
+    proper subfield is listed, as a scan would try 2^(m-n) values each."""
+    if n == ctx.m:
+        return mult_generator(ctx)
     target = (1 << n) - 1
     for a in subfield_elements(ctx, n):
         if a and ctx._order_raw(a, target) == target:

@@ -5,30 +5,23 @@ coefficients (field elements as ints, see refl2.ffield).  Zero
 coefficients are never stored.  The constructors that take coefficients
 and `scale` raise ValueError on an int outside the field, `from_terms`
 also on exponents that are not three non-negative ints.  Degrees are
-unbounded.  The canonical term order everywhere --
-iteration, printing, hashing -- is graded lexicographic descending:
-total degree first, then the x, y, z exponents.
+unbounded.  The canonical term order everywhere -- iteration, printing,
+hashing -- is graded lexicographic descending: total degree first, then
+the x, y, z exponents.
 
 The group acts by substitution: for a matrix g with last row (0,0,1),
 p.act(g) = p o g (x picks up row 0 of g, y row 1, z stays z), applied
 as g's elementary one-variable substitutions, each one pass over the
 terms (`Substitution`); the action keeps no state.  Products and powers
 exploit characteristic 2: squaring is termwise, so powers collapse via
-the Frobenius.  Each polynomial memoizes what is asked of it: its
-degree, its hash, whether each matrix fixes it
-(`is_fixed_by`), and what `refl2.verify`'s expression asks of it as u
-together with each c1 (`_products`): the products u^a c1^b as packed
-rows only.  The memos are freed with the polynomial.
-Exact division (`div_exact`) eliminates leading terms with a heap.
-
-The per-term kernels (`*`, `act`, `frobenius`, `scale`, `div_exact`)
-make no field-method call per term.  A monomial
-x^a y^b z^c is packed into one int a << 2B | b << B | c, with B bits
-enough for every exponent the kernel meets, so a product of monomials
-is a sum of keys.
-A coefficient product is one lookup in FieldCtx's log/exp tables,
-prod[left[a] + right[b]] (`_coeff_tables`); fields past the table limit
-keep one ctx.mul per product behind the same lookup.
+the Frobenius.  Exact division (`div_exact`) eliminates leading terms
+with a heap.  Every kernel works on the exponent triples as stored, with
+one `ctx.mul` or `ctx.pow_` per coefficient, so every field size takes
+one path.  Each polynomial memoizes what is asked of it: its degree, its
+hash, whether each matrix fixes it (`is_fixed_by`), and what
+`refl2.verify`'s expression asks of it as u together with each c1
+(`_products`): the products u^a c1^b as packed rows only.  The memos are
+freed with the polynomial.
 
 Text format: terms in canonical order joined by " + ", each term
 "{coeff-hex}*x^a*y^b*z^c" with zero exponents omitted, "^1" omitted,
@@ -40,11 +33,13 @@ The zero polynomial prints "0x0".  `format_terms` writes it, for
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from operator import add, sub
 from typing import Iterable, Iterator
 
 from refl2.ffield import FieldCtx
 
 _VARS = ("x", "y", "z")
+_UNITS = ((1, 0, 0), (0, 1, 0), (0, 0, 1))  # the exponents of x, y, z
 
 
 def _term_key(exps):
@@ -67,64 +62,6 @@ def format_terms(terms: Iterable, names: tuple[str, str, str]) -> str:
                 factors.append(f"{name}^{e}")
         parts.append("*".join(factors))
     return " + ".join(parts) or "0x0"
-
-
-class _PairProduct:
-    """prod for a field without tables: i = a << m | b -> ctx.mul(a, b)."""
-
-    __slots__ = ("mul", "m", "mask")
-
-    def __init__(self, ctx: FieldCtx):
-        self.mul, self.m, self.mask = ctx.mul, ctx.m, ctx.order - 1
-
-    def __getitem__(self, i: int) -> int:
-        return self.mul(i >> self.m, i & self.mask)
-
-
-def _coeff_tables(ctx: FieldCtx):
-    """(left, right, prod) with prod[left[a] + right[b]] = a*b for nonzero
-    elements a, b of ctx.  The entries at zero mean nothing, so the kernels
-    look up nonzero coefficients only.
-
-    This is the one read of FieldCtx's private tables.  For m <= 16
-    (ffield._TABLE_LIMIT) left = right = ctx._log, discrete logs in
-    [0, 2^m - 1), and prod = ctx._exp, which holds 2 (2^m - 1) entries, so
-    a sum of two logs needs no reduction.  Larger fields have no tables:
-    there left[a] = a << m and right[b] = b pair the operands into one
-    int, and prod multiplies the pair with ctx.mul, one call per product.
-    """
-    if ctx._exp is not None:
-        return ctx._log, ctx._log, ctx._exp
-    m = ctx.m
-    return range(0, 1 << 2 * m, 1 << m), range(ctx.order), _PairProduct(ctx)
-
-
-def _pack(terms: dict, B: int, rep) -> list:
-    """[(a << 2B | b << B | c, rep[v])] over the terms; every exponent must
-    fit in B bits.  rep is left or right of `_coeff_tables`, or None to
-    keep the coefficients."""
-    s2 = 2 * B
-    if rep is None:
-        return [(a << s2 | b << B | c, v) for (a, b, c), v in terms.items()]
-    return [(a << s2 | b << B | c, rep[v]) for (a, b, c), v in terms.items()]
-
-
-def _unpack(packed: dict, B: int) -> dict:
-    """{packed key: v} back to exponent triples, dropping zero coefficients."""
-    mask = (1 << B) - 1
-    return {
-        (k >> 2 * B, k >> B & mask, k & mask): v for k, v in packed.items() if v
-    }
-
-
-def _powers(x: int, K: int, left, right, prod) -> list:
-    """right[x^j] for j = 0..K, for a nonzero x."""
-    rx = right[x]
-    out, v = [], 1
-    for _ in range(K + 1):
-        out.append(right[v])
-        v = prod[left[v] + rx]
-    return out
 
 
 class MultiPoly:
@@ -159,20 +96,12 @@ class MultiPoly:
 
     @classmethod
     def variable(cls, ctx: FieldCtx, idx: int) -> "MultiPoly":
-        e = [0, 0, 0]
-        e[idx] = 1
-        return cls(ctx, {tuple(e): 1})
+        return cls(ctx, {_UNITS[idx]: 1})
 
     @classmethod
     def linear_form(cls, ctx: FieldCtx, a: int, b: int, c: int) -> "MultiPoly":
         """a*x + b*y + c*z."""
-        terms = {}
-        for i, v in enumerate((a, b, c)):
-            if ctx.check(v):
-                e = [0, 0, 0]
-                e[i] = 1
-                terms[tuple(e)] = v
-        return cls(ctx, terms)
+        return cls(ctx, {e: v for e, v in zip(_UNITS, (a, b, c)) if ctx.check(v)})
 
     @classmethod
     def from_terms(cls, ctx: FieldCtx, items: Iterable) -> "MultiPoly":
@@ -244,30 +173,18 @@ class MultiPoly:
         self._check_ctx(other)
         if not self._terms or not other._terms:
             return MultiPoly(self.ctx)
-        deg = self.deg() + other.deg()
         if len(self._terms) < len(other._terms):
             self, other = other, self  # the longer operand in the inner loop
-        left, right, prod = _coeff_tables(self.ctx)
-        if len(other._terms) == 1:  # a shift and scale: no two terms meet
-            [((d, e, f), v)] = other._terms.items()
-            rv = right[v]
-            return MultiPoly(
-                self.ctx,
-                {
-                    (a + d, b + e, c + f): prod[left[u] + rv]
-                    for (a, b, c), u in self._terms.items()
-                },
-            )
-        # no exponent of the product exceeds deg, so B bits hold each one
-        B = deg.bit_length()
-        inner = _pack(self._terms, B, left)
+        mul = self.ctx.mul
+        coeffs = set(self._terms.values())
         out: dict = {}
         get = out.get
-        for kb, rb in _pack(other._terms, B, right):
-            for ka, la in inner:
-                k = ka + kb
-                out[k] = get(k, 0) ^ prod[la + rb]
-        return MultiPoly(self.ctx, _unpack(out, B))
+        for (d, e, f), v in other._terms.items():
+            uv = {u: mul(u, v) for u in coeffs}  # one mul per distinct u
+            for (a, b, c), u in self._terms.items():
+                k = (a + d, b + e, c + f)
+                out[k] = get(k, 0) ^ uv[u]
+        return MultiPoly(self.ctx, {k: v for k, v in out.items() if v})
 
     def scale(self, c: int) -> "MultiPoly":
         """Multiply by a scalar."""
@@ -275,11 +192,8 @@ class MultiPoly:
             return MultiPoly(self.ctx)
         if c == 1:
             return self
-        left, right, prod = _coeff_tables(self.ctx)
-        rc = right[c]
-        return MultiPoly(
-            self.ctx, {e: prod[left[v] + rc] for e, v in self._terms.items()}
-        )
+        mul = self.ctx.mul
+        return MultiPoly(self.ctx, {e: mul(v, c) for e, v in self._terms.items()})
 
     def frobenius(self, k: int = 1) -> "MultiPoly":
         """The 2^k-th power, computed termwise in one pass (valid in
@@ -352,84 +266,65 @@ class MultiPoly:
         most len(den) - 1 entries, one chain per lower term of den (Monagan
         and Pearce, "Sparse polynomial division using a heap", J. Symbolic
         Comput. 2011).  A term that den's lead does not divide goes to the
-        remainder, and a nonzero remainder raises.  Monomials are packed
-        into ints that compare as the canonical order: total degree, then
-        the x, y, z exponents, in fields of B bits each, so a product of
-        monomials is a sum.  Quotient terms are kept as left[c] and den's
-        lower terms as right[c] (`_coeff_tables`), so a heap step costs one
-        table lookup.
+        remainder, and a nonzero remainder raises.  A monomial is keyed
+        by its negated graded-lex key (-(a+b+c), -a, -b, -c), so the least
+        key leads, heapq's min-heap pops the next term, and a product of
+        monomials is a sum of keys.
         """
         self._check_ctx(den)
         if not den._terms:
             raise ZeroDivisionError("polynomial division by zero")
         if not self._terms:
             return MultiPoly(self.ctx)
-        # every monomial met has total degree <= deg self, and den's lead
-        # <= deg den, so each field fits in B bits
-        B = max(self.deg(), den.deg()).bit_length()
-        mask = (1 << B) - 1
 
-        def pack(terms):
-            return sorted(
-                (((a + b + c) << 3 * B | a << 2 * B | b << B | c), v)
-                for (a, b, c), v in terms.items()
-            )[::-1]
+        def keyed(terms):
+            return sorted(((-a - b - c, -a, -b, -c), v) for (a, b, c), v in terms.items())
 
-        f = pack(self._terms)
-        gk, gc = zip(*pack(den._terms))
-        lead = gk[0]
-        la, lb, lc = lead >> 2 * B & mask, lead >> B & mask, lead & mask
-        left, right, prod = _coeff_tables(self.ctx)
-        gr = [right[v] for v in gc]
-        inv_lead = right[self.ctx.inv(gc[0])]
-        # heap entries are -(monomial << J | j): the chain of den's term j,
+        f = keyed(self._terms)
+        gk, gc = zip(*keyed(den._terms))
+        _, la, lb, lc = lead = gk[0]
+        mul = self.ctx.mul
+        inv_lead = self.ctx.inv(gc[0])
+        # heap entries are (monomial key, j): the chain of den's term j,
         # j >= 1, at its next quotient term nxt[j]; `waiting` chains have
         # run past the last quotient term so far
-        J = len(gk).bit_length()
-        jmask = (1 << J) - 1
         nxt = [0] * len(gk)
         waiting = list(range(1, len(gk)))
-        heap: list[int] = []
-        qk: list[int] = []
-        qc: list[int] = []
-        ql: list[int] = []  # left[c] of each quotient coefficient c
+        heap, qk, qc = [], [], []  # qk, qc: the quotient's keys and coefficients
+
+        def push(j):
+            heappush(heap, (tuple(map(add, qk[nxt[j]], gk[j])), j))
+
         i, nf = 0, len(f)
         remainder = False
         while heap or i < nf:
-            m = -heap[0] >> J if heap else -1
             c = 0
-            if i < nf and f[i][0] >= m:
+            if i < nf and (not heap or f[i][0] <= heap[0][0]):
                 m, c = f[i]
                 i += 1
-            while heap and -heap[0] >> J == m:
-                j = -heappop(heap) & jmask
-                k = nxt[j]
-                c ^= prod[ql[k] + gr[j]]
-                k += 1
-                nxt[j] = k
-                if k < len(qk):
-                    heappush(heap, -((qk[k] + gk[j]) << J | j))
+            else:
+                m = heap[0][0]
+            while heap and heap[0][0] == m:
+                j = heappop(heap)[1]
+                c ^= mul(qc[nxt[j]], gc[j])
+                nxt[j] += 1
+                if nxt[j] < len(qk):
+                    push(j)
                 else:
                     waiting.append(j)
             if not c:
                 continue
-            if m >> 2 * B & mask < la or m >> B & mask < lb or m & mask < lc:
+            if m[1] > la or m[2] > lb or m[3] > lc:
                 remainder = True  # a term the lead cannot eliminate
                 continue
-            t = m - lead
-            c = prod[left[c] + inv_lead]
-            qk.append(t)
-            qc.append(c)
-            ql.append(left[c])
+            qk.append(tuple(map(sub, m, lead)))
+            qc.append(mul(c, inv_lead))
             for j in waiting:
-                heappush(heap, -((t + gk[j]) << J | j))
+                push(j)
             waiting = []
         if remainder:
             raise ValueError("not an exact multiple: nonzero remainder")
-        return MultiPoly(
-            self.ctx,
-            {(e >> 2 * B & mask, e >> B & mask, e & mask): v for e, v in zip(qk, qc)},
-        )
+        return MultiPoly(self.ctx, {(-a, -b, -c): v for (_, a, b, c), v in zip(qk, qc)})
 
     def eval(self, vx: int, vy: int, vz: int) -> int:
         """Evaluate at a point of the field (ints as bit-vectors); ValueError
@@ -481,14 +376,9 @@ class Substitution:
     submask of k (Lucas), so x_i^k -> sum over submasks j of k of
     s^j t^(k-j) x_i^j x_w^(k-j).
 
-    Terms are packed as in `_pack` with B = deg(p).bit_length(), since
-    the steps keep the total degree.  With x_i and x_w at bit offsets si
-    and sw of the key, x_i^j x_w^(top-j) is the key of x_i^k x_w^(top-k)
-    minus (k - j) (2^si - 2^sw).
-    The coefficient v s^j t^(k-j) = (v t^k) (s/t)^j is one lookup per
-    output term, prod[left[v t^k] + right[(s/t)^j]] (`_coeff_tables`): in
-    a field with tables that is exp[(log v + k log t + j (log s - log t))
-    mod (2^m - 1)], with both powers read from lists built once per step.
+    The coefficient v s^j t^(k-j) = (v t^k) (s/t)^j costs one `ctx.mul`
+    per output term and one per input term, with the powers of t and s/t
+    listed once per step.
     """
 
     __slots__ = ("ctx", "steps")
@@ -508,53 +398,42 @@ class Substitution:
 
     def __call__(self, p: MultiPoly) -> MultiPoly:
         ctx = self.ctx
+        mul, pow_ = ctx.mul, ctx.pow_
         K = p.deg()
-        if K < 0:
-            return MultiPoly(ctx)
-        left, right, prod = _coeff_tables(ctx)
-        B = K.bit_length()
-        mask = (1 << B) - 1
-        shift = (2 * B, B, 0)
+        terms = p._terms
         # steps may cancel terms to zero: they are skipped, then dropped
-        terms = dict(_pack(p._terms, B, None))
         for step in self.steps:
             if step is None:  # x <-> y
-                terms = {
-                    (e >> B & mask) << 2 * B | (e >> 2 * B) << B | e & mask: v
-                    for e, v in terms.items()
-                }
+                terms = {(b, a, c): v for (a, b, c), v in terms.items()}
                 continue
             i, w, s, t = step
-            si = shift[i]
             if t == 0:  # x_i -> s x_i: each term times s^k
                 if s != 1:
-                    sk = _powers(s, K, left, right, prod)
-                    terms = {
-                        e: prod[left[v] + sk[e >> si & mask]]
-                        for e, v in terms.items()
-                        if v
-                    }
+                    sk = [pow_(s, k) for k in range(K + 1)]
+                    terms = {e: mul(v, sk[e[i]]) for e, v in terms.items() if v}
                 continue
-            tk = _powers(t, K, left, right, prod)
-            rj = _powers(ctx.mul(s, ctx.inv(t)), K, left, right, prod)
-            D = (1 << si) - (1 << shift[w])
+            tk = [pow_(t, k) for k in range(K + 1)]
+            r = mul(s, ctx.inv(t))
+            rj = [pow_(r, j) for j in range(K + 1)]
             out: dict = {}
             get = out.get
             for e, v in terms.items():
                 if not v:
                     continue
-                k = e >> si & mask
-                lv = left[prod[left[v] + tk[k]]]  # v t^k
-                base = e - k * D
+                e = list(e)
+                k = e[i]
+                top = k + e[w]
+                vt = mul(v, tk[k])
                 j = k
                 while True:
-                    key = base + j * D
-                    out[key] = get(key, 0) ^ prod[lv + rj[j]]
+                    e[i], e[w] = j, top - j
+                    key = tuple(e)
+                    out[key] = get(key, 0) ^ mul(vt, rj[j])
                     if not j:
                         break
                     j = (j - 1) & k
             terms = out
-        return MultiPoly(ctx, _unpack(terms, B))
+        return MultiPoly(ctx, {e: v for e, v in terms.items() if v})
 
 
 # -- module-level operations -----------------------------------------------

@@ -324,18 +324,6 @@ def _scale(rows: list[int], c: int) -> int:
     return out
 
 
-def _rank(ctx: FieldCtx, vectors, tops: int, basis: dict) -> int:
-    """Insert the `_field_rows` of every packed field vector in `vectors`
-    into the GF(2) echelon basis `basis`, which the caller owns, and
-    return the field rank of all it holds."""
-    for v in vectors:
-        for row in _field_rows(ctx, v, tops):
-            gf2_insert(basis, row)
-    rank, rest = divmod(len(basis), ctx.m)
-    assert not rest
-    return rank
-
-
 def _check_degree(max_deg: int) -> None:
     if max_deg < 0:
         raise ValueError("the top degree must be at least 0")
@@ -355,7 +343,10 @@ def fixed_dimensions(gens: list[Mat3], max_deg: int) -> list[int]:
     Phi_d(x^a y^(d-a)).  Every generator's image of x^a y^(d-a) is built
     at once from the packed images of degree d-1: times g x (or g y when
     a = 0), which is a shift per variable and, per lane, the scalar of
-    that lane's generator, picked out by lane masks."""
+    that lane's generator, picked out by lane masks.  Each image is kept
+    as its `_field_rows`, built once: multiplying by t acts lane by lane
+    and is GF(2)-linear, so the rows of Phi_d(x^a y^(d-a)) are those of
+    the image XOR those of the constant 1 shifted to x^a y^(d-a)."""
     if not gens:
         raise ValueError("need at least one generator")
     _check_degree(max_deg)
@@ -387,23 +378,29 @@ def fixed_dimensions(gens: list[Mat3], max_deg: int) -> list[int]:
 
     gx, gy = linear(0), linear(1)
 
-    def times(v, factor):
-        rows = _field_rows(ctx, v, tops)
+    def times(rows, factor):
+        """The `_field_rows` of the image with rows `rows` times factor."""
         out = 0
         for shift, masks in factor:
             for row, mask in zip(rows, masks):
                 if mask:
                     out ^= (row & mask) << shift
-        return out
+        return _field_rows(ctx, out, tops)
 
-    images = [ones]  # g x^a y^(d-a) for a = d..0, here d = 0
+    ones_rows = _field_rows(ctx, ones, tops)
+    images = [ones_rows]  # g x^a y^(d-a) for a = d..0, here d = 0
     basis: dict = {}
     dims = []
     for d in range(max_deg + 1):
         if d:
-            images = [times(v, gx) for v in images] + [times(images[-1], gy)]
-        phi = (image ^ ones << (d - b + side * b) * k * m for b, image in enumerate(images))
-        dims.append((d + 1) * (d + 2) // 2 - _rank(ctx, phi, tops, basis))
+            images = [times(rows, gx) for rows in images] + [times(images[-1], gy)]
+        for b, rows in enumerate(images):
+            off = (d - b + side * b) * k * m
+            for row, one in zip(rows, ones_rows):
+                gf2_insert(basis, row ^ one << off)
+        rank, rest = divmod(len(basis), m)
+        assert not rest
+        dims.append((d + 1) * (d + 2) // 2 - rank)
     return dims
 
 
@@ -446,16 +443,18 @@ def generated_dimension(invs: list[MultiPoly], deg: int) -> int:
         raise ValueError("need at least one generator")
     _check_generators(invs)
     ctx, T = invs[0].ctx, _stride(deg)
-
-    def products():
-        for e in _weighted_compositions([p.deg() for p in invs], deg):
-            prod = MultiPoly.one(ctx)
-            for p, k in zip(invs, e):
-                if k:
-                    prod = prod * p**k
-            yield _pack_levels(prod, deg, T)
-
-    return _rank(ctx, products(), _repeat(ctx.m, T * T) << (ctx.m - 1), {})
+    tops = _repeat(ctx.m, T * T) << (ctx.m - 1)
+    basis: dict = {}
+    for e in _weighted_compositions([p.deg() for p in invs], deg):
+        prod = MultiPoly.one(ctx)
+        for p, k in zip(invs, e):
+            if k:
+                prod = prod * p**k
+        for row in _field_rows(ctx, _pack_levels(prod, deg, T), tops):
+            gf2_insert(basis, row)
+    rank, rest = divmod(len(basis), ctx.m)
+    assert not rest
+    return rank
 
 
 def free_dimensions(degrees, max_deg: int) -> list[int]:

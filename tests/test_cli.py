@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import refl2.cli
+import refl2.selftest
 import refl2.verify
 from refl2 import ffield, grouplift, invariants
 from refl2.cli import (
@@ -168,6 +169,19 @@ def test_cli_ambient_past_the_table_limit(capsys):
     argv = ["verify", "--n", "2", "--modulus-ambient", "0x40009"]
     assert main(argv) == EXIT_OK
     assert "verdict     POLYNOMIAL" in capsys.readouterr().out
+
+
+def test_verify_whole_field_lists_no_subfield(monkeypatch):
+    # at d = 1 the subfield is the whole ambient field, whose generator is
+    # found by value: a run at n=16 lists none of the 2^16 elements
+    def refuse(*args):
+        raise AssertionError("a subfield was listed")
+
+    for module in (ffield, grouplift, invariants, refl2.selftest):
+        monkeypatch.setattr(module, "subfield_elements", refuse)
+    code, report = run_verify(VerifyConfig(n=16, d=1, max_group=10**20))
+    assert code == EXIT_OK
+    assert report.to_dict()["verdict"] == "POLYNOMIAL"
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import random
 import time
+from itertools import combinations
 
 import pytest
 
@@ -121,11 +122,16 @@ def test_rabin_at_degree_64():
 
 
 def test_default_moduli_follow_convention():
+    # candidates by weight, then by value: each weight's low-bit sets are
+    # listed and sorted only once the lighter ones are exhausted
+    def candidates(m):
+        for w in range(m + 1):
+            yield from sorted(
+                (1 << m) | sum(1 << b for b in low) for low in combinations(range(m), w)
+            )
+
     for m, expected in DEFAULT_MODULI.items():
-        cands = sorted(
-            range(1 << m, 1 << (m + 1)), key=lambda v: (bin(v).count("1"), v)
-        )
-        first = next(c for c in cands if modulus_is_irreducible(c, m))
+        first = next(c for c in candidates(m) if modulus_is_irreducible(c, m))
         assert first == expected
 
 
@@ -290,6 +296,19 @@ def test_subfields_match_the_field_generator_route():
                 assert subfield_elements(ctx, n) == expected
                 e = subfield_generator(ctx, n)
                 assert e == min(a for a in expected if a and ctx.order_of(a) == q - 1)
+
+
+def test_subfield_generator_is_the_least_element_of_full_order():
+    # reference: the first element of the sorted listing with order q - 1,
+    # on every subfield of the default fields of degree <= 12 and of the
+    # table-less GF(2^17) and GF(2^18), whose whole fields are found by value
+    for m in list(range(1, 13)) + [17, 18]:
+        ctx = field_new(m)
+        for n in (n for n in range(1, m + 1) if m % n == 0):
+            q = 1 << n
+            sub = subfield_elements(ctx, n)
+            expected = next(a for a in sub if a and ctx.order_of(a, q - 1) == q - 1)
+            assert subfield_generator(ctx, n) == expected
 
 
 def test_subfields_of_a_degree_62_field():

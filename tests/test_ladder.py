@@ -1,6 +1,6 @@
 """The n = 8..16 ladder at d = 0, 1, n = 17 and 18 at d = 0 on explicit
-moduli (past the default table), and n=8 at d=2 (q^d = 2^16, the largest
-kernel action on the default moduli), each instance a child process that
+moduli, n = 20 at d = 0 (the largest default modulus), and n = 8 and 10
+at d = 2 (q^d = 2^16 and 2^20), each instance a child process that
 reports its own CPU time and peak RSS.  Marked slow, so deselected by
 default: run it with `pytest -m slow`."""
 
@@ -31,10 +31,11 @@ sys.exit(code)
 """
 
 LADDER = [(n, d, variant) for n in range(8, 17) for d in (0, 1) for variant in ("h1", "h0")]
-LADDER += [(8, 2, variant) for variant in ("h1", "h0")]
-# irreducible moduli for GF(2^17) and GF(2^18), which have no default
+LADDER += [(n, 2, variant) for n in (8, 10) for variant in ("h1", "h0")]
+# explicit irreducible moduli for GF(2^17) and GF(2^18); 0x40081 is not
+# the default
 MODULI = {17: 0x20009, 18: 0x40081}
-LADDER += [(n, 0, variant) for n in MODULI for variant in ("h1", "h0")]
+LADDER += [(n, 0, variant) for n in (*MODULI, 20) for variant in ("h1", "h0")]
 
 
 @pytest.mark.slow
@@ -45,8 +46,8 @@ def test_ladder_under_10s_cpu_and_100mb(tmp_path, n, d, variant):
     if n in MODULI:
         argv += ["--modulus-ambient", hex(MODULI[n])]
     # the cap admits |H| = q(q^2 - 1): 6.9e10 at n=12, 2.8e14 at n=16,
-    # 1.8e16 at n=18; and |N| = q^(2d), 4.3e9 at n=8 d=2
-    cap = 10**11 if n <= 12 else 10**20
+    # 1.2e18 at n=20; and |N| = q^(2d), 4.3e9 at n=8 d=2, 1.1e12 at n=10
+    cap = 10**11 if n <= 12 and (n, d) != (10, 2) else 10**20
     argv += ["--max-group", str(cap), "--json", str(report), "--quiet"]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     run = subprocess.run(
