@@ -292,13 +292,6 @@ def _print_report(report: VerificationReport, out=None):
     print(f"verdict     {d['verdict']} ({d['elapsed_ms']} ms)", file=out)
 
 
-def run_selftest(scope: str, quiet: bool = False) -> int:
-    """`refl2 selftest`, from `refl2.selftest`, which only it loads."""
-    from refl2.selftest import run_selftest
-
-    return run_selftest(scope, quiet)
-
-
 # -- argument parsing -------------------------------------------------------------
 
 
@@ -310,7 +303,10 @@ def _hex_int(text: str) -> int:
 
 
 def _hex_list(text: str) -> tuple[int, ...]:
-    return tuple(_hex_int(part) for part in text.split(",") if part)
+    parts = text.split(",")
+    if "" in parts:
+        raise argparse.ArgumentTypeError(f"empty item in the hex list {text!r}")
+    return tuple(_hex_int(part) for part in parts)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,12 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     pv.add_argument("--json", default=None, metavar="PATH")
     pv.add_argument("--quiet", action="store_true")
-
-    ps = sub.add_parser("selftest", help="run the exhaustive property suites")
-    ps.add_argument(
-        "scope", nargs="?", default="all", choices=("cocycle", "dickson", "oracle", "all")
-    )
-    ps.add_argument("--quiet", action="store_true")
     return parser
 
 
@@ -352,27 +342,25 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage already; normalize other codes
         return EXIT_BAD_CONFIG if exc.code not in (0,) else 0
     try:
-        if args.command == "verify":
-            cfg = VerifyConfig(
-                n=args.n,
-                d=len(args.lambda_basis or ()) if args.d is None else args.d,
-                variant=args.variant,
-                modulus_ambient=args.modulus_ambient,
-                lambda_basis=args.lambda_basis,
-                oracle_max_degree=args.oracle_max_degree,
-                max_group=args.max_group,
-            )
-            code, report = run_verify(cfg)
-            if args.json:
-                try:
-                    with open(args.json, "w") as fh:
-                        fh.write(report.to_json())
-                except OSError as exc:
-                    raise ConfigError(f"cannot write --json {args.json}: {exc}") from exc
-            if not args.quiet:
-                _print_report(report)
-            return code
-        return run_selftest(args.scope, quiet=args.quiet)
+        cfg = VerifyConfig(
+            n=args.n,
+            d=len(args.lambda_basis or ()) if args.d is None else args.d,
+            variant=args.variant,
+            modulus_ambient=args.modulus_ambient,
+            lambda_basis=args.lambda_basis,
+            oracle_max_degree=args.oracle_max_degree,
+            max_group=args.max_group,
+        )
+        code, report = run_verify(cfg)
+        if args.json:
+            try:
+                with open(args.json, "w") as fh:
+                    fh.write(report.to_json())
+            except OSError as exc:
+                raise ConfigError(f"cannot write --json {args.json}: {exc}") from exc
+        if not args.quiet:
+            _print_report(report)
+        return code
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG

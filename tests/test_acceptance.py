@@ -88,9 +88,8 @@ def test_criterion_2_cocycle_identities():
                         lhs = mul(p, fab) ^ mul(q, fcd)
                         u, v = mul(p, a) ^ mul(q, c), mul(p, b) ^ mul(q, d)
                         fuv = cocycle_f(ctx, u, v, n)
-                        fpq = cocycle_f(ctx, p, q, n)
-                        assert lhs ^ fpq == fuv  # f-identity
-                        assert lhs ^ (fpq ^ 1) == (fuv ^ 1)  # g-variant
+                        assert lhs ^ cocycle_f(ctx, p, q, n) == fuv  # f-identity
+                        assert lhs ^ cocycle_g(ctx, p, q, n) == fuv ^ 1  # g-variant
                         count += 1
             assert count == expected_counts[n]
             # homogeneity of g
@@ -163,6 +162,9 @@ def test_criterion_6_dickson_identities():
             c0, c1 = dickson_pair(n, ctx)
             u = dickson_u(n, ctx)
             assert u ** (q - 1) == c0 == all_forms_family(n, ctx)[0]
+            x, y = MultiPoly.variable(ctx, 0), MultiPoly.variable(ctx, 1)
+            assert u * c1 == x * y ** (q * q) + x ** (q * q) * y
+            assert (c0.deg(), c1.deg(), u.deg()) == (q * q - 1, q * q - q, q + 1)
             ut, c1t = lifted_invariants(n, ctx)
             assert ut ** (q - 1) == all_forms_family(n, ctx, scale=1)[0]
             assert ut.restrict_z0() == u

@@ -9,7 +9,6 @@ from pathlib import Path
 import pytest
 
 import refl2.cli
-import refl2.selftest
 import refl2.verify
 from refl2 import ffield, grouplift, invariants
 from refl2.cli import (
@@ -20,7 +19,6 @@ from refl2.cli import (
     VerifyConfig,
     _resolve_fields,
     main,
-    run_selftest,
     run_verify,
 )
 from refl2.grouplift import Mat3
@@ -97,6 +95,10 @@ def test_cli_bad_flags(capsys):
     assert "unrecognized arguments: --threads" in capsys.readouterr().err
     assert main(["verify", "--n", "2", "--modulus-q", "0x7"]) == EXIT_BAD_CONFIG
     assert "unrecognized arguments: --modulus-q" in capsys.readouterr().err
+    # the property suites live in the tests, not behind a subcommand
+    assert main(["selftest"]) == EXIT_BAD_CONFIG
+    assert main(["selftest", "cocycle", "--quiet"]) == EXIT_BAD_CONFIG
+    assert "invalid choice: 'selftest'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -133,6 +135,24 @@ def test_cli_bad_configuration_exits_2(flags, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "Traceback" not in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--d", "2", "--modulus-ambient", "0x43", "--lambda-basis", "0x1,,0x13"],
+        ["--lambda-basis", ","],
+        ["--lambda-basis", ""],
+    ],
+    ids=["empty-middle-item", "two-empty-items", "empty-list"],
+)
+def test_cli_lambda_basis_empty_item_exits_2(flags, capsys):
+    # an empty item is refused, not dropped: dropped, the first list would
+    # run as the basis 0x1,0x13 and the last two as d=0, and exit 0
+    assert main(["verify", "--n", "2", "--quiet"] + flags) == EXIT_BAD_CONFIG
+    captured = capsys.readouterr()
+    assert "argument --lambda-basis: empty item" in captured.err
+    assert "Traceback" not in captured.err and captured.out == ""
 
 
 def test_cli_modulus_of_degree_0_named(capsys):
@@ -177,7 +197,7 @@ def test_verify_whole_field_lists_no_subfield(monkeypatch):
     def refuse(*args):
         raise AssertionError("a subfield was listed")
 
-    for module in (ffield, grouplift, invariants, refl2.selftest):
+    for module in (ffield, grouplift, invariants):
         monkeypatch.setattr(module, "subfield_elements", refuse)
     code, report = run_verify(VerifyConfig(n=16, d=1, max_group=10**20))
     assert code == EXIT_OK
@@ -287,9 +307,8 @@ def test_cli_import_leaves_numpy_unloaded():
 
 
 def test_cli_import_loads_no_dataclasses_inspect_or_numpy():
-    # a subprocess, since pytest itself imports dataclasses; the selftest
-    # suites are compiled only for the selftest command
-    unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "numpy", "refl2.selftest"}
+    # a subprocess, since pytest itself imports dataclasses
+    unwanted = {"dataclasses", "inspect", "ast", "dis", "tokenize", "numpy"}
     code = f"import sys, refl2.cli; print(sorted({unwanted!r} & sys.modules.keys()))"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -349,29 +368,6 @@ def test_cli_two_large_prime_factors_exit_2():
     )
     assert run.returncode == EXIT_BAD_CONFIG
     assert "cannot prove 618970019642690137449562111 prime" in run.stderr
-
-
-def test_selftest_scopes(capsys):
-    assert run_selftest("cocycle") == EXIT_OK
-    out = capsys.readouterr().out
-    assert "cocycle n=2: 960 identity instances" in out
-    assert run_selftest("dickson", quiet=True) == EXIT_OK
-    with pytest.raises(ConfigError):
-        run_selftest("bogus")
-
-
-def test_selftest_cli_entry(capsys):
-    assert main(["selftest", "cocycle", "--quiet"]) == EXIT_OK
-    assert main(["selftest", "nope"]) == EXIT_BAD_CONFIG
-
-
-def test_selftest_oracle_scope(capsys):
-    assert run_selftest("oracle") == EXIT_OK
-    out = capsys.readouterr().out
-    assert "oracle q=2: degrees 0..15 against (c0, c1, z)" in out
-    assert "oracle: 17 passed, 0 failed" in out
-    assert main(["selftest", "oracle", "--quiet"]) == EXIT_OK
-    assert capsys.readouterr().out == ""
 
 
 def test_verify_max_group_cap():

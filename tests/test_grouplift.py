@@ -968,3 +968,43 @@ def test_sl2_presentation_by_coset_enumeration(n, over_r):
     table.compress()
     q = 1 << n
     assert len(table.table) == q * (q + 1) * (1 if over_r else q - 1)
+
+
+@pytest.mark.parametrize("n", [2, pytest.param(3, marks=pytest.mark.slow)])
+def test_sl2_presentation_needs_each_relator(n):
+    # Todd-Coxeter over the trivial subgroup, bounded at 8 |SL2(q)| cosets:
+    # the full presentation counts SL2(q) itself, and leaving out any one
+    # of these five relators overflows the bound or, for r^(q-1), doubles
+    # the count, a loss that the enumeration over <r> cannot see.  s^2
+    # alone, and the (x_i x_j)^2 taken together, are redundant at n = 2
+    # and 3; nothing shows that for every n, so they are not pinned
+    pytest.importorskip("sympy")
+    from sympy.combinatorics.fp_groups import FpGroup
+    from sympy.combinatorics.free_groups import free_group
+
+    _, minpoly = sl2_minimal_polynomial(n)
+    F, r, s, t = free_group("r s t")
+    rels = sl2_relators(r, s, t, minpoly)
+    q = 1 << n
+    order = q * (q * q - 1)
+
+    def count(kept):
+        try:
+            table = FpGroup(F, kept).coset_enumeration([], max_cosets=8 * order)
+        except ValueError as exc:
+            assert "defined more than" in str(exc)
+            return "overflow"
+        return len(table.table)
+
+    assert count(rels) == order
+    # by index in `sl2_relators`; the minimal-polynomial relator is last
+    index = {"t^2": 1, "r^(q-1)": 2, "(s t s r)^2": 3, "(t s)^3": 4}
+    index["minimal polynomial"] = len(rels) - 1
+    counts = {name: count(rels[:i] + rels[i + 1 :]) for name, i in index.items()}
+    assert counts == {
+        "t^2": "overflow",
+        "r^(q-1)": 2 * order,
+        "(s t s r)^2": "overflow",
+        "(t s)^3": "overflow",
+        "minimal polynomial": "overflow",
+    }
