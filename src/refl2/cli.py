@@ -115,9 +115,9 @@ def _resolve_fields(cfg: VerifyConfig) -> LambdaSpace:
         raise ConfigError(
             f"--d {cfg.d} conflicts with a Lambda basis of size {len(cfg.lambda_basis)}"
         )
-    if cfg.d < 0 or (cfg.lambda_basis is None and cfg.d > 2):
-        raise ConfigError("default Lambda bases exist only for d in {0, 1, 2}")
-    ambient_degree = cfg.n * (2 if cfg.d == 2 else 1)
+    if cfg.d < 0:
+        raise ConfigError("--d must be at least 0")
+    ambient_degree = cfg.n * max(cfg.d, 1)
     modulus = cfg.modulus_ambient
     if modulus is not None:
         if modulus < 2:

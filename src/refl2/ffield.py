@@ -11,56 +11,32 @@ Moduli are bit-vectors too, with bit m (the leading bit) set; they print
 as hex with the low bit the constant term, e.g. the GF(4) modulus
 t^2+t+1 is 0x7.  Construction checks irreducibility by Rabin's test
 (`modulus_is_irreducible`), m squarings modulo the modulus, so a modulus
-of degree 64 is checked at once.  Subfields are found without factoring
-2^m - 1 (`subfield_elements`); only a multiplicative generator of the
-whole field (`mult_generator`) needs that factorization, which Pollard's
-rho finds and Miller-Rabin proves (`_factorize`), so 2^62 - 1 takes
-milliseconds.  `gf2_insert` is the GF(2) echelon step on bit rows that
-the oracle and the split's translations share.
+of degree 64 is checked at once; with none given, `field_new` takes the
+first irreducible of degree m <= 64 in (weight, value) order.  The least
+generator of a subfield GF(2^n) (`subfield_generator`, and
+`mult_generator` for n = m) comes from counting through an echelon
+basis of the subfield, with no listing, and factors only 2^n - 1:
+Pollard's rho splits it and Miller-Rabin proves the factors
+(`_factorize`), so 2^62 - 1 takes milliseconds.  `gf2_insert` is the
+GF(2) echelon step on bit rows that the oracle, the split's translations
+and the subfield generator share.
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from math import gcd
-
-# Default irreducible modulus per degree, lowest weight first, then
-# lowest bit-vector value.  Regenerated by tests/test_ffield.py.
-DEFAULT_MODULI = {
-    1: 0x2,
-    2: 0x7,
-    3: 0xB,
-    4: 0x13,
-    5: 0x25,
-    6: 0x43,
-    7: 0x83,
-    8: 0x11B,
-    9: 0x203,
-    10: 0x409,
-    11: 0x805,
-    12: 0x1009,
-    13: 0x201B,
-    14: 0x4021,
-    15: 0x8003,
-    16: 0x1002B,
-    17: 0x20009,
-    18: 0x40009,
-    19: 0x80027,
-    20: 0x100009,
-}
+from operator import xor
 
 # Log/exp tables are built only for fields that fit comfortably in memory.
 _TABLE_LIMIT = 16
 
 
-def _pdeg(x: int) -> int:
-    return x.bit_length() - 1
-
-
 def _pmod(a: int, b: int) -> int:
     """Remainder of carry-less division of a by b over GF(2)."""
-    db = _pdeg(b)
-    while a and _pdeg(a) >= db:
-        a ^= b << (_pdeg(a) - db)
+    db = b.bit_length()
+    while a.bit_length() >= db:
+        a ^= b << (a.bit_length() - db)
     return a
 
 
@@ -209,42 +185,25 @@ class FieldCtx:
         self.m = m
         self.modulus = modulus
         self.order = 1 << m
+        self._exp = self._log = None
         if m <= _TABLE_LIMIT:
             self._build_tables()
-        else:
-            self._exp = self._log = None
 
     def _build_tables(self):
         # The modulus need not be primitive, so drive the tables with a
         # multiplicative generator found by direct order computation.
         n = self.order - 1
-        exp = [1] * (2 * n if n else 1)
+        g = self._subgroup_generator(self.m)
+        exp = [1] * n
+        for i in range(1, n):
+            exp[i] = self._mul_raw(exp[i - 1], g)
         log = [0] * self.order
-        if n == 0:
-            self._exp, self._log = exp, log
-            return
-        g = self._find_generator_raw()
-        v = 1
-        for i in range(n):
-            exp[i] = v
+        for i, v in enumerate(exp):
             log[v] = i
-            v = self._mul_raw(v, g)
-        for i in range(n, 2 * n):
-            exp[i] = exp[i - n]
-        self._exp, self._log = exp, log
+        self._exp, self._log = exp + exp, log
 
     def _mul_raw(self, a: int, b: int) -> int:
         return _pmod(_pmul(a, b), self.modulus)
-
-    def _order_raw(self, a: int, n: int = 0) -> int:
-        """The multiplicative order of a nonzero a, given a multiple n of
-        it (by default 2^m - 1); only n is factored."""
-        n = n or self.order - 1
-        ord_ = n
-        for p in _factorize(n):
-            while ord_ % p == 0 and self._pow_raw(a, ord_ // p) == 1:
-                ord_ //= p
-        return ord_
 
     def _pow_raw(self, a: int, k: int) -> int:
         r = 1
@@ -254,13 +213,6 @@ class FieldCtx:
             a = self._mul_raw(a, a)
             k >>= 1
         return r
-
-    def _find_generator_raw(self) -> int:
-        n = self.order - 1
-        for a in range(1, self.order):
-            if self._order_raw(a) == n:
-                return a
-        raise AssertionError("multiplicative group of a field is cyclic")
 
     # -- public int-level arithmetic ------------------------------------
 
@@ -299,13 +251,35 @@ class FieldCtx:
         it (by default 2^m - 1, always one); only the multiple is factored."""
         if a == 0:
             raise ZeroDivisionError("zero has no multiplicative order")
-        return self._order_raw(a, multiple)
+        ord_ = multiple or self.order - 1
+        for p in _factorize(ord_):
+            while ord_ % p == 0 and self.pow_(a, ord_ // p) == 1:
+                ord_ //= p
+        return ord_
 
     def check(self, a: int) -> int:
         """a itself, if it is an element of this field (0 <= a < 2^m)."""
         if not 0 <= a < self.order:
             raise ValueError(f"element {a:#x} out of range for {self!r}")
         return a
+
+    def _first_of_order(self, k: int, candidates) -> int:
+        """The first of the `candidates`, each nonzero with a^k = 1, whose
+        order is exactly k; only k is factored.  Before the tables exist,
+        `pow_` computes directly."""
+        primes = _factorize(k)
+        for a in candidates:
+            if all(self.pow_(a, k // p) != 1 for p in primes):
+                return a
+        raise AssertionError(f"no candidate has order {k}")
+
+    def _subgroup_generator(self, n: int) -> int:
+        """An element of order 2^n - 1, for n | m: the first
+        h = a^((2^m-1)/(2^n-1)), a = 1, 2, ..., of that order.  Every such h
+        lies in the GF(2^n) subfield, and for n = m it is a itself."""
+        k = (1 << n) - 1
+        e = (self.order - 1) // k
+        return self._first_of_order(k, (self.pow_(a, e) for a in range(1, self.order)))
 
     def in_subfield(self, a: int, n: int) -> bool:
         """True iff a is fixed by the n-fold Frobenius, a^(2^n) = a."""
@@ -331,31 +305,41 @@ class FieldCtx:
 
 
 def field_new(m: int, modulus: int | None = None) -> FieldCtx:
-    """Build GF(2^m); modulus defaults to the built-in table for m <= 20."""
-    if modulus is None:
-        try:
-            modulus = DEFAULT_MODULI[m]
-        except KeyError:
-            raise ValueError(f"no default modulus for m={m}; pass one explicitly")
-    return FieldCtx(m, modulus)
+    """Build GF(2^m).  With no modulus, 1 <= m <= 64 takes the first
+    irreducible in (weight, value) order: t for m = 1.  Past m = 1 the
+    constant term is set, or t divides the polynomial, and the weight is
+    odd, or t + 1 does; so k = 1, 3, ... middle bits are tried in turn,
+    each k in value order."""
+    if modulus is not None:
+        return FieldCtx(m, modulus)
+    if not 1 <= m <= 64:
+        raise ValueError(f"no default modulus for m={m}; pass one explicitly")
+    for k in range(1, m, 2):
+        mid = (1 << k) - 1  # the middle bits t^1..t^(m-1), shifted down by one
+        while mid < 1 << (m - 1):
+            modulus = 1 << m | mid << 1 | 1
+            if modulus_is_irreducible(modulus, m):
+                return FieldCtx(m, modulus)
+            # the next larger int with k bits set (Gosper, HAKMEM item 175)
+            low = mid & -mid
+            ripple = mid + low
+            mid = ripple | ((ripple ^ mid) >> 2) // low
+    return FieldCtx(m, 0x2)  # m = 1: no middle bits, and t comes first
 
 
 def mult_generator(ctx: FieldCtx) -> int:
     """Smallest element (by bit-vector value) of multiplicative order 2^m-1."""
-    return ctx._find_generator_raw()
+    return subfield_generator(ctx, ctx.m)
 
 
 def subfield_elements(ctx: FieldCtx, n: int) -> list[int]:
     """The GF(2^n) subfield sorted by value: 0 and the powers of an h of
-    order 2^n - 1.  h = a^((2^m-1)/(2^n-1)) lies in the subfield for every
-    nonzero a, so a = 1, 2, ... is tried until h has that order, which
-    factors only 2^n - 1; the powers of a generator g would need 2^m - 1
-    factored to find g.  Each power is one `mul` on the one before it."""
+    order 2^n - 1 (`FieldCtx._subgroup_generator`), each one `mul` on the
+    one before it.  The listing is the tests' reference; no run calls it."""
     if n < 1 or ctx.m % n != 0:
         raise ValueError(f"subfield degree {n} does not divide {ctx.m}")
     q = 1 << n
-    powers = (ctx.pow_(a, (ctx.order - 1) // (q - 1)) for a in range(1, ctx.order))
-    h = next(h for h in powers if ctx._order_raw(h, q - 1) == q - 1)
+    h = ctx._subgroup_generator(n)
     out = [0, 1]
     for _ in range(q - 2):
         out.append(ctx.mul(out[-1], h))
@@ -380,12 +364,28 @@ def gf2_insert(basis: dict, v: int) -> int:
 def subfield_generator(ctx: FieldCtx, n: int) -> int:
     """Smallest element of the GF(2^n) subfield with multiplicative order
     2^n-1; orders in the subfield divide 2^n-1, so only it is factored.
-    For the whole field that is `mult_generator`, a scan by value; a
-    proper subfield is listed, as a scan would try 2^(m-n) values each."""
-    if n == ctx.m:
-        return mult_generator(ctx)
-    target = (1 << n) - 1
-    for a in subfield_elements(ctx, n):
-        if a and ctx._order_raw(a, target) == target:
-            return a
-    raise AssertionError("subfield generator always exists")
+
+    For h of order 2^n - 1, 1, h, ..., h^(n-1) is a GF(2) basis of the
+    subfield.  Reduced, each row's top bit is a pivot that no other row
+    has; with the rows in ascending pivot order the XOR of the rows picked
+    by the bits of c increases with c, as where two counts first differ,
+    from the top, only the larger has that row's pivot and the sums agree
+    above it.  So counting c = 1, 2, ... visits the subfield in value
+    order, with no listing."""
+    if n < 1 or ctx.m % n != 0:
+        raise ValueError(f"subfield degree {n} does not divide {ctx.m}")
+    h = ctx._subgroup_generator(n)
+    echelon, v = {}, 1
+    for _ in range(n):
+        gf2_insert(echelon, v)
+        v = ctx.mul(v, h)
+    rows: list[int] = []
+    for top in sorted(echelon):  # clear the lower pivots from each row
+        v = echelon[top]
+        for row in rows:
+            v ^= row if v >> (row.bit_length() - 1) & 1 else 0
+        rows.append(v)
+    counted = (
+        reduce(xor, (row for i, row in enumerate(rows) if c >> i & 1)) for c in range(1, 1 << n)
+    )
+    return ctx._first_of_order((1 << n) - 1, counted)

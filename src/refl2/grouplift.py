@@ -353,15 +353,13 @@ class LambdaSpace:
 
 
 def default_lambda_basis(d: int, n: int, ambient: FieldCtx) -> tuple[int, ...]:
-    """Smallest faithful basis per dimension: (), (1,), or (1, theta)
-    with theta a multiplicative generator of the ambient field."""
-    if d == 0:
-        return ()
-    if d == 1:
-        return (1,)
-    if d == 2:
-        return (1, mult_generator(ambient))
-    raise ValueError(f"no default basis for d={d}")
+    """(1, theta, ..., theta^(d-1)) with theta = `mult_generator` of the
+    ambient field, GF(2^(nd)) by default.  theta generates that field
+    over GF(2), so its degree over GF(2^n) is d and the powers are
+    independent; on a smaller ambient field `LambdaSpace` refuses them.
+    theta is found, and 2^m - 1 factored, only from d = 2 on."""
+    theta = mult_generator(ambient) if d > 1 else 1
+    return tuple(ambient.pow_(theta, k) for k in range(d))
 
 
 def kernel_group(ls: LambdaSpace, cap: int = 10**7) -> list[Mat3]:

@@ -115,6 +115,11 @@ def test_cli_bad_flags(capsys):
         ["--oracle-max-degree", "1000000000000"],
         ["--modulus-ambient", "0x0"],
         ["--modulus-ambient", "0x1"],
+        ["--d", "-1"],
+        # n*d = 6 exceeds the ambient degree 4, so 1, theta, theta^2 are
+        # dependent over GF(4)
+        ["--d", "3", "--modulus-ambient", "0x13"],
+        ["--d", "33"],  # m = 66: the default moduli stop at m = 64
     ],
     ids=[
         "zero-basis",
@@ -128,6 +133,9 @@ def test_cli_bad_flags(capsys):
         "oracle-past-row-cap",
         "zero-modulus",
         "constant-modulus",
+        "negative-d",
+        "default-basis-past-ambient-degree",
+        "no-default-modulus-past-m-64",
     ],
 )
 def test_cli_bad_configuration_exits_2(flags, capsys):
@@ -192,16 +200,35 @@ def test_cli_ambient_past_the_table_limit(capsys):
 
 
 def test_verify_whole_field_lists_no_subfield(monkeypatch):
-    # at d = 1 the subfield is the whole ambient field, whose generator is
-    # found by value: a run at n=16 lists none of the 2^16 elements
+    # at d = 1 the subfield is the whole ambient field, and at d = 2 a
+    # proper subfield of GF(2^32): both generators come from counting
+    # through an echelon basis, so a run lists none of the 2^16 elements
     def refuse(*args):
         raise AssertionError("a subfield was listed")
 
     for module in (ffield, grouplift, invariants):
         monkeypatch.setattr(module, "subfield_elements", refuse)
-    code, report = run_verify(VerifyConfig(n=16, d=1, max_group=10**20))
-    assert code == EXIT_OK
-    assert report.to_dict()["verdict"] == "POLYNOMIAL"
+    for d in (1, 2):
+        code, report = run_verify(VerifyConfig(n=16, d=d, max_group=10**20))
+        assert code == EXIT_OK
+        assert report.to_dict()["verdict"] == "POLYNOMIAL"
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--n", "8", "--d", "3", "--max-group", str(10**20)],
+        # |H| = q(q^2 - 1) = 4.7e21 at q = 2^24
+        ["--n", "24", "--d", "0", "--max-group", str(10**22)],
+        ["--n", "2", "--lambda-basis", "0x1,0x2,0x4"],
+    ],
+    ids=["default-basis-d3", "default-modulus-m24", "basis-d3-default-modulus"],
+)
+def test_cli_defaults_past_d2_and_m20_exit_0(flags, capsys):
+    # past d = 2 and m = 20 on the default moduli and bases: the ambient
+    # degree is n * max(d, 1), and an explicit basis of size d sets d
+    assert main(["verify", "--quiet"] + flags) == EXIT_OK
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize(

@@ -5,7 +5,6 @@ from itertools import combinations
 import pytest
 
 from refl2.ffield import (
-    DEFAULT_MODULI,
     FieldCtx,
     _factorize,
     _pmod,
@@ -121,6 +120,15 @@ def test_rabin_at_degree_64():
         assert p.bit_length() == 65 and not modulus_is_irreducible(p, 64)
 
 
+# the default moduli of every report so far (m <= 20) and three past them
+DEFAULT_MODULI = {
+    1: 0x2, 2: 0x7, 3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x11B,
+    9: 0x203, 10: 0x409, 11: 0x805, 12: 0x1009, 13: 0x201B, 14: 0x4021,
+    15: 0x8003, 16: 0x1002B, 17: 0x20009, 18: 0x40009, 19: 0x80027,
+    20: 0x100009, 24: 0x100001B, 32: 0x10000008D, 64: 0x1000000000000001B,
+}
+
+
 def test_default_moduli_follow_convention():
     # candidates by weight, then by value: each weight's low-bit sets are
     # listed and sorted only once the lighter ones are exhausted
@@ -131,8 +139,15 @@ def test_default_moduli_follow_convention():
             )
 
     for m, expected in DEFAULT_MODULI.items():
-        first = next(c for c in candidates(m) if modulus_is_irreducible(c, m))
-        assert first == expected
+        assert field_new(m).modulus == expected
+        if m <= 24:  # past that the reference makes thousands of Rabin tests
+            first = next(c for c in candidates(m) if modulus_is_irreducible(c, m))
+            assert first == expected
+    # the rule reaches every m <= 64, and no further
+    assert all(field_new(m).m == m for m in range(1, 65))
+    for m in (0, 65):
+        with pytest.raises(ValueError, match=f"no default modulus for m={m}"):
+            field_new(m)
 
 
 def test_field_new_gf4():
@@ -278,6 +293,9 @@ def test_subfield_generator():
     assert ctx.in_subfield(e, 2)
     # in the whole field the subfield generator is the field generator
     assert subfield_generator(ctx, 4) == mult_generator(ctx)
+    for n in (0, 3):
+        with pytest.raises(ValueError, match="does not divide"):
+            subfield_generator(ctx, n)
 
 
 def test_subfields_match_the_field_generator_route():
@@ -298,17 +316,27 @@ def test_subfields_match_the_field_generator_route():
                 assert e == min(a for a in expected if a and ctx.order_of(a) == q - 1)
 
 
+def least_of_full_order(ctx, n):
+    # reference: the first element of the sorted listing with order q - 1
+    q = 1 << n
+    return next(a for a in subfield_elements(ctx, n) if a and ctx.order_of(a, q - 1) == q - 1)
+
+
 def test_subfield_generator_is_the_least_element_of_full_order():
-    # reference: the first element of the sorted listing with order q - 1,
-    # on every subfield of the default fields of degree <= 12 and of the
-    # table-less GF(2^17) and GF(2^18), whose whole fields are found by value
-    for m in list(range(1, 13)) + [17, 18]:
+    # every subfield of the default fields of degree <= 16 and of the
+    # table-less GF(2^17) and GF(2^18), and two of GF(2^24), whose
+    # subfield generator is found by counting through an echelon basis
+    cases = [(m, n) for m in list(range(1, 17)) + [17, 18] for n in range(1, m + 1) if m % n == 0]
+    for m, n in cases + [(24, 8), (24, 12)]:
         ctx = field_new(m)
-        for n in (n for n in range(1, m + 1) if m % n == 0):
-            q = 1 << n
-            sub = subfield_elements(ctx, n)
-            expected = next(a for a in sub if a and ctx.order_of(a, q - 1) == q - 1)
-            assert subfield_generator(ctx, n) == expected
+        assert subfield_generator(ctx, n) == least_of_full_order(ctx, n)
+
+
+@pytest.mark.slow
+def test_subfield_generator_of_gf2_16_in_gf2_32():
+    # the listing takes 65 535 products with no log tables
+    ctx = field_new(32)
+    assert subfield_generator(ctx, 16) == least_of_full_order(ctx, 16)
 
 
 def test_subfields_of_a_degree_62_field():

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from refl2.ffield import (
-    field_new, gf2_insert, modulus_is_irreducible, subfield_elements, subfield_generator,
+    field_new, gf2_insert, modulus_is_irreducible, mult_generator, subfield_elements,
+    subfield_generator,
 )
 from refl2 import grouplift
 from refl2.grouplift import (
@@ -320,10 +321,20 @@ def test_lambda_space_matches_enumerated_span(case):
 def test_default_lambda_bases():
     assert default_lambda_basis(0, 2, GF4) == ()
     assert default_lambda_basis(1, 2, GF4) == (1,)
-    ctx = field_new(4)
-    b = default_lambda_basis(2, 2, ctx)
-    assert b[0] == 1
-    LambdaSpace(ctx, 2, b)  # independent over GF(4)
+    # (1, theta, ..., theta^(d-1)) over GF(2^(nd)), theta the least
+    # generator of that field; the powers are independent over GF(2^n)
+    for n in (2, 3):
+        for d in range(9):
+            ctx = field_new(n * max(d, 1))
+            theta, powers = mult_generator(ctx), [1]
+            while len(powers) < d:
+                powers.append(ctx.mul(powers[-1], theta))
+            basis = default_lambda_basis(d, n, ctx)
+            assert basis == tuple(powers[:d])
+            assert LambdaSpace(ctx, n, basis).kernel_order == 1 << (2 * n * d)
+    # on an ambient field of degree below n*d the powers are dependent
+    with pytest.raises(ValueError, match="dependent"):
+        LambdaSpace(field_new(4), 2, default_lambda_basis(3, 2, field_new(4)))
 
 
 def test_kernel_group():

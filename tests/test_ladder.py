@@ -1,8 +1,10 @@
 """The n = 8..16 ladder at d = 0, 1, n = 17 and 18 at d = 0 on explicit
-moduli, n = 20 at d = 0 (the largest default modulus), and n = 8 and 10
-at d = 2 (q^d = 2^16 and 2^20), each instance a child process that
-reports its own CPU time and peak RSS.  Marked slow, so deselected by
-default: run it with `pytest -m slow`."""
+moduli, n = 20 at d = 0, n = 8 and 10 at d = 2 (q^d = 2^16 and 2^20),
+and five rows past d = 2 or m = 20 on the default moduli and bases:
+n=32 d=2, n=16 d=4, n=8 d=8, n=21 d=3 and n=64 d=0.  Each instance is a
+child process that reports its own CPU time and peak RSS.  Then the
+sweep: every (n, d) with n >= 2 and n*d <= 64, in process.  Marked slow,
+so deselected by default: run it with `pytest -m slow`."""
 
 import json
 import os
@@ -10,6 +12,8 @@ import subprocess
 import sys
 
 import pytest
+
+from refl2.cli import VerifyConfig, run_verify
 
 # the child runs the command line and prints its CPU seconds (user + sys)
 # and its own peak RSS in MB after the report.  Linux carries the spawning
@@ -36,6 +40,16 @@ LADDER += [(n, 2, variant) for n in (8, 10) for variant in ("h1", "h0")]
 # the default
 MODULI = {17: 0x20009, 18: 0x40081}
 LADDER += [(n, 0, variant) for n in (*MODULI, 20) for variant in ("h1", "h0")]
+WIDE = [(32, 2), (16, 4), (8, 8), (21, 3), (64, 0)]
+LADDER += [(n, d, variant) for n, d in WIDE for variant in ("h1", "h0")]
+
+
+def group_cap(n, d):
+    """The least of 10^11, 10^20 and 2^200 that admits |H| = q(q^2 - 1) and
+    |N| = q^(2d): 6.9e10 at n=12, 1.2e18 at n=20, 7.9e28 at n=32, and
+    4.3e9 at n=8 d=2, 1.1e12 at n=10 d=2, 3.4e38 at n=8 d=8."""
+    q = 1 << n
+    return next(c for c in (10**11, 10**20, 2**200) if q * (q * q - 1) <= c and q ** (2 * d) <= c)
 
 
 @pytest.mark.slow
@@ -45,10 +59,7 @@ def test_ladder_under_10s_cpu_and_100mb(tmp_path, n, d, variant):
     argv = ["verify", "--n", str(n), "--d", str(d), "--variant", variant]
     if n in MODULI:
         argv += ["--modulus-ambient", hex(MODULI[n])]
-    # the cap admits |H| = q(q^2 - 1): 6.9e10 at n=12, 2.8e14 at n=16,
-    # 1.2e18 at n=20; and |N| = q^(2d), 4.3e9 at n=8 d=2, 1.1e12 at n=10
-    cap = 10**11 if n <= 12 and (n, d) != (10, 2) else 10**20
-    argv += ["--max-group", str(cap), "--json", str(report), "--quiet"]
+    argv += ["--max-group", str(group_cap(n, d)), "--json", str(report), "--quiet"]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     run = subprocess.run(
         [sys.executable, "-c", CHILD, *argv], env=env, capture_output=True, text=True, timeout=120
@@ -60,3 +71,18 @@ def test_ladder_under_10s_cpu_and_100mb(tmp_path, n, d, variant):
     cpu, rss = map(float, run.stdout.split())
     assert cpu < 10, f"{cpu:.2f} s CPU"
     assert rss < 100, f"{rss:.0f} MB peak RSS"
+
+
+# every (n, d) with n >= 2 and n*d <= 64 on the default moduli and bases:
+# 279 pairs, d = 0 up to n = 64
+SWEEP = [(n, d) for n in range(2, 65) for d in range(64 // n + 1)]
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("variant", ["h1", "h0"])
+@pytest.mark.parametrize("n, d", SWEEP)
+def test_sweep_every_default_field_to_m_64(n, d, variant):
+    code, report = run_verify(VerifyConfig(n=n, d=d, variant=variant, max_group=2**200))
+    r = report.to_dict()
+    assert (code, r["verdict"]) == (0, "POLYNOMIAL")
+    assert r["degree_product"] == r["group_order"]
