@@ -194,7 +194,7 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
     lifts = list(lift_generators(cfg.variant, cfg.n, ctx))
     try:
         translations = kernel_group(ls, cap=cfg.max_group)
-        split = verify_splitting(ls, translations, lifts, cap=cfg.max_group)
+        split = verify_splitting(ls, lifts, cap=cfg.max_group)
     except ClosureCapError:
         return _finish(report, ["group-cap"], start)
     report.group_order = split.group_order

@@ -371,10 +371,12 @@ def subfield_generator(ctx: FieldCtx, n: int) -> int:
     by the bits of c increases with c, as where two counts first differ,
     from the top, only the larger has that row's pivot and the sums agree
     above it.  So counting c = 1, 2, ... visits the subfield in value
-    order, with no listing."""
+    order, with no listing; for n = m it is the scan that found h."""
     if n < 1 or ctx.m % n != 0:
         raise ValueError(f"subfield degree {n} does not divide {ctx.m}")
     h = ctx._subgroup_generator(n)
+    if n == ctx.m:
+        return h
     echelon, v = {}, 1
     for _ in range(n):
         gf2_insert(echelon, v)

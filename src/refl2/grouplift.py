@@ -6,10 +6,12 @@ f(x,y) = 1 + x + y + x^(2^(n-1)) y^(2^(n-1)) and its homogeneous
 companion g = f + 1, the cocycle subgroups H_gamma, the translation
 kernel N = Lambda_1^2 for a GF(2^n)-subspace Lambda_1 of the ambient
 field, breadth-first group closure, and the semidirect-split check, which
-finds |<lifts>| from a presentation of SL2(GF(2^n)) that the lifts
-satisfy up to translations, instead of closure.  Lambda_1 is held as its
-subspace polynomial and N as its 2d generating translations; neither is
-listed element by element.
+finds |<lifts>| from n + 5 relators of SL2(GF(2^n)) that the lifts
+satisfy up to translations, instead of closure: of the pairs (x_i x_j)^2
+only the (x_0 x_k)^2 are kept, as (x_i x_j)^2 is r^i-conjugate to
+(x_0 x_(j-i))^2.  N is normal with no conjugation: the lift blocks lie
+over GF(2^n), and Lambda_1 is a GF(2^n)-space.  Lambda_1 is held as its
+subspace polynomial and N as its 2d translations, neither listed.
 
 Matrices are immutable; the canonical encoding used for dedup, sorting
 and golden files is the row-major 9-tuple of element bit-vectors.
@@ -417,15 +419,15 @@ def sl2_relators(r, s, t, minpoly: list[int]) -> list:
     """The relators of `verify_splitting`'s presentation of SL2(q) at r, s
     and t, elements of any group with `*` and `inverse()`, such as lifts
     or free-group words; `minpoly` holds the bits c_0, ..., c_n, q = 2^n.
-    In order: s^2, t^2, r^q r^-1 = r^(q-1), (s t s r)^2, (t s)^3, (x_i x_j)^2 for
-    i < j < n, and x_n prod_(c_i = 1) x_i, where x_i = r^-i s r^i."""
+    In order: s^2, t^2, r^q r^-1 = r^(q-1), (s t s r)^2, (t s)^3, (x_0 x_k)^2
+    for 0 < k < n, and x_n prod_(c_i = 1) x_i, where x_i = r^-i s r^i."""
     n = len(minpoly) - 1
     ri, rq, xs = r.inverse(), r, [s]
     for _ in range(n):
         xs.append(ri * xs[-1] * r)
         rq = rq * rq
     ts, wr = t * s, s * t * s * r
-    pairs = (xs[i] * xs[j] for j in range(n) for i in range(j))
+    pairs = (s * x for x in xs[1:n])
     last = xs[n]
     for x, c in zip(xs, minpoly[:n]):
         if c:
@@ -433,29 +435,25 @@ def sl2_relators(r, s, t, minpoly: list[int]) -> list:
     return [s * s, t * t, rq * ri, wr * wr, ts * ts * ts] + [p * p for p in pairs] + [last]
 
 
-def verify_splitting(
-    ls: LambdaSpace, translations: list[Mat3], lifts: list[Mat3], cap: int = 10**7
-) -> SplitReport:
+def verify_splitting(ls: LambdaSpace, lifts: list[Mat3], cap: int = 10**7) -> SplitReport:
     """Check that G = <N, lifts> is the semidirect product of
     N = Lambda_1^2 and H = <lifts>, and find |G| without enumerating G,
-    N or H.  `translations` are the generators `kernel_group(ls)` returns.
-    The lifts must be R-, S- and T-lifts, with the blocks diag(e^-1, e),
-    S and T of `sl2_generators` for some e of order q - 1, followed by
-    any number of translations; ValueError otherwise.
+    N or H.  The lifts must be R-, S- and T-lifts, with the blocks
+    diag(e^-1, e), S and T of `sl2_generators` for some e of order q - 1,
+    followed by any number of translations; ValueError otherwise.
 
-    N is normal in G when each lift g conjugates N into N.  For
-    g = [[A, w], [0, 1]], g T_v g^-1 = T_(Av), and A is linear over the
-    ambient field, so A Lambda_1^2 is the GF(q)-span of the images of
-    the 2d translations T_(b,0), T_(0,b); it lies in N when those images
-    do.  Inverse lifts need no check: N is finite, so gNg^-1 inside N
-    means gNg^-1 = N.  With N normal, G = NH, and the product formula
-    gives |G| = |N| |H| / |N meet H| with |N| = q^(2d).
+    N is normal in G, with no conjugation: every block the shape check
+    admits has its entries in {0, 1, e, e^-1}, inside GF(q), and
+    Lambda_1 is a GF(q)-space, so A Lambda_1^2 = Lambda_1^2 and
+    g T_v g^-1 = T_(Av) lies in N for g = [[A, w], [0, 1]].  With N
+    normal, G = NH, and the product formula gives
+    |G| = |N| |H| / |N meet H| with |N| = q^(2d).
 
     |H| comes from the Bruhat form of Steinberg's presentation of SL2(q)
     (Steinberg, Lectures on Chevalley Groups, 1967), q = 2^n:
 
         Gamma = < r, s, t | s^2, t^2, r^(q-1), (s t s r)^2, (t s)^3,
-                  (x_i x_j)^2 for 0 <= i < j < n, x_n prod_(c_i = 1) x_i >
+                  (x_0 x_k)^2 for 0 < k < n, x_n prod_(c_i = 1) x_i >
 
     with x_i = r^-i s r^i and X^n + sum c_i X^i the minimal polynomial of
     e^2 over GF(2) (`sl2_relators`).  Gamma is SL2(q):
@@ -463,10 +461,10 @@ def verify_splitting(
       and (S T S R)^2 = (T S)^3 = I.  e^2 has order q - 1, so its first
       n powers span GF(q), and these x_i and their transposes, the
       conjugates of T, generate SL2(q).  So Gamma maps onto SL2(q).
-    - U~ = <x_0, ..., x_(n-1)> is generated by n commuting involutions,
-      so it is elementary abelian of order <= q.  r^-1 x_i r = x_(i+1),
-      and the last relator puts x_n in U~, so r normalizes U~ and
-      |<r, s>| = |U~ <r>| <= q(q - 1).
+    - (x_i x_j)^2 = r^-i (x_0 x_(j-i))^2 r^i = 1, so U~ = <x_0, ...,
+      x_(n-1)> is generated by n commuting involutions: it is elementary
+      abelian of order <= q.  r^-1 x_i r = x_(i+1), and the last relator
+      puts x_n in U~, so r normalizes U~ and |<r, s>| = |U~ <r>| <= q(q - 1).
     - w = s t s is an involution; (w r)^2 = 1 gives w r w = r^-1, and
       (t s)^3 = 1 gives w = t s t, so w s w = t = s w s.
     - Conjugation by r makes U~ a cyclic module over GF(2)[X]/(minimal
@@ -481,7 +479,7 @@ def verify_splitting(
     relator values on the lifts and the further lifts, all translations,
     and g T_w g^-1 = T_(A w).  So W = {w : T_w in H} is the GF(2) span of
     their translations closed under the lift blocks, an echelon basis of
-    rows w0 + w1 2^m, and |H| = |SL2(q)| 2^dim W: O(n^2) products and
+    rows w0 + w1 2^m, and |H| = |SL2(q)| 2^dim W: O(n) products and
     nothing stored per point.  ClosureCapError exactly when |H| > cap.
 
     N meet H = W meet Lambda_1^2.  w -> (P(w0), P(w1)), P the subspace
@@ -489,11 +487,6 @@ def verify_splitting(
     dim (W meet Lambda_1^2) is dim W less the rank of the images of W's
     basis.  G splits when H meets N trivially.
     """
-    for g in lifts:
-        gi = g.inverse()
-        for t in translations:
-            if not ls.kernel_contains(g * t * gi):
-                raise ValueError("kernel is not normal in the group")
     ctx, n = ls.ambient, ls.n
     q, m, mul = 1 << n, ctx.m, ctx.mul
     blocks = [g.block2() for g in lifts]

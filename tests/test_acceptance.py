@@ -119,7 +119,7 @@ def test_criterion_4_splitting():
             lifts = list(lift_generators("h1", 2, ctx))
             G = closure(lifts + N)
             assert len(G) == order
-            rep = verify_splitting(ls, N, lifts)
+            rep = verify_splitting(ls, lifts)
             assert rep.group_order == len(G)
             assert rep.complement_order == 60
             assert rep.intersection_order == 1
@@ -267,7 +267,7 @@ def test_criterion_10_negative_controls():
             (0, R_l.rows[1][1], R_l.rows[1][2]),
             (0, 0, 1),
         ))
-        rep = verify_splitting(ls, N, [bad, S_l, T_l])
+        rep = verify_splitting(ls, [bad, S_l, T_l])
         assert not rep.is_split
         assert rep.intersection_order > 1
         assert rep.group_order == len(G)

@@ -423,6 +423,18 @@ def test_verify_h_cap_fails_before_any_product(monkeypatch):
     assert products == []
 
 
+def test_verify_conjugates_no_translation(monkeypatch):
+    # N's normality follows from the shape of the lift blocks, so no run
+    # tests a conjugate for membership in N
+    def refuse(self, m):
+        raise AssertionError("kernel_contains called")
+
+    monkeypatch.setattr(grouplift.LambdaSpace, "kernel_contains", refuse)
+    code, report = run_verify(VerifyConfig(n=2, d=2, oracle_max_degree=8))
+    assert code == EXIT_OK
+    assert report.to_dict()["verdict"] == "POLYNOMIAL"
+
+
 def test_verify_max_group_caps_kernel():
     # n=2 d=2: |N| = 16^2 = 256 is checked before N is built, |H| = 60
     code, report = run_verify(VerifyConfig(n=2, d=2, max_group=255))

@@ -396,7 +396,7 @@ def test_verify_splitting_d1():
     N = kernel_group(ls)
     lifts = list(lift_generators("h1", 2, GF4))
     G = closure(lifts + N)
-    rep = verify_splitting(ls, N, lifts)
+    rep = verify_splitting(ls, lifts)
     assert rep.group_order == len(G) == 960
     assert rep.complement_order == 60
     assert rep.intersection_order == 1
@@ -406,10 +406,9 @@ def test_verify_splitting_d1():
 
 def test_verify_splitting_d0():
     ls = LambdaSpace(GF4, 2, ())
-    N = kernel_group(ls)
     lifts = list(lift_generators("h1", 2, GF4))
     G = closure(lifts)
-    rep = verify_splitting(ls, N, lifts)
+    rep = verify_splitting(ls, lifts)
     assert rep.group_order == rep.complement_order == len(G) == 60
     assert rep.is_split
 
@@ -425,42 +424,115 @@ def test_verify_splitting_corrupted_lift():
         (0, 0, 1),
     ))
     G = closure([R_l, S_l, T_l] + N)
-    rep = verify_splitting(ls, N, [bad, S_l, T_l])
+    rep = verify_splitting(ls, [bad, S_l, T_l])
     assert not rep.is_split
     assert rep.intersection_order > 1
     assert rep.group_order == len(G)
 
 
 def test_verify_splitting_rejects_non_normal_kernel():
-    # a block outside SL2(GF(4)) moves the translation (1, 0) off Lambda_1 = GF(4)
+    # a block outside SL2(GF(4)) moves the translation (1, 0) off
+    # Lambda_1 = GF(4); its entries lie outside GF(4), so the block-shape
+    # check refuses it, with no conjugation
     GF16 = field_new(4)
     ls = LambdaSpace(GF16, 2, (1,))
     theta = 0x2
     bad = Mat3.block(GF16, theta, 0, 0, GF16.inv(theta))
+    assert not ls.kernel_contains(bad * Mat3.translation(GF16, 1, 0) * bad.inverse())
     lifts = [bad] + list(lift_generators("h1", 2, GF16))[1:]
-    with pytest.raises(ValueError, match="not normal"):
-        verify_splitting(ls, kernel_group(ls), lifts)
+    with pytest.raises(ValueError, match="does not have order 3"):
+        verify_splitting(ls, lifts)
 
 
-def test_verify_splitting_normality_matches_enumerated_kernel():
-    # diag(1, s) normalizes N iff s Lambda_1 lies in Lambda_1: the check
-    # conjugates the 2d translations, the reference multiplies all of Lambda_1
+def accepted_lift_sets():
+    """(Lambda space, lifts) for the lift sets the split tests accept: the
+    default lifts and bases for n = 2..6 at d = 0, 1 and n = 2..4 at d = 2,
+    the other bases, the control lifts, and R-lifts diag(e^-k, e^k)."""
+    for n in range(2, 7):
+        cases = [(field_new(n), (0, 1))] + ([(field_new(2 * n), (2,))] if n <= 4 else [])
+        for ctx, ds in cases:
+            for d in ds:
+                ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+                for variant in ("h1", "h0"):
+                    yield ls, list(lift_generators(variant, n, ctx))
+                    if d < 2 and n <= 4:
+                        for kind in ("R", "P", "S", "T"):
+                            yield ls, control_lifts(kind, variant, n, ctx)
+    for n, modulus, basis in OTHER_BASES + [(2, 0x43, (0x1B, 0x2))]:
+        ls = LambdaSpace(field_new(modulus.bit_length() - 1, modulus), n, basis)
+        for variant in ("h1", "h0"):
+            yield ls, list(lift_generators(variant, n, ls.ambient))
+    for n in (3, 4):
+        ctx = field_new(n)
+        e, ls = subfield_generator(ctx, n), LambdaSpace(ctx, n, (1,))
+        _, S, T = sl2_generators(n, ctx)
+        for k in (k for k in range(2, (1 << n) - 1) if gcd(k, (1 << n) - 1) == 1):
+            ek = ctx.pow_(e, k)
+            yield ls, [Mat3.block(ctx, ctx.inv(ek), 0, 0, ek, col=(1, ek)), S, T]
+
+
+def test_accepted_lifts_normalize_the_kernel():
+    # the conjugation check the split no longer runs, as the reference:
+    # every lift it accepts conjugates each generating translation of N
+    # into N, so it normalizes N
+    for ls, lifts in accepted_lift_sets():
+        verify_splitting(ls, lifts, cap=1 << 60)
+        N = kernel_group(ls, cap=1 << 60)
+        for g in lifts:
+            gi = g.inverse()
+            assert all(ls.kernel_contains(g * t * gi) for t in N)
+    # and every diag(s^-1, s) R-lift that fails to normalize N is refused:
+    # over GF(64) with Lambda_1 = GF(4) + GF(4) 0x2, only s in GF(4)*
+    # normalizes N, and the split accepts only its two elements of order 3
     ctx = field_new(6)
     ls = LambdaSpace(ctx, 2, (1, 0x2))
     span = lambda_span_reference(ctx, 2, ls.basis)
-    normalizing = []
+    _, S, T = sl2_generators(2, ctx)
+    accepted = []
     for s in range(1, ctx.order):
         try:
-            verify_splitting(ls, kernel_group(ls), [Mat3.block(ctx, 1, 0, 0, s)])
-        except ValueError as exc:
-            # past the normality check, a lone lift is refused as not R, S, T
-            if "not normal" in str(exc):
-                continue
-        normalizing.append(s)
-    assert normalizing == [
-        s for s in range(1, ctx.order) if all(ctx.mul(s, a) in span for a in span)
-    ]
+            verify_splitting(ls, [Mat3.block(ctx, ctx.inv(s), 0, 0, s), S, T])
+        except ValueError:
+            continue
+        accepted.append(s)
+    normalizing = [s for s in range(1, ctx.order) if all(ctx.mul(s, a) in span for a in span)]
     assert len(normalizing) == 3  # GF(4)*, since 0x2 generates GF(64) over GF(4)
+    assert accepted == [s for s in normalizing if s != 1]
+
+
+def dropped_pairs(lifts, n):
+    """(x_i x_j)^2 for 0 < i < j < n on the lifts, x_i = r^-i s r^i: the
+    pair relators that `sl2_relators` leaves out."""
+    r, s = lifts[:2]
+    ri, xs = r.inverse(), [s]
+    for _ in range(n - 1):
+        xs.append(ri * xs[-1] * r)
+    pairs = (xs[i] * xs[j] for j in range(n) for i in range(1, j))
+    return [p * p for p in pairs]
+
+
+@pytest.mark.parametrize("variant", ["h1", "h0"])
+@pytest.mark.parametrize("n", range(2, 11))
+def test_split_holds_the_dropped_pairs(n, variant):
+    # each dropped (x_i x_j)^2 is a translation already in W: appended as
+    # further lifts, it leaves the report as it is.  The values move only
+    # with the second entry of the S-lift's column, so an S-lift with
+    # column (0, 1) gives them something to hold
+    ctx = field_new(n)
+    R, S, T = lift_generators(variant, n, ctx)
+    lift_sets = [[R, S, T], control_lifts("R", variant, n, ctx)]
+    lift_sets += [[R, Mat3.block(ctx, *S.block2(), col=(0, 1)), T]]
+    moved = 0
+    for d in (0, 1):
+        ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
+        for lifts in lift_sets:
+            values = dropped_pairs(lifts, n)
+            assert len(values) == (n - 1) * (n - 2) // 2
+            assert all(v.block2() == (1, 0, 0, 1) for v in values)
+            moved += sum(v.third_col() != (0, 0) for v in values)
+            rep = verify_splitting(ls, lifts, cap=1 << 80)
+            assert verify_splitting(ls, lifts + values, cap=1 << 80) == rep
+    assert moved or n == 2
 
 
 @pytest.mark.parametrize("variant", ["h1", "h0"])
@@ -471,7 +543,7 @@ def test_verify_splitting_matches_bfs_closure(n, d, variant):
     ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
     lifts = list(lift_generators(variant, n, ctx))
     G = closure(lifts + kernel_group(ls))
-    rep = verify_splitting(ls, kernel_group(ls), lifts)
+    rep = verify_splitting(ls, lifts)
     assert rep.group_order == len(G)
     assert rep.kernel_order == len(kernel_reference(ls))
     assert sum(1 for m in G if ls.kernel_contains(m)) == rep.kernel_order
@@ -742,17 +814,17 @@ def test_chain_split_matches_orbit_stabilizer_split(n, d, variant, kind):
     ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
     lifts = control_lifts(kind, variant, n, ctx) if kind else list(lift_generators(variant, n, ctx))
     cap = 1 << 40
-    assert verify_splitting(ls, kernel_group(ls), lifts, cap) == orbit_stabilizer_split(ls, lifts)
+    assert verify_splitting(ls, lifts, cap) == orbit_stabilizer_split(ls, lifts)
 
 
 @pytest.mark.parametrize("variant", ["h1", "h0"])
 @pytest.mark.parametrize("n, d", [(9, 0), (10, 0), (12, 0), (10, 1)])
 def test_chain_split_at_scale(n, d, variant):
-    # the presentation's relators, O(n^2) products, give |SL2(q)| and W = 0
+    # the presentation's relators, O(n) products, give |SL2(q)| and W = 0
     ctx = field_new(n)
     ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
     lifts = list(lift_generators(variant, n, ctx))
-    rep = verify_splitting(ls, kernel_group(ls), lifts, cap=1 << 60)
+    rep = verify_splitting(ls, lifts, cap=1 << 60)
     q = 1 << n
     assert rep.complement_order == q * (q * q - 1)
     assert rep.intersection_order == 1
@@ -766,7 +838,7 @@ def test_orbit_stabilizer_split_matches_bfs_default_bases(n, variant):
         ctx = field_new(n * (2 if d == 2 else 1))
         ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
         lifts = list(lift_generators(variant, n, ctx))
-        rep = verify_splitting(ls, kernel_group(ls), lifts)
+        rep = verify_splitting(ls, lifts)
         assert rep == split_reference(ls, lifts)
         assert rep.is_split
 
@@ -780,7 +852,7 @@ OTHER_BASES = [(2, 0x13, (0x2,)), (3, 0x43, (0x2,)), (2, 0x43, (1, 0x2))]
 def test_orbit_stabilizer_split_matches_bfs_other_bases(n, modulus, basis, variant):
     ls = LambdaSpace(field_new(modulus.bit_length() - 1, modulus), n, basis)
     lifts = list(lift_generators(variant, n, ls.ambient))
-    assert verify_splitting(ls, kernel_group(ls), lifts) == split_reference(ls, lifts)
+    assert verify_splitting(ls, lifts) == split_reference(ls, lifts)
 
 
 def control_lifts(kind, variant, n, ctx):
@@ -813,7 +885,7 @@ def test_orbit_stabilizer_split_matches_bfs_corrupted_lift(n, variant, d, kind):
     ctx = GF4 if n == 2 else GF8
     ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
     lifts = control_lifts(kind, variant, n, ctx)
-    rep = verify_splitting(ls, kernel_group(ls), lifts)
+    rep = verify_splitting(ls, lifts)
     assert rep == split_reference(ls, lifts)
     q = 1 << n
     assert rep.complement_order > q * (q * q - 1)
@@ -826,11 +898,11 @@ def test_orbit_stabilizer_split_cap_is_exact(n, variant):
     ls = LambdaSpace(GF4 if n == 2 else GF8, n, ())
     lifts = list(lift_generators(variant, n, ls.ambient))
     order = len(closure_of(tuple(lifts)))
-    assert verify_splitting(ls, [], lifts, cap=order).complement_order == order
+    assert verify_splitting(ls, lifts, cap=order).complement_order == order
     with pytest.raises(ClosureCapError):
-        verify_splitting(ls, [], lifts, cap=order - 1)
+        verify_splitting(ls, lifts, cap=order - 1)
     with pytest.raises(ClosureCapError):
-        verify_splitting(ls, [], lifts, cap=1)
+        verify_splitting(ls, lifts, cap=1)
 
 
 # -- the presentation of SL2(q) against the chain ------------------------------
@@ -846,7 +918,7 @@ def test_split_matches_chain_default_bases(n, variant):
         chain = _Chain(ctx, lifts)
         for d in ds:
             ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
-            rep = verify_splitting(ls, kernel_group(ls, cap=1 << 60), lifts, cap=1 << 60)
+            rep = verify_splitting(ls, lifts, cap=1 << 60)
             assert rep == chain_split(ls, chain)
 
 
@@ -855,7 +927,7 @@ def test_split_matches_chain_default_bases(n, variant):
 def test_split_matches_chain_other_bases(n, modulus, basis, variant):
     ls = LambdaSpace(field_new(modulus.bit_length() - 1, modulus), n, basis)
     lifts = list(lift_generators(variant, n, ls.ambient))
-    rep = verify_splitting(ls, kernel_group(ls), lifts)
+    rep = verify_splitting(ls, lifts)
     assert rep == chain_split(ls, _Chain(ls.ambient, lifts))
 
 
@@ -871,7 +943,7 @@ def test_split_matches_chain_control_lifts(n, kind, variant):
     assert chain.W
     for d in (0, 1):
         ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
-        assert verify_splitting(ls, kernel_group(ls), lifts, cap=1 << 60) == chain_split(ls, chain)
+        assert verify_splitting(ls, lifts, cap=1 << 60) == chain_split(ls, chain)
 
 
 def test_split_matches_chain_on_every_column_over_gf4():
@@ -883,7 +955,7 @@ def test_split_matches_chain_on_every_column_over_gf4():
         lifts = [Mat3.block(GF4, *b, col=c) for b, c in zip(blocks, cols)]
         chain = _Chain(GF4, lifts)
         for ls in (ls0, ls1):
-            assert verify_splitting(ls, kernel_group(ls), lifts) == chain_split(ls, chain)
+            assert verify_splitting(ls, lifts) == chain_split(ls, chain)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -900,7 +972,7 @@ def test_split_takes_any_generator_for_e(n):
             ek = ctx.pow_(e, k)
             for col in ((0, 0), (1, ek), (0, 1)):
                 lifts = [Mat3.block(ctx, ctx.inv(ek), 0, 0, ek, col=col), S, T]
-                rep = verify_splitting(ls, kernel_group(ls), lifts, cap=1 << 60)
+                rep = verify_splitting(ls, lifts, cap=1 << 60)
                 assert rep == chain_split(ls, _Chain(ctx, lifts))
 
 
@@ -923,13 +995,12 @@ def refused_lifts(ctx, n):
 
 @pytest.mark.parametrize("case", list(refused_lifts(field_new(4), 4)))
 def test_verify_splitting_refuses_lifts_off_the_presentation(case):
-    # d = 0, so the normality check passes and the refusal is the new one;
     # "off-GF(4)" reads e = 0x2 of GF(16) as a lift for n = 2
     ctx = field_new(4)
     lifts, message = refused_lifts(ctx, 4)[case]
     n = 2 if case == "off-GF(4)" else 4
     with pytest.raises(ValueError, match=message):
-        verify_splitting(LambdaSpace(ctx, n, ()), [], lifts, cap=1 << 60)
+        verify_splitting(LambdaSpace(ctx, n, ()), lifts, cap=1 << 60)
 
 
 def test_verify_splitting_refuses_a_relator_off_the_blocks(monkeypatch):
@@ -937,7 +1008,7 @@ def test_verify_splitting_refuses_a_relator_off_the_blocks(monkeypatch):
     ctx = field_new(4)
     monkeypatch.setattr(grouplift, "minimal_polynomial", lambda ctx, a, n: [0] * n + [1])
     with pytest.raises(ValueError, match="not I"):
-        verify_splitting(LambdaSpace(ctx, 4, ()), [], list(lift_generators("h1", 4, ctx)))
+        verify_splitting(LambdaSpace(ctx, 4, ()), list(lift_generators("h1", 4, ctx)))
 
 
 def sl2_minimal_polynomial(n):
@@ -952,7 +1023,7 @@ def test_sl2_relators_hold_on_the_blocks(n):
     assert minpoly[n] == 1 and set(minpoly) <= {0, 1}
     assert modulus_is_irreducible(sum(c << i for i, c in enumerate(minpoly)), n)
     values = sl2_relators(*sl2_generators(n, ctx), minpoly)
-    assert len(values) == 6 + n * (n - 1) // 2
+    assert len(values) == 5 + n
     assert all(v == Mat3.identity(ctx) for v in values)
     # negative control: a wrong polynomial breaks the last relator alone
     wrong = [minpoly[0] ^ 1] + minpoly[1:]
@@ -987,8 +1058,8 @@ def test_sl2_presentation_needs_each_relator(n):
     # the full presentation counts SL2(q) itself, and leaving out any one
     # of these five relators overflows the bound or, for r^(q-1), doubles
     # the count, a loss that the enumeration over <r> cannot see.  s^2
-    # alone, and the (x_i x_j)^2 taken together, are redundant at n = 2
-    # and 3; nothing shows that for every n, so they are not pinned
+    # alone, and the n - 1 pairs (x_0 x_k)^2 taken together, are redundant
+    # at n = 2 and 3; nothing shows that for every n, so they are not pinned
     pytest.importorskip("sympy")
     from sympy.combinatorics.fp_groups import FpGroup
     from sympy.combinatorics.free_groups import free_group

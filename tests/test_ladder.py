@@ -1,7 +1,8 @@
 """The n = 8..16 ladder at d = 0, 1, n = 17 and 18 at d = 0 on explicit
 moduli, n = 20 at d = 0, n = 8 and 10 at d = 2 (q^d = 2^16 and 2^20),
-and five rows past d = 2 or m = 20 on the default moduli and bases:
-n=32 d=2, n=16 d=4, n=8 d=8, n=21 d=3 and n=64 d=0.  Each instance is a
+and seven rows past d = 2 or m = 20 on the default moduli and bases:
+n=32 d=2, n=16 d=4, n=8 d=8, n=21 d=3, n=64 d=0, and the two largest
+kernels over a small subfield, n=2 d=32 and n=4 d=16.  Each instance is a
 child process that reports its own CPU time and peak RSS.  Then the
 sweep: every (n, d) with n >= 2 and n*d <= 64, in process.  Marked slow,
 so deselected by default: run it with `pytest -m slow`."""
@@ -40,14 +41,15 @@ LADDER += [(n, 2, variant) for n in (8, 10) for variant in ("h1", "h0")]
 # the default
 MODULI = {17: 0x20009, 18: 0x40081}
 LADDER += [(n, 0, variant) for n in (*MODULI, 20) for variant in ("h1", "h0")]
-WIDE = [(32, 2), (16, 4), (8, 8), (21, 3), (64, 0)]
+WIDE = [(32, 2), (16, 4), (8, 8), (21, 3), (64, 0), (2, 32), (4, 16)]
 LADDER += [(n, d, variant) for n, d in WIDE for variant in ("h1", "h0")]
 
 
 def group_cap(n, d):
     """The least of 10^11, 10^20 and 2^200 that admits |H| = q(q^2 - 1) and
     |N| = q^(2d): 6.9e10 at n=12, 1.2e18 at n=20, 7.9e28 at n=32, and
-    4.3e9 at n=8 d=2, 1.1e12 at n=10 d=2, 3.4e38 at n=8 d=8."""
+    4.3e9 at n=8 d=2, 1.1e12 at n=10 d=2, 3.4e38 at n=8 d=8, n=2 d=32
+    and n=4 d=16."""
     q = 1 << n
     return next(c for c in (10**11, 10**20, 2**200) if q * (q * q - 1) <= c and q ** (2 * d) <= c)
 

@@ -208,7 +208,7 @@ def small_setup(ls, variant, column=None):
         lifts[i] = Mat3.block(ctx, *lifts[i].block2(), col=col)
     translations = kernel_group(ls)
     gens = lifts + translations
-    order = verify_splitting(ls, translations, lifts).group_order
+    order = verify_splitting(ls, lifts).group_order
     return order, kernel_action(gens, *kernel_invariants(ls), n=n), gens
 
 
@@ -562,7 +562,7 @@ def test_kernel_action_reads_e_off_the_diagonal_lift(n):
     for k in (k for k in range(1, q - 1) if math.gcd(k, q - 1) == 1):
         ek = ctx.pow_(e, k)
         lifts = [Mat3.block(ctx, ctx.inv(ek), 0, 0, ek, col=(1, ek)), S, T]
-        order = verify_splitting(ls, translations, lifts).group_order
+        order = verify_splitting(ls, lifts).group_order
         gens = lifts + translations
         desc = kernel_action(gens, *kernel_invariants(ls), n=n)
         assert desc.e == ek and desc.alpha == 1
