@@ -13,10 +13,10 @@ import argparse
 import json
 import sys
 import time
+from typing import NamedTuple
 
 from refl2.ffield import field_new
 from refl2.grouplift import (
-    ClosureCapError,
     LambdaSpace,
     default_lambda_basis,
     kernel_group,
@@ -41,28 +41,14 @@ class ConfigError(ValueError):
     pass
 
 
-class VerifyConfig:
-    __slots__ = (
-        "n", "d", "variant", "modulus_ambient", "lambda_basis", "oracle_max_degree", "max_group",
-    )
-
-    def __init__(
-        self,
-        n: int,
-        d: int = 0,
-        variant: str = "h1",
-        modulus_ambient: int | None = None,
-        lambda_basis: tuple[int, ...] | None = None,
-        oracle_max_degree: int = 0,
-        max_group: int = 10**7,
-    ):
-        self.n = n
-        self.d = d
-        self.variant = variant
-        self.modulus_ambient = modulus_ambient
-        self.lambda_basis = lambda_basis
-        self.oracle_max_degree = oracle_max_degree
-        self.max_group = max_group
+class VerifyConfig(NamedTuple):
+    n: int
+    d: int = 0
+    variant: str = "h1"
+    modulus_ambient: int | None = None
+    lambda_basis: tuple[int, ...] | None = None
+    oracle_max_degree: int = 0
+    max_group: int = 10**7
 
 
 class VerificationReport:
@@ -187,16 +173,18 @@ def run_verify(cfg: VerifyConfig) -> tuple[int, VerificationReport]:
     )
     failures: list[str] = []
 
-    # the lifts' blocks generate SL2(GF(q)), so |H| >= q(q^2 - 1)
+    # the lifts generate H_gamma (gamma = e/(e + 1) under h1, 0 under h0),
+    # of order |SL2(q)|, so |H| = q(q^2 - 1) and |N| = q^(2d) are known
+    # before any group is built
     q = 1 << cfg.n
-    if q * (q * q - 1) > cfg.max_group:
+    if max(q * (q * q - 1), ls.kernel_order) > cfg.max_group:
         return _finish(report, ["group-cap"], start)
-    lifts = list(lift_generators(cfg.variant, cfg.n, ctx))
     try:
-        translations = kernel_group(ls, cap=cfg.max_group)
-        split = verify_splitting(ls, lifts, cap=cfg.max_group)
-    except ClosureCapError:
-        return _finish(report, ["group-cap"], start)
+        lifts = list(lift_generators(cfg.variant, cfg.n, ctx))
+    except ValueError as exc:  # 2^n - 1 has a factor past the proof bound
+        raise ConfigError(str(exc)) from exc
+    translations = kernel_group(ls)
+    split = verify_splitting(ls, lifts)
     report.group_order = split.group_order
     report.split = {
         "complement_order": split.complement_order,

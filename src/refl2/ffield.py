@@ -4,8 +4,8 @@ Field elements are bit-vectors stored as Python ints: bit k is the
 coefficient of t^k in the polynomial basis of GF(2)[t]/(modulus).  The
 zero and one elements are always the ints 0 and 1, and addition is xor.
 A `FieldCtx` carries the extension degree and the irreducible modulus
-and exposes int-level arithmetic (`mul`, `inv`, `sqrt`, `pow_`), the
-primitives of the matrix and polynomial layers alike.
+and exposes int-level arithmetic (`mul`, `inv`, `pow_`), the primitives
+of the matrix and polynomial layers alike.
 
 Moduli are bit-vectors too, with bit m (the leading bit) set; they print
 as hex with the low bit the constant term, e.g. the GF(4) modulus
@@ -241,10 +241,6 @@ class FieldCtx:
             n = self.order - 1
             return self._exp[(self._log[a] * k) % n]
         return self._pow_raw(a, k)
-
-    def sqrt(self, a: int) -> int:
-        """The unique square root, a**(2^(m-1))."""
-        return self.pow_(a, 1 << (self.m - 1))
 
     def order_of(self, a: int, multiple: int = 0) -> int:
         """Multiplicative order of a nonzero element, given a multiple of

@@ -20,6 +20,7 @@ and golden files is the row-major 9-tuple of element bit-vectors.
 from __future__ import annotations
 
 from itertools import product as iproduct
+from typing import NamedTuple
 
 from refl2.ffield import (
     FieldCtx, gf2_insert, mult_generator, subfield_elements, subfield_generator,
@@ -364,13 +365,10 @@ def default_lambda_basis(d: int, n: int, ambient: FieldCtx) -> tuple[int, ...]:
     return tuple(ambient.pow_(theta, k) for k in range(d))
 
 
-def kernel_group(ls: LambdaSpace, cap: int = 10**7) -> list[Mat3]:
+def kernel_group(ls: LambdaSpace) -> list[Mat3]:
     """The translations T_(b,0), T_(0,b) for each basis vector b of
     Lambda_1, in that order: together with the lifts they generate N.
-    Only these 2d matrices are built, but |N| = q^(2d) is held to cap
-    (ClosureCapError past it), so the cap bounds N as it bounds H."""
-    if ls.kernel_order > cap:
-        raise ClosureCapError(cap)
+    Only these 2d matrices are built, not the q^(2d) elements of N."""
     pairs = [p for b in ls.basis for p in ((b, 0), (0, b))]
     return [Mat3.translation(ls.ambient, a, b) for a, b in pairs]
 
@@ -378,27 +376,13 @@ def kernel_group(ls: LambdaSpace, cap: int = 10**7) -> list[Mat3]:
 # -- splitting -----------------------------------------------------------------
 
 
-class SplitReport:
+class SplitReport(NamedTuple):
     """|G| = |N| |H| / |N meet H| and its three factors."""
 
-    __slots__ = ("group_order", "kernel_order", "complement_order", "intersection_order")
-
-    def __init__(
-        self, group_order: int, kernel_order: int, complement_order: int, intersection_order: int
-    ):
-        self.group_order = group_order
-        self.kernel_order = kernel_order
-        self.complement_order = complement_order
-        self.intersection_order = intersection_order
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, k) for k in self.__slots__)
-
-    def __eq__(self, other):
-        return isinstance(other, SplitReport) and self._key() == other._key()
-
-    def __repr__(self):
-        return f"SplitReport{self._key()}"
+    group_order: int
+    kernel_order: int
+    complement_order: int
+    intersection_order: int
 
     @property
     def is_split(self) -> bool:
@@ -435,7 +419,7 @@ def sl2_relators(r, s, t, minpoly: list[int]) -> list:
     return [s * s, t * t, rq * ri, wr * wr, ts * ts * ts] + [p * p for p in pairs] + [last]
 
 
-def verify_splitting(ls: LambdaSpace, lifts: list[Mat3], cap: int = 10**7) -> SplitReport:
+def verify_splitting(ls: LambdaSpace, lifts: list[Mat3]) -> SplitReport:
     """Check that G = <N, lifts> is the semidirect product of
     N = Lambda_1^2 and H = <lifts>, and find |G| without enumerating G,
     N or H.  The lifts must be R-, S- and T-lifts, with the blocks
@@ -480,7 +464,7 @@ def verify_splitting(ls: LambdaSpace, lifts: list[Mat3], cap: int = 10**7) -> Sp
     and g T_w g^-1 = T_(A w).  So W = {w : T_w in H} is the GF(2) span of
     their translations closed under the lift blocks, an echelon basis of
     rows w0 + w1 2^m, and |H| = |SL2(q)| 2^dim W: O(n) products and
-    nothing stored per point.  ClosureCapError exactly when |H| > cap.
+    nothing stored per point.
 
     N meet H = W meet Lambda_1^2.  w -> (P(w0), P(w1)), P the subspace
     polynomial, is GF(2)-linear with kernel Lambda_1^2, so
@@ -509,8 +493,6 @@ def verify_splitting(ls: LambdaSpace, lifts: list[Mat3], cap: int = 10**7) -> Sp
             for a, b, c, d in blocks[:3]:
                 todo.append(mul(a, w0) ^ mul(b, w1) | (mul(c, w0) ^ mul(d, w1)) << m)
     order = q * (q * q - 1) << len(W)
-    if order > cap:
-        raise ClosureCapError(cap)
     images: dict = {}
     for v in W.values():
         gf2_insert(images, ls.value(v & (1 << m) - 1) | ls.value(v >> m) << m)

@@ -32,6 +32,8 @@ F.  The criterion reads it off the maps M_g and never expands it.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from refl2.ffield import FieldCtx, subfield_elements
 from refl2.grouplift import LambdaSpace, Mat3, cocycle_g
 from refl2.mvpoly import MultiPoly
@@ -136,22 +138,19 @@ class ActionShapeError(ValueError):
     construction bug upstream."""
 
 
-class ActionDescriptor:
+class ActionDescriptor(NamedTuple):
     """Exact affine action of each generator g on F = (f_x, f_y, z^(q^d)),
     in generator order: maps[i] is M_g = [[a_x, b_x, t_x], [a_y, b_y, t_y],
     [0, 0, 1]] with g f_x = a_x f_x + b_x f_y + t_x z^(q^d) and likewise for
     f_y, the linear part over the subfield, so g (p o F) = (M_g p) o F."""
 
-    __slots__ = ("ctx", "n", "d", "zpow", "maps", "alpha", "e")
-
-    def __init__(self, ctx: FieldCtx, n: int, d: int, zpow: int, maps, alpha: int, e: int):
-        self.ctx = ctx
-        self.n = n
-        self.d = d
-        self.zpow = zpow
-        self.maps = maps
-        self.alpha = alpha
-        self.e = e
+    ctx: FieldCtx
+    n: int
+    d: int
+    zpow: int
+    maps: tuple[Mat3, ...]
+    alpha: int
+    e: int
 
     @property
     def all_offsets_zero(self) -> bool:

@@ -87,6 +87,8 @@ expression attempt, then one `act` of p per generator.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 from refl2.ffield import FieldCtx, gf2_insert
 from refl2.grouplift import Mat3, cocycle_f
 from refl2.invariants import ActionDescriptor, ActionShapeError, lift_scale
@@ -112,43 +114,14 @@ def is_invariant(p: MultiPoly, gens: list[Mat3]) -> bool:
 # -- Kemper's criterion ------------------------------------------------------
 
 
-class KemperVerdict:
-    __slots__ = (
-        "polynomial",
-        "failed_clauses",
-        "group_order",
-        "degrees",
-        "degree_product",
-        "fixed_by",  # per generator, per invariant
-        "jacobian_nonzero",
-    )
-
-    def __init__(
-        self,
-        polynomial: bool,
-        failed_clauses: tuple[str, ...],
-        group_order: int,
-        degrees: tuple[int, ...],
-        degree_product: int,
-        fixed_by: tuple[tuple[bool, ...], ...],
-        jacobian_nonzero: bool,
-    ):
-        self.polynomial = polynomial
-        self.failed_clauses = failed_clauses
-        self.group_order = group_order
-        self.degrees = degrees
-        self.degree_product = degree_product
-        self.fixed_by = fixed_by
-        self.jacobian_nonzero = jacobian_nonzero
-
-    def _key(self) -> tuple:
-        return tuple(getattr(self, k) for k in self.__slots__)
-
-    def __eq__(self, other):
-        return isinstance(other, KemperVerdict) and self._key() == other._key()
-
-    def __repr__(self):
-        return f"KemperVerdict{self._key()}"
+class KemperVerdict(NamedTuple):
+    polynomial: bool
+    failed_clauses: tuple[str, ...]
+    group_order: int
+    degrees: tuple[int, ...]
+    degree_product: int
+    fixed_by: tuple[tuple[bool, ...], ...]  # per generator, per invariant
+    jacobian_nonzero: bool
 
     def __str__(self):
         if self.polynomial:

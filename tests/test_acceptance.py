@@ -191,6 +191,8 @@ def test_criterion_7_main_theorem_instances():
             q = 1 << cfg.n
             qd = q**cfg.d
             assert degrees == [(q + 1) * qd, (q * q - q) * qd, 1]
+            # the premise of the CLI's one cap comparison: |H| = |SL2(q)|
+            assert d["split"]["complement_order"] == q * (q * q - 1)
         # h0 case: linear kernel action with zero offsets confirmed
         _, rep_h0 = run_verify(VerifyConfig(n=2, d=0, variant="h0"))
         assert rep_h0.to_dict()["alpha"] == "0x0"

@@ -28,6 +28,9 @@ from test_invariants import checked_plane_pair
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
+# GF(2^17), no log tables, and a cap that admits |H| and |N| at d <= 1
+BIG_PRIME_FLAGS = ["--modulus-ambient", "0x20009", "--max-group", str(10**20)]
+
 SCHEMA_KEYS = [
     "n",
     "d",
@@ -372,13 +375,23 @@ def test_cli_degree_62_default_basis_factors_fast(capsys):
     assert "verdict     FAIL(group-cap)" in capsys.readouterr().out
 
 
-def test_cli_unproven_prime_exits_2(monkeypatch, capsys):
+@pytest.mark.parametrize(
+    "flags, proven, prime",
+    [
+        pytest.param(["--n", "7", "--d", "2"], 100, 127, id="n7-d2"),
+        pytest.param(["--n", "17", "--d", "0", *BIG_PRIME_FLAGS], 100_000, 131071, id="n17-d0"),
+        pytest.param(["--n", "17", "--d", "1", *BIG_PRIME_FLAGS], 100_000, 131071, id="n17-d1"),
+    ],
+)
+def test_cli_unproven_prime_exits_2(monkeypatch, capsys, flags, proven, prime):
     # a prime factor that Miller-Rabin cannot prove is refused, not
     # trusted: with the proof bound lowered below 127, GF(2^14) and its
-    # 2^14 - 1 = 3 * 43 * 127 make a configuration error
-    monkeypatch.setattr(ffield, "_PRIME_PROVEN", 100)
-    assert main(["verify", "--n", "7", "--d", "2", "--quiet"]) == EXIT_BAD_CONFIG
-    assert "cannot prove 127 prime" in capsys.readouterr().err
+    # 2^14 - 1 = 3 * 43 * 127 make a configuration error.  GF(2^17) has no
+    # tables, so 2^17 - 1 is first factored for the lifts, after the cap
+    # comparison, and is refused there too
+    monkeypatch.setattr(ffield, "_PRIME_PROVEN", proven)
+    assert main(["verify", *flags, "--quiet"]) == EXIT_BAD_CONFIG
+    assert f"cannot prove {prime} prime" in capsys.readouterr().err
 
 
 def test_cli_two_large_prime_factors_exit_2():
@@ -398,7 +411,7 @@ def test_cli_two_large_prime_factors_exit_2():
 
 
 def test_verify_max_group_cap():
-    # the cap bounds the enumerated complement, |H| = |SL2(GF(4))| = 60
+    # the cap is compared with |H| = |SL2(GF(4))| = 60
     code, report = run_verify(VerifyConfig(n=2, d=1, max_group=59))
     assert code == EXIT_CHECK_FAILED
     assert report.to_dict()["verdict"] == "FAIL(group-cap)"
@@ -445,6 +458,21 @@ def test_verify_max_group_caps_kernel():
     code, report = run_verify(VerifyConfig(n=2, d=2, max_group=256))
     assert code == EXIT_OK
     assert report.to_dict()["verdict"] == "POLYNOMIAL"
+
+
+def test_verify_action_shape_failure_keeps_the_split(monkeypatch):
+    # a kernel action of the wrong shape is a failed check, after the split
+    def misshapen(*args, **kwargs):
+        raise invariants.ActionShapeError("a block entry outside GF(q)")
+
+    monkeypatch.setattr(refl2.cli, "kernel_action", misshapen)
+    code, report = run_verify(VerifyConfig(n=2, d=1))
+    r = report.to_dict()
+    assert (code, r["verdict"]) == (EXIT_CHECK_FAILED, "FAIL(action-shape)")
+    assert r["group_order"] == 960
+    assert r["split"] == {"complement_order": 60, "intersection_order": 1}
+    assert (r["degrees"], r["alpha"], r["action_note"]) == ([], "0x0", "")
+    assert list(r) == SCHEMA_KEYS
 
 
 def test_verify_n2_d1_criterion_small_and_oracle_expanded(degree_spy, capsys):

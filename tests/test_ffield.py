@@ -202,19 +202,6 @@ def test_inv():
             assert c.mul(a, c.inv(a)) == 1
 
 
-def test_sqrt():
-    ctx = field_new(2)
-    assert ctx.sqrt(0) == 0
-    assert ctx.sqrt(1) == 1
-    assert ctx.sqrt(0x2) == 0x3  # (t+1)^2 = t^2+1 = t
-    rng = random.Random(7)
-    big = field_new(12)
-    for _ in range(100):
-        a = rng.randrange(big.order)
-        r = big.sqrt(a)
-        assert big.mul(r, r) == a
-
-
 def test_squaring_is_additive():
     rng = random.Random(11)
     ctx = field_new(9)

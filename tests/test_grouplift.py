@@ -360,18 +360,6 @@ def test_kernel_group():
     assert not ls0.kernel_contains(Mat3.translation(GF4, 1, 0))
 
 
-def test_kernel_group_cap_checked_before_enumeration(monkeypatch):
-    ls = LambdaSpace(GF4, 2, (1,))
-    assert len(kernel_group(ls, cap=16)) == 2  # the generators, |N| = 16
-
-    def unbuilt(*args):
-        raise AssertionError("an element of N was built")
-
-    monkeypatch.setattr(Mat3, "translation", unbuilt)
-    with pytest.raises(ClosureCapError):
-        kernel_group(ls, cap=15)
-
-
 def test_closure_cap():
     with pytest.raises(ClosureCapError):
         closure(list(sl2_generators(2, GF4)), cap=10)
@@ -476,8 +464,8 @@ def test_accepted_lifts_normalize_the_kernel():
     # every lift it accepts conjugates each generating translation of N
     # into N, so it normalizes N
     for ls, lifts in accepted_lift_sets():
-        verify_splitting(ls, lifts, cap=1 << 60)
-        N = kernel_group(ls, cap=1 << 60)
+        verify_splitting(ls, lifts)
+        N = kernel_group(ls)
         for g in lifts:
             gi = g.inverse()
             assert all(ls.kernel_contains(g * t * gi) for t in N)
@@ -530,8 +518,8 @@ def test_split_holds_the_dropped_pairs(n, variant):
             assert len(values) == (n - 1) * (n - 2) // 2
             assert all(v.block2() == (1, 0, 0, 1) for v in values)
             moved += sum(v.third_col() != (0, 0) for v in values)
-            rep = verify_splitting(ls, lifts, cap=1 << 80)
-            assert verify_splitting(ls, lifts + values, cap=1 << 80) == rep
+            rep = verify_splitting(ls, lifts)
+            assert verify_splitting(ls, lifts + values) == rep
     assert moved or n == 2
 
 
@@ -813,8 +801,7 @@ def test_chain_split_matches_orbit_stabilizer_split(n, d, variant, kind):
     ctx = field_new(n)
     ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
     lifts = control_lifts(kind, variant, n, ctx) if kind else list(lift_generators(variant, n, ctx))
-    cap = 1 << 40
-    assert verify_splitting(ls, lifts, cap) == orbit_stabilizer_split(ls, lifts)
+    assert verify_splitting(ls, lifts) == orbit_stabilizer_split(ls, lifts)
 
 
 @pytest.mark.parametrize("variant", ["h1", "h0"])
@@ -824,7 +811,7 @@ def test_chain_split_at_scale(n, d, variant):
     ctx = field_new(n)
     ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
     lifts = list(lift_generators(variant, n, ctx))
-    rep = verify_splitting(ls, lifts, cap=1 << 60)
+    rep = verify_splitting(ls, lifts)
     q = 1 << n
     assert rep.complement_order == q * (q * q - 1)
     assert rep.intersection_order == 1
@@ -894,15 +881,14 @@ def test_orbit_stabilizer_split_matches_bfs_corrupted_lift(n, variant, d, kind):
 
 @pytest.mark.parametrize("n, variant", [(2, "h1"), (2, "h0"), (3, "h1"), (3, "h0")])
 def test_orbit_stabilizer_split_cap_is_exact(n, variant):
-    # ClosureCapError exactly when |H| = |SL2(q)| 2^dim W passes the cap
+    # the CLI's one cap comparison reads |H| as q(q^2 - 1): the split's
+    # |H| = |SL2(q)| 2^dim W is the closure order, and that is |SL2(q)|
     ls = LambdaSpace(GF4 if n == 2 else GF8, n, ())
     lifts = list(lift_generators(variant, n, ls.ambient))
     order = len(closure_of(tuple(lifts)))
-    assert verify_splitting(ls, lifts, cap=order).complement_order == order
-    with pytest.raises(ClosureCapError):
-        verify_splitting(ls, lifts, cap=order - 1)
-    with pytest.raises(ClosureCapError):
-        verify_splitting(ls, lifts, cap=1)
+    assert verify_splitting(ls, lifts).complement_order == order
+    q = 1 << n
+    assert order == q * (q * q - 1)
 
 
 # -- the presentation of SL2(q) against the chain ------------------------------
@@ -918,7 +904,7 @@ def test_split_matches_chain_default_bases(n, variant):
         chain = _Chain(ctx, lifts)
         for d in ds:
             ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
-            rep = verify_splitting(ls, lifts, cap=1 << 60)
+            rep = verify_splitting(ls, lifts)
             assert rep == chain_split(ls, chain)
 
 
@@ -943,7 +929,7 @@ def test_split_matches_chain_control_lifts(n, kind, variant):
     assert chain.W
     for d in (0, 1):
         ls = LambdaSpace(ctx, n, default_lambda_basis(d, n, ctx))
-        assert verify_splitting(ls, lifts, cap=1 << 60) == chain_split(ls, chain)
+        assert verify_splitting(ls, lifts) == chain_split(ls, chain)
 
 
 def test_split_matches_chain_on_every_column_over_gf4():
@@ -972,7 +958,7 @@ def test_split_takes_any_generator_for_e(n):
             ek = ctx.pow_(e, k)
             for col in ((0, 0), (1, ek), (0, 1)):
                 lifts = [Mat3.block(ctx, ctx.inv(ek), 0, 0, ek, col=col), S, T]
-                rep = verify_splitting(ls, lifts, cap=1 << 60)
+                rep = verify_splitting(ls, lifts)
                 assert rep == chain_split(ls, _Chain(ctx, lifts))
 
 
@@ -1000,7 +986,7 @@ def test_verify_splitting_refuses_lifts_off_the_presentation(case):
     lifts, message = refused_lifts(ctx, 4)[case]
     n = 2 if case == "off-GF(4)" else 4
     with pytest.raises(ValueError, match=message):
-        verify_splitting(LambdaSpace(ctx, n, ()), lifts, cap=1 << 60)
+        verify_splitting(LambdaSpace(ctx, n, ()), lifts)
 
 
 def test_verify_splitting_refuses_a_relator_off_the_blocks(monkeypatch):

@@ -295,7 +295,7 @@ def test_line_products_match_prefix_suffix_reference(n, variant, modulus, basis,
     m = modulus.bit_length() - 1 if modulus else n * (2 if d == 2 else 1)
     ctx = field_new(m, modulus)
     ls = LambdaSpace(ctx, n, basis or default_lambda_basis(d, n, ctx))
-    gens = list(lift_generators(variant, n, ctx)) + kernel_group(ls, cap=1 << 30)
+    gens = list(lift_generators(variant, n, ctx)) + kernel_group(ls)
     desc = kernel_action(gens, *kernel_invariants(ls), n=n)
     plane = _forms(ctx, n, 0)
     for forms in [plane] + ([] if desc.all_offsets_zero else [line_forms(desc)]):
@@ -619,7 +619,7 @@ def test_kernel_action_matches_act_reference():
     # random offsets are mostly outside Lambda_1, so P(w) != 0 is read
     for i, (ls, lifts) in enumerate(criterion_setups()):
         F = kernel_invariants(ls)
-        gens = list(lifts) + kernel_group(ls, cap=1 << 40)
+        gens = list(lifts) + kernel_group(ls)
         gamma = displayed_scale(ls.n, ls.ambient)
         kinds = ("cocycle", "perturbed", "random", "zero")
         gens += random_maps(random.Random(i), ls.ambient, ls.n, gamma, kinds, 8)

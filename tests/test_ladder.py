@@ -88,3 +88,6 @@ def test_sweep_every_default_field_to_m_64(n, d, variant):
     r = report.to_dict()
     assert (code, r["verdict"]) == (0, "POLYNOMIAL")
     assert r["degree_product"] == r["group_order"]
+    # the premise of the CLI's one cap comparison: |H| = |SL2(q)|
+    q = 1 << n
+    assert r["split"]["complement_order"] == q * (q * q - 1)

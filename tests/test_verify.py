@@ -438,7 +438,7 @@ def setup_descriptor(ls, lifts):
     translations; the order is |N| q (q^2 - 1), the degree clause's only
     input, read the same by both criteria."""
     q = 1 << ls.n
-    gens = list(lifts) + kernel_group(ls, cap=1 << 40)
+    gens = list(lifts) + kernel_group(ls)
     desc = kernel_action(gens, *kernel_invariants(ls), n=ls.n)
     return ls.kernel_order * q * (q * q - 1), desc
 
