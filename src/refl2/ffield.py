@@ -5,7 +5,8 @@ coefficient of t^k in the polynomial basis of GF(2)[t]/(modulus).  The
 zero and one elements are always the ints 0 and 1, and addition is xor.
 A `FieldCtx` carries the extension degree and the irreducible modulus
 and exposes int-level arithmetic (`mul`, `inv`, `pow_`), the primitives
-of the matrix and polynomial layers alike.
+of the matrix and polynomial layers alike; it holds no tables, so
+building a field costs one irreducibility test.
 
 Moduli are bit-vectors too, with bit m (the leading bit) set; they print
 as hex with the low bit the constant term, e.g. the GF(4) modulus
@@ -27,10 +28,6 @@ from __future__ import annotations
 from functools import reduce
 from math import gcd
 from operator import xor
-
-# Log/exp tables are built only for fields that fit comfortably in memory.
-_TABLE_LIMIT = 16
-
 
 def _pmod(a: int, b: int) -> int:
     """Remainder of carry-less division of a by b over GF(2)."""
@@ -164,14 +161,14 @@ class FieldCtx:
     and modulus.  All int-level methods expect operands already reduced
     (bit length at most m).
 
-    For m <= _TABLE_LIMIT (16) the context holds discrete-log tables for
-    a multiplicative generator: `_log[a]` in [0, 2^m - 1) for nonzero a,
-    and `_exp[i]` for 0 <= i < 2 (2^m - 1), so a sum of two logs indexes
-    `_exp` unreduced.  Past the limit both are None and every method
-    computes directly.  Only the methods here read the tables.
+    The modulus is t^m + L(t), so `mul` folds the part of a product above
+    bit m back in through the set bits of L (`_low_shifts`), and `inv` is
+    the binary extended Euclid (Hankerson, Menezes and Vanstone, "Guide
+    to Elliptic Curve Cryptography", 2004, section 2.3 and Algorithm
+    2.48), for every m.  `mul` agrees with `_pmod(_pmul(a, b), modulus)`.
     """
 
-    __slots__ = ("m", "modulus", "order", "_exp", "_log")
+    __slots__ = ("m", "modulus", "order", "_low_shifts")
 
     def __init__(self, m: int, modulus: int):
         if m < 1:
@@ -185,62 +182,64 @@ class FieldCtx:
         self.m = m
         self.modulus = modulus
         self.order = 1 << m
-        self._exp = self._log = None
-        if m <= _TABLE_LIMIT:
-            self._build_tables()
-
-    def _build_tables(self):
-        # The modulus need not be primitive, so drive the tables with a
-        # multiplicative generator found by direct order computation.
-        n = self.order - 1
-        g = self._subgroup_generator(self.m)
-        exp = [1] * n
-        for i in range(1, n):
-            exp[i] = self._mul_raw(exp[i - 1], g)
-        log = [0] * self.order
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._exp, self._log = exp + exp, log
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        return _pmod(_pmul(a, b), self.modulus)
-
-    def _pow_raw(self, a: int, k: int) -> int:
-        r = 1
-        while k:
-            if k & 1:
-                r = self._mul_raw(r, a)
-            a = self._mul_raw(a, a)
-            k >>= 1
-        return r
+        self._low_shifts = tuple(i for i in range(m) if modulus >> i & 1)
 
     # -- public int-level arithmetic ------------------------------------
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[self._log[a] + self._log[b]]
-        return self._mul_raw(a, b)
+        if a < b:
+            a, b = b, a
+        if b < 2:  # common: many coefficients lie in GF(2)
+            return a if b else 0
+        r = 0
+        while b:  # the carry-less product, over the set bits of b
+            bit = b & -b
+            r ^= a * bit
+            b ^= bit
+        m, mask = self.m, self.order - 1
+        high = r >> m
+        while high:  # t^m = L(t): fold the high part back in
+            r &= mask
+            for s in self._low_shifts:
+                r ^= high << s
+            high = r >> m
+        return r
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self._exp is not None:
-            n = self.order - 1
-            return self._exp[(n - self._log[a]) % n]
-        return self._pow_raw(a, self.order - 2)
+        # u = g1 a and v = g2 a mod f; halving adds f to an odd g first (f
+        # has its constant term past m = 1, and at m = 1 no loop runs)
+        f = self.modulus
+        u, v, g1, g2 = a, f, 1, 0
+        while u != 1 and v != 1:
+            while not u & 1:
+                u >>= 1
+                g1 = (g1 ^ f if g1 & 1 else g1) >> 1
+            while not v & 1:
+                v >>= 1
+                g2 = (g2 ^ f if g2 & 1 else g2) >> 1
+            if u.bit_length() > v.bit_length():
+                u ^= v
+                g1 ^= g2
+            else:
+                v ^= u
+                g2 ^= g1
+        return g1 if u == 1 else g2
 
     def pow_(self, a: int, k: int) -> int:
-        """a**k with k >= 0 (k may exceed the group order)."""
+        """a**k for any int k (a != 0 when k < 0), with k taken mod 2^m - 1,
+        the order of the group of units."""
         if k < 0:
             return self.pow_(self.inv(a), -k)
         if a == 0:
             return 0 if k else 1
-        if self._exp is not None:
-            n = self.order - 1
-            return self._exp[(self._log[a] * k) % n]
-        return self._pow_raw(a, k)
+        mul, r = self.mul, 1
+        for bit in bin(k % (self.order - 1))[2:]:  # square and multiply, from the top
+            r = mul(r, r)
+            if bit == "1":
+                r = mul(r, a)
+        return r
 
     def order_of(self, a: int, multiple: int = 0) -> int:
         """Multiplicative order of a nonzero element, given a multiple of
@@ -261,8 +260,7 @@ class FieldCtx:
 
     def _first_of_order(self, k: int, candidates) -> int:
         """The first of the `candidates`, each nonzero with a^k = 1, whose
-        order is exactly k; only k is factored.  Before the tables exist,
-        `pow_` computes directly."""
+        order is exactly k; only k is factored."""
         primes = _factorize(k)
         for a in candidates:
             if all(self.pow_(a, k // p) != 1 for p in primes):

@@ -33,6 +33,7 @@ The zero polynomial prints "0x0".  `format_terms` writes it, for
 from __future__ import annotations
 
 from heapq import heappop, heappush
+from itertools import accumulate, repeat
 from operator import add, sub
 from typing import Iterable, Iterator
 
@@ -372,13 +373,13 @@ class Substitution:
     translation x -> x + alpha z, y -> y + beta z followed by p o A.  For
     A = [[a, b], [c, d]] with a != 0 (else swap x and y first, which swaps
     the rows of A), p o A is y -> (det/a) y + (c/a) x, then x -> a x + b y.
-    Each step is one pass over the terms: binom(k, j) is odd iff j is a
-    submask of k (Lucas), so x_i^k -> sum over submasks j of k of
-    s^j t^(k-j) x_i^j x_w^(k-j).
-
-    The coefficient v s^j t^(k-j) = (v t^k) (s/t)^j costs one `ctx.mul`
-    per output term and one per input term, with the powers of t and s/t
-    listed once per step.
+    A step with t != 0 is x_i -> t x_i, then x_i -> x_i + x_w, then
+    x_i -> (s/t) x_i, as s x_i + t x_w = t ((s/t) x_i + x_w).  The middle
+    pass multiplies nothing: binom(k, j) is odd iff j is a submask of k
+    (Lucas), so x_i^k -> sum over submasks j of k of x_i^j x_w^(k-j), and
+    like terms add before any product.  Each scaling costs one `ctx.mul`
+    per term, with the powers of its factor listed once, each one
+    `ctx.mul` on the one before.
     """
 
     __slots__ = ("ctx", "steps")
@@ -398,41 +399,40 @@ class Substitution:
 
     def __call__(self, p: MultiPoly) -> MultiPoly:
         ctx = self.ctx
-        mul, pow_ = ctx.mul, ctx.pow_
+        mul = ctx.mul
         K = p.deg()
         terms = p._terms
-        # steps may cancel terms to zero: they are skipped, then dropped
+
+        def scaled(terms, i, s):  # x_i -> s x_i: each term times s^k
+            if s == 1:
+                return terms
+            sk = list(accumulate(repeat(s, K), mul, initial=1))
+            return {e: mul(v, sk[e[i]]) for e, v in terms.items() if v}
+
+        # steps may cancel terms to zero: they are dropped at the end
         for step in self.steps:
             if step is None:  # x <-> y
                 terms = {(b, a, c): v for (a, b, c), v in terms.items()}
                 continue
             i, w, s, t = step
-            if t == 0:  # x_i -> s x_i: each term times s^k
-                if s != 1:
-                    sk = [pow_(s, k) for k in range(K + 1)]
-                    terms = {e: mul(v, sk[e[i]]) for e, v in terms.items() if v}
-                continue
-            tk = [pow_(t, k) for k in range(K + 1)]
-            r = mul(s, ctx.inv(t))
-            rj = [pow_(r, j) for j in range(K + 1)]
-            out: dict = {}
-            get = out.get
-            for e, v in terms.items():
-                if not v:
-                    continue
-                e = list(e)
-                k = e[i]
-                top = k + e[w]
-                vt = mul(v, tk[k])
-                j = k
-                while True:
-                    e[i], e[w] = j, top - j
-                    key = tuple(e)
-                    out[key] = get(key, 0) ^ mul(vt, rj[j])
-                    if not j:
-                        break
-                    j = (j - 1) & k
-            terms = out
+            if t:
+                out: dict = {}
+                get = out.get
+                for e, v in scaled(terms, i, t).items():  # x_i -> x_i + x_w
+                    e = list(e)
+                    k = e[i]
+                    top = k + e[w]
+                    j = k
+                    while True:
+                        e[i], e[w] = j, top - j
+                        key = tuple(e)
+                        out[key] = get(key, 0) ^ v
+                        if not j:
+                            break
+                        j = (j - 1) & k
+                terms = out
+                s = mul(s, ctx.inv(t))
+            terms = scaled(terms, i, s)
         return MultiPoly(ctx, {e: v for e, v in terms.items() if v})
 
 

@@ -28,7 +28,8 @@ from test_invariants import checked_plane_pair
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected"
 
-# GF(2^17), no log tables, and a cap that admits |H| and |N| at d <= 1
+# GF(2^17), whose 2^17 - 1 is prime, and a cap that admits |H| and |N|
+# at d <= 1
 BIG_PRIME_FLAGS = ["--modulus-ambient", "0x20009", "--max-group", str(10**20)]
 
 SCHEMA_KEYS = [
@@ -195,7 +196,7 @@ def test_cli_modulus_overrides():
 
 
 def test_cli_ambient_past_the_table_limit(capsys):
-    # GF(2^18) has no log tables: the GF(4) subfield comes from one element
+    # GF(2^18): the GF(4) subfield comes from one element
     # of order 3, not from a scan of the 2^18 elements
     argv = ["verify", "--n", "2", "--modulus-ambient", "0x40009"]
     assert main(argv) == EXIT_OK
@@ -386,9 +387,9 @@ def test_cli_degree_62_default_basis_factors_fast(capsys):
 def test_cli_unproven_prime_exits_2(monkeypatch, capsys, flags, proven, prime):
     # a prime factor that Miller-Rabin cannot prove is refused, not
     # trusted: with the proof bound lowered below 127, GF(2^14) and its
-    # 2^14 - 1 = 3 * 43 * 127 make a configuration error.  GF(2^17) has no
-    # tables, so 2^17 - 1 is first factored for the lifts, after the cap
-    # comparison, and is refused there too
+    # 2^14 - 1 = 3 * 43 * 127 make a configuration error.  Building a field
+    # factors nothing, so 2^17 - 1 is first factored for the lifts, after
+    # the cap comparison, and is refused there too
     monkeypatch.setattr(ffield, "_PRIME_PROVEN", proven)
     assert main(["verify", *flags, "--quiet"]) == EXIT_BAD_CONFIG
     assert f"cannot prove {prime} prime" in capsys.readouterr().err

@@ -190,16 +190,38 @@ def test_gf4_mul_table():
         assert ctx.mul(a, 0) == 0
 
 
+# irreducible moduli whose low part has degree m - 1, so that reducing a
+# product folds the high part back in up to m - 1 times: one sparse and
+# one dense for each m
+FOLDING_MODULI = [
+    (8, 0x187), (8, 0x1F9), (17, 0x3000B), (17, 0x3FFEF),
+    (64, 0x18000000000000049), (64, 0x1FFFFFFFFFFFFFEFD),
+]
+
+
+def folding_fields(*ms):
+    return [FieldCtx(m, f) for m, f in FOLDING_MODULI if m in ms]
+
+
+def definition_fields():
+    # the default field of every m = 1..64, then the folding moduli
+    return [field_new(m) for m in range(1, 65)] + [FieldCtx(m, f) for m, f in FOLDING_MODULI]
+
+
 def test_inv():
     ctx = field_new(2)
     assert ctx.inv(0x2) == 0x3  # t*(t+1) = t^2+t = 1
     assert ctx.inv(1) == 1
     with pytest.raises(ZeroDivisionError):
         ctx.inv(0)
-    for m in (3, 5, 8):
-        c = field_new(m)
+    for c in [field_new(m) for m in range(1, 9)] + folding_fields(8):
         for a in range(1, c.order):
             assert c.mul(a, c.inv(a)) == 1
+    rng = random.Random(5)
+    for c in definition_fields():
+        for a in [1, c.order - 1] + [rng.randrange(1, c.order) for _ in range(50)]:
+            b = c.inv(a)
+            assert 0 < b < c.order and _pmod(_pmul(a, b), c.modulus) == 1
 
 
 def test_squaring_is_additive():
@@ -251,7 +273,7 @@ def test_subfield_elements():
             if m % n == 0:
                 expected = [a for a in range(ctx.order) if ctx.pow_(a, 1 << n) == a]
                 assert subfield_elements(ctx, n) == expected
-    # past the table limit the scan would take seconds; check the points
+    # at m = 18 the scan would take seconds; check the points
     ctx = field_new(18, 0x40009)
     for n in (2, 3, 6):
         sub = subfield_elements(ctx, n)
@@ -310,9 +332,9 @@ def least_of_full_order(ctx, n):
 
 
 def test_subfield_generator_is_the_least_element_of_full_order():
-    # every subfield of the default fields of degree <= 16 and of the
-    # table-less GF(2^17) and GF(2^18), and two of GF(2^24), whose
-    # subfield generator is found by counting through an echelon basis
+    # every subfield of the default fields of degree <= 18, and two of
+    # GF(2^24), whose subfield generator is found by counting through an
+    # echelon basis
     cases = [(m, n) for m in list(range(1, 17)) + [17, 18] for n in range(1, m + 1) if m % n == 0]
     for m, n in cases + [(24, 8), (24, 12)]:
         ctx = field_new(m)
@@ -321,14 +343,14 @@ def test_subfield_generator_is_the_least_element_of_full_order():
 
 @pytest.mark.slow
 def test_subfield_generator_of_gf2_16_in_gf2_32():
-    # the listing takes 65 535 products with no log tables
+    # the listing takes 65 535 products
     ctx = field_new(32)
     assert subfield_generator(ctx, 16) == least_of_full_order(ctx, 16)
 
 
 def test_subfields_of_a_degree_62_field():
-    # no log tables and 2^62 - 1 = 3 * 715827883 * 2147483647, which the
-    # subfields never factor
+    # 2^62 - 1 = 3 * 715827883 * 2147483647, which the subfields never
+    # factor
     ctx = FieldCtx(62, 0x4000000000000069)
     for n in (1, 2):
         sub = subfield_elements(ctx, n)
@@ -357,6 +379,19 @@ def test_field_axioms_random_large():
             a, b, c = (rng.randrange(ctx.order) for _ in range(3))
             assert ctx.mul(ctx.mul(a, b), c) == ctx.mul(a, ctx.mul(b, c))
             assert ctx.mul(a, b ^ c) == ctx.mul(a, b) ^ ctx.mul(a, c)
+    # the product against its definition: every pair at m <= 8, and random
+    # pairs and the square of the largest element on every default modulus
+    # and on the folding moduli
+    assert all(f >> (m - 1) & 1 for m, f in FOLDING_MODULI)
+    for ctx in [field_new(m) for m in range(1, 9)]:
+        for a in range(ctx.order):
+            for b in range(ctx.order):
+                assert ctx.mul(a, b) == _pmod(_pmul(a, b), ctx.modulus)
+    for ctx in definition_fields():
+        top = ctx.order - 1
+        pairs = [(rng.randrange(ctx.order), rng.randrange(ctx.order)) for _ in range(200)]
+        for a, b in [(top, top)] + pairs:
+            assert ctx.mul(a, b) == ctx.mul(b, a) == _pmod(_pmul(a, b), ctx.modulus)
 
 
 def test_pow_handles_large_exponents():
@@ -365,3 +400,24 @@ def test_pow_handles_large_exponents():
     assert ctx.pow_(g, ctx.order - 1) == 1
     assert ctx.pow_(g, 16) == ctx.pow_(g, 16 % 15)
     assert ctx.pow_(0, 0) == 1 and ctx.pow_(0, 5) == 0
+
+    def pow_reference(c, a, k):
+        # square and multiply on the definition, k unreduced
+        r = 1
+        while k:
+            if k & 1:
+                r = _pmod(_pmul(r, a), c.modulus)
+            a = _pmod(_pmul(a, a), c.modulus)
+            k >>= 1
+        return r
+
+    # exponents at and past 2^m - 1, where `pow_` reduces them first
+    rng = random.Random(7)
+    for c in [field_new(17), field_new(64)] + folding_fields(17, 64):
+        n = c.order - 1
+        for _ in range(5):
+            a = rng.randrange(1, c.order)
+            assert c.pow_(a, n) == 1
+            for k in (n + 1, 2 * n + 3, n * n + 5, rng.randrange(n, n << 70)):
+                assert c.pow_(a, k) == pow_reference(c, a, k)
+            assert c.mul(c.pow_(a, -3), pow_reference(c, a, 3)) == 1

@@ -1378,7 +1378,7 @@ def test_products_on_the_lanes_match_the_packed_products(case, T):
     # degree below T, asked for in a seeded order so that builds start
     # from whichever product is kept: at h1 u and c1 have z-terms, at h0
     # they are the closed-form pair, over GF(8) a scaled copy overflows
-    # its lane and is reduced, GF(2^18) has no log tables
+    # its lane and is reduced, and GF(2^18) has 18-bit lanes
     if case == "gf2^18-plain":
         ctx = field_new(18, 0x40009)
         x, y, z = (MultiPoly.variable(ctx, i) for i in range(3))
